@@ -8,7 +8,7 @@ of state and analyzer settings, and device-independent randomness
 accounting with a concrete seeded extractor.
 """
 
-__version__ = "0.1.0"
+__version__ = "0.2.0"
 
 from .counting import (
     CHANNEL_ALICE,

@@ -138,14 +138,24 @@ def _load_counts_for_analysis(args) -> CountsTable:
     if policy_text == "clock":
         policy = WindowPolicy("clock")
     elif policy_text.startswith("event:"):
-        policy = WindowPolicy("event", float(policy_text.split(":", 1)[1]))
+        try:
+            window_ns = float(policy_text.split(":", 1)[1])
+        except ValueError:
+            raise ValidationError(
+                f"--window event:NS needs a number of ns, got {policy_text!r}"
+            ) from None
+        policy = WindowPolicy("event", window_ns)
     else:
         raise ValidationError(f"--window must be 'clock' or 'event:NS', got {policy_text!r}")
     if not args.settings:
         raise ValidationError("timetag analysis requires --settings")
     fmt = "binary" if suffix in (".bin", ".dat") else "csv"
     stream = parse_timetags(path.read_bytes(), fmt)
-    schedule = [int(line) for line in Path(args.settings).read_text().split()]
+    text = Path(args.settings).read_text()
+    try:
+        schedule = [int(line) for line in text.split()]
+    except ValueError:
+        raise _settings_format_error(text) from None
     table = windowed_counts(stream, policy, schedule)
     if policy.kind == "event" and ch_from_counts(table, args.singles_mode) > 0:
         print(
@@ -155,6 +165,17 @@ def _load_counts_for_analysis(args) -> CountsTable:
             file=sys.stderr,
         )
     return table
+
+
+def _settings_format_error(text: str) -> FormatError:
+    """The error for the first non-integer entry of a settings file."""
+    for lineno, line in enumerate(text.splitlines(), start=1):
+        for token in line.split():
+            try:
+                int(token)
+            except ValueError:
+                return FormatError(f"settings file: non-integer entry {token!r}", lineno)
+    return FormatError("settings file: non-integer entry")
 
 
 def _cmd_analyze(args) -> int:

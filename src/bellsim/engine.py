@@ -11,13 +11,17 @@ matches one-detector-per-arm counting; accidental coincidences (two
 pairs in one trial, or background meeting signal) arise naturally and
 are not modeled separately.
 
-Block mode samples the per-trial click outcomes directly from the exact
-Poisson-compounded joint distribution (fast, used for large runs).
-Timetag mode samples individual pair and background detections, places
-them on pulses inside the gated burst, applies Gaussian timing jitter,
-and emits a clock marker per trial.  Both modes draw from per-block
-generators derived from (seed, block index), so blocks are independent
-and any run is bit-reproducible from its config.
+Block mode draws each block's counts in one step.  The trials of a block
+are iid, and marginalizing the per-trial Poisson pair number gives the
+closed-form click probabilities (pA, pB, pAB) of `click_probabilities`,
+so the block's (coincidence, A only, B only, neither) counts are exactly
+Multinomial(n; pAB, pA - pAB, pB - pAB, 1 - pA - pB + pAB).  Its cost
+does not grow with the trials per block.  Timetag mode samples
+individual pair and background detections, places them on pulses inside
+the gated burst, applies Gaussian timing jitter, and emits a clock
+marker per trial.  Both modes draw from per-block generators derived
+from (seed, block index), so blocks are independent and any run is
+bit-reproducible from its config.
 
 The burst is centered inside the trial period so that realistic jitter
 cannot push a detection across a trial boundary.
@@ -35,7 +39,7 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from .counting import CHANNEL_ALICE, CHANNEL_BOB, CHANNEL_CLOCK, CountsTable, TimetagStream
-from .errors import FormatError, ValidationError
+from .errors import FormatError, NumericalError, ValidationError
 from .lhv import DriftModel
 from .quantum import (
     DetectionModel,
@@ -232,16 +236,15 @@ def setting_schedule(
     raise ValidationError(f"unknown schedule kind {kind!r}")
 
 
-def _pair_outcome_probs(state: PolarizationState, a_deg: float, b_deg: float,
-                        det: DetectionModel):
-    """Per-pair joint detection probabilities q11, q10, q01 (q00 implicit)."""
-    p1 = float(singles_prob(state, a_deg, "A"))
-    p2 = float(singles_prob(state, b_deg, "B"))
-    p12 = float(coincidence_prob(state, a_deg, b_deg))
-    q11 = det.eta_a * det.eta_b * p12
-    q10 = det.eta_a * p1 - q11
-    q01 = det.eta_b * p2 - q11
-    return p1, p2, p12, q11, q10, q01
+def _setting_probs(state: PolarizationState, settings: MeasurementSettings):
+    """Per-pair transmission probabilities (p1, p2, p12), each an array over
+    the four setting pairs."""
+    probs = np.empty((3, 4))
+    for combo in range(4):
+        a_deg, b_deg = settings.pair_angles(combo)
+        probs[:, combo] = (singles_prob(state, a_deg, "A"), singles_prob(state, b_deg, "B"),
+                           coincidence_prob(state, a_deg, b_deg))
+    return probs[0], probs[1], probs[2]
 
 
 def click_probabilities(p1, p2, p12, det: DetectionModel, multiplier: float = 1.0):
@@ -267,16 +270,10 @@ def click_probabilities(p1, p2, p12, det: DetectionModel, multiplier: float = 1.
 def expected_rates(state: PolarizationState, settings: MeasurementSettings,
                    det: DetectionModel, multiplier: float = 1.0):
     """(pA, pB, pAB) arrays over the four setting pairs."""
-    pa = np.empty(4)
-    pb = np.empty(4)
-    pab = np.empty(4)
-    for combo in range(4):
-        a_deg, b_deg = settings.pair_angles(combo)
-        p1 = float(singles_prob(state, a_deg, "A"))
-        p2 = float(singles_prob(state, b_deg, "B"))
-        p12 = float(coincidence_prob(state, a_deg, b_deg))
-        pa[combo], pb[combo], pab[combo] = click_probabilities(p1, p2, p12, det, multiplier)
-    return pa, pb, pab
+    return click_probabilities(*_setting_probs(state, settings), det, multiplier)
+
+
+_CALIBRATION_TOL = 1e-12
 
 
 def calibrate_source_rates(
@@ -284,7 +281,11 @@ def calibrate_source_rates(
     iterations: int = 200,
 ) -> tuple[float, float]:
     """Fit (pair_mean, background) so the compounded singles model matches
-    two observed per-trial singles rates at known projection probabilities."""
+    two observed per-trial singles rates at known projection probabilities.
+
+    Raises NumericalError when the fixed-point iteration leaves either
+    singles equation unsolved.
+    """
     if not 0 < eta <= 1:
         raise ValidationError("eta must be in (0, 1]")
     mu, bg = 0.03, 1e-4
@@ -293,6 +294,13 @@ def calibrate_source_rates(
         bg = 1.0 - (1.0 - rate_low) / math.exp(-mu * eta * p1_low)
     if not (mu > 0 and 0 <= bg < 1):
         raise ValidationError("calibration did not converge to a valid model")
+    for p1, rate in ((p1_low, rate_low), (p1_high, rate_high)):
+        residual = rate - (1.0 - (1.0 - bg) * math.exp(-mu * eta * p1))
+        if not abs(residual) <= _CALIBRATION_TOL:
+            raise NumericalError(
+                f"calibration did not converge: singles residual {residual:.3g} "
+                f"at projection probability {p1}"
+            )
     return mu, bg
 
 
@@ -310,43 +318,26 @@ def _drift_multipliers(cfg: ExperimentConfig) -> np.ndarray:
 
 
 def simulate_blocks(cfg: ExperimentConfig) -> list[BlockRecord]:
-    """Simulate the run block by block, returning per-block click counts."""
+    """Simulate the run block by block, returning per-block click counts.
+
+    Each block is one multinomial draw of its (coincidence, A only,
+    B only, neither) counts from the closed-form click probabilities at
+    its setting pair and drift multiplier.
+    """
     schedule = _block_schedule(cfg)
-    mult = _drift_multipliers(cfg)
+    p1, p2, p12 = _setting_probs(cfg.state, cfg.settings)
+    pa, pb, pab = click_probabilities(p1[schedule], p2[schedule], p12[schedule], cfg.det,
+                                      _drift_multipliers(cfg))
+    # rounding can leave a category a few ulp below zero
+    categories = np.clip(np.stack([pab, pa - pab, pb - pab, 1.0 - pa - pb + pab], axis=1),
+                         0.0, None)
     n = cfg.trials_per_block
-    det = cfg.det
     records = []
     for b in range(cfg.n_blocks):
-        combo = int(schedule[b])
-        a_deg, b_deg = cfg.settings.pair_angles(combo)
-        p1 = float(singles_prob(cfg.state, a_deg, "A"))
-        p2 = float(singles_prob(cfg.state, b_deg, "B"))
-        p12 = float(coincidence_prob(cfg.state, a_deg, b_deg))
-        m = float(mult[b])
-        mu = det.pair_mean * m
-        bg_a = min(det.bg_a * m, 1.0)
-        bg_b = min(det.bg_b * m, 1.0)
-
-        rng = _rng(cfg.rng_seed, _BLOCK_STREAM, b)
-        k = rng.poisson(mu, size=n)
-        # per-pair no-detection probabilities, then trial-level joint via k-th powers
-        qA0 = 1.0 - det.eta_a * p1
-        qB0 = 1.0 - det.eta_b * p2
-        q00 = 1.0 - det.eta_a * p1 - det.eta_b * p2 + det.eta_a * det.eta_b * p12
-        pA0 = (1.0 - bg_a) * np.power(qA0, k)
-        pB0 = (1.0 - bg_b) * np.power(qB0, k)
-        pAB0 = (1.0 - bg_a) * (1.0 - bg_b) * np.power(q00, k)
-
-        u = rng.random(n)
-        t0 = pAB0                   # no click on either arm
-        t1 = t0 + (pA0 - pAB0)      # B only
-        t2 = t1 + (pB0 - pAB0)      # A only
-        click_a = u >= t1
-        click_b = ((u >= t0) & (u < t1)) | (u >= t2)
-        coinc = click_a & click_b
-        records.append(
-            BlockRecord(combo, n, int(click_a.sum()), int(click_b.sum()), int(coinc.sum()))
-        )
+        coinc, a_only, b_only, _ = _rng(cfg.rng_seed, _BLOCK_STREAM, b).multinomial(
+            n, categories[b])
+        records.append(BlockRecord(int(schedule[b]), n, int(coinc + a_only),
+                                   int(coinc + b_only), int(coinc)))
     return records
 
 
@@ -377,6 +368,7 @@ def simulate_timetags(cfg: ExperimentConfig) -> TimetagStream:
     """
     schedule = _block_schedule(cfg)
     mult = _drift_multipliers(cfg)
+    p1, p2, p12 = _setting_probs(cfg.state, cfg.settings)
     det = cfg.det
     n = cfg.trials_per_block
     period = int(round(det.trial_period_ns))
@@ -388,8 +380,10 @@ def simulate_timetags(cfg: ExperimentConfig) -> TimetagStream:
     clamped = 0
     for b in range(cfg.n_blocks):
         combo = int(schedule[b])
-        a_deg, b_deg = cfg.settings.pair_angles(combo)
-        _, _, _, q11, q10, q01 = _pair_outcome_probs(cfg.state, a_deg, b_deg, det)
+        # per-pair joint detection probabilities; no detection is implicit
+        q11 = det.eta_a * det.eta_b * p12[combo]
+        q10 = det.eta_a * p1[combo] - q11
+        q01 = det.eta_b * p2[combo] - q11
         m = float(mult[b])
         mu = det.pair_mean * m
         bg_a = min(det.bg_a * m, 1.0)

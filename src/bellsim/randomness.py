@@ -25,7 +25,13 @@ Extraction policies size the final string from the raw entropy:
 
 The concrete extractor is binary Toeplitz hashing: output bit i is the
 parity of seed[i : i+n] (reversed) AND the raw bits, which makes the map
-linear over XOR and needs n + m - 1 seed bits for m output bits.
+linear over XOR and needs n + m - 1 seed bits for m output bits.  Those
+parities are the low bits of a correlation, which is computed by FFT on
+tiles of at most _TILE_BITS raw bits and _TILE_BITS output bits, so an
+n-bit input and m-bit output cost O((n + m) log(n + m)) at a working set
+bounded by the tile, whatever n and m are (Hayashi & Tsurumaru, IEEE TIT
+62, 2213 (2016)).  Every tile's correlation is checked to round cleanly
+to integers, so the output bits are exact or the call raises.
 """
 
 from __future__ import annotations
@@ -39,7 +45,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .counting import CountsTable
-from .errors import ValidationError
+from .errors import NumericalError, ValidationError
 from .stats import ch_from_counts
 
 POLICIES = ("sha-half", "trevisan-sized", "hash-extract")
@@ -51,6 +57,15 @@ FINITE_SIZE_CAVEAT = (
 )
 
 _BITS_MAGIC = b"BELLSIMX"
+
+# Raw bits and output bits per FFT tile.  A tile's correlation values are
+# integers up to 2^20, far inside float64's exact range, and its FFT
+# length is at most 2^21.
+_TILE_BITS = 1 << 20
+
+# Largest distance from an integer that a correlation value may show
+# before its rounding, and so its parity, is no longer trusted.
+_ROUNDING_TOL = 0.25
 
 
 def guessing_probability(b_value: float) -> float:
@@ -164,14 +179,28 @@ def hash_extract(
     if seed.size < need:
         raise ValidationError(f"seed too short: need {need} bits, got {seed.size}")
 
-    rev = raw[::-1].astype(np.int64)
-    out = np.empty(out_len, dtype=np.uint8)
-    # row i of the Toeplitz matrix is seed[i : i+n] against the reversed input
-    chunk = max(1, min(out_len, 8_388_608 // max(n, 1) + 1))
-    windows = np.lib.stride_tricks.sliding_window_view(seed[:need], n)
-    for start in range(0, out_len, chunk):
-        stop = min(start + chunk, out_len)
-        out[start:stop] = (windows[start:stop].astype(np.int64) @ rev) & 1
+    out = np.zeros(out_len, dtype=np.uint8)
+    # out[i] = sum_j seed[i + n-1 - j] raw[j] is entry i + n-1 of the
+    # convolution of seed and raw; each (row tile, raw tile) pair adds its
+    # share from the seed bits it touches
+    for i0 in range(0, out_len, _TILE_BITS):
+        rows = min(_TILE_BITS, out_len - i0)
+        for j0 in range(0, n, _TILE_BITS):
+            width = min(_TILE_BITS, n - j0)
+            s0 = i0 + n - j0 - width
+            size = 1 << (width + rows - 2).bit_length()
+            conv = np.fft.irfft(
+                np.fft.rfft(seed[s0:s0 + width + rows - 1], size)
+                * np.fft.rfft(raw[j0:j0 + width], size),
+                size,
+            )[width - 1:width - 1 + rows]
+            sums = np.rint(conv)
+            error = float(np.max(np.abs(conv - sums)))
+            if error > _ROUNDING_TOL:
+                raise NumericalError(
+                    f"Toeplitz FFT tile is off an integer by {error:.3g}; parities are not exact"
+                )
+            out[i0:i0 + rows] ^= (sums.astype(np.int64) & 1).astype(np.uint8)
     return out
 
 

@@ -163,6 +163,32 @@ def test_exit_code_validation(tmp_path):
     assert main(["analyze", str(bad), "--quiet", "--out", str(tmp_path)]) == 2
 
 
+def test_malformed_event_window_is_exit_2(tmp_path, capsys):
+    out = tmp_path / "demo"
+    assert main(["lhv-demo", "--what", "timing", "--trials", "200",
+                 "--out", str(out), "--quiet"]) == 0
+    code = main(["analyze", str(out / "adversarial_timetags.bin"), "--window", "event:abc",
+                 "--settings", str(out / "adversarial_settings.txt"), "--out", str(out),
+                 "--quiet"])
+    assert code == 2
+    assert "event:abc" in capsys.readouterr().err
+
+
+def test_non_integer_settings_line_is_exit_2(tmp_path, capsys):
+    out = tmp_path / "demo"
+    assert main(["lhv-demo", "--what", "timing", "--trials", "200",
+                 "--out", str(out), "--quiet"]) == 0
+    settings = out / "adversarial_settings.txt"
+    lines = settings.read_text().splitlines()
+    lines[6] = "2x"
+    settings.write_text("\n".join(lines) + "\n")
+    code = main(["analyze", str(out / "adversarial_timetags.bin"), "--window", "clock",
+                 "--settings", str(settings), "--out", str(out), "--quiet"])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "'2x'" in err and "line 7" in err
+
+
 def test_exit_code_numerical(tmp_path):
     # optimizing a fully degenerate model cannot bracket anything useful;
     # force the numerical-error path through a NaN-producing objective

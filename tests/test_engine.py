@@ -1,10 +1,13 @@
 """Monte-Carlo engine: determinism, statistical soundness, schedules, I/O."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
 import bellsim as bs
-from bellsim.errors import FormatError, ValidationError
+from bellsim.engine import _BLOCK_STREAM, _block_schedule, _drift_multipliers, _rng
+from bellsim.errors import FormatError, NumericalError, ValidationError
 
 
 def quick_cfg(**kw):
@@ -68,6 +71,103 @@ def test_seed_changes_output():
     a = bs.simulate_blocks(quick_cfg(rng_seed=1))
     b = bs.simulate_blocks(quick_cfg(rng_seed=2))
     assert a != b
+
+
+def test_cyclic_prefix_blocks_match_shorter_run():
+    # per-block generators: block b depends on (seed, b) only
+    long_run = bs.simulate_blocks(quick_cfg(schedule_kind="cyclic", n_blocks=12))
+    short_run = bs.simulate_blocks(quick_cfg(schedule_kind="cyclic", n_blocks=5))
+    assert long_run[:5] == short_run
+
+
+# ---------------------------------------------------------------------------
+# the block sampler against the per-trial reference
+
+
+def per_trial_blocks(cfg):
+    """Reference block sampler: draws every trial's pair number and click
+    outcome.  The multinomial sampler must match it in distribution."""
+    schedule = _block_schedule(cfg)
+    mult = _drift_multipliers(cfg)
+    n = cfg.trials_per_block
+    det = cfg.det
+    records = []
+    for b in range(cfg.n_blocks):
+        combo = int(schedule[b])
+        a_deg, b_deg = cfg.settings.pair_angles(combo)
+        p1 = float(bs.singles_prob(cfg.state, a_deg, "A"))
+        p2 = float(bs.singles_prob(cfg.state, b_deg, "B"))
+        p12 = float(bs.coincidence_prob(cfg.state, a_deg, b_deg))
+        m = float(mult[b])
+        mu = det.pair_mean * m
+        bg_a = min(det.bg_a * m, 1.0)
+        bg_b = min(det.bg_b * m, 1.0)
+
+        rng = _rng(cfg.rng_seed, _BLOCK_STREAM, b)
+        k = rng.poisson(mu, size=n)
+        # per-pair no-detection probabilities, then trial-level joint via k-th powers
+        qA0 = 1.0 - det.eta_a * p1
+        qB0 = 1.0 - det.eta_b * p2
+        q00 = 1.0 - det.eta_a * p1 - det.eta_b * p2 + det.eta_a * det.eta_b * p12
+        pA0 = (1.0 - bg_a) * np.power(qA0, k)
+        pB0 = (1.0 - bg_b) * np.power(qB0, k)
+        pAB0 = (1.0 - bg_a) * (1.0 - bg_b) * np.power(q00, k)
+
+        u = rng.random(n)
+        t0 = pAB0                   # no click on either arm
+        t1 = t0 + (pA0 - pAB0)      # B only
+        t2 = t1 + (pB0 - pAB0)      # A only
+        click_a = u >= t1
+        click_b = ((u >= t0) & (u < t1)) | (u >= t2)
+        coinc = click_a & click_b
+        records.append(
+            bs.BlockRecord(combo, n, int(click_a.sum()), int(click_b.sum()), int(coinc.sum()))
+        )
+    return records
+
+
+def _click_categories(blocks):
+    """Per-setting pooled (coincidence, A only, B only) counts."""
+    t = bs.blocks_to_counts(blocks)
+    return np.stack([t.coincidences, t.singles_a - t.coincidences,
+                     t.singles_b - t.coincidences])
+
+
+SAMPLER_CASES = {
+    # multi-pair trials and a per-block intensity multiplier
+    "drift": dict(det=bs.DetectionModel(eta_a=0.762, eta_b=0.7, pair_mean=0.5,
+                                        bg_a=4e-3, bg_b=2e-3),
+                  drift=bs.DriftModel(setting_order=(0, 3, 1, 2), final_fraction=0.3)),
+    # Alice's background saturates: she clicks on every trial
+    "background-at-1": dict(det=bs.DetectionModel(eta_a=0.75, eta_b=0.75, pair_mean=0.2,
+                                                  bg_a=1.0, bg_b=1e-3)),
+    "vacuum": dict(det=bs.DetectionModel(pair_mean=0.0)),
+    # every analyzer at 0 on the maximally entangled state: Alice never
+    # clicks alone, and rounding puts that probability at -1.1e-16
+    "no-a-only": dict(state=bs.make_eberhard_state(1.0),
+                      settings=bs.MeasurementSettings(0, 0, 0, 0),
+                      det=bs.DetectionModel(eta_a=1.0, eta_b=1.0,
+                                            pair_mean=2.859784245747508,
+                                            bg_b=0.31856263668668855)),
+}
+
+
+@pytest.mark.parametrize("case", sorted(SAMPLER_CASES))
+def test_multinomial_sampler_matches_per_trial_reference(case):
+    cfg = quick_cfg(schedule_kind="cyclic", trials_per_block=4000, n_blocks=200,
+                    rng_seed=41, **SAMPLER_CASES[case])
+    new = _click_categories(bs.simulate_blocks(cfg))
+    # the reference runs on other seeds, so the two samples are independent
+    ref = _click_categories(per_trial_blocks(dataclasses.replace(cfg, rng_seed=42)))
+    # each pooled count has variance at most its mean: the difference of
+    # two independent samples stays within 5 sd of sqrt(x + y)
+    assert np.all(np.abs(new - ref) <= 5 * np.sqrt(new + ref))
+    if case == "vacuum":
+        assert not new.any()
+    if case == "background-at-1":
+        assert not new[2].any() and not ref[2].any()
+    if case == "no-a-only":
+        assert not new[1].any() and not ref[1].any()
 
 
 # ---------------------------------------------------------------------------
@@ -268,3 +368,18 @@ def test_calibration_recovers_rates():
     )
     assert mu == pytest.approx(0.04, rel=1e-9)
     assert bg == pytest.approx(2e-4, rel=1e-6)
+
+
+def test_calibration_reference_run_converges(calibrated_reference_model):
+    state, sett, det = calibrated_reference_model
+    table = bs.reference_run_counts()
+    pa, _, _ = bs.expected_rates(state, sett, det)
+    observed = table.singles_a / table.n_trials
+    assert abs(pa[0] - observed[0]) <= 1e-12
+    assert abs(pa[2] - observed[2]) <= 1e-12
+
+
+def test_calibration_reports_non_convergence():
+    # after 200 iterations the high-projection equation is still off by ~8e-6
+    with pytest.raises(NumericalError, match="residual"):
+        bs.calibrate_source_rates(0.75, 0.3, 0.2, 0.31, 0.2)

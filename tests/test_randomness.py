@@ -8,7 +8,8 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import bellsim as bs
-from bellsim.errors import ValidationError
+from bellsim import randomness
+from bellsim.errors import NumericalError, ValidationError
 
 B_MAX = bs.B_QUANTUM_MAX
 
@@ -111,6 +112,20 @@ def oracle_toeplitz(raw, seed, m):
     return np.array(out, dtype=np.uint8)
 
 
+def matmul_toeplitz(raw, seed, m):
+    """Dense construction: row i of the Toeplitz matrix, seed[i : i+n],
+    against the reversed input, as an int64 matrix product in row chunks."""
+    n = raw.size
+    rev = raw[::-1].astype(np.int64)
+    out = np.empty(m, dtype=np.uint8)
+    chunk = max(1, min(m, 8_388_608 // max(n, 1) + 1))
+    windows = np.lib.stride_tricks.sliding_window_view(seed[:n + m - 1], n)
+    for start in range(0, m, chunk):
+        stop = min(start + chunk, m)
+        out[start:stop] = (windows[start:stop].astype(np.int64) @ rev) & 1
+    return out
+
+
 FROZEN_RAW = "0001000011001101000110111110011100001010110111111100100011011101"
 FROZEN_SEED = (
     "1111011111100011000010111011100000010011100001110010101001011111"
@@ -138,6 +153,49 @@ def test_oracle_cross_check_random_shapes():
         raw = rng.integers(0, 2, n, dtype=np.uint8)
         seed = rng.integers(0, 2, n + m - 1, dtype=np.uint8)
         assert np.array_equal(bs.hash_extract(raw, seed, m), oracle_toeplitz(raw, seed, m))
+
+
+def _random_case(rng, n, m, spare=0):
+    raw = rng.integers(0, 2, n, dtype=np.uint8)
+    seed = rng.integers(0, 2, n + m - 1 + spare, dtype=np.uint8)
+    return raw, seed
+
+
+TILE = randomness._TILE_BITS
+
+
+@pytest.mark.parametrize("n", [TILE - 1, TILE, TILE + 1, 2 * TILE + 3])
+def test_matmul_oracle_inputs_straddling_the_tile(n):
+    rng = np.random.default_rng(n)
+    for m in (1, 37):
+        raw, seed = _random_case(rng, n, m)
+        assert np.array_equal(bs.hash_extract(raw, seed, m), matmul_toeplitz(raw, seed, m))
+
+
+def test_matmul_oracle_long_outputs():
+    rng = np.random.default_rng(29)
+    for n in (1, 2, 333, 4099):
+        for m in (1, 2, 1000, 4364, 6001):
+            raw, seed = _random_case(rng, n, m, spare=int(rng.integers(0, 3)))
+            assert np.array_equal(bs.hash_extract(raw, seed, m), matmul_toeplitz(raw, seed, m))
+
+
+def test_matmul_oracle_many_tiles(monkeypatch):
+    # shrink the tile so random shapes cross several raw and output tiles
+    monkeypatch.setattr(randomness, "_TILE_BITS", 7)
+    rng = np.random.default_rng(31)
+    for _ in range(300):
+        n, m = (int(v) for v in rng.integers(1, 40, size=2))
+        raw, seed = _random_case(rng, n, m, spare=int(rng.integers(0, 3)))
+        assert np.array_equal(bs.hash_extract(raw, seed, m), matmul_toeplitz(raw, seed, m))
+
+
+def test_inexact_fft_raises(monkeypatch):
+    irfft = np.fft.irfft
+    monkeypatch.setattr(np.fft, "irfft", lambda *a, **kw: irfft(*a, **kw) + 0.3)
+    raw, seed = _random_case(np.random.default_rng(5), 64, 32)
+    with pytest.raises(NumericalError):
+        bs.hash_extract(raw, seed, 32)
 
 
 def test_zero_input_zero_output():
