@@ -40,8 +40,6 @@ from .engine import (
     blocks_to_counts,
     blocks_to_csv,
     calibrate_source_rates,
-    click_probabilities,
-    expected_rates,
     setting_schedule,
     simulate_blocks,
     simulate_timetags,
@@ -70,10 +68,12 @@ from .quantum import (
     ch_prime_value,
     ch_value,
     chsh_value,
+    click_probabilities,
     coincidence_prob,
     concurrence,
     correlation_E,
     density_matrix_state,
+    expected_rates,
     make_eberhard_state,
     singles_prob,
     visibility,

@@ -102,7 +102,6 @@ def _cmd_simulate(args) -> int:
         sched_path = _out_path(args, "trial_settings.txt")
         sched = stream.meta["trial_settings"]
         sched_path.write_text("\n".join(str(int(i)) for i in sched) + "\n")
-        stream.schedule_ref = str(sched_path)
         outputs.append(sched_path)
         _say(args, f"wrote {len(stream)} records over {stream.n_trials} trials")
     else:

@@ -51,7 +51,6 @@ class TimetagStream:
     timestamps: np.ndarray
     channels: np.ndarray
     trial_period_ns: float | None = None
-    schedule_ref: str | None = None
     meta: dict = field(default_factory=dict)
 
     def __post_init__(self):
@@ -165,6 +164,9 @@ def serialize_timetags(stream: TimetagStream, fmt: str = "binary") -> bytes:
 # counts tables
 
 
+_COUNT_FIELDS = ("n_trials", "singles_a", "singles_b", "coincidences")
+
+
 @dataclass(eq=False)
 class CountsTable:
     """Per setting-pair trial, singles, and coincidence counts (4 rows).
@@ -181,7 +183,7 @@ class CountsTable:
     meta: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        for name in ("n_trials", "singles_a", "singles_b", "coincidences"):
+        for name in _COUNT_FIELDS:
             arr = np.asarray(getattr(self, name))
             if arr.shape != (4,):
                 raise ValidationError(f"{name} must have exactly 4 rows, got {arr.shape}")
@@ -200,7 +202,7 @@ class CountsTable:
             return NotImplemented
         return all(
             np.array_equal(getattr(self, f), getattr(other, f))
-            for f in ("n_trials", "singles_a", "singles_b", "coincidences")
+            for f in _COUNT_FIELDS
         )
 
     @property
@@ -212,12 +214,7 @@ class CountsTable:
             return int(x) if float(x).is_integer() else float(x)
 
         return {
-            label: {
-                "n_trials": num(self.n_trials[i]),
-                "singles_a": num(self.singles_a[i]),
-                "singles_b": num(self.singles_b[i]),
-                "coincidences": num(self.coincidences[i]),
-            }
+            label: {name: num(getattr(self, name)[i]) for name in _COUNT_FIELDS}
             for i, label in enumerate(SETTING_LABELS)
         }
 
@@ -226,16 +223,19 @@ class CountsTable:
 
     @classmethod
     def from_json_dict(cls, doc: dict) -> "CountsTable":
+        if not isinstance(doc, dict):
+            raise FormatError("counts JSON must be an object keyed by setting label")
         try:
             rows = [doc[label] for label in SETTING_LABELS]
-            return cls(
-                n_trials=np.array([row["n_trials"] for row in rows]),
-                singles_a=np.array([row["singles_a"] for row in rows]),
-                singles_b=np.array([row["singles_b"] for row in rows]),
-                coincidences=np.array([row["coincidences"] for row in rows]),
-            )
+            if not all(isinstance(row, dict) for row in rows):
+                raise FormatError("each counts row must be an object of counts")
+            columns = {name: [row[name] for row in rows] for name in _COUNT_FIELDS}
         except KeyError as exc:
             raise FormatError(f"counts JSON is missing key {exc}") from None
+        for name, column in columns.items():
+            if any(isinstance(v, bool) or not isinstance(v, (int, float)) for v in column):
+                raise FormatError(f"counts field {name!r} must be numeric, got {column!r}")
+        return cls(**{name: np.array(column) for name, column in columns.items()})
 
     @classmethod
     def from_json(cls, text: str) -> "CountsTable":

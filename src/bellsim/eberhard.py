@@ -9,7 +9,7 @@ pitch over +-45 degrees plus a 0.05-degree fine band around zero,
 because the optimal angles collapse toward horizontal as r -> 0 and a
 plain half-degree grid would miss them entirely.
 
-Two forward models are available for the objective:
+The objective takes either forward model of `quantum.click_probabilities`:
 
 - "linear": the single-pair analytic combination (backgrounds enter the
   singles only).  This is the model for threshold physics: the critical
@@ -29,23 +29,25 @@ from __future__ import annotations
 
 import io
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Sequence
 
 import numpy as np
 
-from .engine import click_probabilities
 from .errors import NumericalError, ValidationError
 from .quantum import (
+    MODELS,
     DetectionModel,
     MeasurementSettings,
-    coincidence_prob,
+    ch_terms,
+    click_probabilities,
     make_eberhard_state,
-    singles_prob,
+    pair_probs,
 )
+# bound here so that the traced benchmark (perfbench/spans.py) can rebind them
+from .quantum import coincidence_prob, singles_prob  # noqa: F401
 
 OBJECTIVES = ("b", "b-prime", "b-over-sigma")
-MODELS = ("linear", "compound")
 
 _COARSE_PITCH_DEG = 0.5
 _FINE_PITCH_DEG = 0.05
@@ -68,12 +70,7 @@ class OptimizationResult:
     def to_json_dict(self) -> dict:
         return {
             "r": self.r,
-            "settings": {
-                "a": self.settings.a,
-                "a_prime": self.settings.a_prime,
-                "b": self.settings.b,
-                "b_prime": self.settings.b_prime,
-            },
+            "settings": asdict(self.settings),
             "objective": self.objective,
             "value": self.value,
             "predicted_B": self.predicted_b,
@@ -97,33 +94,9 @@ class _Evaluator:
         self.model = model
         self.budget = trial_budget
 
-    def _probs(self, a, ap, b, bp):
-        st = self.state
-        p12 = (
-            coincidence_prob(st, a, b),
-            coincidence_prob(st, a, bp),
-            coincidence_prob(st, ap, b),
-            coincidence_prob(st, ap, bp),
-        )
-        return p12, singles_prob(st, a, "A"), singles_prob(st, b, "B"), \
-            singles_prob(st, ap, "A"), singles_prob(st, bp, "B")
-
     def terms(self, a, ap, b, bp):
         """(num, den) of the per-trial Bell combination, broadcasting."""
-        det = self.det
-        p12, p1a, p2b, p1ap, p2bp = self._probs(a, ap, b, bp)
-        if self.model == "linear":
-            mu = det.pair_mean
-            num = det.eta_a * det.eta_b * mu * (p12[0] + p12[1] + p12[2] - p12[3])
-            den = det.eta_a * mu * p1a + det.bg_a + det.eta_b * mu * p2b + det.bg_b
-            return num, den
-        pA_ab, pB_ab, c_ab = click_probabilities(p1a, p2b, p12[0], det)
-        _, pB_abp, c_abp = click_probabilities(p1a, p2bp, p12[1], det)
-        pA_apb, _, c_apb = click_probabilities(p1ap, p2b, p12[2], det)
-        _, _, c_apbp = click_probabilities(p1ap, p2bp, p12[3], det)
-        num = c_ab + c_abp + c_apb - c_apbp
-        den = pA_ab + pB_ab
-        return num, den
+        return ch_terms(*pair_probs(self.state, a, ap, b, bp), self.det, self.model)
 
     def value(self, a, ap, b, bp, objective: str):
         num, den = self.terms(a, ap, b, bp)
@@ -131,18 +104,18 @@ class _Evaluator:
             return num - den
         if objective == "b-prime":
             return num / den
-        # significance proxy: independent-binomial error at the trial budget
-        det = self.det
-        p12, p1a, p2b, _, _ = self._probs(a, ap, b, bp)
-        mu = det.pair_mean
-        ee = det.eta_a * det.eta_b * mu
-        var = np.zeros_like(np.asarray(num, dtype=float))
-        for p in p12:
-            pc = np.clip(ee * p, 0.0, 1.0)
-            var = var + pc * (1.0 - pc) / self.budget
-        for psing in (det.eta_a * mu * p1a + det.bg_a, det.eta_b * mu * p2b + det.bg_b):
-            ps = np.clip(psing, 0.0, 1.0)
-            var = var + ps * (1.0 - ps) / (2.0 * self.budget)
+        # significance proxy: independent-binomial error of the linear-model
+        # rates at the trial budget
+        probs = pair_probs(self.state, a, ap, b, bp)
+        clicks = [click_probabilities(*pair, self.det, "linear") for pair in zip(*probs)]
+
+        def binomial_var(p, n):
+            p = np.clip(p, 0.0, 1.0)
+            return p * (1.0 - p) / n
+
+        pA, pB, _ = clicks[0]
+        var = (sum(binomial_var(pab, self.budget) for _, _, pab in clicks)
+               + binomial_var(pA, 2.0 * self.budget) + binomial_var(pB, 2.0 * self.budget))
         return (num - den) / np.sqrt(np.maximum(var, 1e-300))
 
 

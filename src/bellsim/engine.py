@@ -13,13 +13,13 @@ are not modeled separately.
 
 Block mode draws each block's counts in one step.  The trials of a block
 are iid, and marginalizing the per-trial Poisson pair number gives the
-closed-form click probabilities (pA, pB, pAB) of `click_probabilities`,
-so the block's (coincidence, A only, B only, neither) counts are exactly
-Multinomial(n; pAB, pA - pAB, pB - pAB, 1 - pA - pB + pAB).  Its cost
-does not grow with the trials per block.  Timetag mode samples
-individual pair and background detections, places them on pulses inside
-the gated burst, applies Gaussian timing jitter, and emits a clock
-marker per trial.  Both modes draw from per-block generators derived
+closed-form click probabilities (pA, pB, pAB) of the compound model in
+`quantum.click_probabilities`, so the block's (coincidence, A only,
+B only, neither) counts are exactly Multinomial(n; pAB, pA - pAB,
+pB - pAB, 1 - pA - pB + pAB).  Its cost does not grow with the trials
+per block.  Timetag mode samples individual pair and background
+detections, places them on pulses inside the gated burst, applies
+Gaussian timing jitter, and emits a clock marker per trial.  Both modes draw from per-block generators derived
 from (seed, block index), so blocks are independent and any run is
 bit-reproducible from its config.
 
@@ -33,7 +33,7 @@ import csv
 import io
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, astuple, dataclass, field, fields
 from typing import NamedTuple, Sequence
 
 import numpy as np
@@ -45,11 +45,13 @@ from .quantum import (
     DetectionModel,
     MeasurementSettings,
     PolarizationState,
-    coincidence_prob,
+    click_probabilities,
     density_matrix_state,
     make_eberhard_state,
-    singles_prob,
+    pair_probs,
 )
+# bound here so that the traced benchmark (perfbench/spans.py) can rebind them
+from .quantum import coincidence_prob, singles_prob  # noqa: F401
 
 SCHEDULE_KINDS = ("random-per-block", "cyclic", "file")
 
@@ -62,6 +64,36 @@ class BlockRecord(NamedTuple):
     singles_a: int
     singles_b: int
     coincidences: int
+
+
+def _json_object(value, what: str) -> dict:
+    if not isinstance(value, dict):
+        raise ValidationError(f"{what} must be a JSON object, got {type(value).__name__}")
+    return value
+
+
+def _json_number(value, what: str, integer: bool = False):
+    if isinstance(value, bool) or not isinstance(value, int if integer else (int, float)):
+        kind = "an integer" if integer else "a number"
+        raise ValidationError(f"{what} must be {kind}, got {value!r}")
+    return value
+
+
+def _json_ints(value, what: str) -> tuple:
+    if not isinstance(value, (list, tuple)):
+        raise ValidationError(f"{what} must be an array of integers, got {value!r}")
+    return tuple(_json_number(v, what, integer=True) for v in value)
+
+
+def _rho_from_json(rows) -> np.ndarray:
+    """4x4 complex matrix from rows of [re, im] pairs."""
+    try:
+        parts = np.array(rows, dtype=float)
+    except (TypeError, ValueError):
+        parts = None
+    if parts is None or parts.shape != (4, 4, 2):
+        raise ValidationError("state.rho must be 4 rows of 4 [re, im] pairs")
+    return parts.view(complex)[..., 0]
 
 
 @dataclass(frozen=True)
@@ -100,23 +132,8 @@ class ExperimentConfig:
             }
         doc = {
             "state": state_doc,
-            "settings": {
-                "a": self.settings.a,
-                "a_prime": self.settings.a_prime,
-                "b": self.settings.b,
-                "b_prime": self.settings.b_prime,
-            },
-            "det": {
-                "eta_a": self.det.eta_a,
-                "eta_b": self.det.eta_b,
-                "pair_mean": self.det.pair_mean,
-                "bg_a": self.det.bg_a,
-                "bg_b": self.det.bg_b,
-                "pulses_per_trial": self.det.pulses_per_trial,
-                "pulse_period_ns": self.det.pulse_period_ns,
-                "trial_period_ns": self.det.trial_period_ns,
-                "jitter_sigma_ns": self.det.jitter_sigma_ns,
-            },
+            "settings": asdict(self.settings),
+            "det": asdict(self.det),
             "schedule_kind": self.schedule_kind,
             "trials_per_block": self.trials_per_block,
             "n_blocks": self.n_blocks,
@@ -126,11 +143,7 @@ class ExperimentConfig:
         if self.schedule_file:
             doc["schedule_file"] = self.schedule_file
         if self.drift is not None:
-            doc["drift"] = {
-                "setting_order": list(self.drift.setting_order),
-                "decay_kind": self.drift.decay_kind,
-                "final_fraction": self.drift.final_fraction,
-            }
+            doc["drift"] = asdict(self.drift)
         return doc
 
     def to_json(self) -> str:
@@ -138,40 +151,52 @@ class ExperimentConfig:
 
     @classmethod
     def from_json_dict(cls, doc: dict) -> "ExperimentConfig":
+        doc = _json_object(doc, "config")
         try:
-            sdoc = doc["state"]
+            sdoc = _json_object(doc["state"], "state")
             if sdoc["kind"] == "eberhard-pure":
-                state = make_eberhard_state(sdoc["r"], sdoc.get("phase", 0.0))
+                state = make_eberhard_state(_json_number(sdoc["r"], "state.r"),
+                                            _json_number(sdoc.get("phase", 0.0), "state.phase"))
             elif sdoc["kind"] == "density-matrix":
-                rho = np.array(
-                    [[complex(re, im) for re, im in row] for row in sdoc["rho"]]
-                )
-                state = density_matrix_state(rho)
+                state = density_matrix_state(_rho_from_json(sdoc["rho"]))
             else:
                 raise ValidationError(f"unknown state kind {sdoc['kind']!r}")
-            mdoc = doc["settings"]
+            mdoc = _json_object(doc["settings"], "settings")
             settings = MeasurementSettings(
-                mdoc["a"], mdoc["a_prime"], mdoc["b"], mdoc["b_prime"]
+                *(_json_number(mdoc[k], f"settings.{k}") for k in ("a", "a_prime", "b", "b_prime"))
             )
-            det = DetectionModel(**doc.get("det", {}))
+            det_doc = _json_object(doc.get("det", {}), "det")
+            unknown = sorted(set(det_doc) - {f.name for f in fields(DetectionModel)})
+            if unknown:
+                raise ValidationError(f"det has unknown field(s) {unknown}")
+            det = DetectionModel(**{
+                k: _json_number(v, f"det.{k}", integer=k == "pulses_per_trial")
+                for k, v in det_doc.items()
+            })
             drift = None
             if "drift" in doc:
-                ddoc = doc["drift"]
+                ddoc = _json_object(doc["drift"], "drift")
                 drift = DriftModel(
-                    setting_order=tuple(ddoc.get("setting_order", (0, 1, 2, 3))),
+                    setting_order=_json_ints(ddoc.get("setting_order", (0, 1, 2, 3)),
+                                             "drift.setting_order"),
                     decay_kind=ddoc.get("decay_kind", "continuous-exponential-integrated"),
-                    final_fraction=ddoc.get("final_fraction", 1.0),
+                    final_fraction=_json_number(ddoc.get("final_fraction", 1.0),
+                                                "drift.final_fraction"),
                 )
+            schedule_file = doc.get("schedule_file")
+            if not isinstance(schedule_file, (str, type(None))):
+                raise ValidationError(f"schedule_file must be a path, got {schedule_file!r}")
             return cls(
                 state=state,
                 settings=settings,
                 det=det,
                 schedule_kind=doc.get("schedule_kind", "random-per-block"),
-                trials_per_block=doc.get("trials_per_block", 25_000),
-                n_blocks=doc.get("n_blocks", 1),
-                rng_seed=doc.get("rng_seed", 0),
-                schedule_file=doc.get("schedule_file"),
-                cyclic_order=tuple(doc.get("cyclic_order", (0, 1, 2, 3))),
+                trials_per_block=_json_number(doc.get("trials_per_block", 25_000),
+                                              "trials_per_block", integer=True),
+                n_blocks=_json_number(doc.get("n_blocks", 1), "n_blocks", integer=True),
+                rng_seed=_json_number(doc.get("rng_seed", 0), "rng_seed", integer=True),
+                schedule_file=schedule_file,
+                cyclic_order=_json_ints(doc.get("cyclic_order", (0, 1, 2, 3)), "cyclic_order"),
                 drift=drift,
             )
         except KeyError as exc:
@@ -236,43 +261,6 @@ def setting_schedule(
     raise ValidationError(f"unknown schedule kind {kind!r}")
 
 
-def _setting_probs(state: PolarizationState, settings: MeasurementSettings):
-    """Per-pair transmission probabilities (p1, p2, p12), each an array over
-    the four setting pairs."""
-    probs = np.empty((3, 4))
-    for combo in range(4):
-        a_deg, b_deg = settings.pair_angles(combo)
-        probs[:, combo] = (singles_prob(state, a_deg, "A"), singles_prob(state, b_deg, "B"),
-                           coincidence_prob(state, a_deg, b_deg))
-    return probs[0], probs[1], probs[2]
-
-
-def click_probabilities(p1, p2, p12, det: DetectionModel, multiplier: float = 1.0):
-    """Exact per-trial click probabilities under Poisson pair statistics.
-
-    Returns (pA, pB, pAB).  Broadcasts over ndarray inputs; `multiplier`
-    scales the pair rate and the backgrounds (drift support).  This is
-    the forward model the sampled trials are compared against, including
-    all accidental-coincidence channels.
-    """
-    mu = det.pair_mean * multiplier
-    bg_a = np.clip(det.bg_a * multiplier, 0.0, 1.0)
-    bg_b = np.clip(det.bg_b * multiplier, 0.0, 1.0)
-    s1 = det.eta_a * np.asarray(p1, dtype=float)
-    s2 = det.eta_b * np.asarray(p2, dtype=float)
-    both = det.eta_a * det.eta_b * np.asarray(p12, dtype=float)
-    pA0 = (1.0 - bg_a) * np.exp(-mu * s1)
-    pB0 = (1.0 - bg_b) * np.exp(-mu * s2)
-    pAB0 = (1.0 - bg_a) * (1.0 - bg_b) * np.exp(-mu * (s1 + s2 - both))
-    return 1.0 - pA0, 1.0 - pB0, 1.0 - pA0 - pB0 + pAB0
-
-
-def expected_rates(state: PolarizationState, settings: MeasurementSettings,
-                   det: DetectionModel, multiplier: float = 1.0):
-    """(pA, pB, pAB) arrays over the four setting pairs."""
-    return click_probabilities(*_setting_probs(state, settings), det, multiplier)
-
-
 _CALIBRATION_TOL = 1e-12
 
 
@@ -325,9 +313,8 @@ def simulate_blocks(cfg: ExperimentConfig) -> list[BlockRecord]:
     its setting pair and drift multiplier.
     """
     schedule = _block_schedule(cfg)
-    p1, p2, p12 = _setting_probs(cfg.state, cfg.settings)
-    pa, pb, pab = click_probabilities(p1[schedule], p2[schedule], p12[schedule], cfg.det,
-                                      _drift_multipliers(cfg))
+    p1, p2, p12 = (np.array(p)[schedule] for p in pair_probs(cfg.state, *astuple(cfg.settings)))
+    pa, pb, pab = click_probabilities(p1, p2, p12, cfg.det, multiplier=_drift_multipliers(cfg))
     # rounding can leave a category a few ulp below zero
     categories = np.clip(np.stack([pab, pa - pab, pb - pab, 1.0 - pa - pb + pab], axis=1),
                          0.0, None)
@@ -368,7 +355,7 @@ def simulate_timetags(cfg: ExperimentConfig) -> TimetagStream:
     """
     schedule = _block_schedule(cfg)
     mult = _drift_multipliers(cfg)
-    p1, p2, p12 = _setting_probs(cfg.state, cfg.settings)
+    p1, p2, p12 = pair_probs(cfg.state, *astuple(cfg.settings))
     det = cfg.det
     n = cfg.trials_per_block
     period = int(round(det.trial_period_ns))

@@ -32,7 +32,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass
 from typing import Sequence
 
 import numpy as np
@@ -43,8 +43,8 @@ from .quantum import (
     DetectionModel,
     MeasurementSettings,
     PolarizationState,
-    coincidence_prob,
-    singles_prob,
+    click_probabilities,
+    pair_probs,
 )
 
 _INT64_MAX = np.iinfo(np.int64).max
@@ -141,6 +141,18 @@ def demo_strategy_82pct() -> LhvStrategy:
     ))
 
 
+def _pair_weights(strategy: LhvStrategy):
+    """Summed weight of the classes firing on side A, on side B and on both,
+    each a list over the four setting pairs."""
+    def total(fires):
+        return [sum(c.weight * fires(c, combo >> 1, combo & 1) for c in strategy.classes)
+                for combo in range(4)]
+
+    return (total(lambda c, ia, ib: c.fires_a[ia]),
+            total(lambda c, ia, ib: c.fires_b[ib]),
+            total(lambda c, ia, ib: c.fires_a[ia] and c.fires_b[ib]))
+
+
 def counts_from_strategy(strategy: LhvStrategy, trials_per_combo: int) -> CountsTable:
     """Exact integer counts from an instruction set, one weight-pair per combo.
 
@@ -153,15 +165,7 @@ def counts_from_strategy(strategy: LhvStrategy, trials_per_combo: int) -> Counts
         raise ValidationError(
             f"total class weight {strategy.total_weight} exceeds trials_per_combo"
         )
-    singles_a = [0, 0, 0, 0]
-    singles_b = [0, 0, 0, 0]
-    coinc = [0, 0, 0, 0]
-    for c in strategy.classes:
-        for combo in range(4):
-            ia, ib = combo >> 1, combo & 1
-            singles_a[combo] += c.weight * c.fires_a[ia]
-            singles_b[combo] += c.weight * c.fires_b[ib]
-            coinc[combo] += c.weight * (c.fires_a[ia] and c.fires_b[ib])
+    singles_a, singles_b, coinc = _pair_weights(strategy)
     if max(max(singles_a), max(singles_b)) > _INT64_MAX:
         raise OverflowError("strategy counts overflow 64-bit integers")
     return CountsTable(
@@ -356,27 +360,15 @@ class DriftModel:
 
 
 def _source_probs(source, settings: MeasurementSettings):
-    """Per-combo (p1_a, p2_b, p12) for a quantum state or an instruction set."""
+    """(p1, p2, p12) over the four setting pairs for a quantum state or an
+    instruction set, as `quantum.pair_probs` returns them."""
     if isinstance(source, PolarizationState):
-        p1 = [singles_prob(source, settings.alice(i), "A") for i in (0, 1)]
-        p2 = [singles_prob(source, settings.bob(i), "B") for i in (0, 1)]
-        p12 = [coincidence_prob(source, *settings.pair_angles(c)) for c in range(4)]
-        return p1, p2, p12
+        return pair_probs(source, *astuple(settings))
     if isinstance(source, LhvStrategy):
         tot = source.total_weight
         if tot == 0:
             raise ValidationError("strategy has zero total weight")
-        p1 = [sum(c.weight * c.fires_a[i] for c in source.classes) / tot for i in (0, 1)]
-        p2 = [sum(c.weight * c.fires_b[i] for c in source.classes) / tot for i in (0, 1)]
-        p12 = [
-            sum(
-                c.weight * (c.fires_a[combo >> 1] and c.fires_b[combo & 1])
-                for c in source.classes
-            )
-            / tot
-            for combo in range(4)
-        ]
-        return p1, p2, p12
+        return tuple(tuple(w / tot for w in weights) for weights in _pair_weights(source))
     raise ValidationError(f"unsupported source type {type(source).__name__}")
 
 
@@ -390,28 +382,21 @@ def drifted_counts(
 ) -> CountsTable:
     """Expected counts under cyclic settings with a drifting source.
 
-    The drift multiplier scales the pair rate and the backgrounds of each
-    measurement period; settings are visited in drift.setting_order with
-    no randomization.  The returned table holds expected (float) counts.
+    Each measurement period takes the linear-model click probabilities
+    with the drift multiplier scaling its pair rate and backgrounds;
+    settings are visited in drift.setting_order with no randomization.
+    The returned table holds expected (float) counts.
     """
     if cycles < 1:
         raise ValidationError("cycles must be >= 1")
-    p1, p2, p12 = _source_probs(source, settings)
-    mult = drift.multipliers(4 * cycles)
+    combos = np.tile(drift.setting_order, cycles)
+    p1, p2, p12 = (np.array(p)[combos] for p in _source_probs(source, settings))
+    rates = click_probabilities(p1, p2, p12, det, "linear", drift.multipliers(4 * cycles))
 
-    n_trials = np.zeros(4)
-    singles_a = np.zeros(4)
-    singles_b = np.zeros(4)
-    coinc = np.zeros(4)
-    mu = det.pair_mean
-    for period, m in enumerate(mult):
-        combo = drift.setting_order[period % 4]
-        ia, ib = combo >> 1, combo & 1
-        n_trials[combo] += trials_per_period
-        singles_a[combo] += trials_per_period * m * (det.eta_a * mu * p1[ia] + det.bg_a)
-        singles_b[combo] += trials_per_period * m * (det.eta_b * mu * p2[ib] + det.bg_b)
-        coinc[combo] += trials_per_period * m * det.eta_a * det.eta_b * mu * p12[combo]
+    def per_combo(per_period):
+        return np.bincount(combos, weights=trials_per_period * per_period, minlength=4)
+
     return CountsTable(
-        n_trials, singles_a, singles_b, coinc,
+        per_combo(np.ones(combos.size)), *(per_combo(r) for r in rates),
         meta={"source": "drift-expectation", "decay_kind": drift.decay_kind},
     )

@@ -22,17 +22,20 @@ and the general density-matrix path evaluates the same quantities as
 Tr[rho (P_x (x) P_y)].  Both routes are exposed so they can be checked
 against each other.
 
-The per-trial detection-probability Bell combination handled here is the
-single-pair linearization: pair production enters linearly through the
-mean pair number, detector efficiency multiplies amplitudes once, and
-unpolarized background adds to the singles only.  Multi-pair pileup and
-background-signal coincidences belong to the Monte-Carlo engine.
+Both detection models turning these into per-trial click probabilities
+live here too (`click_probabilities`): the single-pair linearization
+(pair production enters linearly through the mean pair number, detector
+efficiency multiplies once, unpolarized background adds to the singles
+only) and the exact Poisson-compounded model, in which multi-pair pileup
+and background-signal coincidences count.  Every consumer, from the CH
+values below to the optimizer, the Monte-Carlo engine and the drift
+adversary, calls `pair_probs` and `click_probabilities`.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import astuple, dataclass
 from typing import Literal
 
 import numpy as np
@@ -256,54 +259,93 @@ def chsh_value(state: PolarizationState, settings: MeasurementSettings) -> float
     )
 
 
-def ch_terms(state: PolarizationState, settings: MeasurementSettings):
-    """The six probabilities entering the detection-probability inequality.
+# ---------------------------------------------------------------------------
+# forward model: transmission probabilities -> per-trial click probabilities
 
-    Returns (p12(a,b), p12(a,b'), p12(a',b), p12(a',b'), p1(a), p2(b)).
+MODELS = ("linear", "compound")
+
+
+def pair_probs(state: PolarizationState, a, a_prime, b, b_prime):
+    """Transmission probabilities at the four setting pairs.
+
+    Returns (p1, p2, p12): Alice's singles, Bob's singles and the joint
+    transmission, each a tuple over the pairs (a,b), (a,b'), (a',b),
+    (a',b').  Angles in degrees; ndarray angles broadcast for the pure
+    kind.
     """
-    return (
-        coincidence_prob(state, settings.a, settings.b),
-        coincidence_prob(state, settings.a, settings.b_prime),
-        coincidence_prob(state, settings.a_prime, settings.b),
-        coincidence_prob(state, settings.a_prime, settings.b_prime),
-        singles_prob(state, settings.a, "A"),
-        singles_prob(state, settings.b, "B"),
+    p1_a, p1_ap = singles_prob(state, a, "A"), singles_prob(state, a_prime, "A")
+    p2_b, p2_bp = singles_prob(state, b, "B"), singles_prob(state, b_prime, "B")
+    p12 = (
+        coincidence_prob(state, a, b),
+        coincidence_prob(state, a, b_prime),
+        coincidence_prob(state, a_prime, b),
+        coincidence_prob(state, a_prime, b_prime),
     )
+    return (p1_a, p1_a, p1_ap, p1_ap), (p2_b, p2_bp, p2_b, p2_bp), p12
 
 
-def ch_value_from_probs(p_ab, p_abp, p_apb, p_apbp, p1_a, p2_b, det: DetectionModel):
-    """Per-trial CH combination from raw quantum probabilities.
+def click_probabilities(p1, p2, p12, det: DetectionModel, model: str = "compound",
+                        multiplier=1.0):
+    """Per-trial click probabilities (pA, pB, pAB) from transmission probabilities.
 
-    Single-pair linearization: coincidences scale with eta_a*eta_b*mu,
-    singles with eta*mu plus the unpolarized background.  Broadcasts over
-    ndarray probability inputs.
+    "compound" is exact under Poisson pair statistics, so two pairs in one
+    trial and background meeting signal count as coincidences.  "linear"
+    is the single-pair linearization: singles mu*eta*p + bg, coincidences
+    mu*eta_a*eta_b*p12, background in the singles only.  `multiplier`
+    scales the pair rate and the backgrounds in both models (drift
+    support).  Broadcasts over ndarray inputs.
     """
-    mu = det.pair_mean
-    ee = det.eta_a * det.eta_b * mu
-    num = ee * (p_ab + p_abp + p_apb - p_apbp)
-    s1 = det.eta_a * mu * p1_a + det.bg_a
-    s2 = det.eta_b * mu * p2_b + det.bg_b
-    return num - s1 - s2
+    mu = det.pair_mean * multiplier
+    bg_a = det.bg_a * multiplier
+    bg_b = det.bg_b * multiplier
+    if model == "linear":
+        return (det.eta_a * mu * p1 + bg_a, det.eta_b * mu * p2 + bg_b,
+                det.eta_a * det.eta_b * mu * p12)
+    if model != "compound":
+        raise ValidationError(f"model must be one of {MODELS}, got {model!r}")
+    # a background probability saturates at 1
+    dark_a = 1.0 - np.minimum(bg_a, 1.0)
+    dark_b = 1.0 - np.minimum(bg_b, 1.0)
+    s1 = det.eta_a * p1
+    s2 = det.eta_b * p2
+    both = det.eta_a * det.eta_b * p12
+    pA0 = dark_a * np.exp(-mu * s1)
+    pB0 = dark_b * np.exp(-mu * s2)
+    pAB0 = dark_a * dark_b * np.exp(-mu * (s1 + s2 - both))
+    return 1.0 - pA0, 1.0 - pB0, 1.0 - pA0 - pB0 + pAB0
 
 
-def ch_prime_from_probs(p_ab, p_abp, p_apb, p_apbp, p1_a, p2_b, det: DetectionModel):
-    """Ratio form of the same combination: coincidence sum over singles sum."""
-    mu = det.pair_mean
-    num = det.eta_a * det.eta_b * mu * (p_ab + p_abp + p_apb - p_apbp)
-    den = det.eta_a * mu * p1_a + det.bg_a + det.eta_b * mu * p2_b + det.bg_b
-    return num / den
+def ch_terms(p1, p2, p12, det: DetectionModel, model: str = "compound"):
+    """(num, den) of the per-trial CH combination from `pair_probs` output.
+
+    num is the coincidence combination pAB(a,b) + pAB(a,b') + pAB(a',b)
+    - pAB(a',b') and den the singles pA(a) + pB(b), so B = num - den and
+    B' = num / den.  Broadcasts like `click_probabilities`.
+    """
+    clicks = [click_probabilities(*pair, det, model) for pair in zip(p1, p2, p12)]
+    pA, pB, c_ab = clicks[0]
+    return c_ab + clicks[1][2] + clicks[2][2] - clicks[3][2], pA + pB
+
+
+def expected_rates(state: PolarizationState, settings: MeasurementSettings,
+                   det: DetectionModel, multiplier=1.0, model: str = "compound"):
+    """(pA, pB, pAB) arrays over the four setting pairs."""
+    p1, p2, p12 = (np.array(p) for p in pair_probs(state, *astuple(settings)))
+    return click_probabilities(p1, p2, p12, det, model, multiplier)
 
 
 def ch_value(state: PolarizationState, settings: MeasurementSettings,
              det: DetectionModel) -> float:
-    """Expected per-trial CH value B; B > 0 is unreachable classically."""
-    return float(ch_value_from_probs(*ch_terms(state, settings), det))
+    """Expected per-trial CH value B (linear model); B > 0 is unreachable classically."""
+    num, den = ch_terms(*pair_probs(state, *astuple(settings)), det, "linear")
+    return float(num - den)
 
 
 def ch_prime_value(state: PolarizationState, settings: MeasurementSettings,
                    det: DetectionModel) -> float:
-    """Expected ratio-form Bell parameter B'; B' > 1 is the violation condition."""
-    return float(ch_prime_from_probs(*ch_terms(state, settings), det))
+    """Expected ratio-form Bell parameter B' (linear model); B' > 1 is the violation condition."""
+    num, den = ch_terms(*pair_probs(state, *astuple(settings)), det, "linear")
+    return float(num / den)
 
 
 # ---------------------------------------------------------------------------

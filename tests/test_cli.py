@@ -1,6 +1,9 @@
 """Command-line interface: outputs, determinism, exit codes."""
 
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -187,6 +190,45 @@ def test_non_integer_settings_line_is_exit_2(tmp_path, capsys):
     assert code == 2
     err = capsys.readouterr().err
     assert "'2x'" in err and "line 7" in err
+
+
+def _valid_config():
+    return bs.ExperimentConfig(
+        state=bs.make_eberhard_state(0.26), settings=bs.reference_settings(),
+        trials_per_block=100, n_blocks=4,
+    ).to_json_dict()
+
+
+MALFORMED_INPUTS = {
+    "config-unknown-det-field": ("simulate", lambda: {**_valid_config(), "det": {"foo": 1}}),
+    "config-top-level-array": ("simulate", lambda: [_valid_config()]),
+    "config-string-n-blocks": ("simulate", lambda: {**_valid_config(), "n_blocks": "4"}),
+    "analyze-counts-row-number": (
+        "analyze", lambda: {**bs.reference_run_counts().to_json_dict(), "ab": 5}),
+    "analyze-counts-top-level-array": (
+        "analyze", lambda: [bs.reference_run_counts().to_json_dict()]),
+    "dire-counts-row-number": (
+        "dire", lambda: {**bs.reference_run_counts().to_json_dict(), "ab": 5}),
+    "dire-counts-top-level-array": (
+        "dire", lambda: [bs.reference_run_counts().to_json_dict()]),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED_INPUTS))
+def test_malformed_input_is_exit_2_without_traceback(case, tmp_path):
+    command, make_doc = MALFORMED_INPUTS[case]
+    path = tmp_path / "input.json"
+    path.write_text(json.dumps(make_doc()))
+    argv = [command, str(path), "--out", str(tmp_path), "--quiet"]
+    if command == "dire":
+        argv += ["--seconds", "10"]
+    src = str(Path(bs.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    proc = subprocess.run([sys.executable, "-m", "bellsim.cli", *argv],
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 2, proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr.startswith("error: ")
 
 
 def test_exit_code_numerical(tmp_path):

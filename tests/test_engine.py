@@ -1,6 +1,7 @@
 """Monte-Carlo engine: determinism, statistical soundness, schedules, I/O."""
 
 import dataclasses
+import hashlib
 
 import numpy as np
 import pytest
@@ -65,6 +66,38 @@ def test_timetags_deterministic_and_serialized_identically():
     s1, s2 = bs.simulate_timetags(cfg), bs.simulate_timetags(cfg)
     assert s1 == s2
     assert bs.serialize_timetags(s1) == bs.serialize_timetags(s2)
+
+
+# Digests of runs under version 0.2.0 (numpy 2.4).  The same (config, seed)
+# must keep giving the same bytes; a change here changes every published run.
+FROZEN_BLOCKS = {
+    "drift-cyclic": "e286b964f44f18df8df5cd5eca41460319d961954e38cb3caebcf9f5ebc64190",
+    "density-matrix": "4b959b26bec13861308140d3f1f9da5c873c4fef93772f91a85ae8ed420185ce",
+}
+FROZEN_TIMETAGS = "66070823dc6edc612895f20661b724db6f9a902ea1cedd7437e12615fa5060c3"
+
+
+def frozen_cfg(name):
+    if name == "drift-cyclic":
+        return quick_cfg(det=bs.DetectionModel(pair_mean=0.5, bg_a=0.01, bg_b=0.02),
+                         schedule_kind="cyclic", cyclic_order=(2, 0, 3, 1), n_blocks=12,
+                         drift=bs.DriftModel(setting_order=(2, 0, 3, 1), final_fraction=0.5),
+                         rng_seed=2024)
+    rho = 0.9 * bs.make_eberhard_state(0.26).density_matrix() + 0.1 * np.eye(4) / 4
+    return quick_cfg(state=bs.density_matrix_state(rho), rng_seed=31)
+
+
+@pytest.mark.parametrize("name", sorted(FROZEN_BLOCKS))
+def test_blocks_csv_bytes_frozen(name):
+    text = bs.blocks_to_csv(bs.simulate_blocks(frozen_cfg(name)))
+    assert hashlib.sha256(text.encode()).hexdigest() == FROZEN_BLOCKS[name]
+
+
+def test_timetags_bytes_frozen():
+    cfg = quick_cfg(det=bs.DetectionModel(pair_mean=0.2, bg_a=0.002, bg_b=0.001), n_blocks=4,
+                    trials_per_block=500, rng_seed=8)
+    data = bs.serialize_timetags(bs.simulate_timetags(cfg))
+    assert hashlib.sha256(data).hexdigest() == FROZEN_TIMETAGS
 
 
 def test_seed_changes_output():

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 import bellsim as bs
 from bellsim.errors import ValidationError
+from bellsim.quantum import pair_probs
 
 SQRT2 = math.sqrt(2.0)
 
@@ -285,3 +286,67 @@ def test_visibility():
     assert bs.visibility(s, "DA") == pytest.approx((c_par - c_orth) / (c_par + c_orth), abs=1e-12)
     assert bs.visibility(s, "DA") == pytest.approx(0.487, abs=5e-4)
     assert bs.visibility(bs.make_eberhard_state(0.0), "DA") == pytest.approx(0.0, abs=1e-12)
+
+
+# ---------------------------------------------------------------------------
+# forward model
+
+
+def test_pair_probs_grid_matches_scalar_calls():
+    state = bs.make_eberhard_state(0.37, 0.4)
+    a, ap = np.meshgrid(np.linspace(-40, 40, 7), np.linspace(-30, 50, 5), indexing="ij")
+    b, bp = -0.8 * a + 3.0, 0.5 * ap - 10.0
+    p1, p2, p12 = pair_probs(state, a, ap, b, bp)
+    for k, (x, y) in enumerate(((a, b), (a, bp), (ap, b), (ap, bp))):
+        scalar = [
+            (bs.singles_prob(state, u, "A"), bs.singles_prob(state, v, "B"),
+             bs.coincidence_prob(state, u, v))
+            for u, v in zip(x.ravel().tolist(), y.ravel().tolist())
+        ]
+        grid = np.stack([np.ravel(p1[k]), np.ravel(p2[k]), np.ravel(p12[k])], axis=1)
+        np.testing.assert_allclose(grid, scalar, rtol=0, atol=1e-15)
+
+
+def test_compound_model_tends_to_linear_at_low_rates():
+    state = bs.make_eberhard_state(1.0)
+    sett = bs.MeasurementSettings(0.0, 45.0, 22.5, -22.5)
+
+    def relative_gap(mu):
+        det = bs.DetectionModel(eta_a=0.8, eta_b=0.7, pair_mean=mu, bg_a=mu / 10, bg_b=mu / 20)
+        compound = bs.expected_rates(state, sett, det)
+        linear = bs.expected_rates(state, sett, det, model="linear")
+        return max(float(np.max(np.abs(c / lin - 1.0))) for c, lin in zip(compound, linear))
+
+    # first-order agreement: the relative gap shrinks in proportion to pair_mean
+    scaled = [relative_gap(mu) / mu for mu in (1e-3, 1e-4, 1e-5)]
+    assert 0.1 < scaled[2] < 10.0
+    assert scaled[0] == pytest.approx(scaled[2], rel=0.01)
+    assert scaled[1] == pytest.approx(scaled[2], rel=0.001)
+
+
+def test_click_probabilities_rejects_unknown_model():
+    with pytest.raises(ValidationError):
+        bs.click_probabilities(0.5, 0.5, 0.25, bs.DetectionModel(), model="quadratic")
+
+
+def test_drifted_counts_equal_per_period_sum():
+    state = bs.make_eberhard_state(0.4)
+    sett = bs.MeasurementSettings(3.8, -25.2, -3.8, 25.2)
+    det = bs.DetectionModel(eta_a=0.8, eta_b=0.7, pair_mean=0.9, bg_a=1e-3, bg_b=2e-3)
+    drift = bs.DriftModel(setting_order=(3, 1, 0, 2), final_fraction=0.4)
+    n, cycles = 50_000, 3
+    table = bs.drifted_counts(state, sett, det, drift, cycles=cycles, trials_per_period=n)
+    expect = np.zeros((4, 4))
+    for period, m in enumerate(drift.multipliers(4 * cycles)):
+        combo = drift.setting_order[period % 4]
+        x, y = sett.pair_angles(combo)
+        mu = det.pair_mean
+        # the multiplier scales the whole linear rate, background included
+        expect[:, combo] += n * np.array([
+            1.0,
+            m * (det.eta_a * mu * bs.singles_prob(state, x, "A") + det.bg_a),
+            m * (det.eta_b * mu * bs.singles_prob(state, y, "B") + det.bg_b),
+            m * det.eta_a * det.eta_b * mu * bs.coincidence_prob(state, x, y),
+        ])
+    got = np.array([table.n_trials, table.singles_a, table.singles_b, table.coincidences])
+    np.testing.assert_allclose(got, expect, rtol=1e-12, atol=0)
