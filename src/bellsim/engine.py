@@ -19,9 +19,9 @@ B only, neither) counts are exactly Multinomial(n; pAB, pA - pAB,
 pB - pAB, 1 - pA - pB + pAB).  Its cost does not grow with the trials
 per block.  Timetag mode samples individual pair and background
 detections, places them on pulses inside the gated burst, applies
-Gaussian timing jitter, and emits a clock marker per trial.  Both modes draw from per-block generators derived
-from (seed, block index), so blocks are independent and any run is
-bit-reproducible from its config.
+Gaussian timing jitter, and emits a clock marker per trial.  Both modes
+draw from per-block generators derived from (seed, block index), so
+blocks are independent and any run is bit-reproducible from its config.
 
 The burst is centered inside the trial period so that realistic jitter
 cannot push a detection across a trial boundary.

@@ -328,10 +328,10 @@ def ch_terms(p1, p2, p12, det: DetectionModel, model: str = "compound"):
 
 
 def expected_rates(state: PolarizationState, settings: MeasurementSettings,
-                   det: DetectionModel, multiplier=1.0, model: str = "compound"):
-    """(pA, pB, pAB) arrays over the four setting pairs."""
+                   det: DetectionModel, multiplier=1.0):
+    """(pA, pB, pAB) arrays over the four setting pairs (compound model)."""
     p1, p2, p12 = (np.array(p) for p in pair_probs(state, *astuple(settings)))
-    return click_probabilities(p1, p2, p12, det, model, multiplier)
+    return click_probabilities(p1, p2, p12, det, multiplier=multiplier)
 
 
 def ch_value(state: PolarizationState, settings: MeasurementSettings,

@@ -2,6 +2,7 @@
 cross-checked against a standalone 4x4 matrix-algebra oracle."""
 
 import math
+from dataclasses import astuple
 
 import numpy as np
 import pytest
@@ -314,7 +315,8 @@ def test_compound_model_tends_to_linear_at_low_rates():
     def relative_gap(mu):
         det = bs.DetectionModel(eta_a=0.8, eta_b=0.7, pair_mean=mu, bg_a=mu / 10, bg_b=mu / 20)
         compound = bs.expected_rates(state, sett, det)
-        linear = bs.expected_rates(state, sett, det, model="linear")
+        probs = (np.array(p) for p in pair_probs(state, *astuple(sett)))
+        linear = bs.click_probabilities(*probs, det, "linear")
         return max(float(np.max(np.abs(c / lin - 1.0))) for c, lin in zip(compound, linear))
 
     # first-order agreement: the relative gap shrinks in proportion to pair_mean
