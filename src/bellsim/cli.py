@@ -20,7 +20,15 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .counting import CountsTable, WindowPolicy, parse_timetags, serialize_timetags, windowed_counts
+from .counting import (
+    CountsTable,
+    WindowPolicy,
+    parse_settings,
+    parse_timetags,
+    serialize_settings,
+    serialize_timetags,
+    windowed_counts,
+)
 from .engine import (
     ExperimentConfig,
     blocks_from_csv,
@@ -28,7 +36,6 @@ from .engine import (
     blocks_to_csv,
     simulate_blocks,
     simulate_timetags,
-    trial_settings,
 )
 from .eberhard import bprime_vs_r_sweep, optimize, sweep_to_csv, violation_interval
 from .errors import FormatError, NumericalError, ValidationError
@@ -78,6 +85,14 @@ def _write_manifest(args, subcommand: str, inputs: dict, outputs: list[Path]) ->
     path.write_text(json.dumps(manifest, indent=2))
 
 
+def _read_text(path) -> str:
+    """A text input file; bytes that are not UTF-8 are a format error."""
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise FormatError(f"{path} is not UTF-8 text: {exc}") from None
+
+
 def _out_path(args, name: str) -> Path:
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -89,7 +104,7 @@ def _out_path(args, name: str) -> Path:
 
 
 def _cmd_simulate(args) -> int:
-    cfg = ExperimentConfig.from_json(Path(args.config).read_text())
+    cfg = ExperimentConfig.from_json(_read_text(args.config))
     if args.seed is not None:
         cfg = ExperimentConfig.from_json_dict({**cfg.to_json_dict(), "rng_seed": args.seed})
     outputs = []
@@ -100,8 +115,7 @@ def _cmd_simulate(args) -> int:
         stream_path.write_bytes(serialize_timetags(stream, "binary"))
         outputs.append(stream_path)
         sched_path = _out_path(args, "trial_settings.txt")
-        sched = stream.meta["trial_settings"]
-        sched_path.write_text("\n".join(str(int(i)) for i in sched) + "\n")
+        sched_path.write_bytes(serialize_settings(stream.meta["trial_settings"]))
         outputs.append(sched_path)
         _say(args, f"wrote {len(stream)} records over {stream.n_trials} trials")
     else:
@@ -129,9 +143,9 @@ def _load_counts_for_analysis(args) -> CountsTable:
     path = Path(args.input)
     suffix = path.suffix.lower()
     if suffix == ".json":
-        return CountsTable.from_json(path.read_text())
+        return CountsTable.from_json(_read_text(path))
     if suffix == ".csv" and args.window is None:
-        return blocks_to_counts(blocks_from_csv(path.read_text()))
+        return blocks_to_counts(blocks_from_csv(_read_text(path)))
     # timetag input: needs a window policy and a settings schedule
     policy_text = args.window or "clock"
     if policy_text == "clock":
@@ -150,12 +164,7 @@ def _load_counts_for_analysis(args) -> CountsTable:
         raise ValidationError("timetag analysis requires --settings")
     fmt = "binary" if suffix in (".bin", ".dat") else "csv"
     stream = parse_timetags(path.read_bytes(), fmt)
-    text = Path(args.settings).read_text()
-    try:
-        schedule = [int(line) for line in text.split()]
-    except ValueError:
-        raise _settings_format_error(text) from None
-    table = windowed_counts(stream, policy, schedule)
+    table = windowed_counts(stream, policy, parse_settings(Path(args.settings).read_bytes()))
     if policy.kind == "event" and ch_from_counts(table, args.singles_mode) > 0:
         print(
             "warning: event-windowed counting is vulnerable to emission-time "
@@ -166,23 +175,12 @@ def _load_counts_for_analysis(args) -> CountsTable:
     return table
 
 
-def _settings_format_error(text: str) -> FormatError:
-    """The error for the first non-integer entry of a settings file."""
-    for lineno, line in enumerate(text.splitlines(), start=1):
-        for token in line.split():
-            try:
-                int(token)
-            except ValueError:
-                return FormatError(f"settings file: non-integer entry {token!r}", lineno)
-    return FormatError("settings file: non-integer entry")
-
-
 def _cmd_analyze(args) -> int:
     path = Path(args.input)
     table = _load_counts_for_analysis(args)
     sigma = args.sigma
     if sigma is None and path.suffix.lower() == ".csv" and args.window is None:
-        blocks = blocks_from_csv(path.read_text())
+        blocks = blocks_from_csv(_read_text(path))
         if len(blocks) >= 2 * args.sigma_partitions:
             sigma = partition_sigma(blocks, k=args.sigma_partitions,
                                     singles_mode=args.singles_mode)
@@ -272,7 +270,7 @@ def _cmd_lhv_demo(args) -> int:
         p.write_bytes(serialize_timetags(stream, "binary"))
         outputs.append(p)
         sp = _out_path(args, "adversarial_settings.txt")
-        sp.write_text("\n".join(str(int(i)) for i in settings) + "\n")
+        sp.write_bytes(serialize_settings(settings))
         outputs.append(sp)
         _say(
             args,
@@ -307,7 +305,7 @@ def _cmd_lhv_demo(args) -> int:
 
 
 def _cmd_dire(args) -> int:
-    table = CountsTable.from_json(Path(args.counts).read_text())
+    table = CountsTable.from_json(_read_text(args.counts))
     report = dire_report(
         table, acquisition_s=args.seconds, policy=args.policy, epsilon=args.epsilon,
         bits_per_event=args.bits_per_event,

@@ -21,6 +21,8 @@ Serialized formats:
 - CSV: one record per line, "channel,timestamp_ns".
 - binary: repeated 9-byte records, little-endian uint64 timestamp_ns
   followed by one channel byte.
+- settings file: the setting-pair index (0-3) of each trial, one per
+  line.  The reader accepts any whitespace-separated integers.
 - counts JSON: object with rows keyed "ab", "ab'", "a'b", "a'b'", each
   carrying n_trials, singles_a, singles_b, coincidences.
 """
@@ -42,6 +44,8 @@ CHANNEL_CLOCK = 2
 SETTING_LABELS = ("ab", "ab'", "a'b", "a'b'")
 
 _BINARY_DTYPE = np.dtype([("t", "<u8"), ("ch", "u1")])
+
+_INT64_MIN, _INT64_MAX = int(np.iinfo(np.int64).min), int(np.iinfo(np.int64).max)
 
 
 @dataclass(eq=False)
@@ -119,6 +123,8 @@ def parse_timetags(data: bytes | str, fmt: str = "csv") -> TimetagStream:
                 raise FormatError(f"unknown channel {ch}", lineno)
             if ts < 0:
                 raise FormatError(f"negative timestamp {ts}", lineno)
+            if ts > _INT64_MAX:
+                raise FormatError("timestamp exceeds signed 64-bit range", lineno)
             chans.append(ch)
             times.append(ts)
         t = np.array(times, dtype=np.int64)
@@ -132,7 +138,7 @@ def parse_timetags(data: bytes | str, fmt: str = "csv") -> TimetagStream:
                 len(data) // _BINARY_DTYPE.itemsize,
             )
         rec = np.frombuffer(data, dtype=_BINARY_DTYPE)
-        if rec.size and rec["t"].max() > np.iinfo(np.int64).max:
+        if rec.size and rec["t"].max() > _INT64_MAX:
             raise FormatError("timestamp exceeds signed 64-bit range")
         bad = np.nonzero(rec["ch"] > CHANNEL_CLOCK)[0]
         if bad.size:
@@ -158,6 +164,56 @@ def serialize_timetags(stream: TimetagStream, fmt: str = "binary") -> bytes:
         rec["ch"] = stream.channels
         return rec.tobytes()
     raise ValidationError(f"unknown timetag format {fmt!r}")
+
+
+def serialize_settings(settings) -> bytes:
+    """Settings-file bytes: each trial's index 0..3 as one ASCII digit per line."""
+    idx = np.asarray(settings)
+    if idx.size == 0:
+        return b"\n"
+    if idx.min() < 0 or idx.max() > 3:
+        raise ValidationError("setting indices must be in 0..3")
+    lines = np.empty((idx.size, 2), dtype=np.uint8)
+    lines[:, 0] = idx
+    lines[:, 0] += ord("0")
+    lines[:, 1] = ord("\n")
+    return lines.tobytes()
+
+
+def parse_settings(data: bytes) -> np.ndarray:
+    """Setting indices of a settings file of whitespace-separated integers.
+
+    The format serialize_settings writes, one digit and a newline per
+    line, is read as an array; any other file token by token.  A token
+    that is not an integer, or not a 64-bit one, raises a FormatError
+    naming its line.
+    """
+    raw = np.frombuffer(data, dtype=np.uint8)
+    if raw.size and raw.size % 2 == 0:
+        digits = raw[0::2] - np.uint8(ord("0"))  # non-digits wrap above 9
+        if np.all(raw[1::2] == ord("\n")) and np.all(digits <= 9):
+            return digits.astype(np.int64)
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise FormatError(f"settings file is not UTF-8 text: {exc}") from None
+    try:
+        return np.array([int(token) for token in text.split()], dtype=np.int64)
+    except (ValueError, OverflowError):
+        raise _settings_format_error(text) from None
+
+
+def _settings_format_error(text: str) -> FormatError:
+    """The error for the first entry of a settings file that is not a 64-bit integer."""
+    for lineno, line in enumerate(text.splitlines(), start=1):
+        for token in line.split():
+            try:
+                value = int(token)
+            except ValueError:
+                return FormatError(f"settings file: non-integer entry {token!r}", lineno)
+            if not _INT64_MIN <= value <= _INT64_MAX:
+                return FormatError(f"settings file: entry {token!r} is out of range", lineno)
+    return FormatError("settings file: non-integer entry")
 
 
 # ---------------------------------------------------------------------------
@@ -326,18 +382,25 @@ def event_windowed_counts(stream: TimetagStream, window_ns: float, schedule) -> 
     singles_a = np.bincount(sched[trial[det_ch == CHANNEL_ALICE]], minlength=4)
     singles_b = np.bincount(sched[trial[det_ch == CHANNEL_BOB]], minlength=4)
 
-    coincidences = np.zeros(4, dtype=np.int64)
-    pending: tuple[deque, deque] = (deque(), deque())  # alice, bob queues of (t, trial)
+    # A detection only queues when no opposite-arm detection is waiting,
+    # so the unpaired detections pending at any time all share one channel.
+    # On integer timestamps dt > int(w) exactly when dt > w.
     w = int(window_ns)
-    for t, ch, tr in zip(det_t.tolist(), det_ch.tolist(), trial.tolist()):
-        other = pending[1 - ch]
-        while other and t - other[0][0] > w:
-            other.popleft()
-        if other:
-            t0, tr0 = other.popleft()
-            coincidences[sched[tr0]] += 1
-        else:
-            pending[ch].append((t, tr))
+    times = det_t.tolist()
+    queue: deque = deque()  # indices of unpaired detections on channel queue_ch
+    queue_ch = -1
+    first = []  # the earlier member of each coincidence
+    for i, ch in enumerate(det_ch.tolist()):
+        if queue and ch != queue_ch:
+            t = times[i]
+            while queue and t - times[queue[0]] > w:
+                queue.popleft()
+            if queue:
+                first.append(queue.popleft())
+                continue
+        queue.append(i)
+        queue_ch = ch
+    coincidences = np.bincount(sched[trial[np.array(first, dtype=np.intp)]], minlength=4)
 
     n_trials = np.bincount(sched, minlength=4)
     return CountsTable(

@@ -240,19 +240,23 @@ def setting_schedule(
     if kind == "file":
         if file is None:
             raise ValidationError("file schedule requires a path")
-        with open(file, "r", encoding="ascii") as fh:
-            idx = []
-            for lineno, line in enumerate(fh, start=1):
-                line = line.strip()
-                if not line:
-                    continue
-                try:
-                    v = int(line)
-                except ValueError:
-                    raise FormatError(f"settings file: non-integer line {line!r}", lineno) from None
-                if not 0 <= v <= 3:
-                    raise FormatError(f"settings file: index {v} out of range 0..3", lineno)
-                idx.append(v)
+        try:
+            with open(file, "r", encoding="ascii") as fh:
+                lines = list(fh)
+        except UnicodeDecodeError as exc:
+            raise FormatError(f"settings file {file} is not ASCII text: {exc}") from None
+        idx = []
+        for lineno, line in enumerate(lines, start=1):
+            line = line.strip()
+            if not line:
+                continue
+            try:
+                v = int(line)
+            except ValueError:
+                raise FormatError(f"settings file: non-integer line {line!r}", lineno) from None
+            if not 0 <= v <= 3:
+                raise FormatError(f"settings file: index {v} out of range 0..3", lineno)
+            idx.append(v)
         if len(idx) < n_blocks:
             raise ValidationError(
                 f"settings file provides {len(idx)} entries, need {n_blocks}"

@@ -38,7 +38,7 @@ from typing import Sequence
 import numpy as np
 
 from .counting import CHANNEL_ALICE, CHANNEL_BOB, CHANNEL_CLOCK, CountsTable, TimetagStream
-from .errors import ValidationError
+from .errors import FormatError, ValidationError
 from .quantum import (
     DetectionModel,
     MeasurementSettings,
@@ -90,19 +90,32 @@ class LhvStrategy:
 
     @classmethod
     def from_json(cls, text: str) -> "LhvStrategy":
-        doc = json.loads(text)
+        try:
+            doc = json.loads(text)
+        except json.JSONDecodeError as exc:
+            raise FormatError(f"strategy JSON does not parse: {exc}") from None
         if not isinstance(doc, list):
             raise ValidationError("strategy JSON must be an array of classes")
-        classes = []
-        for entry in doc:
-            classes.append(
-                LhvClass(
-                    weight=int(entry["weight"]),
-                    fires_a=(bool(entry["fires_a"][0]), bool(entry["fires_a"][1])),
-                    fires_b=(bool(entry["fires_b"][0]), bool(entry["fires_b"][1])),
-                )
-            )
-        return cls(tuple(classes))
+        return cls(tuple(_class_from_json(entry, i) for i, entry in enumerate(doc)))
+
+
+def _class_from_json(entry, index: int) -> LhvClass:
+    """One class of a strategy JSON array, its field types checked."""
+    where = f"strategy class {index}"
+    if not isinstance(entry, dict):
+        raise ValidationError(f"{where} must be an object, got {entry!r}")
+    missing = {"weight", "fires_a", "fires_b"} - entry.keys()
+    if missing:
+        raise ValidationError(f"{where} is missing {sorted(missing)}")
+    weight = entry["weight"]
+    if isinstance(weight, bool) or not isinstance(weight, int):
+        raise ValidationError(f"{where}: weight must be an integer, got {weight!r}")
+    for side in ("fires_a", "fires_b"):
+        flags = entry[side]
+        if not (isinstance(flags, list) and len(flags) == 2
+                and all(isinstance(f, bool) for f in flags)):
+            raise ValidationError(f"{where}: {side} must be two booleans, got {flags!r}")
+    return LhvClass(weight, tuple(entry["fires_a"]), tuple(entry["fires_b"]))
 
 
 def _cls(w, fa, fb) -> LhvClass:

@@ -27,10 +27,11 @@ The concrete extractor is binary Toeplitz hashing: output bit i is the
 parity of seed[i : i+n] (reversed) AND the raw bits, which makes the map
 linear over XOR and needs n + m - 1 seed bits for m output bits.  Those
 parities are the low bits of a correlation, which is computed by FFT on
-tiles of at most _TILE_BITS raw bits and _TILE_BITS output bits, so an
-n-bit input and m-bit output cost O((n + m) log(n + m)) at a working set
-bounded by the tile, whatever n and m are (Hayashi & Tsurumaru, IEEE TIT
-62, 2213 (2016)).  Every tile's correlation is checked to round cleanly
+tiles of at most _TILE_BITS output bits and 2*_TILE_BITS - rows + 1 raw
+bits for a tile of `rows` output bits, so that a full tile fills an FFT
+of length 2*_TILE_BITS.  An n-bit input and m-bit output cost
+O((n + m) log(n + m)) at a working set bounded by the tile, whatever n
+and m are (Hayashi & Tsurumaru, IEEE TIT 62, 2213 (2016)).  Every tile's correlation is checked to round cleanly
 to integers, so the output bits are exact or the call raises.
 """
 
@@ -58,8 +59,9 @@ FINITE_SIZE_CAVEAT = (
 
 _BITS_MAGIC = b"BELLSIMX"
 
-# Raw bits and output bits per FFT tile.  A tile's correlation values are
-# integers up to 2^20, far inside float64's exact range, and its FFT
+# Output bits per FFT tile; a tile of `rows` output bits takes
+# 2 * _TILE_BITS - rows + 1 raw bits.  A tile's correlation values are
+# integers up to 2^21, far inside float64's exact range, and its FFT
 # length is at most 2^21.
 _TILE_BITS = 1 << 20
 
@@ -185,8 +187,9 @@ def hash_extract(
     # share from the seed bits it touches
     for i0 in range(0, out_len, _TILE_BITS):
         rows = min(_TILE_BITS, out_len - i0)
-        for j0 in range(0, n, _TILE_BITS):
-            width = min(_TILE_BITS, n - j0)
+        span = 2 * _TILE_BITS - rows + 1
+        for j0 in range(0, n, span):
+            width = min(span, n - j0)
             s0 = i0 + n - j0 - width
             size = 1 << (width + rows - 2).bit_length()
             conv = np.fft.irfft(

@@ -1,9 +1,13 @@
 """Command-line interface: outputs, determinism, exit codes."""
 
+import hashlib
 import json
+import struct
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 import bellsim as bs
 from bellsim.cli import main
@@ -54,6 +58,23 @@ def test_simulate_timetags_then_analyze_clock(config_path, tmp_path):
     assert code == 0
     doc = json.loads((out / "bell_result.json").read_text())
     assert "B" in doc and "B_prime" in doc
+
+
+# Digests of the settings files written under version 0.2.0.
+FROZEN_SETTINGS = {
+    "trial_settings.txt": "70e7153b86de43333404a6d63e40dc28533226be22445f32f4d0efecd087cbfc",
+    "adversarial_settings.txt":
+        "152c385cd6f5108599b623e62792ce76255ecc41b0d0cbf9712cb2d34b5bb9e4",
+}
+
+
+def test_settings_files_frozen(config_path, tmp_path):
+    assert main(["simulate", str(config_path), "--timetags", "--out", str(tmp_path),
+                 "--quiet"]) == 0
+    assert main(["lhv-demo", "--what", "timing", "--trials", "2000", "--seed", "4",
+                 "--out", str(tmp_path), "--quiet"]) == 0
+    for name, digest in FROZEN_SETTINGS.items():
+        assert hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() == digest
 
 
 def test_analyze_counts_json(tmp_path, capsys):
@@ -223,6 +244,96 @@ def test_malformed_input_is_exit_2(case, tmp_path, capsys):
         argv += ["--seconds", "10"]
     assert main(argv) == 2
     assert capsys.readouterr().err.startswith("error: ")
+
+
+NON_UTF8 = b"\xff\xfe0\n"
+
+
+def _timetag_file(tmp_path):
+    path = tmp_path / "timetags.bin"
+    path.write_bytes(bs.serialize_timetags(bs.TimetagStream([0, 5], [2, 0])))
+    return str(path)
+
+
+def _schedule_file_config(tmp_path, schedule):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({**_valid_config(), "schedule_kind": "file",
+                                "schedule_file": schedule}))
+    return str(path)
+
+
+# case -> (suffix of the non-UTF-8 file, argv given tmp_path and that file)
+NON_UTF8_INPUTS = {
+    "simulate-config": (".json", lambda tmp, bad: ["simulate", bad]),
+    "simulate-schedule-file": (
+        ".txt", lambda tmp, bad: ["simulate", _schedule_file_config(tmp, bad)]),
+    "analyze-counts": (".json", lambda tmp, bad: ["analyze", bad]),
+    "analyze-blocks": (".csv", lambda tmp, bad: ["analyze", bad]),
+    "analyze-settings": (".txt", lambda tmp, bad: [
+        "analyze", _timetag_file(tmp), "--window", "clock", "--settings", bad]),
+    "dire-counts": (".json", lambda tmp, bad: ["dire", bad, "--seconds", "10"]),
+}
+
+
+@pytest.mark.parametrize("case", sorted(NON_UTF8_INPUTS))
+def test_non_utf8_input_is_exit_2(case, tmp_path, capsys):
+    suffix, make_argv = NON_UTF8_INPUTS[case]
+    bad = tmp_path / f"input{suffix}"
+    bad.write_bytes(NON_UTF8)
+    assert main(make_argv(tmp_path, str(bad)) + ["--out", str(tmp_path), "--quiet"]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+
+
+def _binary_timetags(records):
+    return b"".join(struct.pack("<QB", t, ch) for t, ch in sorted(records))
+
+
+def _csv_timetags(records):
+    return "".join(f"{ch},{t}\n" for t, ch in sorted(records)).encode()
+
+
+_TIMES = st.one_of(st.integers(0, 300), st.integers(2**63 - 2, 2**64 - 1))
+_RECORDS = st.lists(st.tuples(_TIMES, st.sampled_from([0, 1, 2, 2])), min_size=1, max_size=12)
+_TIMETAGS = st.one_of(
+    _RECORDS.map(lambda records: (".bin", _binary_timetags(records))),
+    _RECORDS.map(lambda records: (".csv", _csv_timetags(records))),
+    st.binary(max_size=40).map(lambda data: (".bin", data)),
+    st.binary(max_size=40).map(lambda data: (".csv", data)),
+)
+_SETTINGS = st.one_of(
+    st.binary(max_size=24),
+    st.text(alphabet="0123 \n\r-x", max_size=24).map(str.encode),
+    st.lists(st.integers(-(2**70), 2**70), max_size=6).map(
+        lambda values: "\n".join(map(str, values)).encode()),
+)
+# 4-8 trials 100 ns apart with detections in them, and settings that
+# cover every pair in the first four trials: input that mostly analyzes
+_ANALYZABLE = st.tuples(
+    st.builds(
+        lambda n, detections: (
+            ".bin", _binary_timetags([(100 * i, 2) for i in range(n)] + detections)),
+        st.integers(4, 8),
+        st.lists(st.tuples(st.integers(0, 800), st.integers(0, 1)), max_size=16)),
+    st.tuples(st.permutations(range(4)), st.lists(st.integers(0, 3), min_size=4, max_size=8))
+    .map(lambda parts: "".join(f"{v}\n" for v in [*parts[0], *parts[1]]).encode()),
+)
+
+
+@given(inputs=st.one_of(_ANALYZABLE, st.tuples(_TIMETAGS, _SETTINGS)),
+       window=st.sampled_from(["clock", "event:8.33", "event:40", "event:1e30", "event:nan"]))
+@example(inputs=((".bin", _binary_timetags([(0, 2), (5, 0)])), b"\xff\n"), window="clock")
+@example(inputs=((".csv", b"2,0\n0,18446744073709551615\n"), b"0\n"), window="clock")
+def test_analyze_fuzzed_timetags_and_settings(tmp_path_factory, inputs, window):
+    # main() catches only the package's documented errors, so any other
+    # exception escapes here and fails the test
+    (suffix, data), settings = inputs
+    work = tmp_path_factory.mktemp("fuzz")
+    stream = work / f"timetags{suffix}"
+    stream.write_bytes(data)
+    (work / "settings.txt").write_bytes(settings)
+    code = main(["analyze", str(stream), "--window", window,
+                 "--settings", str(work / "settings.txt"), "--out", str(work), "--quiet"])
+    assert code in (0, 2, 3, 4)
 
 
 def test_exit_code_numerical(tmp_path):

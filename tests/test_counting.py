@@ -1,9 +1,14 @@
 """Timetag parsing, serialization, and the two counting disciplines."""
 
+from collections import deque
+
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 import bellsim as bs
+from bellsim.counting import parse_settings, serialize_settings
 from bellsim.errors import FormatError, ValidationError
 
 
@@ -58,6 +63,55 @@ def test_stream_invariants():
         bs.TimetagStream(np.array([5, 4]), np.array([0, 0]))
     with pytest.raises(ValidationError):
         bs.TimetagStream(np.array([1]), np.array([9]))
+
+
+# ---------------------------------------------------------------------------
+# settings files
+
+
+@pytest.mark.parametrize("settings", [[], [0], [3, 1, 2, 0, 0, 3]])
+def test_settings_round_trip(settings):
+    data = serialize_settings(np.array(settings, dtype=np.int64))
+    assert data == ("\n".join(str(i) for i in settings) + "\n").encode()
+    assert parse_settings(data).tolist() == settings
+
+
+@pytest.mark.parametrize("settings", [[0, 4], [-1]])
+def test_serialize_settings_rejects_out_of_range_indices(settings):
+    with pytest.raises(ValidationError):
+        serialize_settings(np.array(settings))
+
+
+def _int_tokens_or_error_line(text):
+    """[int(t) for t in text.split()], or the line of the first token that
+    is not an integer or does not fit in 64 bits."""
+    for lineno, line in enumerate(text.splitlines(), start=1):
+        for token in line.split():
+            try:
+                value = int(token)
+            except ValueError:
+                return None, lineno
+            if not -(2**63) <= value < 2**63:
+                return None, lineno
+    return [int(t) for t in text.split()], None
+
+
+@given(st.text(alphabet="0123456789+-abxZ \t\n\r\x0b\x0c", max_size=60))
+@example("0\n1\n2\n3\n9\n")
+@example("0\n1\n2\n3\n9")
+@example("3\r\n1\r\n")
+@example("1\n\n")
+@example("1\na\n")
+@example("12345678901234567890\n")
+@example("")
+def test_parse_settings_matches_int_tokens(text):
+    values, bad_line = _int_tokens_or_error_line(text)
+    if bad_line is None:
+        assert parse_settings(text.encode()).tolist() == values
+    else:
+        with pytest.raises(FormatError) as exc:
+            parse_settings(text.encode())
+        assert exc.value.position == bad_line
 
 
 # ---------------------------------------------------------------------------
@@ -177,6 +231,63 @@ def test_event_window_matches_clock_when_events_simultaneous():
     event = bs.event_windowed_counts(stream, det.pulse_period_ns, sched)
     assert event == clock
     assert int(event.coincidences.sum()) > 0  # nontrivial comparison
+
+
+def reference_event_coincidences(stream, window_ns, schedule):
+    """Greedy earliest-first pairing with one pending queue per arm."""
+    clocks = stream.clock_times()
+    det = stream.channels != bs.CHANNEL_CLOCK
+    trial = np.searchsorted(clocks, stream.timestamps[det], side="right") - 1
+    keep = trial >= 0
+    coincidences = np.zeros(4, dtype=np.int64)
+    pending = (deque(), deque())  # alice, bob queues of (t, trial)
+    w = int(window_ns)
+    for t, ch, tr in zip(stream.timestamps[det][keep].tolist(),
+                         stream.channels[det][keep].tolist(), trial[keep].tolist()):
+        other = pending[1 - ch]
+        while other and t - other[0][0] > w:
+            other.popleft()
+        if other:
+            t0, tr0 = other.popleft()
+            coincidences[schedule[tr0]] += 1
+        else:
+            pending[ch].append((t, tr))
+    return coincidences.tolist()
+
+
+def bursty_stream(seed, n_trials=300, period=100):
+    """Trials with 0-3 detections each, same-arm bursts and early detections."""
+    rng = np.random.default_rng(seed)
+    per_trial = rng.integers(0, 4, size=n_trials)
+    trial = np.repeat(np.arange(n_trials), per_trial)
+    det_t = 20 + trial * period + rng.integers(0, period, size=trial.size)
+    burst_ch = rng.integers(0, 2, size=n_trials)[trial]
+    det_ch = np.where(rng.random(trial.size) < 0.7, burst_ch, 1 - burst_ch)
+    t = np.concatenate([det_t, 30 + np.arange(n_trials) * period, rng.integers(0, 30, size=3)])
+    c = np.concatenate([det_ch, np.full(n_trials, bs.CHANNEL_CLOCK), rng.integers(0, 2, size=3)])
+    order = np.argsort(t, kind="stable")
+    schedule = rng.integers(0, 4, size=n_trials)
+    return bs.TimetagStream(t[order], c[order], trial_period_ns=float(period)), schedule
+
+
+@pytest.mark.parametrize("seed", range(6))
+@pytest.mark.parametrize("window_ns", [1, 8.33, 9, 25, 49.5])
+def test_event_window_matches_two_queue_reference(seed, window_ns):
+    stream, schedule = bursty_stream(seed)
+    table = bs.event_windowed_counts(stream, window_ns, schedule)
+    expected = reference_event_coincidences(stream, window_ns, schedule)
+    assert table.coincidences.tolist() == expected
+    assert sum(expected) > 0
+
+
+def test_event_window_fractional_ns_is_exact():
+    # window 8.33 ns: a pair 8 ns apart is within it, a pair 9 ns apart is not
+    t = np.array([0, 10, 18, 100, 110, 119])
+    c = np.array([2, 0, 1, 2, 0, 1])
+    stream = bs.TimetagStream(t, c, trial_period_ns=100.0)
+    table = bs.event_windowed_counts(stream, 8.33, [0, 1])
+    assert table.coincidences.tolist() == [1, 0, 0, 0]
+    assert reference_event_coincidences(stream, 8.33, [0, 1]) == [1, 0, 0, 0]
 
 
 def test_row_totals_conservation():

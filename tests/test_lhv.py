@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import bellsim as bs
-from bellsim.errors import ValidationError
+from bellsim.errors import FormatError, ValidationError
 
 from conftest import random_strategies
 
@@ -49,6 +49,27 @@ def test_strategy_weight_must_fit_trials():
 def test_strategy_json_round_trip():
     strat = bs.demo_strategy_82pct()
     assert bs.LhvStrategy.from_json(strat.to_json()) == strat
+
+
+@pytest.mark.parametrize("text", [
+    "[1]",
+    '[{"weight": 1}]',
+    '[{"weight": 1.5, "fires_a": [true, true], "fires_b": [true, false]}]',
+    '[{"weight": true, "fires_a": [true, true], "fires_b": [true, false]}]',
+    '[{"weight": 1, "fires_a": [true], "fires_b": [true, false]}]',
+    '[{"weight": 1, "fires_a": [1, 0], "fires_b": [true, false]}]',
+    '[{"weight": 1, "fires_a": "yes", "fires_b": [true, false]}]',
+    '{"weight": 1}',
+    "[]",
+])
+def test_strategy_json_malformed_classes(text):
+    with pytest.raises(ValidationError):
+        bs.LhvStrategy.from_json(text)
+
+
+def test_strategy_json_unparseable():
+    with pytest.raises(FormatError):
+        bs.LhvStrategy.from_json("nope")
 
 
 def test_soundness_sweep_1000_random_strategies():

@@ -190,6 +190,22 @@ def test_matmul_oracle_many_tiles(monkeypatch):
         assert np.array_equal(bs.hash_extract(raw, seed, m), matmul_toeplitz(raw, seed, m))
 
 
+def test_full_raw_tiles_fill_their_fft(monkeypatch):
+    # a tile of m output bits takes 2*_TILE_BITS - m + 1 raw bits, so its
+    # correlation needs exactly 2*_TILE_BITS values: one power-of-two FFT
+    monkeypatch.setattr(randomness, "_TILE_BITS", 8)
+    irfft, sizes = np.fft.irfft, []
+
+    def recording_irfft(a, n):
+        sizes.append(n)
+        return irfft(a, n)
+
+    monkeypatch.setattr(np.fft, "irfft", recording_irfft)
+    raw, seed = _random_case(np.random.default_rng(37), 3 * 14 + 4, 3)
+    assert np.array_equal(bs.hash_extract(raw, seed, 3), matmul_toeplitz(raw, seed, 3))
+    assert sizes == [16, 16, 16, 8]
+
+
 def test_inexact_fft_raises(monkeypatch):
     irfft = np.fft.irfft
     monkeypatch.setattr(np.fft, "irfft", lambda *a, **kw: irfft(*a, **kw) + 0.3)
