@@ -3,7 +3,9 @@
 Subcommands: simulate, analyze, optimize, sweep, lhv-demo, dire.
 Structured results are JSON, plot-ready curves are CSV, and every run
 writes a manifest.json next to its outputs recording the subcommand,
-inputs, seed, output paths, tool version, and timestamp.
+inputs, seed, output paths, tool version, and timestamp; optimize and
+sweep also record how many coordinate descents ran out of sweeps
+(`exhausted_refinements`).
 
 Exit codes: 0 success, 2 validation failure, 3 I/O failure,
 4 numerical failure.
@@ -70,7 +72,8 @@ def _say(args, message: str) -> None:
         print(message)
 
 
-def _write_manifest(args, subcommand: str, inputs: dict, outputs: list[Path]) -> None:
+def _write_manifest(args, subcommand: str, inputs: dict, outputs: list[Path],
+                    **diagnostics) -> None:
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     manifest = {
@@ -80,6 +83,7 @@ def _write_manifest(args, subcommand: str, inputs: dict, outputs: list[Path]) ->
         "outputs": [str(p) for p in outputs],
         "tool_version": __version__,
         "timestamp": datetime.datetime.now(datetime.timezone.utc).isoformat(),
+        **diagnostics,
     }
     path = out_dir / "manifest.json"
     path.write_text(json.dumps(manifest, indent=2))
@@ -214,8 +218,10 @@ def _cmd_optimize(args) -> int:
     print(text)
     out_path = _out_path(args, "optimization.json")
     out_path.write_text(text + "\n")
-    _write_manifest(args, "optimize", {"eta": args.eta, "bg": args.bg,
-                                       "fix_r": args.fix_r, "model": args.model}, [out_path])
+    _write_manifest(args, "optimize", {"eta": args.eta, "eta_b": det.eta_b, "bg": args.bg,
+                                       "pair_mean": args.pair_mean, "fix_r": args.fix_r,
+                                       "objective": args.objective, "model": args.model},
+                    [out_path], exhausted_refinements=result.exhausted_refinements)
     return EXIT_OK
 
 
@@ -240,9 +246,10 @@ def _cmd_sweep(args) -> int:
         _say(args, f"violation (B' > 1) for r in [{interval[0]:.3f}, {interval[1]:.3f}]")
     else:
         _say(args, "no violation anywhere on the grid")
-    _write_manifest(args, "sweep", {"eta": args.eta, "bg": args.bg,
+    _write_manifest(args, "sweep", {"eta": args.eta, "eta_b": det.eta_b, "bg": args.bg,
                                     "pair_mean": args.pair_mean,
-                                    "r_grid": args.r_grid, "model": args.model}, [out_path])
+                                    "r_grid": args.r_grid, "model": args.model}, [out_path],
+                    exhausted_refinements=sum(p.exhausted_refinements for p in points))
     return EXIT_OK
 
 

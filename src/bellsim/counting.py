@@ -86,11 +86,15 @@ class TimetagStream:
     def clock_times(self) -> np.ndarray:
         return self.timestamps[self.channels == CHANNEL_CLOCK]
 
-    def inferred_trial_period_ns(self) -> float:
-        """Header trial period, or the median clock spacing as a fallback."""
+    def inferred_trial_period_ns(self, clocks: np.ndarray | None = None) -> float:
+        """Header trial period, or the median clock spacing as a fallback.
+
+        `clocks` is `clock_times()` when the caller already holds it.
+        """
         if self.trial_period_ns is not None:
             return float(self.trial_period_ns)
-        clocks = self.clock_times()
+        if clocks is None:
+            clocks = self.clock_times()
         if clocks.size < 2:
             raise ValidationError("cannot infer trial period from fewer than 2 clock marks")
         return float(np.median(np.diff(clocks)))
@@ -316,9 +320,9 @@ class WindowPolicy:
             raise ValidationError("event windowing requires window_ns > 0")
 
 
-def _prepare(stream: TimetagStream, schedule) -> tuple:
-    """Split one stream into markers and trial-assigned detections."""
-    clocks = stream.clock_times()
+def _prepare(stream: TimetagStream, clocks: np.ndarray, schedule) -> tuple:
+    """Split one stream, whose clock marks are `clocks`, into markers and
+    trial-assigned detections."""
     if clocks.size == 0:
         raise ValidationError("stream has no trial-clock markers")
     schedule = np.asarray(schedule, dtype=np.int64)
@@ -343,7 +347,7 @@ def clock_windowed_counts(stream: TimetagStream, schedule) -> CountsTable:
     A detection belongs to the trial of the most recent marker; detections
     before the first marker are excluded and tallied in table.meta.
     """
-    clocks, sched, _, det_ch, trial, n_early = _prepare(stream, schedule)
+    clocks, sched, _, det_ch, trial, n_early = _prepare(stream, stream.clock_times(), schedule)
     n = clocks.size
     a_click = np.zeros(n, dtype=bool)
     b_click = np.zeros(n, dtype=bool)
@@ -371,13 +375,14 @@ def event_windowed_counts(stream: TimetagStream, window_ns: float, schedule) -> 
     """
     if window_ns <= 0:
         raise ValidationError("window_ns must be positive")
-    period = stream.inferred_trial_period_ns()
+    clocks = stream.clock_times()
+    period = stream.inferred_trial_period_ns(clocks)
     if window_ns >= period / 2.0:
         raise ValidationError(
             f"event window {window_ns} ns >= half the trial period {period} ns; "
             "use clock windowing instead"
         )
-    clocks, sched, det_t, det_ch, trial, n_early = _prepare(stream, schedule)
+    clocks, sched, det_t, det_ch, trial, n_early = _prepare(stream, clocks, schedule)
 
     singles_a = np.bincount(sched[trial[det_ch == CHANNEL_ALICE]], minlength=4)
     singles_b = np.bincount(sched[trial[det_ch == CHANNEL_BOB]], minlength=4)

@@ -1,13 +1,21 @@
 """Search over state ratio and analyzer angles for the strongest violation.
 
 The optimizer is deliberately derivative-free and deterministic: a
-vectorized coarse grid over (a, a') with the reflection tie b = -a,
-b' = -a' (exact for phase-0 states with symmetric arms), followed by
-coordinate descent over all four angles (and r when it is free) with a
-shrinking step down to 1e-3 degree.  The coarse axis is 0.5-degree
-pitch over +-45 degrees plus a 0.05-degree fine band around zero,
-because the optimal angles collapse toward horizontal as r -> 0 and a
-plain half-degree grid would miss them entirely.
+coarse grid over (a, a') with the reflection tie b = -a, b' = -a'
+(exact for phase-0 states with symmetric arms), followed by coordinate
+descent over all four angles (and r when it is free) with a shrinking
+step down to 1e-3 degree.  The coarse axis is 0.5-degree pitch over
++-45 degrees plus a 0.05-degree fine band around zero, because the
+optimal angles collapse toward horizontal as r -> 0 and a plain
+half-degree grid would miss them entirely.
+
+The grid is built from separable tables, not from a meshgrid of angles.
+With a = axis_i and a' = axis_j, every coincidence probability is an
+entry of the one table T[i, j] = p12(axis_i, -axis_j): p12(a, b') = T,
+p12(a', b) = T.T, and p12(a, b), p12(a', b') are its diagonal as a
+column and as a row.  Every singles probability is a vector over the
+axis.  These broadcast through `quantum.ch_terms` to the same values,
+bit for bit, as evaluating `pair_probs` at every grid point.
 
 The objective takes either forward model of `quantum.click_probabilities`:
 
@@ -23,12 +31,20 @@ The objective takes either forward model of `quantum.click_probabilities`:
 Objectives: "b" (the difference form), "b-prime" (the ratio form), and
 "b-over-sigma" (difference form over its binomial standard error at a
 given trial budget, a significance proxy).
+
+The critical efficiency has a closed form (Eberhard, PRA 47, R747
+(1993)).  With symmetric arms of efficiency eta, the linear model, one
+pair per trial and a background bg per trial on each arm,
+B(eta) = eta^2 C - eta S - 2 bg, where C and S are the coincidence
+combination and the singles sum at unit efficiency.  For C > 0 it
+crosses zero at eta* = (S + sqrt(S^2 + 8 bg C)) / (2C).  The critical
+efficiency is the minimum of eta* over the angles, found by the same
+table grid and coordinate descent.
 """
 
 from __future__ import annotations
 
 import io
-import math
 from dataclasses import asdict, dataclass
 from typing import Sequence
 
@@ -41,11 +57,11 @@ from .quantum import (
     MeasurementSettings,
     ch_terms,
     click_probabilities,
+    coincidence_prob,
     make_eberhard_state,
     pair_probs,
+    singles_prob,
 )
-# bound here so that the traced benchmark (perfbench/spans.py) can rebind them
-from .quantum import coincidence_prob, singles_prob  # noqa: F401
 
 OBJECTIVES = ("b", "b-prime", "b-over-sigma")
 
@@ -66,6 +82,9 @@ class OptimizationResult:
     value: float
     predicted_b: float
     predicted_b_prime: float
+    # coordinate descents that ran out of sweeps before their smallest
+    # step; a diagnostic, not part of the JSON result
+    exhausted_refinements: int = 0
 
     def to_json_dict(self) -> dict:
         return {
@@ -84,6 +103,18 @@ def _angle_axis() -> np.ndarray:
     return np.unique(np.round(np.concatenate([coarse, fine]), 6))
 
 
+def _grid_probs(state, axis: np.ndarray):
+    """`pair_probs` on the reflection-tied grid a = axis_i, a' = axis_j,
+    b = -a, b' = -a', as broadcasting column, row and square tables."""
+    a, ap = axis[:, None], axis[None, :]
+    table = coincidence_prob(state, a, -ap)
+    diag = np.diagonal(table)
+    p1_a, p1_ap = singles_prob(state, a, "A"), singles_prob(state, ap, "A")
+    p2_b, p2_bp = singles_prob(state, -a, "B"), singles_prob(state, -ap, "B")
+    return ((p1_a, p1_a, p1_ap, p1_ap), (p2_b, p2_bp, p2_b, p2_bp),
+            (diag[:, None], table, table.T, diag[None, :]))
+
+
 class _Evaluator:
     """Broadcastable objective for one r; angles in degrees."""
 
@@ -94,19 +125,15 @@ class _Evaluator:
         self.model = model
         self.budget = trial_budget
 
-    def terms(self, a, ap, b, bp):
-        """(num, den) of the per-trial Bell combination, broadcasting."""
-        return ch_terms(*pair_probs(self.state, a, ap, b, bp), self.det, self.model)
-
-    def value(self, a, ap, b, bp, objective: str):
-        num, den = self.terms(a, ap, b, bp)
+    def value(self, probs, objective: str):
+        """The objective from `pair_probs`-shaped (p1, p2, p12), broadcasting."""
+        num, den = ch_terms(*probs, self.det, self.model)
         if objective == "b":
             return num - den
         if objective == "b-prime":
             return num / den
         # significance proxy: independent-binomial error of the linear-model
         # rates at the trial budget
-        probs = pair_probs(self.state, a, ap, b, bp)
         clicks = [click_probabilities(*pair, self.det, "linear") for pair in zip(*probs)]
 
         def binomial_var(p, n):
@@ -118,13 +145,22 @@ class _Evaluator:
                + binomial_var(pA, 2.0 * self.budget) + binomial_var(pB, 2.0 * self.budget))
         return (num - den) / np.sqrt(np.maximum(var, 1e-300))
 
+    def at(self, x, objective: str) -> float:
+        """The objective at the angles x = (a, a', b, b')."""
+        return float(self.value(pair_probs(self.state, *x), objective))
+
 
 _REFINE_MAX_SWEEPS = 240
 
 
-def _refine(ev: _Evaluator, objective: str, x0: np.ndarray) -> tuple[float, np.ndarray]:
+def _refine(f, x0: np.ndarray) -> tuple[float, np.ndarray, bool]:
+    """Coordinate ascent of f over the four angles, starting at x0.
+
+    Returns the best value, its angles, and whether the sweep budget ran
+    out before the step shrank to its floor.
+    """
     x = x0.copy()
-    best = float(ev.value(*x, objective))
+    best = f(x)
     step = _REFINE_START_DEG
     # the sweep budget bounds plateau walks; a genuine sub-pitch refinement
     # from a coarse-grid optimum converges in a handful of sweeps per step
@@ -136,29 +172,32 @@ def _refine(ev: _Evaluator, objective: str, x0: np.ndarray) -> tuple[float, np.n
             for s in (step, -step):
                 y = x.copy()
                 y[k] += s
-                v = float(ev.value(*y, objective))
+                v = f(y)
                 if v > best:
                     best, x, improved = v, y, True
         if not improved:
             step *= 0.5
-    return best, x
+    return best, x, step > _REFINE_STOP_DEG
+
+
+def _grid_refine(f, grid: np.ndarray, axis: np.ndarray) -> tuple[float, np.ndarray, bool]:
+    """`_refine` f from the argmax of its values on the tied axis grid."""
+    i, j = np.unravel_index(int(np.argmax(grid)), grid.shape)
+    best, x, exhausted = _refine(f, np.array([axis[i], axis[j], -axis[i], -axis[j]]))
+    if best < grid[i, j]:
+        raise NumericalError("refinement regressed below the coarse grid")
+    return best, x, exhausted
 
 
 def _optimize_angles(r: float, phase: float, det: DetectionModel, objective: str,
-                     model: str, trial_budget: int) -> tuple[float, np.ndarray]:
+                     model: str, trial_budget: int) -> tuple[float, np.ndarray, bool]:
     ev = _Evaluator(r, phase, det, model, trial_budget)
     axis = _angle_axis()
-    aa, pp = np.meshgrid(axis, axis, indexing="ij")
     with np.errstate(invalid="ignore", divide="ignore"):
-        grid = ev.value(aa, pp, -aa, -pp, objective)
+        grid = ev.value(_grid_probs(ev.state, axis), objective)
     if not np.all(np.isfinite(grid)):
         raise NumericalError("objective is not finite on the search grid")
-    i, j = np.unravel_index(int(np.argmax(grid)), grid.shape)
-    x0 = np.array([axis[i], axis[j], -axis[i], -axis[j]])
-    best, x = _refine(ev, objective, x0)
-    if best < grid[i, j]:
-        raise NumericalError("refinement regressed below the coarse grid")
-    return best, x
+    return _grid_refine(lambda x: ev.at(x, objective), grid, axis)
 
 
 def optimize(
@@ -186,8 +225,10 @@ def optimize(
     else:
         rs = list(np.arange(0.05, 1.0 + 1e-9, 0.05))
     best = None
+    exhausted = 0
     for r in rs:
-        val, x = _optimize_angles(r, phase, det, objective, model, trial_budget)
+        val, x, ran_out = _optimize_angles(r, phase, det, objective, model, trial_budget)
+        exhausted += ran_out
         if best is None or val > best[0]:
             best = (val, r, x)
     val, r, x = best
@@ -202,23 +243,17 @@ def optimize(
                 r_try = r + s
                 if r_try <= 0:
                     continue
-                v_try, x_try = (
-                    _refine(
-                        ev_cache.setdefault(
-                            round(r_try, 12),
-                            _Evaluator(r_try, phase, det, model, trial_budget),
-                        ),
-                        objective,
-                        x,
-                    )
+                ev = ev_cache.setdefault(
+                    round(r_try, 12), _Evaluator(r_try, phase, det, model, trial_budget),
                 )
+                v_try, x_try, ran_out = _refine(lambda y: ev.at(y, objective), x)
+                exhausted += ran_out
                 if v_try > val:
                     val, r, x, improved = v_try, r_try, x_try, True
             if not improved:
                 step *= 0.5
 
-    ev = _Evaluator(r, phase, det, model, trial_budget)
-    num, den = ev.terms(*x)
+    num, den = ch_terms(*pair_probs(make_eberhard_state(r, phase), *x), det, model)
     settings = MeasurementSettings(*x)
     return OptimizationResult(
         r=float(r),
@@ -227,6 +262,7 @@ def optimize(
         value=float(val),
         predicted_b=float(num - den),
         predicted_b_prime=float(num / den),
+        exhausted_refinements=exhausted,
     )
 
 
@@ -236,32 +272,36 @@ def critical_efficiency(
 ) -> float:
     """Symmetric-arm efficiency where the best attainable B crosses zero.
 
-    Bisection on eta of [max over angles of the linear B] with the given
-    per-trial background on both arms; tolerance on eta.
+    The minimum over angles of the closed-form crossing eta* of the
+    linear-model B with one pair per trial and the given per-trial
+    background on both arms (module docstring).  Raises NumericalError
+    unless eta* lies strictly inside `bracket`.  `tol` is the accepted
+    error on eta and must be positive; eta* is exact at the refined
+    angles, whose 1e-3-degree resolution moves it by orders of magnitude
+    less than any tolerance a bisection would use.
     """
     if not 0.0 < r <= 1.0:
         raise ValidationError("r must be in (0, 1]")
+    if not tol > 0.0:
+        raise ValidationError(f"tol must be > 0, got {tol!r}")
+    state = make_eberhard_state(r)
+    ideal = DetectionModel.ideal()
 
-    def best_b(eta: float) -> float:
-        det = DetectionModel(
-            eta_a=eta, eta_b=eta, pair_mean=1.0, bg_a=bg, bg_b=bg,
-        )
-        val, _ = _optimize_angles(r, 0.0, det, "b", "linear", 1)
-        return val
+    def minus_eta(probs):
+        c, s = ch_terms(*probs, ideal, "linear")
+        with np.errstate(invalid="ignore", divide="ignore"):
+            return -np.where(c > 0.0, (s + np.sqrt(s * s + 8.0 * bg * c)) / (2.0 * c), np.inf)
 
+    axis = _angle_axis()
+    best, _, _ = _grid_refine(lambda x: float(minus_eta(pair_probs(state, *x))),
+                              minus_eta(_grid_probs(state, axis)), axis)
+    eta = -best
     lo, hi = bracket
-    f_lo, f_hi = best_b(lo), best_b(hi)
-    if not (f_lo < 0.0 < f_hi):
+    if not lo < eta < hi:
         raise NumericalError(
-            f"no sign change in bracket: B({lo})={f_lo:.3g}, B({hi})={f_hi:.3g}"
+            f"no sign change in bracket ({lo}, {hi}): B crosses zero at eta = {eta:.6g}"
         )
-    while hi - lo > tol:
-        mid = 0.5 * (lo + hi)
-        if best_b(mid) > 0.0:
-            hi = mid
-        else:
-            lo = mid
-    return 0.5 * (lo + hi)
+    return eta
 
 
 @dataclass(frozen=True)
@@ -269,6 +309,7 @@ class SweepPoint:
     r: float
     b_prime: float
     settings: MeasurementSettings
+    exhausted_refinements: int = 0
 
 
 def bprime_vs_r_sweep(
@@ -284,7 +325,8 @@ def bprime_vs_r_sweep(
     for r in r_grid:
         res = optimize(det, objective=objective, fix_r=float(r), model=model)
         points.append(SweepPoint(r=float(r), b_prime=res.predicted_b_prime,
-                                 settings=res.settings))
+                                 settings=res.settings,
+                                 exhausted_refinements=res.exhausted_refinements))
     return points
 
 

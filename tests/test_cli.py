@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import runpy
 import struct
 from pathlib import Path
 
@@ -348,3 +349,42 @@ def test_usage_error_is_exit_2():
     with pytest.raises(SystemExit) as exc:
         main(["analyze"])  # missing required positional
     assert exc.value.code == 2
+
+
+def test_optimize_manifest_records_every_input(tmp_path):
+    assert main(["optimize", "--eta", "0.8", "--eta-b", "0.7", "--bg", "1e-4",
+                 "--pair-mean", "0.5", "--fix-r", "0.4", "--objective", "b-prime",
+                 "--model", "compound", "--out", str(tmp_path), "--quiet"]) == 0
+    manifest = json.loads((tmp_path / "manifest.json").read_text())
+    assert manifest["inputs"] == {"eta": 0.8, "eta_b": 0.7, "bg": 1e-4, "pair_mean": 0.5,
+                                  "fix_r": 0.4, "objective": "b-prime", "model": "compound"}
+    assert manifest["exhausted_refinements"] == 0
+    assert "exhausted_refinements" not in (tmp_path / "optimization.json").read_text()
+
+
+def test_sweep_manifest_records_every_input(tmp_path):
+    assert main(["sweep", "--eta", "0.75", "--bg", "6.5e-5", "--pair-mean", "0.033",
+                 "--r-grid", "0.2:0.3:0.05", "--out", str(tmp_path), "--quiet"]) == 0
+    manifest = json.loads((tmp_path / "manifest.json").read_text())
+    assert manifest["inputs"] == {"eta": 0.75, "eta_b": 0.75, "bg": 6.5e-5,
+                                  "pair_mean": 0.033, "r_grid": "0.2:0.3:0.05",
+                                  "model": "compound"}
+    assert isinstance(manifest["exhausted_refinements"], int)
+
+
+def test_free_r_optimize_counts_exhausted_refinements(tmp_path):
+    # the design-sweep source: one coordinate descent of the free-r search
+    # runs out of sweeps
+    assert main(["optimize", "--eta", "0.75", "--bg", "6.55e-5", "--pair-mean", "0.033",
+                 "--objective", "b-prime", "--model", "compound",
+                 "--out", str(tmp_path), "--quiet"]) == 0
+    manifest = json.loads((tmp_path / "manifest.json").read_text())
+    assert manifest["exhausted_refinements"] == 1
+
+
+def test_python_dash_m_bellsim(monkeypatch, capsys):
+    monkeypatch.setattr("sys.argv", ["bellsim", "--help"])
+    with pytest.raises(SystemExit) as exc:
+        runpy.run_module("bellsim", run_name="__main__")
+    assert exc.value.code == 0
+    assert "usage: bellsim" in capsys.readouterr().out

@@ -335,3 +335,28 @@ def test_window_policy_validation():
     with pytest.raises(ValidationError):
         bs.WindowPolicy("banana")
     assert bs.WindowPolicy("clock").kind == "clock"
+
+
+@pytest.mark.parametrize("header", [True, False])
+def test_event_window_extracts_clock_marks_once(header, monkeypatch):
+    stream, schedule = bursty_stream(3)
+    if not header:
+        stream.trial_period_ns = None  # inferred from the median clock spacing
+    expected = reference_event_coincidences(stream, 25, schedule)
+    calls = []
+    clock_times = bs.TimetagStream.clock_times
+    monkeypatch.setattr(bs.TimetagStream, "clock_times",
+                        lambda self: calls.append(1) or clock_times(self))
+    table = bs.event_windowed_counts(stream, 25, schedule)
+    assert len(calls) == 1
+    assert table.coincidences.tolist() == expected
+
+
+def test_event_window_header_period_takes_precedence():
+    # clock marks 1000 ns apart, header period 40 ns: a 25 ns window is too wide
+    t = np.array([0, 5, 10, 1000, 1005])
+    c = np.array([2, 0, 1, 2, 0])
+    with pytest.raises(ValidationError, match="half the trial period 40.0 ns"):
+        bs.event_windowed_counts(bs.TimetagStream(t, c, trial_period_ns=40.0), 25, [0, 1])
+    table = bs.event_windowed_counts(bs.TimetagStream(t, c), 25, [0, 1])
+    assert table.coincidences.tolist() == [1, 0, 0, 0]

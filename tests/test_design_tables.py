@@ -1,0 +1,116 @@
+"""The design path's table grid and closed-form critical efficiency.
+
+The separable table grid must reproduce the meshgrid evaluation of
+`pair_probs` bit for bit, the closed-form critical efficiency must agree
+with a bisection over the optimizer, and the design-path outputs are
+pinned to the bytes the meshgrid-and-bisection code wrote.
+"""
+
+import hashlib
+import math
+
+import numpy as np
+import pytest
+
+import bellsim as bs
+from bellsim import eberhard, quantum
+from bellsim.cli import main
+from bellsim.errors import NumericalError, ValidationError
+
+DETECTORS = {
+    "ideal": bs.DetectionModel.ideal(),
+    "symmetric": bs.DetectionModel(eta_a=0.75, eta_b=0.75, pair_mean=0.033,
+                                   bg_a=6.55e-5, bg_b=6.55e-5),
+    "asymmetric": bs.DetectionModel(eta_a=0.8, eta_b=0.7, pair_mean=0.2,
+                                    bg_a=1e-4, bg_b=3e-4),
+}
+
+
+@pytest.mark.parametrize("det_name", sorted(DETECTORS))
+@pytest.mark.parametrize("r", [0.04, 0.26, 0.61, 1.0])
+def test_table_grid_equals_meshgrid_bitwise(r, det_name):
+    axis = eberhard._angle_axis()
+    aa, pp = np.meshgrid(axis, axis, indexing="ij")
+    for model in quantum.MODELS:
+        ev = eberhard._Evaluator(r, 0.0, DETECTORS[det_name], model, 10_000_000)
+        meshgrid_probs = quantum.pair_probs(ev.state, aa, pp, -aa, -pp)
+        table_probs = eberhard._grid_probs(ev.state, axis)
+        for objective in eberhard.OBJECTIVES:
+            with np.errstate(invalid="ignore", divide="ignore"):
+                oracle = ev.value(meshgrid_probs, objective)
+                table = ev.value(table_probs, objective)
+            assert table.shape == oracle.shape == (axis.size, axis.size)
+            assert table.tobytes() == oracle.tobytes(), (model, objective)
+
+
+def bisected_critical_efficiency(r, bg, lo=0.6, hi=1.0, tol=1e-7):
+    """Reference: bisection on eta of the optimized linear-model B."""
+    def best_b(eta):
+        det = bs.DetectionModel(eta_a=eta, eta_b=eta, pair_mean=1.0, bg_a=bg, bg_b=bg)
+        return bs.optimize(det, objective="b", fix_r=r, model="linear").value
+
+    assert best_b(lo) < 0.0 < best_b(hi)
+    while hi - lo > tol:
+        mid = 0.5 * (lo + hi)
+        if best_b(mid) > 0.0:
+            hi = mid
+        else:
+            lo = mid
+    return 0.5 * (lo + hi)
+
+
+@pytest.mark.parametrize("r, bg", [(1.0, 0.0), (0.5, 0.0), (0.1, 0.0), (0.3, 1e-4),
+                                   (1.0, 1e-3)])
+def test_closed_form_matches_bisection(r, bg):
+    assert bs.critical_efficiency(r, bg) == pytest.approx(
+        bisected_critical_efficiency(r, bg), abs=1e-4)
+
+
+def test_closed_form_maximally_entangled_is_exact():
+    assert abs(bs.critical_efficiency(1.0) - 2.0 * (math.sqrt(2.0) - 1.0)) <= 1e-6
+
+
+def test_critical_efficiency_tol_must_be_positive():
+    for tol in (0.0, -1e-4, float("nan")):
+        with pytest.raises(ValidationError):
+            bs.critical_efficiency(0.5, tol=tol)
+
+
+def test_critical_efficiency_outside_bracket_from_above():
+    # background pushes eta* above 1, past the default bracket's top
+    with pytest.raises(NumericalError):
+        bs.critical_efficiency(0.3, bg=0.05)
+
+
+def test_refine_reports_an_exhausted_sweep_budget():
+    best, x, exhausted = eberhard._refine(lambda y: float(y[0]), np.zeros(4))
+    assert exhausted
+    assert best == x[0] > 0.0
+    best, x, exhausted = eberhard._refine(lambda y: -float(np.sum((y - 1.0) ** 2)),
+                                          np.zeros(4))
+    assert not exhausted
+    assert np.allclose(x, 1.0)
+
+
+# sha256 of the design-path outputs written by the meshgrid grid
+SOURCE = ["--eta", "0.75", "--bg", "6.55e-5", "--pair-mean", "0.033"]
+FROZEN_OUTPUTS = {
+    "sweep": (["sweep", *SOURCE, "--r-grid", "0.04:1.0:0.02"], "bprime_sweep.csv",
+              "90256970968fa46e8a08eabd8e2c619b72b1d6948bf4f67f9981e4a43468639e"),
+    "optimize-free": (["optimize", *SOURCE, "--objective", "b-prime", "--model", "compound"],
+                      "optimization.json",
+                      "e941135988cd22ea484e40004ed00d4aebc00b92e46f254e978f22c5d1f89cf3"),
+    "optimize-ideal": (["optimize", "--eta", "1", "--fix-r", "1"], "optimization.json",
+                       "3d0f1e33cf0fc5b0d21b7992c2f1847c1e1d8f01ca1b8cc5abf67e2ee644d069"),
+    "optimize-b-over-sigma": (["optimize", "--eta", "0.75", "--bg", "5e-5",
+                               "--pair-mean", "0.033", "--fix-r", "0.26",
+                               "--objective", "b-over-sigma"], "optimization.json",
+                              "93a8acc92bb50247789fbb5599d5cd8f0dbc4feeb51b9c9434a526836eaa13b8"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(FROZEN_OUTPUTS))
+def test_design_outputs_frozen(name, tmp_path, capsys):
+    argv, filename, digest = FROZEN_OUTPUTS[name]
+    assert main([*argv, "--out", str(tmp_path), "--quiet"]) == 0
+    assert hashlib.sha256((tmp_path / filename).read_bytes()).hexdigest() == digest
