@@ -16,6 +16,7 @@ from .counting import (
     CHANNEL_CLOCK,
     SETTING_LABELS,
     CountsTable,
+    TimetagFile,
     TimetagStream,
     WindowPolicy,
     clock_windowed_counts,
@@ -43,6 +44,7 @@ from .engine import (
     setting_schedule,
     simulate_blocks,
     simulate_timetags,
+    timetag_chunks,
     trial_settings,
 )
 from .errors import BellSimError, FormatError, NumericalError, ValidationError

@@ -21,12 +21,13 @@ from pathlib import Path
 
 import numpy as np
 
-from . import __version__
+from . import __version__, counting
 from .counting import (
     CountsTable,
+    TimetagFile,
     WindowPolicy,
-    parse_settings,
     parse_timetags,
+    read_settings,
     serialize_settings,
     serialize_timetags,
     windowed_counts,
@@ -37,7 +38,8 @@ from .engine import (
     blocks_to_counts,
     blocks_to_csv,
     simulate_blocks,
-    simulate_timetags,
+    simulate_timetags,  # noqa: F401  (bound here for the traced benchmark, perfbench/spans.py)
+    timetag_chunks,
 )
 from .eberhard import bprime_vs_r_sweep, optimize, sweep_to_csv, violation_interval
 from .errors import FormatError, NumericalError, ValidationError
@@ -112,16 +114,22 @@ def _cmd_simulate(args) -> int:
     if args.seed is not None:
         cfg = ExperimentConfig.from_json_dict({**cfg.to_json_dict(), "rng_seed": args.seed})
     outputs = []
+    diagnostics = {}
 
     if args.timetags:
-        stream = simulate_timetags(cfg)
+        # each block's records and settings are written as they are drawn
         stream_path = _out_path(args, "timetags.bin")
-        stream_path.write_bytes(serialize_timetags(stream, "binary"))
-        outputs.append(stream_path)
         sched_path = _out_path(args, "trial_settings.txt")
-        sched_path.write_bytes(serialize_settings(stream.meta["trial_settings"]))
-        outputs.append(sched_path)
-        _say(args, f"wrote {len(stream)} records over {stream.n_trials} trials")
+        records = clamped = 0
+        with open(stream_path, "wb") as stream_file, open(sched_path, "wb") as sched_file:
+            for chunk in timetag_chunks(cfg):
+                stream_file.write(serialize_timetags(chunk, "binary"))
+                sched_file.write(serialize_settings(chunk.meta["trial_settings"]))
+                records += len(chunk)
+                clamped += chunk.meta["clamped_events"]
+        outputs += [stream_path, sched_path]
+        diagnostics["clamped_events"] = clamped
+        _say(args, f"wrote {records} records over {cfg.n_blocks * cfg.trials_per_block} trials")
     else:
         blocks = simulate_blocks(cfg)
         blocks_path = _out_path(args, "blocks.csv")
@@ -135,7 +143,7 @@ def _cmd_simulate(args) -> int:
     cfg_path = _out_path(args, "config.used.json")
     cfg_path.write_text(cfg.to_json())
     outputs.append(cfg_path)
-    _write_manifest(args, "simulate", {"config": str(args.config)}, outputs)
+    _write_manifest(args, "simulate", {"config": str(args.config)}, outputs, **diagnostics)
     return EXIT_OK
 
 
@@ -166,9 +174,11 @@ def _load_counts_for_analysis(args) -> CountsTable:
         raise ValidationError(f"--window must be 'clock' or 'event:NS', got {policy_text!r}")
     if not args.settings:
         raise ValidationError("timetag analysis requires --settings")
-    fmt = "binary" if suffix in (".bin", ".dat") else "csv"
-    stream = parse_timetags(path.read_bytes(), fmt)
-    table = windowed_counts(stream, policy, parse_settings(Path(args.settings).read_bytes()))
+    if suffix in (".bin", ".dat"):
+        stream = TimetagFile(path)  # counted chunk by chunk
+    else:
+        stream = parse_timetags(path.read_bytes(), "csv")  # a small-file format, read whole
+    table = windowed_counts(stream, policy, read_settings(args.settings))
     if policy.kind == "event" and ch_from_counts(table, args.singles_mode) > 0:
         print(
             "warning: event-windowed counting is vulnerable to emission-time "
@@ -193,9 +203,11 @@ def _cmd_analyze(args) -> int:
     print(text)
     out_path = _out_path(args, "bell_result.json")
     out_path.write_text(text + "\n")
+    dropped = "pre_marker_detections_dropped"
     _write_manifest(args, "analyze", {"input": str(args.input),
                                       "window": args.window,
-                                      "singles_mode": args.singles_mode}, [out_path])
+                                      "singles_mode": args.singles_mode}, [out_path],
+                    **{dropped: table.meta[dropped]} if dropped in table.meta else {})
     return EXIT_OK
 
 
@@ -268,17 +280,24 @@ def _cmd_lhv_demo(args) -> int:
             outputs.append(p)
             _say(args, f"{name}: B = {ch_from_counts(table):.6g} (never > 0)")
     elif args.what == "timing":
+        if args.trials < 0:
+            raise ValidationError("--trials must be >= 0")
         rng = np.random.default_rng(args.seed or 0)
-        settings = rng.integers(0, 4, size=args.trials)
-        stream = coincidence_time_stream(
-            coincidence_loophole_schedule(), settings, T_ns=1000, n_trials=args.trials
-        )
+        schedule = coincidence_loophole_schedule()
+        # trials never interleave, so ranges of trials are written one after another
+        per_range = max(counting.CHUNK_RECORDS // (1 + len(schedule.emissions)), 1)
         p = _out_path(args, "adversarial_timetags.bin")
-        p.write_bytes(serialize_timetags(stream, "binary"))
-        outputs.append(p)
         sp = _out_path(args, "adversarial_settings.txt")
-        sp.write_bytes(serialize_settings(settings))
-        outputs.append(sp)
+        with open(p, "wb") as stream_file, open(sp, "wb") as sched_file:
+            for first in range(0, args.trials, per_range):
+                settings = rng.integers(0, 4, size=min(per_range, args.trials - first))
+                stream = coincidence_time_stream(schedule, settings, T_ns=1000,
+                                                 n_trials=settings.size, first_trial=first)
+                stream_file.write(serialize_timetags(stream, "binary"))
+                sched_file.write(serialize_settings(settings))
+            if not args.trials:
+                sched_file.write(serialize_settings([]))
+        outputs += [p, sp]
         _say(
             args,
             "wrote an emission-time attack stream; analyze with "

@@ -16,6 +16,10 @@ Two counting disciplines are provided:
   an emission-time schedule can exploit, and it is provided exactly so
   that the exploit can be demonstrated.
 
+Both count a TimetagStream in memory, or a binary file (TimetagFile)
+chunk by chunk, carrying their state across chunk edges, so that memory
+does not grow with the length of the run.
+
 Serialized formats:
 
 - CSV: one record per line, "channel,timestamp_ns".
@@ -30,7 +34,8 @@ Serialized formats:
 from __future__ import annotations
 
 import json
-from collections import deque
+import os
+from collections import Counter, deque
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -47,6 +52,9 @@ _BINARY_DTYPE = np.dtype([("t", "<u8"), ("ch", "u1")])
 
 _INT64_MIN, _INT64_MAX = int(np.iinfo(np.int64).min), int(np.iinfo(np.int64).max)
 
+# records per chunk when binary timetags and settings files are read and counted
+CHUNK_RECORDS = 1 << 18
+
 
 @dataclass(eq=False)
 class TimetagStream:
@@ -62,9 +70,9 @@ class TimetagStream:
         self.channels = np.asarray(self.channels, dtype=np.uint8)
         if self.timestamps.shape != self.channels.shape or self.timestamps.ndim != 1:
             raise ValidationError("timestamps and channels must be 1-D and equal length")
-        if self.timestamps.size and np.any(np.diff(self.timestamps) < 0):
-            idx = int(np.argmax(np.diff(self.timestamps) < 0))
-            raise ValidationError(f"timestamps regress at record {idx + 1}")
+        idx = _first_regression(self.timestamps)
+        if idx < self.timestamps.size:
+            raise ValidationError(f"timestamps regress at record {idx}")
         if self.channels.size and self.channels.max() > CHANNEL_CLOCK:
             raise ValidationError("unknown channel id in stream")
 
@@ -86,18 +94,93 @@ class TimetagStream:
     def clock_times(self) -> np.ndarray:
         return self.timestamps[self.channels == CHANNEL_CLOCK]
 
-    def inferred_trial_period_ns(self, clocks: np.ndarray | None = None) -> float:
-        """Header trial period, or the median clock spacing as a fallback.
+    def chunks(self):
+        """The stream as ordered chunks of records: here the whole stream."""
+        yield self
 
-        `clocks` is `clock_times()` when the caller already holds it.
-        """
-        if self.trial_period_ns is not None:
-            return float(self.trial_period_ns)
-        if clocks is None:
-            clocks = self.clock_times()
-        if clocks.size < 2:
-            raise ValidationError("cannot infer trial period from fewer than 2 clock marks")
-        return float(np.median(np.diff(clocks)))
+
+def _records(timestamps: np.ndarray, channels: np.ndarray) -> TimetagStream:
+    """A stream of records that the caller has already checked."""
+    stream = object.__new__(TimetagStream)
+    stream.timestamps, stream.channels = timestamps, channels
+    stream.trial_period_ns, stream.meta = None, {}
+    return stream
+
+
+def _first(mask: np.ndarray) -> int:
+    """Index of the first true entry of a 1-D mask, or its length if none is."""
+    idx = int(np.argmax(mask)) if mask.size else 0
+    return idx if mask.size and mask[idx] else mask.size
+
+
+def _first_regression(t: np.ndarray, prev=None) -> int:
+    """Index of the first timestamp below the one before it (`prev` comes
+    before t[0]), or len(t) if time never runs backwards."""
+    if t.size and prev is not None and t[0] < prev:
+        return 0
+    return min(t.size, 1 + _first(t[1:] < t[:-1]))
+
+
+def _checked_records(rec: np.ndarray, start: int = 0, prev=None) -> tuple:
+    """(timestamps, channels) of binary records whose first one is record
+    `start` of its stream and follows a record at time `prev`.
+
+    Raises a FormatError naming the first bad record: a timestamp beyond
+    the signed 64-bit range, an unknown channel, or a time regression,
+    in that order of precedence within one record.
+    """
+    t, ch = rec["t"], rec["ch"]
+    faults = (
+        (_first(t > _INT64_MAX), "timestamp exceeds signed 64-bit range"),
+        (_first(ch > CHANNEL_CLOCK), "unknown channel"),
+        (_first_regression(t, prev), "timestamp regression"),
+    )
+    idx, what = min(faults, key=lambda fault: fault[0])
+    if idx < t.size:
+        if what == "unknown channel":
+            what = f"unknown channel {int(ch[idx])}"
+        raise FormatError(what, start + idx)
+    return t.astype(np.int64), np.ascontiguousarray(ch)
+
+
+class TimetagFile:
+    """A binary timetag file, read CHUNK_RECORDS records at a time.
+
+    The counting functions take it in place of a TimetagStream.  Each
+    chunk gets the checks parse_timetags makes, time order across chunk
+    edges included, and an error names the record's index in the file.
+    """
+
+    trial_period_ns = None  # the binary format has no header
+
+    def __init__(self, path):
+        self.path = path
+        size = os.path.getsize(path)
+        if size % _BINARY_DTYPE.itemsize:
+            raise FormatError(
+                f"binary stream length {size} is not a multiple of 9 bytes",
+                size // _BINARY_DTYPE.itemsize,
+            )
+        self._n_records = size // _BINARY_DTYPE.itemsize
+
+    def __len__(self) -> int:
+        return self._n_records
+
+    @property
+    def channels(self) -> np.ndarray:
+        """Every record's channel, mapped from the file rather than read."""
+        if not self._n_records:
+            return np.empty(0, dtype=np.uint8)
+        return np.memmap(self.path, dtype=_BINARY_DTYPE, mode="r")["ch"]
+
+    def chunks(self):
+        prev = None
+        with open(self.path, "rb") as fh:
+            for start in range(0, self._n_records, CHUNK_RECORDS):
+                rec = np.fromfile(fh, dtype=_BINARY_DTYPE, count=CHUNK_RECORDS)
+                t, c = _checked_records(rec, start, prev)
+                prev = rec["t"][-1]
+                yield _records(t, c)
 
 
 def parse_timetags(data: bytes | str, fmt: str = "csv") -> TimetagStream:
@@ -132,8 +215,11 @@ def parse_timetags(data: bytes | str, fmt: str = "csv") -> TimetagStream:
             chans.append(ch)
             times.append(ts)
         t = np.array(times, dtype=np.int64)
-        c = np.array(chans, dtype=np.uint8)
-    elif fmt == "binary":
+        idx = _first_regression(t)
+        if idx < t.size:
+            raise FormatError("timestamp regression", idx)
+        return _records(t, np.array(chans, dtype=np.uint8))
+    if fmt == "binary":
         if isinstance(data, str):
             raise FormatError("binary format requires bytes input")
         if len(data) % _BINARY_DTYPE.itemsize:
@@ -141,21 +227,8 @@ def parse_timetags(data: bytes | str, fmt: str = "csv") -> TimetagStream:
                 f"binary stream length {len(data)} is not a multiple of 9 bytes",
                 len(data) // _BINARY_DTYPE.itemsize,
             )
-        rec = np.frombuffer(data, dtype=_BINARY_DTYPE)
-        if rec.size and rec["t"].max() > _INT64_MAX:
-            raise FormatError("timestamp exceeds signed 64-bit range")
-        bad = np.nonzero(rec["ch"] > CHANNEL_CLOCK)[0]
-        if bad.size:
-            raise FormatError(f"unknown channel {int(rec['ch'][bad[0]])}", int(bad[0]))
-        t = rec["t"].astype(np.int64)
-        c = rec["ch"].astype(np.uint8)
-    else:
-        raise ValidationError(f"unknown timetag format {fmt!r}")
-
-    if t.size and np.any(np.diff(t) < 0):
-        idx = int(np.argmax(np.diff(t) < 0)) + 1
-        raise FormatError("timestamp regression", idx)
-    return TimetagStream(t, c)
+        return _records(*_checked_records(np.frombuffer(data, dtype=_BINARY_DTYPE)))
+    raise ValidationError(f"unknown timetag format {fmt!r}")
 
 
 def serialize_timetags(stream: TimetagStream, fmt: str = "binary") -> bytes:
@@ -184,19 +257,27 @@ def serialize_settings(settings) -> bytes:
     return lines.tobytes()
 
 
+def _digit_lines(raw: np.ndarray) -> np.ndarray | None:
+    """The digits of bytes in the format serialize_settings writes, one
+    digit and a newline per line, or None for any other bytes."""
+    if raw.size and raw.size % 2 == 0:
+        digits = raw[0::2] - np.uint8(ord("0"))  # non-digits wrap above 9
+        if np.all(raw[1::2] == ord("\n")) and np.all(digits <= 9):
+            return digits
+    return None
+
+
 def parse_settings(data: bytes) -> np.ndarray:
     """Setting indices of a settings file of whitespace-separated integers.
 
     The format serialize_settings writes, one digit and a newline per
-    line, is read as an array; any other file token by token.  A token
-    that is not an integer, or not a 64-bit one, raises a FormatError
-    naming its line.
+    line, is read as an array of one byte per trial; any other file token
+    by token.  A token that is not an integer, or not a 64-bit one, raises
+    a FormatError naming its line.
     """
-    raw = np.frombuffer(data, dtype=np.uint8)
-    if raw.size and raw.size % 2 == 0:
-        digits = raw[0::2] - np.uint8(ord("0"))  # non-digits wrap above 9
-        if np.all(raw[1::2] == ord("\n")) and np.all(digits <= 9):
-            return digits.astype(np.int64)
+    digits = _digit_lines(np.frombuffer(data, dtype=np.uint8))
+    if digits is not None:
+        return digits
     try:
         text = data.decode("utf-8")
     except UnicodeDecodeError as exc:
@@ -205,6 +286,24 @@ def parse_settings(data: bytes) -> np.ndarray:
         return np.array([int(token) for token in text.split()], dtype=np.int64)
     except (ValueError, OverflowError):
         raise _settings_format_error(text) from None
+
+
+def read_settings(path) -> np.ndarray:
+    """parse_settings of a file.  A file in the format serialize_settings
+    writes is read CHUNK_RECORDS lines at a time into one byte per trial."""
+    size = os.path.getsize(path)
+    if size and size % 2 == 0:
+        settings = np.empty(size // 2, dtype=np.uint8)
+        with open(path, "rb") as fh:
+            for start in range(0, settings.size, CHUNK_RECORDS):
+                digits = _digit_lines(np.fromfile(fh, dtype=np.uint8, count=2 * CHUNK_RECORDS))
+                if digits is None:
+                    break
+                settings[start:start + digits.size] = digits
+            else:
+                return settings
+    with open(path, "rb") as fh:
+        return parse_settings(fh.read())
 
 
 def _settings_format_error(text: str) -> FormatError:
@@ -233,7 +332,9 @@ class CountsTable:
 
     Rows follow SETTING_LABELS order: (a,b), (a,b'), (a',b), (a',b').
     Counts are integers for measured data; tables of expected values
-    (drift predictions) may carry floats.
+    (drift predictions) may carry floats.  Coincidences may exceed trials
+    only in an event-windowed table (meta["window"] "event:..."), which
+    counts detection pairs, several of which can fall in one trial.
     """
 
     n_trials: np.ndarray
@@ -254,7 +355,8 @@ class CountsTable:
             if np.any(arr < 0):
                 raise ValidationError(f"{name} contains negative entries")
             setattr(self, name, arr)
-        if np.any(self.coincidences > np.maximum(self.n_trials, 0) + 1e-9):
+        event_pairs = str(self.meta.get("window", "")).startswith("event:")
+        if not event_pairs and np.any(self.coincidences > self.n_trials + 1e-9):
             raise ValidationError("coincidences exceed trials in some row")
 
     def __eq__(self, other) -> bool:
@@ -320,101 +422,206 @@ class WindowPolicy:
             raise ValidationError("event windowing requires window_ns > 0")
 
 
-def _prepare(stream: TimetagStream, clocks: np.ndarray, schedule) -> tuple:
-    """Split one stream, whose clock marks are `clocks`, into markers and
-    trial-assigned detections."""
-    if clocks.size == 0:
+def _pieces(source):
+    """The source's chunks, regrouped so that records sharing a timestamp
+    fall in one piece: a detection then meets every clock mark at or
+    before its time in its own piece or an earlier one."""
+    chunks = iter(source.chunks())
+    chunk, carry = next(chunks, None), None
+    while chunk is not None:
+        following = next(chunks, None)
+        if carry is not None:
+            chunk = _records(np.concatenate([carry.timestamps, chunk.timestamps]),
+                             np.concatenate([carry.channels, chunk.channels]))
+        if following is None:
+            yield chunk
+        else:
+            t = chunk.timestamps
+            cut = int(np.searchsorted(t, t[-1]))
+            carry = _records(t[cut:], chunk.channels[cut:])
+            yield _records(t[:cut], chunk.channels[:cut])
+        chunk = following
+
+
+class _TrialWalk:
+    """The detections of a chunked stream, assigned to trials.
+
+    Iterating yields, per piece of the stream, (start, clocks, det_t,
+    det_ch, trial): the index of the piece's first clock mark in the
+    whole stream, its clock times, and its detections with the index of
+    their trial, the one of the most recent mark at or before them.
+    Detections before the first mark are dropped and counted in n_early;
+    n_clocks counts the marks walked so far.
+    """
+
+    def __init__(self, source):
+        self.source = source
+        self.n_clocks = 0
+        self.n_early = 0
+
+    def __iter__(self):
+        for piece in _pieces(self.source):
+            clocks = piece.clock_times()
+            det = piece.channels != CHANNEL_CLOCK
+            det_t, det_ch = piece.timestamps[det], piece.channels[det]
+            start = self.n_clocks
+            trial = np.searchsorted(clocks, det_t, side="right") + (start - 1)
+            if start == 0:
+                kept = trial >= 0
+                self.n_early += int(kept.size - np.count_nonzero(kept))
+                det_t, det_ch, trial = det_t[kept], det_ch[kept], trial[kept]
+            self.n_clocks += clocks.size
+            yield start, clocks, det_t, det_ch, trial
+
+
+def _schedule(schedule) -> tuple[np.ndarray, bool]:
+    """The schedule as an integer array, and whether it is usable: 1-D
+    with every index in 0..3."""
+    sched = np.asarray(schedule)
+    if sched.dtype.kind not in "iu":
+        sched = np.asarray(schedule, dtype=np.int64)
+    usable = sched.ndim == 1 and not (sched.size and (sched.min() < 0 or sched.max() > 3))
+    return sched, usable
+
+
+def _check_schedule(sched: np.ndarray, usable: bool, n_clocks: int) -> None:
+    if n_clocks == 0:
         raise ValidationError("stream has no trial-clock markers")
-    schedule = np.asarray(schedule, dtype=np.int64)
-    if schedule.ndim != 1 or schedule.size < clocks.size:
+    if sched.ndim != 1 or sched.size < n_clocks:
         raise ValidationError(
-            f"settings schedule covers {schedule.size} trials, stream has {clocks.size}"
+            f"settings schedule covers {sched.size} trials, stream has {n_clocks}"
         )
-    if schedule.size and (schedule.min() < 0 or schedule.max() > 3):
+    if not usable:
         raise ValidationError("setting indices must be in 0..3")
-    det_mask = stream.channels != CHANNEL_CLOCK
-    det_t = stream.timestamps[det_mask]
-    det_ch = stream.channels[det_mask]
-    trial = np.searchsorted(clocks, det_t, side="right") - 1
-    early = trial < 0
-    n_early = int(np.count_nonzero(early))
-    return clocks, schedule[: clocks.size], det_t[~early], det_ch[~early], trial[~early], n_early
 
 
-def clock_windowed_counts(stream: TimetagStream, schedule) -> CountsTable:
+def _table(tally: np.ndarray, window: str, walk: _TrialWalk) -> CountsTable:
+    return CountsTable(*tally, meta={"window": window,
+                                     "pre_marker_detections_dropped": walk.n_early})
+
+
+def clock_windowed_counts(stream, schedule) -> CountsTable:
     """Count clicks per trial interval defined by the clock markers.
 
     A detection belongs to the trial of the most recent marker; detections
-    before the first marker are excluded and tallied in table.meta.
+    before the first marker are excluded and tallied in table.meta.  The
+    stream is a TimetagStream or a TimetagFile; a trial open at the end
+    of a chunk carries its clicks into the next.
     """
-    clocks, sched, _, det_ch, trial, n_early = _prepare(stream, stream.clock_times(), schedule)
-    n = clocks.size
-    a_click = np.zeros(n, dtype=bool)
-    b_click = np.zeros(n, dtype=bool)
-    a_click[trial[det_ch == CHANNEL_ALICE]] = True
-    b_click[trial[det_ch == CHANNEL_BOB]] = True
-    coinc = a_click & b_click
+    sched, usable = _schedule(schedule)
+    walk = _TrialWalk(stream)
+    tally = np.zeros((4, 4), dtype=np.int64)  # n_trials, singles_a, singles_b, coincidences
 
-    n_trials = np.bincount(sched, minlength=4)
-    singles_a = np.bincount(sched[a_click], minlength=4)
-    singles_b = np.bincount(sched[b_click], minlength=4)
-    coincidences = np.bincount(sched[coinc], minlength=4)
-    return CountsTable(
-        n_trials, singles_a, singles_b, coincidences,
-        meta={"window": "clock", "pre_marker_detections_dropped": n_early},
-    )
+    def close(trials, a_click, b_click):
+        for row, clicked in enumerate((slice(None), a_click, b_click, a_click & b_click)):
+            tally[row] += np.bincount(trials[clicked], minlength=4)
+
+    open_clicks = np.zeros(2, dtype=bool)  # alice, bob in the trial open between pieces
+    for start, clocks, _, det_ch, trial in walk:
+        if not (usable and 0 < walk.n_clocks <= sched.size):
+            continue
+        # slot j holds the clicks of trial start - 1 + j: the open trial, then one per mark
+        clicks = np.zeros((2, clocks.size + 1), dtype=bool)
+        clicks[det_ch, trial - (start - 1)] = True
+        clicks[:, 0] |= open_clicks
+        open_clicks = clicks[:, -1]
+        first = 0 if start else 1  # before the first mark no trial is open
+        close(sched[start - 1 + first:walk.n_clocks - 1], *clicks[:, first:-1])
+    if usable and 0 < walk.n_clocks <= sched.size:
+        close(sched[walk.n_clocks - 1:walk.n_clocks], *open_clicks[:, None])
+    _check_schedule(sched, usable, walk.n_clocks)
+    return _table(tally, "clock", walk)
 
 
-def event_windowed_counts(stream: TimetagStream, window_ns: float, schedule) -> CountsTable:
-    """Count coincidences as detection pairs within |dt| <= window_ns.
-
-    Pairing is greedy earliest-first with each detection used once; a
-    coincidence is attributed to the trial of its earlier member.  Singles
-    are raw detection counts per trial.  The window must stay below half
-    the trial period, otherwise this discipline is rejected outright.
-    """
-    if window_ns <= 0:
-        raise ValidationError("window_ns must be positive")
-    clocks = stream.clock_times()
-    period = stream.inferred_trial_period_ns(clocks)
+def _check_window(window_ns: float, period: float) -> None:
     if window_ns >= period / 2.0:
         raise ValidationError(
             f"event window {window_ns} ns >= half the trial period {period} ns; "
             "use clock windowing instead"
         )
-    clocks, sched, det_t, det_ch, trial, n_early = _prepare(stream, clocks, schedule)
 
-    singles_a = np.bincount(sched[trial[det_ch == CHANNEL_ALICE]], minlength=4)
-    singles_b = np.bincount(sched[trial[det_ch == CHANNEL_BOB]], minlength=4)
+
+def _median_spacing(spacings: Counter) -> float:
+    """np.median of the clock spacings tallied as {spacing: count}."""
+    total = sum(spacings.values())
+    if total < 1:
+        raise ValidationError("cannot infer trial period from fewer than 2 clock marks")
+    values = sorted(spacings)
+    ranks = np.cumsum([spacings[v] for v in values])
+    middle = [values[int(np.searchsorted(ranks, rank, side="right"))]
+              for rank in ((total - 1) // 2, total // 2)]
+    return float(np.mean(np.array(middle)))
+
+
+def event_windowed_counts(stream, window_ns: float, schedule) -> CountsTable:
+    """Count coincidences as detection pairs within |dt| <= window_ns.
+
+    Pairing is greedy earliest-first with each detection used once; a
+    coincidence is attributed to the trial of its earlier member, so a
+    trial can hold several.  Singles are raw detection counts per trial.
+    The window must stay below half the trial period (the header period,
+    else the median clock spacing), otherwise this discipline is rejected
+    outright.  The stream is a TimetagStream or a TimetagFile; detections
+    still waiting for a partner carry across chunk edges.
+    """
+    if window_ns <= 0:
+        raise ValidationError("window_ns must be positive")
+    period = stream.trial_period_ns
+    if period is not None:
+        _check_window(window_ns, float(period))
+    sched, usable = _schedule(schedule)
+    walk = _TrialWalk(stream)
+    tally = np.zeros((4, 4), dtype=np.int64)  # n_trials, singles_a, singles_b, coincidences
+    spacings: Counter = Counter()
+    last_clock = np.empty(0, dtype=np.int64)
 
     # A detection only queues when no opposite-arm detection is waiting,
     # so the unpaired detections pending at any time all share one channel.
     # On integer timestamps dt > int(w) exactly when dt > w.
     w = int(window_ns)
-    times = det_t.tolist()
-    queue: deque = deque()  # indices of unpaired detections on channel queue_ch
+    pending_t = pending_trial = np.empty(0, dtype=np.int64)
     queue_ch = -1
-    first = []  # the earlier member of each coincidence
-    for i, ch in enumerate(det_ch.tolist()):
-        if queue and ch != queue_ch:
-            t = times[i]
-            while queue and t - times[queue[0]] > w:
-                queue.popleft()
-            if queue:
-                first.append(queue.popleft())
-                continue
-        queue.append(i)
-        queue_ch = ch
-    coincidences = np.bincount(sched[trial[np.array(first, dtype=np.intp)]], minlength=4)
+    for start, clocks, det_t, det_ch, trial in walk:
+        if period is None and clocks.size:
+            gaps, counts = np.unique(np.diff(clocks, prepend=last_clock), return_counts=True)
+            spacings.update(dict(zip(gaps.tolist(), counts.tolist())))
+            last_clock = clocks[-1:]
+        if not (usable and walk.n_clocks <= sched.size):
+            continue
+        tally[0] += np.bincount(sched[start:walk.n_clocks], minlength=4)
+        tally[1] += np.bincount(sched[trial[det_ch == CHANNEL_ALICE]], minlength=4)
+        tally[2] += np.bincount(sched[trial[det_ch == CHANNEL_BOB]], minlength=4)
 
-    n_trials = np.bincount(sched, minlength=4)
-    return CountsTable(
-        n_trials, singles_a, singles_b, coincidences,
-        meta={"window": f"event:{window_ns}", "pre_marker_detections_dropped": n_early},
-    )
+        # queue entries index the pending detections followed by this piece's
+        times = np.concatenate([pending_t, det_t])
+        trials = np.concatenate([pending_trial, trial])
+        tl = times.tolist()
+        queue = deque(range(pending_t.size))
+        first = []  # the earlier member of each coincidence
+        for i, ch in enumerate(det_ch.tolist(), start=pending_t.size):
+            if queue and ch != queue_ch:
+                t = tl[i]
+                while queue and t - tl[queue[0]] > w:
+                    queue.popleft()
+                if queue:
+                    first.append(queue.popleft())
+                    continue
+            queue.append(i)
+            queue_ch = ch
+        tally[3] += np.bincount(sched[trials[np.array(first, dtype=np.intp)]], minlength=4)
+        # later detections are no earlier than this piece's last one
+        while queue and tl[-1] - tl[queue[0]] > w:
+            queue.popleft()
+        waiting = np.fromiter(queue, dtype=np.intp, count=len(queue))
+        pending_t, pending_trial = times[waiting], trials[waiting]
+    if period is None:
+        period = _median_spacing(spacings)
+        _check_window(window_ns, period)
+    _check_schedule(sched, usable, walk.n_clocks)
+    return _table(tally, f"event:{window_ns}", walk)
 
 
-def windowed_counts(stream: TimetagStream, policy: WindowPolicy, schedule) -> CountsTable:
+def windowed_counts(stream, policy: WindowPolicy, schedule) -> CountsTable:
     if policy.kind == "clock":
         return clock_windowed_counts(stream, schedule)
     return event_windowed_counts(stream, policy.window_ns, schedule)

@@ -34,7 +34,7 @@ import io
 import json
 import math
 from dataclasses import asdict, astuple, dataclass, field, fields
-from typing import NamedTuple, Sequence
+from typing import Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -348,14 +348,22 @@ def blocks_to_counts(blocks: Sequence[BlockRecord]) -> CountsTable:
     return CountsTable(n_trials, singles_a, singles_b, coinc)
 
 
-def simulate_timetags(cfg: ExperimentConfig) -> TimetagStream:
-    """Simulate the run as a timetag stream with per-trial clock markers.
+def timetag_chunks(cfg: ExperimentConfig) -> Iterator[TimetagStream]:
+    """The timetag stream of the run as ordered chunks, one per block.
 
     Detections sit on individual pulses of the gated burst (a pair's two
     photons share a pulse), smeared with Gaussian jitter; the burst is
     centered in the trial so realistic jitter stays inside the trial.
-    Events jittered outside trial +- one period are clamped and tallied
-    in stream.meta["clamped_events"].
+    Events jittered outside trial +- one period are clamped.  Each chunk
+    carries its block's per-trial setting indices (one byte per trial) in
+    meta["trial_settings"] and its clamped events in
+    meta["clamped_events"].
+
+    Each block is sorted on its own.  Records of a block at or after the
+    next block's lowest possible time, one period before its first
+    trial, wait and are merged into the next chunk, ahead of that
+    block's records at equal keys; so the chunks concatenate to the one
+    stable sort of the whole run by (time, clock marks first).
     """
     schedule = _block_schedule(cfg)
     mult = _drift_multipliers(cfg)
@@ -366,9 +374,8 @@ def simulate_timetags(cfg: ExperimentConfig) -> TimetagStream:
     burst_ns = det.pulses_per_trial * det.pulse_period_ns
     burst_offset = (det.trial_period_ns - burst_ns) / 2.0
 
-    all_t: list[np.ndarray] = []
-    all_c: list[np.ndarray] = []
-    clamped = 0
+    carry_t = np.empty(0, dtype=np.int64)
+    carry_c = np.empty(0, dtype=np.uint8)
     for b in range(cfg.n_blocks):
         combo = int(schedule[b])
         # per-pair joint detection probabilities; no detection is implicit
@@ -415,34 +422,49 @@ def simulate_timetags(cfg: ExperimentConfig) -> TimetagStream:
         tb, c2 = place(pair_trial[det_b], pulse[det_b])
         tba, c3 = place(np.nonzero(bg_hit_a)[0], bg_pulse_a)
         tbb, c4 = place(np.nonzero(bg_hit_b)[0], bg_pulse_b)
-        clamped += c1 + c2 + c3 + c4
 
-        all_t.extend([trial_start, ta, tba, tb, tbb])
-        all_c.extend([
-            np.full(n, CHANNEL_CLOCK, dtype=np.uint8),
-            np.full(ta.size, CHANNEL_ALICE, dtype=np.uint8),
-            np.full(tba.size, CHANNEL_ALICE, dtype=np.uint8),
-            np.full(tb.size, CHANNEL_BOB, dtype=np.uint8),
-            np.full(tbb.size, CHANNEL_BOB, dtype=np.uint8),
-        ])
+        t = np.concatenate([trial_start, ta, tba, tb, tbb])
+        c = np.repeat(np.array([CHANNEL_CLOCK, CHANNEL_ALICE, CHANNEL_BOB], dtype=np.uint8),
+                      [n, ta.size + tba.size, tb.size + tbb.size])
+        order = np.lexsort((c != CHANNEL_CLOCK, t))
+        t, c = t[order], c[order]
+        if carry_t.size:
+            head = int(np.searchsorted(t, carry_t[-1], side="right"))
+            head_t = np.concatenate([carry_t, t[:head]])
+            head_c = np.concatenate([carry_c, c[:head]])
+            order = np.lexsort((head_c != CHANNEL_CLOCK, head_t))  # stable: carry first
+            t = np.concatenate([head_t[order], t[head:]])
+            c = np.concatenate([head_c[order], c[head:]])
+        last = b == cfg.n_blocks - 1
+        cut = t.size if last else int(np.searchsorted(t, (b + 1) * n * period - period))
+        carry_t, carry_c = t[cut:], c[cut:]
+        yield TimetagStream(
+            t[:cut], c[:cut], trial_period_ns=float(period),
+            meta={"clamped_events": c1 + c2 + c3 + c4,
+                  "trial_settings": np.full(n, combo, dtype=np.uint8)},
+        )
 
-    t_all = np.concatenate(all_t)
-    c_all = np.concatenate(all_c)
-    order = np.lexsort((c_all != CHANNEL_CLOCK, t_all))
-    stream = TimetagStream(
-        t_all[order], c_all[order],
-        trial_period_ns=float(period),
+
+def simulate_timetags(cfg: ExperimentConfig) -> TimetagStream:
+    """Simulate the run as one timetag stream: the concatenation of
+    timetag_chunks(cfg), with their clamped events summed in
+    stream.meta["clamped_events"] and their settings in
+    stream.meta["trial_settings"]."""
+    chunks = list(timetag_chunks(cfg))
+    return TimetagStream(
+        np.concatenate([chunk.timestamps for chunk in chunks]),
+        np.concatenate([chunk.channels for chunk in chunks]),
+        trial_period_ns=chunks[0].trial_period_ns,
         meta={
-            "clamped_events": clamped,
-            "trial_settings": np.repeat(schedule, n),
+            "clamped_events": sum(chunk.meta["clamped_events"] for chunk in chunks),
+            "trial_settings": np.concatenate([chunk.meta["trial_settings"] for chunk in chunks]),
         },
     )
-    return stream
 
 
 def trial_settings(cfg: ExperimentConfig) -> np.ndarray:
-    """Per-trial setting indices implied by the per-block schedule."""
-    return np.repeat(_block_schedule(cfg), cfg.trials_per_block)
+    """Per-trial setting indices implied by the per-block schedule, one byte each."""
+    return np.repeat(_block_schedule(cfg).astype(np.uint8), cfg.trials_per_block)
 
 
 # ---------------------------------------------------------------------------

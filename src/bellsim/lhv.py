@@ -280,6 +280,7 @@ def coincidence_time_stream(
     T_ns: int,
     n_trials: int,
     trial_period_ns: int | None = None,
+    first_trial: int = 0,
 ) -> TimetagStream:
     """Emit the adversarial detection stream for n_trials trials.
 
@@ -287,7 +288,9 @@ def coincidence_time_stream(
     its fires_under flag matches the trial's local setting.  A clock
     marker starts every trial.  The default trial period leaves a guard
     band of 4 T after the last emission slot so that legal event windows
-    (radius < 3T) can never pair detections across trials.
+    (radius < 3T) can never pair detections across trials; so the streams
+    of consecutive trial ranges, each starting at its `first_trial`,
+    concatenate to the stream of the whole run.
     """
     if T_ns <= 0:
         raise ValidationError("T_ns must be positive")
@@ -303,7 +306,7 @@ def coincidence_time_stream(
     if schedule.max_offset * T_ns >= period:
         raise ValidationError("schedule offsets exceed the trial period")
 
-    trial_start = np.arange(n_trials, dtype=np.int64) * int(period)
+    trial_start = np.arange(first_trial, first_trial + n_trials, dtype=np.int64) * int(period)
     times = [trial_start]
     chans = [np.full(n_trials, CHANNEL_CLOCK, dtype=np.uint8)]
     local = {"alice": settings >> 1, "bob": settings & 1}

@@ -1,16 +1,20 @@
 """Command-line interface: outputs, determinism, exit codes."""
 
+import contextlib
 import hashlib
+import io
 import json
 import runpy
 import struct
 from pathlib import Path
+from unittest import mock
 
 import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
 import bellsim as bs
+from bellsim import counting
 from bellsim.cli import main
 
 
@@ -335,6 +339,93 @@ def test_analyze_fuzzed_timetags_and_settings(tmp_path_factory, inputs, window):
     code = main(["analyze", str(stream), "--window", window,
                  "--settings", str(work / "settings.txt"), "--out", str(work), "--quiet"])
     assert code in (0, 2, 3, 4)
+
+
+def _analyze_outcome(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+@given(inputs=st.one_of(_ANALYZABLE, st.tuples(_TIMETAGS, _SETTINGS)),
+       window=st.sampled_from(["clock", "event:8.33", "event:40", "event:1e30", "event:nan"]))
+@example(inputs=((".bin", _binary_timetags([(0, 2), (5, 0)])), b"\xff\n"), window="clock")
+def test_analyze_fuzzed_timetags_at_small_chunks(tmp_path_factory, inputs, window):
+    # records and settings lines read two at a time give the same exit code,
+    # result and error as one chunk
+    (suffix, data), settings = inputs
+    work = tmp_path_factory.mktemp("fuzz")
+    stream = work / f"timetags{suffix}"
+    stream.write_bytes(data)
+    (work / "settings.txt").write_bytes(settings)
+    argv = ["analyze", str(stream), "--window", window,
+            "--settings", str(work / "settings.txt"), "--out", str(work), "--quiet"]
+    one_chunk = _analyze_outcome(argv)
+    assert one_chunk[0] in (0, 2, 3, 4)
+    with mock.patch.object(counting, "CHUNK_RECORDS", 2):
+        assert _analyze_outcome(argv) == one_chunk
+
+
+def test_simulate_timetags_manifest_records_clamped_events(tmp_path):
+    # jitter beyond the trial period clamps some detections
+    cfg = bs.ExperimentConfig(
+        state=bs.make_eberhard_state(0.26), settings=bs.reference_settings(),
+        det=bs.DetectionModel(pair_mean=0.5, pulses_per_trial=2, pulse_period_ns=10.0,
+                              trial_period_ns=100.0, jitter_sigma_ns=400.0),
+        trials_per_block=500, n_blocks=3, rng_seed=12,
+    )
+    (tmp_path / "config.json").write_text(cfg.to_json())
+    assert main(["simulate", str(tmp_path / "config.json"), "--timetags",
+                 "--out", str(tmp_path), "--quiet"]) == 0
+    manifest = json.loads((tmp_path / "manifest.json").read_text())
+    assert manifest["clamped_events"] == bs.simulate_timetags(cfg).meta["clamped_events"] > 0
+
+
+@pytest.mark.parametrize("window", ["clock", "event:2"])
+def test_timetag_analyze_manifest_records_dropped_detections(window, tmp_path):
+    # four trials 5 ns apart and one detection before the first clock mark
+    path = tmp_path / "timetags.bin"
+    path.write_bytes(bs.serialize_timetags(
+        bs.TimetagStream([0, 5, 6, 10, 15, 20, 21], [0, 2, 1, 2, 2, 2, 0])))
+    (tmp_path / "settings.txt").write_bytes(b"0\n1\n2\n3\n")
+    assert main(["analyze", str(path), "--window", window, "--settings",
+                 str(tmp_path / "settings.txt"), "--out", str(tmp_path), "--quiet"]) == 0
+    manifest = json.loads((tmp_path / "manifest.json").read_text())
+    assert manifest["pre_marker_detections_dropped"] == 1
+
+
+def test_counts_analyze_manifest_has_no_timetag_diagnostics(tmp_path, reference_counts):
+    (tmp_path / "counts.json").write_text(reference_counts.to_json())
+    assert main(["analyze", str(tmp_path / "counts.json"), "--out", str(tmp_path),
+                 "--quiet"]) == 0
+    assert "pre_marker_detections_dropped" not in json.loads(
+        (tmp_path / "manifest.json").read_text())
+
+
+# Digest of the adversarial stream written by lhv-demo under version 0.2.0.
+FROZEN_ADVERSARIAL = "25fcfec51f66e28425199e22b2a902b90a1ba27009a77b5d5f6e292b087b90d2"
+
+
+@pytest.mark.parametrize("chunk", [None, 8, 13])
+def test_lhv_demo_timing_writes_trial_ranges(chunk, tmp_path, monkeypatch):
+    if chunk:
+        monkeypatch.setattr(counting, "CHUNK_RECORDS", chunk)
+    assert main(["lhv-demo", "--what", "timing", "--trials", "2000", "--seed", "4",
+                 "--out", str(tmp_path), "--quiet"]) == 0
+    data = (tmp_path / "adversarial_timetags.bin").read_bytes()
+    assert hashlib.sha256(data).hexdigest() == FROZEN_ADVERSARIAL
+    settings = (tmp_path / "adversarial_settings.txt").read_bytes()
+    assert hashlib.sha256(settings).hexdigest() == FROZEN_SETTINGS["adversarial_settings.txt"]
+
+
+def test_lhv_demo_timing_without_trials(tmp_path):
+    assert main(["lhv-demo", "--what", "timing", "--trials", "0",
+                 "--out", str(tmp_path), "--quiet"]) == 0
+    assert (tmp_path / "adversarial_timetags.bin").read_bytes() == b""
+    assert (tmp_path / "adversarial_settings.txt").read_bytes() == b"\n"
+    assert main(["lhv-demo", "--what", "timing", "--trials", "-1",
+                 "--out", str(tmp_path), "--quiet"]) == 2
 
 
 def test_exit_code_numerical(tmp_path):

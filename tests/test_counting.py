@@ -8,7 +8,9 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 import bellsim as bs
-from bellsim.counting import parse_settings, serialize_settings
+from bellsim import counting
+from bellsim.cli import main
+from bellsim.counting import TimetagFile, parse_settings, read_settings, serialize_settings
 from bellsim.errors import FormatError, ValidationError
 
 
@@ -255,10 +257,11 @@ def reference_event_coincidences(stream, window_ns, schedule):
     return coincidences.tolist()
 
 
-def bursty_stream(seed, n_trials=300, period=100):
-    """Trials with 0-3 detections each, same-arm bursts and early detections."""
+def bursty_stream(seed, n_trials=300, period=100, max_detections=3):
+    """Trials with 0 to max_detections detections each, same-arm bursts and
+    early detections."""
     rng = np.random.default_rng(seed)
-    per_trial = rng.integers(0, 4, size=n_trials)
+    per_trial = rng.integers(0, max_detections + 1, size=n_trials)
     trial = np.repeat(np.arange(n_trials), per_trial)
     det_t = 20 + trial * period + rng.integers(0, period, size=trial.size)
     burst_ch = rng.integers(0, 2, size=n_trials)[trial]
@@ -278,6 +281,28 @@ def test_event_window_matches_two_queue_reference(seed, window_ns):
     expected = reference_event_coincidences(stream, window_ns, schedule)
     assert table.coincidences.tolist() == expected
     assert sum(expected) > 0
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_dense_event_window_matches_two_queue_reference(seed):
+    # 0-6 detections per trial: a trial can hold several event-window pairs
+    stream, schedule = bursty_stream(seed, max_detections=6)
+    table = bs.event_windowed_counts(stream, 49.5, schedule)
+    assert table.coincidences.tolist() == reference_event_coincidences(stream, 49.5, schedule)
+
+
+@pytest.mark.parametrize("chunk", [None, 2])
+def test_dense_event_stream_analyzes_through_the_cli(chunk, tmp_path, monkeypatch):
+    if chunk:
+        monkeypatch.setattr(counting, "CHUNK_RECORDS", chunk)
+    stream, schedule = bursty_stream(3, max_detections=6)
+    table = bs.event_windowed_counts(stream, 49.5, schedule)
+    assert np.any(table.coincidences > table.n_trials)  # a row with more pairs than trials
+    (tmp_path / "s.bin").write_bytes(bs.serialize_timetags(stream))
+    (tmp_path / "s.txt").write_bytes(serialize_settings(schedule))
+    assert main(["analyze", str(tmp_path / "s.bin"), "--window", "event:49.5",
+                 "--settings", str(tmp_path / "s.txt"), "--out", str(tmp_path),
+                 "--quiet"]) == 0
 
 
 def test_event_window_fractional_ns_is_exact():
@@ -329,6 +354,17 @@ def test_counts_validation():
         )
 
 
+def test_only_event_tables_may_hold_more_pairs_than_trials():
+    rows = dict(n_trials=[1, 1, 1, 1], singles_a=[2, 0, 0, 0], singles_b=[2, 0, 0, 0],
+                coincidences=[2, 0, 0, 0])
+    table = bs.CountsTable(**rows, meta={"window": "event:25"})
+    assert table.coincidences.tolist() == [2, 0, 0, 0]
+    with pytest.raises(ValidationError):
+        bs.CountsTable(**rows, meta={"window": "clock"})
+    with pytest.raises(ValidationError):
+        bs.CountsTable.from_json(table.to_json())
+
+
 def test_window_policy_validation():
     with pytest.raises(ValidationError):
         bs.WindowPolicy("event")
@@ -360,3 +396,129 @@ def test_event_window_header_period_takes_precedence():
         bs.event_windowed_counts(bs.TimetagStream(t, c, trial_period_ns=40.0), 25, [0, 1])
     table = bs.event_windowed_counts(bs.TimetagStream(t, c), 25, [0, 1])
     assert table.coincidences.tolist() == [1, 0, 0, 0]
+
+
+# ---------------------------------------------------------------------------
+# chunked reading and counting
+
+
+def _simulated():
+    det = bs.DetectionModel(pair_mean=0.3, bg_a=0.01, bg_b=0.01)
+    cfg = bs.ExperimentConfig(state=bs.make_eberhard_state(0.26),
+                              settings=bs.reference_settings(), det=det,
+                              trials_per_block=40, n_blocks=5, rng_seed=3)
+    return bs.simulate_timetags(cfg), bs.trial_settings(cfg), 2000
+
+
+def _adversarial():
+    settings = np.random.default_rng(5).integers(0, 4, size=40)
+    stream = bs.coincidence_time_stream(bs.coincidence_loophole_schedule(), settings,
+                                        T_ns=1000, n_trials=40)
+    return stream, settings, 2000
+
+
+# name -> (stream, schedule, event window) of the generated streams above
+GENERATED = {
+    "small": lambda: (small_stream(), [2, 1], 100),
+    "simulated": _simulated,
+    "adversarial": _adversarial,
+    **{f"bursty-{seed}": (lambda seed=seed: (*bursty_stream(seed), 25)) for seed in range(3)},
+    "dense": lambda: (*bursty_stream(4, max_detections=6), 49.5),
+}
+
+
+def _counted(stream, schedule, window):
+    tables = [bs.clock_windowed_counts(stream, schedule),
+              bs.event_windowed_counts(stream, window, schedule)]
+    return [(t.to_json_dict(), t.meta) for t in tables]
+
+
+@pytest.mark.parametrize("chunk", [1, 2, 7])
+@pytest.mark.parametrize("name", sorted(GENERATED))
+def test_chunked_counts_equal_one_chunk(name, chunk, tmp_path, monkeypatch):
+    stream, schedule, window = GENERATED[name]()
+    path = tmp_path / "stream.bin"
+    path.write_bytes(bs.serialize_timetags(stream))
+    one_chunk = _counted(bs.parse_timetags(path.read_bytes(), "binary"), schedule, window)
+    assert _counted(TimetagFile(path), schedule, window) == one_chunk
+    monkeypatch.setattr(counting, "CHUNK_RECORDS", chunk)
+    assert _counted(TimetagFile(path), schedule, window) == one_chunk
+    assert np.array_equal(TimetagFile(path).channels, stream.channels)
+
+
+def test_chunks_keep_a_detection_with_the_clock_mark_it_shares_a_time_with(tmp_path,
+                                                                            monkeypatch):
+    # the detection at t = 10 precedes the clock mark at t = 10 in the file,
+    # which starts its trial; chunk edges fall between them
+    stream = bs.TimetagStream([0, 5, 10, 10, 10, 12], [2, 0, 1, 2, 0, 1])
+    path = tmp_path / "stream.bin"
+    path.write_bytes(bs.serialize_timetags(stream))
+    monkeypatch.setattr(counting, "CHUNK_RECORDS", 3)
+    table = bs.clock_windowed_counts(TimetagFile(path), [0, 3])
+    assert table.singles_b.tolist() == [0, 0, 0, 1]
+    assert table == bs.clock_windowed_counts(stream, [0, 3])
+
+
+def _error(fn):
+    try:
+        fn()
+    except FormatError as exc:
+        return str(exc), exc.position
+    return None
+
+
+def _corrupted(data, faults):
+    rec = np.frombuffer(data, dtype=counting._BINARY_DTYPE).copy()
+    for kind, k in faults:
+        if kind == "channel":
+            rec["ch"][k] = 7
+        elif kind == "range":
+            rec["t"][k] = 2**63 + 5
+        else:  # the record after k runs back in time
+            rec["t"][k] = rec["t"][k + 1] + 1
+    return rec.tobytes()
+
+
+@pytest.mark.parametrize("chunk", [1, 2, 7])
+@pytest.mark.parametrize("faults", [
+    [("channel", 0)], [("channel", 7)], [("channel", 13)], [("range", 6)], [("range", 14)],
+    [("regression", 6)], [("regression", 13)], [("channel", 9), ("range", 3)],
+    [("regression", 2), ("channel", 12)], [("range", 8), ("channel", 8)],
+])
+def test_reader_errors_equal_one_chunk(faults, chunk, tmp_path, monkeypatch):
+    data = _corrupted(bs.serialize_timetags(bursty_stream(1)[0]), faults)
+    path = tmp_path / "stream.bin"
+    path.write_bytes(data)
+    expected = _error(lambda: bs.parse_timetags(data, "binary"))
+    assert expected is not None
+    assert expected[1] == min(k + (kind == "regression") for kind, k in faults)
+    monkeypatch.setattr(counting, "CHUNK_RECORDS", chunk)
+    assert _error(lambda: list(TimetagFile(path).chunks())) == expected
+    assert _error(lambda: bs.clock_windowed_counts(TimetagFile(path), np.zeros(300))) == expected
+
+
+def test_reader_rejects_a_partial_record(tmp_path):
+    path = tmp_path / "stream.bin"
+    path.write_bytes(b"\x00" * 20)
+    assert _error(lambda: TimetagFile(path)) == _error(
+        lambda: bs.parse_timetags(path.read_bytes(), "binary"))
+
+
+@pytest.mark.parametrize("chunk", [1, 2, 7])
+@pytest.mark.parametrize("data", [b"", b"0\n3\n1\n2\n", b"0\n3\n1\n2", b"3\r\n1\r\n",
+                                  b"0\n1\n4\n9\n", b"1\n\n", b"1\nx\n"])
+def test_read_settings_equals_parse_settings(data, chunk, tmp_path, monkeypatch):
+    path = tmp_path / "settings.txt"
+    path.write_bytes(data)
+    monkeypatch.setattr(counting, "CHUNK_RECORDS", chunk)
+    try:
+        expected = parse_settings(data).tolist()
+    except FormatError as exc:
+        with pytest.raises(FormatError) as got:
+            read_settings(path)
+        assert got.value.position == exc.position
+    else:
+        settings = read_settings(path)
+        assert settings.tolist() == expected
+        if data.endswith(b"3\n1\n2\n"):  # the format serialize_settings writes
+            assert settings.dtype == np.uint8

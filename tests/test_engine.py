@@ -7,7 +7,14 @@ import numpy as np
 import pytest
 
 import bellsim as bs
-from bellsim.engine import _BLOCK_STREAM, _block_schedule, _drift_multipliers, _rng
+from bellsim.engine import (
+    _BLOCK_STREAM,
+    _block_schedule,
+    _drift_multipliers,
+    _rng,
+    pair_probs,
+    timetag_chunks,
+)
 from bellsim.errors import FormatError, NumericalError, ValidationError
 
 
@@ -98,6 +105,102 @@ def test_timetags_bytes_frozen():
                     trials_per_block=500, rng_seed=8)
     data = bs.serialize_timetags(bs.simulate_timetags(cfg))
     assert hashlib.sha256(data).hexdigest() == FROZEN_TIMETAGS
+
+
+def whole_run_timetags(cfg):
+    """The whole-run timetag writer: every block's records concatenated,
+    then one stable sort by (time, clock marks first).  Also returns the
+    timestamps of the blocks each sorted on its own and concatenated."""
+    schedule = _block_schedule(cfg)
+    mult = _drift_multipliers(cfg)
+    p1, p2, p12 = pair_probs(cfg.state, *dataclasses.astuple(cfg.settings))
+    det, n = cfg.det, cfg.trials_per_block
+    period = int(round(det.trial_period_ns))
+    burst_offset = (det.trial_period_ns - det.pulses_per_trial * det.pulse_period_ns) / 2.0
+    blocks = []
+    for b in range(cfg.n_blocks):
+        combo, m = int(schedule[b]), float(mult[b])
+        q11 = det.eta_a * det.eta_b * p12[combo]
+        q10 = det.eta_a * p1[combo] - q11
+        q01 = det.eta_b * p2[combo] - q11
+        rng = _rng(cfg.rng_seed, _BLOCK_STREAM, b)
+        trial_start = (np.arange(n, dtype=np.int64) + b * n) * period
+        pair_trial = np.repeat(np.arange(n), rng.poisson(det.pair_mean * m, size=n))
+        u = rng.random(pair_trial.size)
+        det_a = u < (q11 + q10)
+        det_b = (u < q11) | ((u >= q11 + q10) & (u < q11 + q10 + q01))
+        pulse = rng.integers(0, det.pulses_per_trial, size=pair_trial.size)
+        bg_a = rng.random(n) < min(det.bg_a * m, 1.0)
+        bg_b = rng.random(n) < min(det.bg_b * m, 1.0)
+        bg_pulse_a = rng.integers(0, det.pulses_per_trial, size=int(bg_a.sum()))
+        bg_pulse_b = rng.integers(0, det.pulses_per_trial, size=int(bg_b.sum()))
+
+        def place(trials, pulses):
+            base = trial_start[trials] + burst_offset + pulses * det.pulse_period_ns
+            if det.jitter_sigma_ns > 0:
+                base = base + rng.normal(0.0, det.jitter_sigma_ns, size=base.size)
+            lo = np.maximum(trial_start[trials] - period, 0)
+            return np.clip(np.rint(base).astype(np.int64), lo, trial_start[trials] + 2 * period - 1)
+
+        ta = place(pair_trial[det_a], pulse[det_a])
+        tb = place(pair_trial[det_b], pulse[det_b])
+        tba = place(np.nonzero(bg_a)[0], bg_pulse_a)
+        tbb = place(np.nonzero(bg_b)[0], bg_pulse_b)
+        parts = [(trial_start, bs.CHANNEL_CLOCK), (ta, bs.CHANNEL_ALICE),
+                 (tba, bs.CHANNEL_ALICE), (tb, bs.CHANNEL_BOB), (tbb, bs.CHANNEL_BOB)]
+        blocks.append((np.concatenate([t for t, _ in parts]),
+                       np.concatenate([np.full(t.size, ch, dtype=np.uint8) for t, ch in parts])))
+
+    def sort(t, c):
+        order = np.lexsort((c != bs.CHANNEL_CLOCK, t))
+        return t[order], c[order]
+
+    t, c = sort(np.concatenate([t for t, _ in blocks]), np.concatenate([c for _, c in blocks]))
+    return bs.TimetagStream(t, c), np.concatenate([sort(*block)[0] for block in blocks])
+
+
+def crossing_cfg(trials_per_block):
+    """Jitter beyond the trial period and few trials per block: records clamp
+    and cross into the neighbouring blocks' time ranges."""
+    det = bs.DetectionModel(eta_a=0.9, eta_b=0.8, pair_mean=2.0, bg_a=0.05, bg_b=0.05,
+                            pulses_per_trial=2, pulse_period_ns=10.0, trial_period_ns=100.0,
+                            jitter_sigma_ns=120.0)
+    return quick_cfg(state=bs.make_eberhard_state(1.0),
+                     settings=bs.MeasurementSettings(0.0, 45.0, 22.5, -22.5), det=det,
+                     trials_per_block=trials_per_block, n_blocks=60, rng_seed=77)
+
+
+# digests of the whole-run writer's bytes for crossing_cfg, before the
+# stream was drawn in chunks
+FROZEN_CROSSING = {
+    1: "28a351e443d8c0cede1e253af405fc1f35fcc49d9d5bb05209dac2cbc003ca3e",
+    3: "829b5265cdceb23bc485afbedf24c29a07ae4f8c29536c3acf2ece9c305820ba",
+}
+
+
+@pytest.mark.parametrize("trials_per_block", sorted(FROZEN_CROSSING))
+def test_chunks_merge_records_that_cross_block_edges(trials_per_block):
+    cfg = crossing_cfg(trials_per_block)
+    whole, blockwise = whole_run_timetags(cfg)
+    # some records sort into a neighbouring block's time range
+    assert not np.array_equal(blockwise, whole.timestamps)
+    chunks = list(timetag_chunks(cfg))
+    stream = bs.simulate_timetags(cfg)
+    assert stream == whole
+    assert hashlib.sha256(bs.serialize_timetags(stream)).hexdigest() == \
+        FROZEN_CROSSING[trials_per_block]
+    assert b"".join(bs.serialize_timetags(chunk) for chunk in chunks) == \
+        bs.serialize_timetags(whole)
+    assert [chunk.meta["trial_settings"].tolist() for chunk in chunks] == \
+        [[s] * trials_per_block for s in _block_schedule(cfg).tolist()]
+    assert stream.meta["clamped_events"] == sum(c.meta["clamped_events"] for c in chunks) > 0
+    assert stream.meta["trial_settings"].dtype == np.uint8
+
+
+def test_chunked_timetags_equal_whole_run_writer():
+    cfg = quick_cfg(det=bs.DetectionModel(pair_mean=0.2, bg_a=0.002, bg_b=0.001), n_blocks=4,
+                    trials_per_block=500, rng_seed=8)
+    assert bs.simulate_timetags(cfg) == whole_run_timetags(cfg)[0]
 
 
 def test_seed_changes_output():

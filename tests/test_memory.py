@@ -1,0 +1,59 @@
+"""The timetag CLI path runs in memory that does not grow with the run.
+
+Each step's peak traced allocation (tracemalloc, which numpy reports its
+arrays to) is taken at N and at 4N trials, with chunks small enough that
+both runs span many of them.  Only the settings, one byte per trial, may
+grow with the run.
+"""
+
+import contextlib
+import io
+import tracemalloc
+
+import bellsim as bs
+from bellsim import counting
+from bellsim.cli import main
+
+TRIALS_PER_BLOCK = 1000
+N_BLOCKS = 50
+MAX_BYTES_PER_TRIAL = 3.0
+
+
+def _step_peaks(work, n_blocks):
+    """Peak traced bytes of simulate --timetags, then clock and event analyze."""
+    cfg = bs.ExperimentConfig(
+        state=bs.make_eberhard_state(0.26), settings=bs.reference_settings(),
+        det=bs.DetectionModel(pair_mean=0.1, bg_a=0.01, bg_b=0.01),
+        trials_per_block=TRIALS_PER_BLOCK, n_blocks=n_blocks, rng_seed=5,
+    )
+    work.mkdir()
+    (work / "config.json").write_text(cfg.to_json())
+    steps = [["simulate", str(work / "config.json"), "--timetags"]] + [
+        ["analyze", str(work / "timetags.bin"), "--window", window,
+         "--settings", str(work / "trial_settings.txt")]
+        for window in ("clock", "event:2000")
+    ]
+    peaks = []
+    for argv in steps:
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            with contextlib.redirect_stdout(io.StringIO()), \
+                    contextlib.redirect_stderr(io.StringIO()):
+                assert main(argv + ["--out", str(work), "--quiet"]) == 0
+            peaks.append(tracemalloc.get_traced_memory()[1] - base)
+        finally:
+            tracemalloc.stop()
+    return peaks
+
+
+def test_timetag_pipeline_peak_does_not_grow_with_trials(tmp_path, monkeypatch):
+    monkeypatch.setattr(counting, "CHUNK_RECORDS", 1 << 12)
+    _step_peaks(tmp_path / "warm-up", N_BLOCKS)  # first-call allocations
+    small = _step_peaks(tmp_path / "n", N_BLOCKS)
+    large = _step_peaks(tmp_path / "4n", 4 * N_BLOCKS)
+    extra_trials = 3 * N_BLOCKS * TRIALS_PER_BLOCK
+    for step, a, b in zip(("simulate", "analyze clock", "analyze event"), small, large):
+        assert (b - a) / extra_trials <= MAX_BYTES_PER_TRIAL, \
+            f"{step}: peak {a} -> {b} bytes"
+
