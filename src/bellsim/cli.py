@@ -23,6 +23,7 @@ import numpy as np
 
 from . import __version__, counting
 from .counting import (
+    SETTING_LABELS,
     CountsTable,
     TimetagFile,
     WindowPolicy,
@@ -156,8 +157,6 @@ def _load_counts_for_analysis(args) -> CountsTable:
     suffix = path.suffix.lower()
     if suffix == ".json":
         return CountsTable.from_json(_read_text(path))
-    if suffix == ".csv" and args.window is None:
-        return blocks_to_counts(blocks_from_csv(_read_text(path)))
     # timetag input: needs a window policy and a settings schedule
     policy_text = args.window or "clock"
     if policy_text == "clock":
@@ -189,15 +188,29 @@ def _load_counts_for_analysis(args) -> CountsTable:
     return table
 
 
+def _blocks_sigma(args, blocks) -> float | None:
+    """Partition sigma of a block run, or None when some setting pair has
+    fewer blocks than partitions (a partition would then miss that pair)."""
+    k = args.sigma_partitions
+    per_pair = np.bincount([b.setting_pair for b in blocks], minlength=4)
+    short = [f"{label} has {m}" for label, m in zip(SETTING_LABELS, per_pair) if m < k]
+    if short:
+        print(f"note: sigma_B not estimated: {', '.join(short)} blocks, "
+              f"fewer than --sigma-partitions {k}", file=sys.stderr)
+        return None
+    return partition_sigma(blocks, k=k, singles_mode=args.singles_mode)
+
+
 def _cmd_analyze(args) -> int:
     path = Path(args.input)
-    table = _load_counts_for_analysis(args)
     sigma = args.sigma
-    if sigma is None and path.suffix.lower() == ".csv" and args.window is None:
+    if path.suffix.lower() == ".csv" and args.window is None:
         blocks = blocks_from_csv(_read_text(path))
-        if len(blocks) >= 2 * args.sigma_partitions:
-            sigma = partition_sigma(blocks, k=args.sigma_partitions,
-                                    singles_mode=args.singles_mode)
+        table = blocks_to_counts(blocks)
+        if sigma is None:
+            sigma = _blocks_sigma(args, blocks)
+    else:
+        table = _load_counts_for_analysis(args)
     result = bell_result(table, sigma_b=sigma, singles_mode=args.singles_mode)
     text = result.to_json()
     print(text)

@@ -31,6 +31,7 @@ from __future__ import annotations
 
 import csv
 import io
+import itertools
 import json
 import math
 from dataclasses import asdict, astuple, dataclass, field, fields
@@ -332,20 +333,35 @@ def simulate_blocks(cfg: ExperimentConfig) -> list[BlockRecord]:
     return records
 
 
+def block_array(blocks: Sequence[BlockRecord]) -> np.ndarray:
+    """Block records as an (n, 5) int64 array, columns in BlockRecord order."""
+    try:
+        arr = np.fromiter(itertools.chain.from_iterable(blocks), dtype=np.int64,
+                          count=5 * len(blocks)).reshape(-1, 5)
+    except OverflowError:
+        raise ValidationError("block count outside the 64-bit integer range") from None
+    settings = arr[:, 0]
+    bad = (settings < 0) | (settings > 3)
+    if bad.any():
+        raise ValidationError(f"block setting index {settings[bad][0]} out of range")
+    return arr
+
+
+def tally_blocks(arr: np.ndarray, part: np.ndarray | int, k: int) -> np.ndarray:
+    """Sums of the block counts by (field, setting pair, partition).
+
+    arr is a block_array; part gives each block's partition in 0..k-1.
+    The four fields are n_trials, singles_a, singles_b and coincidences.
+    The sums stay int64, exactly as accumulating the records one by one.
+    """
+    tally = np.zeros((k, 4, 4), dtype=np.int64)
+    np.add.at(tally, (part, arr[:, 0]), arr[:, 1:])
+    return tally.transpose(2, 1, 0)
+
+
 def blocks_to_counts(blocks: Sequence[BlockRecord]) -> CountsTable:
     """Aggregate block records into a four-row counts table."""
-    n_trials = np.zeros(4, dtype=np.int64)
-    singles_a = np.zeros(4, dtype=np.int64)
-    singles_b = np.zeros(4, dtype=np.int64)
-    coinc = np.zeros(4, dtype=np.int64)
-    for rec in blocks:
-        if not 0 <= rec.setting_pair <= 3:
-            raise ValidationError(f"block setting index {rec.setting_pair} out of range")
-        n_trials[rec.setting_pair] += rec.n_trials
-        singles_a[rec.setting_pair] += rec.singles_a
-        singles_b[rec.setting_pair] += rec.singles_b
-        coinc[rec.setting_pair] += rec.coincidences
-    return CountsTable(n_trials, singles_a, singles_b, coinc)
+    return CountsTable(*tally_blocks(block_array(blocks), 0, 1)[..., 0])
 
 
 def timetag_chunks(cfg: ExperimentConfig) -> Iterator[TimetagStream]:

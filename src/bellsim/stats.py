@@ -21,10 +21,13 @@ which trials estimate p1(a) matters for both statistics and adversaries:
   coincidences they normalize).
 
 Uncertainty follows the partition method: split the run into k
-interleaved (or contiguous) partitions, compute B on each, and scale the
-spread of the k values down to the full data set.  The hacker bound is
-the exact binomial tail probability that a settings-guessing adversary
-produces at least the observed number of per-partition violations.
+partitions, compute B on each, and scale the spread of the k values down
+to the full data set.  By default each setting pair's blocks are dealt
+round-robin over the partitions (stratified), so that every partition
+sees all four pairs; interleaved and contiguous partitions remain.  The
+hacker bound is the exact binomial tail probability that a
+settings-guessing adversary produces at least the observed number of
+per-partition violations.
 """
 
 from __future__ import annotations
@@ -38,55 +41,63 @@ from typing import Sequence
 import numpy as np
 
 from .counting import CountsTable
-from .engine import BlockRecord, blocks_to_counts
+from .engine import BlockRecord, block_array, tally_blocks
 from .errors import ValidationError
 from .quantum import MeasurementSettings
 
 SINGLES_MODES = ("pooled", "paired", "conditional")
+PARTITION_MODES = ("stratified", "strided", "sequential")
 
 TSIRELSON_S = 2.0 * math.sqrt(2.0)
 
 
-def _singles_estimates(table: CountsTable, singles_mode: str) -> tuple[float, float]:
-    n = table.n_trials.astype(float)
-    sa = table.singles_a.astype(float)
-    sb = table.singles_b.astype(float)
+def _singles_estimates(n, sa, sb, singles_mode: str):
+    """p1(a), p2(b) from float counts whose first axis is the setting pair."""
     if singles_mode == "pooled":
-        if n[0] + n[1] <= 0 or n[0] + n[2] <= 0:
+        if (n[0] + n[1] <= 0).any() or (n[0] + n[2] <= 0).any():
             raise ValidationError("zero trials for a singles setting")
         return (sa[0] + sa[1]) / (n[0] + n[1]), (sb[0] + sb[2]) / (n[0] + n[2])
     if singles_mode == "paired":
-        if n[0] <= 0:
+        if (n[0] <= 0).any():
             raise ValidationError("zero trials in the (a,b) row")
         return sa[0] / n[0], sb[0] / n[0]
     if singles_mode == "conditional":
-        if n[1] <= 0 or n[2] <= 0:
+        if (n[1] <= 0).any() or (n[2] <= 0).any():
             raise ValidationError("zero trials in a conditional singles row")
         return sa[1] / n[1], sb[2] / n[2]
     raise ValidationError(f"singles_mode must be one of {SINGLES_MODES}")
 
 
-def _coincidence_sum(table: CountsTable) -> float:
-    n = table.n_trials.astype(float)
-    if np.any(n <= 0):
+def _coincidence_sum(n, c):
+    if (n <= 0).any():
         raise ValidationError("every setting pair needs at least one trial")
-    c = table.coincidences.astype(float)
     return c[0] / n[0] + c[1] / n[1] + c[2] / n[2] - c[3] / n[3]
+
+
+def _ch(n, sa, sb, c, singles_mode: str):
+    """B from float counts whose first axis is the setting pair."""
+    p1a, p2b = _singles_estimates(n, sa, sb, singles_mode)
+    return _coincidence_sum(n, c) - p1a - p2b
+
+
+def _float_counts(table: CountsTable):
+    return (table.n_trials.astype(float), table.singles_a.astype(float),
+            table.singles_b.astype(float), table.coincidences.astype(float))
 
 
 def ch_from_counts(table: CountsTable, singles_mode: str = "pooled") -> float:
     """Difference-form Bell value B from a counts table; B > 0 violates."""
-    p1a, p2b = _singles_estimates(table, singles_mode)
-    return _coincidence_sum(table) - p1a - p2b
+    return _ch(*_float_counts(table), singles_mode)
 
 
 def chprime_from_counts(table: CountsTable, singles_mode: str = "pooled") -> float:
     """Ratio-form Bell value B' from a counts table; B' > 1 violates."""
-    p1a, p2b = _singles_estimates(table, singles_mode)
+    n, sa, sb, c = _float_counts(table)
+    p1a, p2b = _singles_estimates(n, sa, sb, singles_mode)
     den = p1a + p2b
     if den <= 0:
         raise ValidationError("singles denominator is zero")
-    return _coincidence_sum(table) / den
+    return _coincidence_sum(n, c) / den
 
 
 @dataclass(frozen=True)
@@ -132,36 +143,56 @@ def bell_result(
 # partition-based error estimation
 
 
-def _partitions(blocks: Sequence[BlockRecord], k: int, mode: str):
+def _partition_index(settings: np.ndarray, k: int, mode: str) -> np.ndarray:
+    """Each block's partition in 0..k-1, given the blocks' setting indices."""
+    n = settings.size
     if k < 2:
         raise ValidationError("need at least 2 partitions")
-    if len(blocks) < k:
-        raise ValidationError(f"cannot split {len(blocks)} blocks into {k} partitions")
+    if n < k:
+        raise ValidationError(f"cannot split {n} blocks into {k} partitions")
+    if mode == "stratified":
+        # deal the blocks, grouped by setting and in run order within a
+        # setting, round-robin: a setting with m blocks puts floor(m/k) or
+        # ceil(m/k) of them in every partition
+        part = np.empty(n, dtype=np.int64)
+        part[np.argsort(settings, kind="stable")] = np.arange(n) % k
+        return part
     if mode == "strided":
-        return [list(blocks[i::k]) for i in range(k)]
+        return np.arange(n) % k
     if mode == "sequential":
-        bounds = np.linspace(0, len(blocks), k + 1).astype(int)
-        return [list(blocks[bounds[i]:bounds[i + 1]]) for i in range(k)]
-    raise ValidationError(f"partition mode must be 'strided' or 'sequential', got {mode!r}")
+        bounds = np.linspace(0, n, k + 1).astype(int)
+        return np.repeat(np.arange(k), np.diff(bounds))
+    raise ValidationError(f"partition mode must be one of {PARTITION_MODES}, got {mode!r}")
 
 
 def partition_values(
-    blocks: Sequence[BlockRecord], k: int, mode: str = "strided",
+    blocks: Sequence[BlockRecord], k: int, mode: str = "stratified",
     singles_mode: str = "pooled",
 ) -> np.ndarray:
-    """B evaluated on each of the k partitions."""
-    values = []
-    for i, part in enumerate(_partitions(blocks, k, mode)):
-        table = blocks_to_counts(part)
+    """B evaluated on each of the k partitions.
+
+    "stratified" deals each setting pair's blocks round-robin over the
+    partitions, so every partition covers all four pairs whenever each
+    pair has at least k blocks; "strided" takes every k-th block and
+    "sequential" contiguous runs of blocks.
+    """
+    arr = block_array(blocks)
+    tally = tally_blocks(arr, _partition_index(arr[:, 0], k, mode), k)
+    n, c = tally[0], tally[3]
+    unusable = (tally < 0).any(axis=(0, 1)) | (c > n).any(axis=0) | (n <= 0).any(axis=0)
+    if unusable.any():
+        # the first unusable partition raises exactly what its counts table does
+        i = int(np.argmax(unusable))
+        table = CountsTable(*tally[..., i])
         try:
-            values.append(ch_from_counts(table, singles_mode))
+            ch_from_counts(table, singles_mode)
         except ValidationError as exc:
             raise ValidationError(f"partition {i} has insufficient data: {exc}") from None
-    return np.array(values)
+    return _ch(*tally.astype(float), singles_mode)
 
 
 def partition_sigma(
-    blocks: Sequence[BlockRecord], k: int = 50, mode: str = "strided",
+    blocks: Sequence[BlockRecord], k: int = 50, mode: str = "stratified",
     singles_mode: str = "pooled",
 ) -> float:
     """Standard error of B: spread of the k partition values over sqrt(k-1)."""
@@ -171,7 +202,7 @@ def partition_sigma(
 
 def partition_sigma_sweep(
     blocks: Sequence[BlockRecord], ks: Sequence[int] = range(47, 54),
-    mode: str = "strided", singles_mode: str = "pooled",
+    mode: str = "stratified", singles_mode: str = "pooled",
 ) -> tuple[float, float]:
     """Mean and spread of the sigma estimate over several partition counts."""
     sigmas = [partition_sigma(blocks, k, mode, singles_mode) for k in ks]
@@ -180,7 +211,7 @@ def partition_sigma_sweep(
 
 def violations_by_partition(
     blocks: Sequence[BlockRecord], ks: Sequence[int],
-    mode: str = "strided", singles_mode: str = "conditional",
+    mode: str = "stratified", singles_mode: str = "conditional",
 ) -> list[tuple[int, int]]:
     """(k, number of partitions with B > 0) for each requested k.
 

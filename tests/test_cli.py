@@ -1,6 +1,7 @@
 """Command-line interface: outputs, determinism, exit codes."""
 
 import contextlib
+import dataclasses
 import hashlib
 import io
 import json
@@ -9,12 +10,13 @@ import struct
 from pathlib import Path
 from unittest import mock
 
+import numpy as np
 import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
 import bellsim as bs
-from bellsim import counting
+from bellsim import cli, counting
 from bellsim.cli import main
 
 
@@ -479,3 +481,147 @@ def test_python_dash_m_bellsim(monkeypatch, capsys):
         runpy.run_module("bellsim", run_name="__main__")
     assert exc.value.code == 0
     assert "usage: bellsim" in capsys.readouterr().out
+
+
+# ---------------------------------------------------------------------------
+# block analysis: partition sigma
+
+
+def _write_block_run(tmp_path, **cfg_fields):
+    cfg = bs.ExperimentConfig(state=bs.make_eberhard_state(0.26),
+                              settings=bs.reference_settings(), **cfg_fields)
+    (tmp_path / "config.json").write_text(cfg.to_json())
+    assert main(["simulate", str(tmp_path / "config.json"), "--out", str(tmp_path),
+                 "--quiet"]) == 0
+    return bs.blocks_from_csv((tmp_path / "blocks.csv").read_text())
+
+
+def test_analyze_short_setting_pair_gives_null_sigma(tmp_path):
+    # a legal random-per-block run whose (a',b') pair has 19 blocks, fewer
+    # than the 50 partitions of the default sigma
+    blocks = _write_block_run(tmp_path, trials_per_block=2000, n_blocks=120, rng_seed=3)
+    per_pair = np.bincount([b.setting_pair for b in blocks], minlength=4)
+    assert per_pair.tolist() == [27, 37, 37, 19]
+    code, out, err = _analyze_outcome(["analyze", str(tmp_path / "blocks.csv"),
+                                       "--out", str(tmp_path), "--quiet"])
+    assert code == 0
+    doc = json.loads(out)
+    assert doc["sigma_B"] is None and doc["significance"] is None
+    assert "sigma_B not estimated" in err and "a'b' has 19" in err
+    # with as many partitions as the shortest pair has blocks, sigma is estimated
+    code, out, _ = _analyze_outcome(["analyze", str(tmp_path / "blocks.csv"),
+                                     "--sigma-partitions", "19", "--out", str(tmp_path),
+                                     "--quiet"])
+    assert code == 0
+    assert json.loads(out)["sigma_B"] == bs.partition_sigma(blocks, k=19)
+
+
+def test_analyze_parses_blocks_once(tmp_path, monkeypatch):
+    blocks = _write_block_run(tmp_path, trials_per_block=500, n_blocks=16, rng_seed=2,
+                              schedule_kind="cyclic")
+    parse = mock.Mock(wraps=cli.blocks_from_csv)
+    monkeypatch.setattr(cli, "blocks_from_csv", parse)
+    code, out, _ = _analyze_outcome(["analyze", str(tmp_path / "blocks.csv"),
+                                     "--sigma-partitions", "4", "--out", str(tmp_path),
+                                     "--quiet"])
+    assert code == 0 and parse.call_count == 1
+    doc = json.loads(out)
+    assert doc["B"] == bs.ch_from_counts(bs.blocks_to_counts(blocks))
+    assert doc["sigma_B"] == bs.partition_sigma(blocks, k=4)
+
+
+def test_analyze_oversized_block_count_is_exit_2(tmp_path, capsys):
+    path = tmp_path / "blocks.csv"
+    path.write_text("".join(f"{s},10,1,1,1\n" for s in range(4)) + f"0,{10**30},1,1,1\n")
+    assert main(["analyze", str(path), "--out", str(tmp_path), "--quiet"]) == 2
+    assert "64-bit" in capsys.readouterr().err
+
+
+# ---------------------------------------------------------------------------
+# fuzzing the other inputs: configs, counts JSON and block CSV
+
+# small integers keep every legal fuzzed config a run of a few thousand
+# trials; the block sampler's cost does not depend on the float fields
+_JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers(-3, 40) | st.floats() | st.text(max_size=6),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=6), inner,
+                                                               max_size=4),
+    max_leaves=8)
+
+
+def _json_overrides(keys):
+    return st.dictionaries(st.sampled_from(keys), _JSON_VALUES, max_size=3)
+
+
+def _fuzzed_config(top, state, det):
+    doc = _valid_config()
+    doc["state"] = {**doc["state"], **state}
+    doc["det"] = {**doc["det"], **det}
+    return json.dumps({**doc, **top}).encode()
+
+
+_CONFIG_BYTES = st.one_of(
+    st.binary(max_size=40),
+    st.builds(_fuzzed_config,
+              _json_overrides(["state", "settings", "det", "schedule_kind", "trials_per_block",
+                               "n_blocks", "rng_seed", "schedule_file", "cyclic_order",
+                               "drift"]),
+              _json_overrides(["kind", "r", "phase", "rho"]),
+              _json_overrides([f.name for f in dataclasses.fields(bs.DetectionModel)])),
+)
+
+
+def _fuzzed_counts(rows, fields):
+    doc = bs.reference_run_counts().to_json_dict()
+    for label, values in fields.items():
+        doc[label] = {**doc[label], **values} if isinstance(doc[label], dict) else values
+    return json.dumps({**doc, **rows}).encode()
+
+
+_COUNT_VALUES = st.one_of(_JSON_VALUES, st.integers(-(2**70), 2**70))
+_COUNTS_BYTES = st.one_of(
+    st.binary(max_size=40),
+    st.builds(_fuzzed_counts,
+              _json_overrides(list(counting.SETTING_LABELS)),
+              st.dictionaries(st.sampled_from(counting.SETTING_LABELS),
+                              st.dictionaries(st.sampled_from(["n_trials", "singles_a",
+                                                               "singles_b", "coincidences"]),
+                                              _COUNT_VALUES, max_size=2),
+                              max_size=2)),
+)
+
+
+@given(config=_CONFIG_BYTES)
+def test_simulate_fuzzed_config(tmp_path_factory, config):
+    work = tmp_path_factory.mktemp("fuzz")
+    (work / "config.json").write_bytes(config)
+    code = main(["simulate", str(work / "config.json"), "--out", str(work), "--quiet"])
+    assert code in (0, 2, 3, 4)
+
+
+@given(counts=_COUNTS_BYTES,
+       seconds=st.sampled_from(["10", "0", "-1", "1e-300", "nan", "inf"]),
+       policy=st.sampled_from(["sha-half", "trevisan-sized"]))
+def test_dire_fuzzed_counts(tmp_path_factory, counts, seconds, policy):
+    work = tmp_path_factory.mktemp("fuzz")
+    (work / "counts.json").write_bytes(counts)
+    code = main(["dire", str(work / "counts.json"), "--seconds", seconds, "--policy", policy,
+                 "--out", str(work), "--quiet"])
+    assert code in (0, 2, 3, 4)
+
+
+_BLOCK_ROWS = st.lists(
+    st.lists(st.one_of(st.integers(-2, 60), st.integers(-(2**70), 2**70),
+                       st.text(alphabet="0123456789-x. ", max_size=4)),
+             min_size=4, max_size=6).map(lambda row: ",".join(map(str, row))),
+    max_size=30)
+
+
+@given(rows=_BLOCK_ROWS, partitions=st.sampled_from(["50", "2", "1", "0", "-3"]))
+@example(rows=[f"{s},10,1,1,1" for s in range(4)] + [f"0,{2**64},1,1,1"], partitions="2")
+def test_analyze_fuzzed_blocks(tmp_path_factory, rows, partitions):
+    work = tmp_path_factory.mktemp("fuzz")
+    (work / "blocks.csv").write_text("\n".join(rows) + "\n")
+    code = main(["analyze", str(work / "blocks.csv"), "--sigma-partitions", partitions,
+                 "--out", str(work), "--quiet"])
+    assert code in (0, 2, 3, 4)

@@ -472,6 +472,17 @@ def test_blocks_csv_malformed():
         bs.blocks_from_csv("1,2,3\n")
 
 
+@pytest.mark.parametrize("record, message", [
+    ((4, 10, 1, 1, 1), "block setting index 4 out of range"),
+    ((-1, 10, 1, 1, 1), "block setting index -1 out of range"),
+    ((0, 10**30, 1, 1, 1), "outside the 64-bit integer range"),
+])
+def test_blocks_to_counts_rejects_bad_records(record, message):
+    blocks = [bs.BlockRecord(s, 10, 1, 1, 1) for s in range(4)] + [bs.BlockRecord(*record)]
+    with pytest.raises(ValidationError, match=message):
+        bs.blocks_to_counts(blocks)
+
+
 def test_config_json_round_trip():
     cfg = quick_cfg(drift=bs.DriftModel(final_fraction=0.5), schedule_kind="cyclic")
     back = bs.ExperimentConfig.from_json(cfg.to_json())

@@ -5,6 +5,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import bellsim as bs
 from bellsim.errors import ValidationError
@@ -148,6 +150,141 @@ def test_violations_by_partition_counts():
     assert len(curve) == 2
     for k, wins in curve:
         assert 0 <= wins <= k
+
+
+# The list-based partition code that the array code replaced, with the
+# estimator and block tally it called, kept as the reference.
+
+def _reference_blocks_to_counts(blocks):
+    n_trials, singles_a, singles_b, coinc = (np.zeros(4, dtype=np.int64) for _ in range(4))
+    for rec in blocks:
+        if not 0 <= rec.setting_pair <= 3:
+            raise ValidationError(f"block setting index {rec.setting_pair} out of range")
+        n_trials[rec.setting_pair] += rec.n_trials
+        singles_a[rec.setting_pair] += rec.singles_a
+        singles_b[rec.setting_pair] += rec.singles_b
+        coinc[rec.setting_pair] += rec.coincidences
+    return bs.CountsTable(n_trials, singles_a, singles_b, coinc)
+
+
+def _reference_ch(table, singles_mode):
+    n = table.n_trials.astype(float)
+    sa = table.singles_a.astype(float)
+    sb = table.singles_b.astype(float)
+    if singles_mode == "pooled":
+        if n[0] + n[1] <= 0 or n[0] + n[2] <= 0:
+            raise ValidationError("zero trials for a singles setting")
+        p1a, p2b = (sa[0] + sa[1]) / (n[0] + n[1]), (sb[0] + sb[2]) / (n[0] + n[2])
+    elif singles_mode == "paired":
+        if n[0] <= 0:
+            raise ValidationError("zero trials in the (a,b) row")
+        p1a, p2b = sa[0] / n[0], sb[0] / n[0]
+    else:
+        if n[1] <= 0 or n[2] <= 0:
+            raise ValidationError("zero trials in a conditional singles row")
+        p1a, p2b = sa[1] / n[1], sb[2] / n[2]
+    if np.any(n <= 0):
+        raise ValidationError("every setting pair needs at least one trial")
+    c = table.coincidences.astype(float)
+    return c[0] / n[0] + c[1] / n[1] + c[2] / n[2] - c[3] / n[3] - p1a - p2b
+
+
+def _reference_partition_values(blocks, k, mode, singles_mode):
+    if k < 2:
+        raise ValidationError("need at least 2 partitions")
+    if len(blocks) < k:
+        raise ValidationError(f"cannot split {len(blocks)} blocks into {k} partitions")
+    if mode == "strided":
+        parts = [list(blocks[i::k]) for i in range(k)]
+    else:
+        bounds = np.linspace(0, len(blocks), k + 1).astype(int)
+        parts = [list(blocks[bounds[i]:bounds[i + 1]]) for i in range(k)]
+    values = []
+    for i, part in enumerate(parts):
+        table = _reference_blocks_to_counts(part)
+        try:
+            values.append(_reference_ch(table, singles_mode))
+        except ValidationError as exc:
+            raise ValidationError(f"partition {i} has insufficient data: {exc}") from None
+    return np.array(values)
+
+
+def _outcome(fn, *args):
+    try:
+        return "ok", fn(*args)
+    except ValidationError as exc:
+        return "error", str(exc)
+
+
+# blocks with few trials, so that partitions miss settings, rows stay
+# empty, and now and then a table has negative or too many counts
+def _small_block(values):
+    setting, n, sa, sb, c = values
+    m = max(n, 0) + 1
+    return bs.BlockRecord(setting, n, sa % m, sb % m, c % (m + 1))
+
+
+_BLOCK = st.tuples(st.integers(0, 3), st.integers(-1, 40), st.integers(0, 40),
+                   st.integers(0, 40), st.integers(0, 41)).map(_small_block)
+_BLOCKS = st.one_of(st.lists(_BLOCK, max_size=8), st.lists(_BLOCK, min_size=24, max_size=80))
+
+
+@settings(max_examples=200)
+@given(blocks=_BLOCKS, k=st.integers(1, 10), mode=st.sampled_from(["strided", "sequential"]),
+       singles_mode=st.sampled_from(["pooled", "paired", "conditional"]))
+def test_partition_values_equal_list_reference(blocks, k, mode, singles_mode):
+    got = _outcome(bs.partition_values, blocks, k, mode, singles_mode)
+    want = _outcome(_reference_partition_values, blocks, k, mode, singles_mode)
+    assert got[0] == want[0]
+    if got[0] == "ok":
+        assert got[1].tobytes() == want[1].tobytes()  # bit for bit
+    else:
+        assert got[1] == want[1]
+    assert _outcome(bs.blocks_to_counts, blocks) == _outcome(_reference_blocks_to_counts, blocks)
+
+
+# a run order of blocks with 0-12 blocks of each setting pair
+_PAIR_ORDERS = st.lists(st.integers(0, 12), min_size=4, max_size=4).flatmap(
+    lambda counts: st.permutations([s for s in range(4) for _ in range(counts[s])]))
+
+
+@given(pairs=_PAIR_ORDERS, k=st.integers(2, 8),
+       singles_mode=st.sampled_from(["pooled", "paired", "conditional"]))
+def test_stratified_partitions_cover_every_setting(pairs, k, singles_mode):
+    # one trial per block and one coincidence-free click on each arm: a
+    # partition evaluates exactly when it holds a block of every setting
+    blocks = [bs.BlockRecord(s, 1, 1, 1, 0) for s in pairs]
+    status, result = _outcome(bs.partition_values, blocks, k, "stratified", singles_mode)
+    if np.bincount(pairs, minlength=4).min() >= k:
+        assert status == "ok"
+        assert np.array_equal(result, np.full(k, -2.0))
+    elif len(blocks) >= k:
+        assert status == "error" and "insufficient data" in result
+
+
+@pytest.fixture(scope="module")
+def paper_schedule_blocks():
+    # the 4450-block random-per-block schedule of seed 6 at 25 000 trials per
+    # block: strided partitions miss a setting pair from k = 200 on
+    cfg = bs.ExperimentConfig(
+        state=bs.make_eberhard_state(bs.REFERENCE_R), settings=bs.reference_settings(),
+        det=bs.DetectionModel(), schedule_kind="random-per-block",
+        trials_per_block=25_000, n_blocks=4450, rng_seed=6,
+    )
+    return bs.simulate_blocks(cfg)
+
+
+@pytest.mark.parametrize("singles_mode", ["pooled", "conditional"])
+def test_stratified_partitions_at_paper_scale(paper_schedule_blocks, singles_mode):
+    blocks = paper_schedule_blocks
+    with pytest.raises(ValidationError, match="insufficient data"):
+        bs.partition_values(blocks, 200, "strided", singles_mode)
+    ks = [200, 300, 445, 650, 1000]
+    curve = bs.violations_by_partition(blocks, ks, singles_mode=singles_mode)
+    for (k, wins), k_want in zip(curve, ks):
+        values = bs.partition_values(blocks, k, singles_mode=singles_mode)
+        assert k == k_want and values.shape == (k,) and np.all(np.isfinite(values))
+        assert wins == np.count_nonzero(values > 0)
 
 
 # ---------------------------------------------------------------------------
