@@ -25,8 +25,9 @@ Serialized formats:
 - CSV: one record per line, "channel,timestamp_ns".
 - binary: repeated 9-byte records, little-endian uint64 timestamp_ns
   followed by one channel byte.
-- settings file: the setting-pair index (0-3) of each trial, one per
-  line.  The reader accepts any whitespace-separated integers.
+- settings file: the setting-pair index (0-3) of each trial, or of each
+  block in a config's schedule file, one per line.  The reader accepts
+  any whitespace-separated integers.
 - counts JSON: object with rows keyed "ab", "ab'", "a'b", "a'b'", each
   carrying n_trials, singles_a, singles_b, coincidences.
 """

@@ -4,7 +4,9 @@ The optimizer is deliberately derivative-free and deterministic: a
 coarse grid over (a, a') with the reflection tie b = -a, b' = -a'
 (exact for phase-0 states with symmetric arms), followed by coordinate
 descent over all four angles (and r when it is free) with a shrinking
-step down to 1e-3 degree.  The coarse axis is 0.5-degree pitch over
+step down to 1e-3 degree.  The search runs over the real-amplitude
+states r|HH> + |VV> only (phase 0, Eberhard, PRA 47, R747 (1993)),
+where the tie holds.  The coarse axis is 0.5-degree pitch over
 +-45 degrees plus a 0.05-degree fine band around zero, because the
 optimal angles collapse toward horizontal as r -> 0 and a plain
 half-degree grid would miss them entirely.
@@ -118,9 +120,8 @@ def _grid_probs(state, axis: np.ndarray):
 class _Evaluator:
     """Broadcastable objective for one r; angles in degrees."""
 
-    def __init__(self, r: float, phase: float, det: DetectionModel, model: str,
-                 trial_budget: int):
-        self.state = make_eberhard_state(r, phase)
+    def __init__(self, r: float, det: DetectionModel, model: str, trial_budget: int):
+        self.state = make_eberhard_state(r)
         self.det = det
         self.model = model
         self.budget = trial_budget
@@ -189,9 +190,9 @@ def _grid_refine(f, grid: np.ndarray, axis: np.ndarray) -> tuple[float, np.ndarr
     return best, x, exhausted
 
 
-def _optimize_angles(r: float, phase: float, det: DetectionModel, objective: str,
+def _optimize_angles(r: float, det: DetectionModel, objective: str,
                      model: str, trial_budget: int) -> tuple[float, np.ndarray, bool]:
-    ev = _Evaluator(r, phase, det, model, trial_budget)
+    ev = _Evaluator(r, det, model, trial_budget)
     axis = _angle_axis()
     with np.errstate(invalid="ignore", divide="ignore"):
         grid = ev.value(_grid_probs(ev.state, axis), objective)
@@ -204,30 +205,24 @@ def optimize(
     det: DetectionModel,
     objective: str = "b",
     fix_r: float | None = None,
-    phase: float = 0.0,
     model: str = "linear",
-    r_grid: Sequence[float] | None = None,
     trial_budget: int = 1_000_000,
 ) -> OptimizationResult:
     """Maximize the chosen objective over (r, a, a', b, b').
 
-    With fix_r the search is over angles only.  Deterministic for fixed
+    With fix_r the search is over angles only; otherwise r starts from
+    the grid 0.05, 0.10, ..., 1.0.  Deterministic for fixed
     grid parameters; local refinement means local optimality.
     """
     if objective not in OBJECTIVES:
         raise ValidationError(f"objective must be one of {OBJECTIVES}")
     if model not in MODELS:
         raise ValidationError(f"model must be one of {MODELS}")
-    if fix_r is not None:
-        rs = [float(fix_r)]
-    elif r_grid is not None:
-        rs = [float(v) for v in r_grid]
-    else:
-        rs = list(np.arange(0.05, 1.0 + 1e-9, 0.05))
+    rs = [float(fix_r)] if fix_r is not None else list(np.arange(0.05, 1.0 + 1e-9, 0.05))
     best = None
     exhausted = 0
     for r in rs:
-        val, x, ran_out = _optimize_angles(r, phase, det, objective, model, trial_budget)
+        val, x, ran_out = _optimize_angles(r, det, objective, model, trial_budget)
         exhausted += ran_out
         if best is None or val > best[0]:
             best = (val, r, x)
@@ -243,9 +238,8 @@ def optimize(
                 r_try = r + s
                 if r_try <= 0:
                     continue
-                ev = ev_cache.setdefault(
-                    round(r_try, 12), _Evaluator(r_try, phase, det, model, trial_budget),
-                )
+                ev = ev_cache.setdefault(round(r_try, 12),
+                                         _Evaluator(r_try, det, model, trial_budget))
                 v_try, x_try, ran_out = _refine(lambda y: ev.at(y, objective), x)
                 exhausted += ran_out
                 if v_try > val:
@@ -253,7 +247,7 @@ def optimize(
             if not improved:
                 step *= 0.5
 
-    num, den = ch_terms(*pair_probs(make_eberhard_state(r, phase), *x), det, model)
+    num, den = ch_terms(*pair_probs(make_eberhard_state(r), *x), det, model)
     settings = MeasurementSettings(*x)
     return OptimizationResult(
         r=float(r),
@@ -316,14 +310,13 @@ def bprime_vs_r_sweep(
     det: DetectionModel,
     r_grid: Sequence[float],
     model: str = "compound",
-    objective: str = "b-prime",
 ) -> list[SweepPoint]:
     """Optimized ratio-form value for each r on the grid."""
     if len(r_grid) == 0:
         raise ValidationError("r_grid must be nonempty")
     points = []
     for r in r_grid:
-        res = optimize(det, objective=objective, fix_r=float(r), model=model)
+        res = optimize(det, objective="b-prime", fix_r=float(r), model=model)
         points.append(SweepPoint(r=float(r), b_prime=res.predicted_b_prime,
                                  settings=res.settings,
                                  exhausted_refinements=res.exhausted_refinements))

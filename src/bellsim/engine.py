@@ -39,7 +39,15 @@ from typing import Iterator, NamedTuple, Sequence
 
 import numpy as np
 
-from .counting import CHANNEL_ALICE, CHANNEL_BOB, CHANNEL_CLOCK, CountsTable, TimetagStream
+from .counting import (
+    CHANNEL_ALICE,
+    CHANNEL_BOB,
+    CHANNEL_CLOCK,
+    _INT64_MAX,
+    CountsTable,
+    TimetagStream,
+    read_settings,
+)
 from .errors import FormatError, NumericalError, ValidationError
 from .lhv import DriftModel
 from .quantum import (
@@ -241,37 +249,23 @@ def setting_schedule(
     if kind == "file":
         if file is None:
             raise ValidationError("file schedule requires a path")
-        try:
-            with open(file, "r", encoding="ascii") as fh:
-                lines = list(fh)
-        except UnicodeDecodeError as exc:
-            raise FormatError(f"settings file {file} is not ASCII text: {exc}") from None
-        idx = []
-        for lineno, line in enumerate(lines, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                v = int(line)
-            except ValueError:
-                raise FormatError(f"settings file: non-integer line {line!r}", lineno) from None
-            if not 0 <= v <= 3:
-                raise FormatError(f"settings file: index {v} out of range 0..3", lineno)
-            idx.append(v)
-        if len(idx) < n_blocks:
-            raise ValidationError(
-                f"settings file provides {len(idx)} entries, need {n_blocks}"
-            )
-        return np.array(idx[:n_blocks], dtype=np.int64)
+        idx = read_settings(file).astype(np.int64)
+        bad = np.flatnonzero((idx < 0) | (idx > 3))
+        if bad.size:
+            raise FormatError(f"settings file: index {idx[bad[0]]} out of range 0..3",
+                              int(bad[0]) + 1)
+        if idx.size < n_blocks:
+            raise ValidationError(f"settings file provides {idx.size} entries, need {n_blocks}")
+        return idx[:n_blocks]
     raise ValidationError(f"unknown schedule kind {kind!r}")
 
 
 _CALIBRATION_TOL = 1e-12
+_CALIBRATION_ITERATIONS = 200
 
 
 def calibrate_source_rates(
     eta: float, p1_low: float, rate_low: float, p1_high: float, rate_high: float,
-    iterations: int = 200,
 ) -> tuple[float, float]:
     """Fit (pair_mean, background) so the compounded singles model matches
     two observed per-trial singles rates at known projection probabilities.
@@ -282,7 +276,7 @@ def calibrate_source_rates(
     if not 0 < eta <= 1:
         raise ValidationError("eta must be in (0, 1]")
     mu, bg = 0.03, 1e-4
-    for _ in range(iterations):
+    for _ in range(_CALIBRATION_ITERATIONS):
         mu = -math.log((1.0 - rate_high) / (1.0 - bg)) / (eta * p1_high)
         bg = 1.0 - (1.0 - rate_low) / math.exp(-mu * eta * p1_low)
     if not (mu > 0 and 0 <= bg < 1):
@@ -387,6 +381,9 @@ def timetag_chunks(cfg: ExperimentConfig) -> Iterator[TimetagStream]:
     det = cfg.det
     n = cfg.trials_per_block
     period = int(round(det.trial_period_ns))
+    if period < 1 or (cfg.n_blocks * n + 2) * period > _INT64_MAX:
+        raise ValidationError(f"{cfg.n_blocks * n} trials of {det.trial_period_ns!r} ns do not "
+                              "fit whole-nanosecond 64-bit timestamps")
     burst_ns = det.pulses_per_trial * det.pulse_period_ns
     burst_offset = (det.trial_period_ns - burst_ns) / 2.0
 
@@ -406,7 +403,10 @@ def timetag_chunks(cfg: ExperimentConfig) -> Iterator[TimetagStream]:
         rng = _rng(cfg.rng_seed, _BLOCK_STREAM, b)
         trial_start = (np.arange(n, dtype=np.int64) + b * n) * period
 
-        k = rng.poisson(mu, size=n)
+        try:
+            k = rng.poisson(mu, size=n)
+        except ValueError as exc:
+            raise ValidationError(f"pair mean {mu!r} is out of range: {exc}") from None
         pair_trial = np.repeat(np.arange(n), k)
         npairs = pair_trial.size
         u = rng.random(npairs)
@@ -429,7 +429,8 @@ def timetag_chunks(cfg: ExperimentConfig) -> Iterator[TimetagStream]:
                 base = base + rng.normal(0.0, det.jitter_sigma_ns, size=base.size)
             lo = np.maximum(trial_start[trials_idx] - period, 0)
             hi = trial_start[trials_idx] + 2 * period - 1
-            t = np.rint(base).astype(np.int64)
+            # a period's margin beyond the clamp keeps huge jitter inside int64
+            t = np.rint(np.clip(base, lo - period, hi + period)).astype(np.int64)
             out_of_range = (t < lo) | (t > hi)
             t = np.clip(t, lo, hi)
             return t, int(out_of_range.sum())

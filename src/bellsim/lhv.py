@@ -30,6 +30,7 @@ Three families, all fully deterministic given their parameters:
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 from dataclasses import astuple, dataclass
@@ -190,36 +191,24 @@ def counts_from_strategy(strategy: LhvStrategy, trials_per_combo: int) -> Counts
     )
 
 
-def _deterministic_value(fa: tuple[int, int], fb: tuple[int, int]) -> int:
-    return (
-        fa[0] * fb[0] + fa[0] * fb[1] + fa[1] * fb[0] - fa[1] * fb[1] - fa[0] - fb[0]
-    )
+def _deterministic_terms():
+    """(strategy, coincidence combination, singles sum) for each of the 16
+    deterministic one-detector-per-arm strategies, one class of weight 1."""
+    for fa0, fa1, fb0, fb1 in itertools.product((False, True), repeat=4):
+        strategy = LhvStrategy((LhvClass(1, (fa0, fa1), (fb0, fb1)),))
+        singles_a, singles_b, coinc = _pair_weights(strategy)
+        yield strategy, coinc[0] + coinc[1] + coinc[2] - coinc[3], singles_a[0] + singles_b[0]
 
 
 def max_deterministic_ch() -> float:
     """Exhaustive maximum of the CH combination over all 16 deterministic
     one-detector-per-arm strategies; equals 0, the classical bound."""
-    best = -math.inf
-    for fa0 in (0, 1):
-        for fa1 in (0, 1):
-            for fb0 in (0, 1):
-                for fb1 in (0, 1):
-                    best = max(best, _deterministic_value((fa0, fa1), (fb0, fb1)))
-    return float(best)
+    return float(max(num - den for _, num, den in _deterministic_terms()))
 
 
 def max_deterministic_ch_ratio() -> float:
     """Same enumeration for the ratio form; the bound is 1."""
-    best = -math.inf
-    for fa0 in (0, 1):
-        for fa1 in (0, 1):
-            for fb0 in (0, 1):
-                for fb1 in (0, 1):
-                    num = fa0 * fb0 + fa0 * fb1 + fa1 * fb0 - fa1 * fb1
-                    den = fa0 + fb0
-                    if den > 0:
-                        best = max(best, num / den)
-    return float(best)
+    return float(max(num / den for _, num, den in _deterministic_terms() if den > 0))
 
 
 # ---------------------------------------------------------------------------

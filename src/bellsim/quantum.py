@@ -46,6 +46,7 @@ Arm = Literal["A", "B"]
 
 _HERMITICITY_TOL = 1e-10
 _NORM_TOL = 1e-12
+_INT64_MAX = int(np.iinfo(np.int64).max)
 
 
 def _canonical_angle(angle_deg: float) -> float:
@@ -182,19 +183,24 @@ class DetectionModel:
                 raise ValidationError(f"{name} must be a probability in [0,1], got {v!r}")
         if not (math.isfinite(self.pair_mean) and self.pair_mean >= 0.0):
             raise ValidationError(f"pair_mean must be >= 0, got {self.pair_mean!r}")
-        if self.pulses_per_trial < 1:
-            raise ValidationError("pulses_per_trial must be >= 1")
-        if self.pulse_period_ns <= 0 or self.trial_period_ns <= 0:
-            raise ValidationError("pulse and trial periods must be positive")
+        if not 1 <= self.pulses_per_trial <= _INT64_MAX:
+            raise ValidationError(f"pulses_per_trial must be in 1..2**63-1, "
+                                  f"got {self.pulses_per_trial!r}")
+        for name in ("pulse_period_ns", "trial_period_ns"):
+            v = getattr(self, name)
+            if not (math.isfinite(v) and v > 0.0):
+                raise ValidationError(f"{name} must be finite and positive, got {v!r}")
         if self.pulses_per_trial * self.pulse_period_ns > self.trial_period_ns:
             raise ValidationError("pulse burst does not fit inside the trial period")
-        if self.jitter_sigma_ns < 0:
-            raise ValidationError("jitter_sigma_ns must be >= 0")
+        if not (math.isfinite(self.jitter_sigma_ns) and self.jitter_sigma_ns >= 0.0):
+            raise ValidationError(f"jitter_sigma_ns must be finite and >= 0, "
+                                  f"got {self.jitter_sigma_ns!r}")
 
     @classmethod
-    def ideal(cls, pair_mean: float = 1.0) -> "DetectionModel":
-        """Unit-efficiency, background-free model (analytic references)."""
-        return cls(eta_a=1.0, eta_b=1.0, pair_mean=pair_mean, bg_a=0.0, bg_b=0.0)
+    def ideal(cls) -> "DetectionModel":
+        """Unit-efficiency, background-free model with one pair per trial
+        (analytic references)."""
+        return cls(eta_a=1.0, eta_b=1.0, pair_mean=1.0, bg_a=0.0, bg_b=0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -328,10 +334,10 @@ def ch_terms(p1, p2, p12, det: DetectionModel, model: str = "compound"):
 
 
 def expected_rates(state: PolarizationState, settings: MeasurementSettings,
-                   det: DetectionModel, multiplier=1.0):
+                   det: DetectionModel):
     """(pA, pB, pAB) arrays over the four setting pairs (compound model)."""
     p1, p2, p12 = (np.array(p) for p in pair_probs(state, *astuple(settings)))
-    return click_probabilities(p1, p2, p12, det, multiplier=multiplier)
+    return click_probabilities(p1, p2, p12, det)
 
 
 def ch_value(state: PolarizationState, settings: MeasurementSettings,

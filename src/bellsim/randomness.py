@@ -279,14 +279,16 @@ def dire_report(
     policy: str = "sha-half",
     epsilon: float | None = None,
     bits_per_event: int = 8,
-    singles_mode: str = "pooled",
 ) -> DireReport:
-    """Chain counts -> violation -> min-entropy -> extractable length -> rate."""
-    if acquisition_s <= 0:
-        raise ValidationError("acquisition_s must be positive")
+    """Chain counts -> violation -> min-entropy -> extractable length -> rate.
+
+    B is the pooled-singles estimate.
+    """
+    if not (math.isfinite(acquisition_s) and acquisition_s > 0):
+        raise ValidationError(f"acquisition_s must be finite and positive, got {acquisition_s!r}")
     if bits_per_event < 1:
         raise ValidationError("bits_per_event must be >= 1")
-    b_value = ch_from_counts(table, singles_mode)
+    b_value = ch_from_counts(table, "pooled")
     p = guessing_probability(min(b_value, B_QUANTUM_MAX))
     h = -math.log2(p)
     n_events = int(table.total_trials)

@@ -229,8 +229,8 @@ def violations_by_partition(
 # adversarial guessing bounds
 
 
-def hacker_bound(n_cycles: int, n_violations: int, p_guess_per_cycle: float = 0.5) -> float:
-    """Exact binomial upper-tail P(X >= n_violations | n_cycles, p).
+def hacker_bound(n_cycles: int, n_violations: int) -> float:
+    """Exact binomial upper-tail P(X >= n_violations | n_cycles, 1/2).
 
     The chance that an adversary who can only guess the settings (one
     even-odds guess per cycle) produces at least the observed number of
@@ -239,21 +239,15 @@ def hacker_bound(n_cycles: int, n_violations: int, p_guess_per_cycle: float = 0.
     """
     if n_cycles < 0 or not 0 <= n_violations <= n_cycles:
         raise ValidationError("need 0 <= n_violations <= n_cycles")
-    p = p_guess_per_cycle
-    if not 0.0 <= p <= 1.0:
-        raise ValidationError("p_guess_per_cycle must be a probability")
     if n_violations == 0:
         return 1.0
-    if p == 0.0:
-        return 0.0
-    if p == 1.0:
-        return 1.0
+    log_half = math.log(0.5)
     log_terms = [
         math.lgamma(n_cycles + 1)
         - math.lgamma(m + 1)
         - math.lgamma(n_cycles - m + 1)
-        + m * math.log(p)
-        + (n_cycles - m) * math.log1p(-p)
+        + m * log_half
+        + (n_cycles - m) * log_half
         for m in range(n_violations, n_cycles + 1)
     ]
     top = max(log_terms)

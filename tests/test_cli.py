@@ -224,6 +224,49 @@ def _valid_config():
     ).to_json_dict()
 
 
+def test_non_integer_schedule_token_is_exit_2(tmp_path, capsys):
+    schedule = tmp_path / "schedule.txt"
+    schedule.write_text("0 1\n2 x3\n")
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({**_valid_config(), "schedule_kind": "file",
+                                  "schedule_file": str(schedule)}))
+    assert main(["simulate", str(config), "--out", str(tmp_path), "--quiet"]) == 2
+    err = capsys.readouterr().err
+    assert "'x3'" in err and "line 2" in err
+
+
+TIMETAG_GEOMETRY_ERRORS = {
+    "trial-period-nan": {"trial_period_ns": float("nan")},
+    "trial-period-inf": {"trial_period_ns": float("inf")},
+    "trial-period-1e300": {"trial_period_ns": 1e300},
+    "trial-period-below-1ns": {"trial_period_ns": 0.3, "pulses_per_trial": 1,
+                               "pulse_period_ns": 0.1},
+    "pair-mean-1e308": {"pair_mean": 1e308},
+    "jitter-nan": {"jitter_sigma_ns": float("nan")},
+    "pulse-period-nan": {"pulse_period_ns": float("nan")},
+}
+
+
+@pytest.mark.parametrize("case", sorted(TIMETAG_GEOMETRY_ERRORS))
+def test_timetag_geometry_out_of_range_is_exit_2(case, tmp_path, capsys):
+    doc = _valid_config()
+    doc["det"] = {**doc["det"], **TIMETAG_GEOMETRY_ERRORS[case]}
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(doc))
+    assert main(["simulate", str(config), "--timetags", "--out", str(tmp_path),
+                 "--quiet"]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+
+
+@pytest.mark.parametrize("seconds", ["nan", "inf"])
+def test_dire_non_finite_seconds_is_exit_2(seconds, tmp_path, reference_counts):
+    counts = tmp_path / "counts.json"
+    counts.write_text(reference_counts.to_json())
+    assert main(["dire", str(counts), "--seconds", seconds, "--out", str(tmp_path),
+                 "--quiet"]) == 2
+    assert not (tmp_path / "dire_report.json").exists()
+
+
 MALFORMED_INPUTS = {
     "config-unknown-det-field": ("simulate", lambda: {**_valid_config(), "det": {"foo": 1}}),
     "config-top-level-array": ("simulate", lambda: [_valid_config()]),
@@ -596,6 +639,31 @@ def test_simulate_fuzzed_config(tmp_path_factory, config):
     work = tmp_path_factory.mktemp("fuzz")
     (work / "config.json").write_bytes(config)
     code = main(["simulate", str(work / "config.json"), "--out", str(work), "--quiet"])
+    assert code in (0, 2, 3, 4)
+
+
+_GEOMETRY_FLOATS = st.one_of(st.floats(), st.sampled_from([1e300, -1e300, 0.3, 1e-300]))
+
+
+@given(top=st.fixed_dictionaries({"n_blocks": st.integers(1, 4),
+                                  "trials_per_block": st.integers(1, 50)}),
+       det=st.fixed_dictionaries({}, optional={
+           "pair_mean": st.floats(max_value=10.0),
+           "pulses_per_trial": st.one_of(st.integers(-2, 300), st.integers(-(2**70), 2**70)),
+           "pulse_period_ns": _GEOMETRY_FLOATS,
+           "trial_period_ns": _GEOMETRY_FLOATS,
+           "jitter_sigma_ns": _GEOMETRY_FLOATS}))
+@example(top={"n_blocks": 4, "trials_per_block": 50},
+         det={"pair_mean": 10.0, "pulses_per_trial": 2**70, "pulse_period_ns": 1e-300})
+@example(top={"n_blocks": 1, "trials_per_block": 1},
+         det={"pulses_per_trial": 10**400, "pulse_period_ns": 1e-300})
+def test_simulate_fuzzed_timetag_config(tmp_path_factory, top, det):
+    # the config fuzz above stays in block mode; this one bounds the run
+    # size and pair mean, since the timetag sampler allocates per detection
+    work = tmp_path_factory.mktemp("fuzz")
+    (work / "config.json").write_bytes(_fuzzed_config(top, {}, det))
+    code = main(["simulate", str(work / "config.json"), "--timetags", "--out", str(work),
+                 "--quiet"])
     assert code in (0, 2, 3, 4)
 
 

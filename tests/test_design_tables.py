@@ -32,7 +32,7 @@ def test_table_grid_equals_meshgrid_bitwise(r, det_name):
     axis = eberhard._angle_axis()
     aa, pp = np.meshgrid(axis, axis, indexing="ij")
     for model in quantum.MODELS:
-        ev = eberhard._Evaluator(r, 0.0, DETECTORS[det_name], model, 10_000_000)
+        ev = eberhard._Evaluator(r, DETECTORS[det_name], model, 10_000_000)
         meshgrid_probs = quantum.pair_probs(ev.state, aa, pp, -aa, -pp)
         table_probs = eberhard._grid_probs(ev.state, axis)
         for objective in eberhard.OBJECTIVES:

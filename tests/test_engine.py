@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 import bellsim as bs
+from bellsim.counting import serialize_settings
 from bellsim.engine import (
     _BLOCK_STREAM,
     _block_schedule,
@@ -56,6 +57,19 @@ def test_file_schedule(tmp_path):
         bs.setting_schedule("file", 4, file=str(p))  # too short
     p.write_text("0\n9\n")
     with pytest.raises(FormatError):
+        bs.setting_schedule("file", 2, file=str(p))
+
+
+def test_file_schedule_reads_settings_files(tmp_path):
+    p = tmp_path / "settings.txt"
+    p.write_bytes(serialize_settings([2, 0, 3, 1, 1]))
+    sched = bs.setting_schedule("file", 4, file=str(p))
+    assert sched.dtype == np.int64 and sched.tolist() == [2, 0, 3, 1]
+    p.write_text("0 3  1\n\n2\t0\n")
+    sched = bs.setting_schedule("file", 5, file=str(p))
+    assert sched.dtype == np.int64 and sched.tolist() == [0, 3, 1, 2, 0]
+    p.write_text("0 1\n2 -1\n")
+    with pytest.raises(FormatError, match="index -1"):
         bs.setting_schedule("file", 2, file=str(p))
 
 

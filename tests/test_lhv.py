@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import bellsim as bs
+from bellsim import lhv
 from bellsim.errors import FormatError, ValidationError
 
 from conftest import random_strategies
@@ -84,6 +85,14 @@ def test_soundness_sweep_1000_random_strategies():
 def test_deterministic_enumeration_bounds():
     assert bs.max_deterministic_ch() == 0.0
     assert bs.max_deterministic_ch_ratio() == 1.0
+
+
+def test_deterministic_enumeration_matches_counts_tables():
+    terms = list(lhv._deterministic_terms())
+    assert len({s.classes[0] for s, _, _ in terms}) == 16
+    for strategy, num, den in terms:
+        table = bs.counts_from_strategy(strategy, 1)
+        assert num - den == bs.ch_from_counts(table, "paired")
 
 
 # ---------------------------------------------------------------------------
