@@ -35,6 +35,7 @@ Serialized formats:
 from __future__ import annotations
 
 import json
+import math
 import os
 from collections import Counter, deque
 from dataclasses import dataclass, field
@@ -128,9 +129,11 @@ def _checked_records(rec: np.ndarray, start: int = 0, prev=None) -> tuple:
 
     Raises a FormatError naming the first bad record: a timestamp beyond
     the signed 64-bit range, an unknown channel, or a time regression,
-    in that order of precedence within one record.
+    in that order of precedence within one record.  The checks run on
+    contiguous copies of the two columns, and the range check makes the
+    signed view of the timestamps exact.
     """
-    t, ch = rec["t"], rec["ch"]
+    t, ch = np.ascontiguousarray(rec["t"]), np.ascontiguousarray(rec["ch"])
     faults = (
         (_first(t > _INT64_MAX), "timestamp exceeds signed 64-bit range"),
         (_first(ch > CHANNEL_CLOCK), "unknown channel"),
@@ -141,7 +144,7 @@ def _checked_records(rec: np.ndarray, start: int = 0, prev=None) -> tuple:
         if what == "unknown channel":
             what = f"unknown channel {int(ch[idx])}"
         raise FormatError(what, start + idx)
-    return t.astype(np.int64), np.ascontiguousarray(ch)
+    return t.view(np.int64), ch
 
 
 class TimetagFile:
@@ -419,8 +422,9 @@ class WindowPolicy:
     def __post_init__(self):
         if self.kind not in ("clock", "event"):
             raise ValidationError(f"window kind must be 'clock' or 'event', got {self.kind!r}")
-        if self.kind == "event" and not (self.window_ns and self.window_ns > 0):
-            raise ValidationError("event windowing requires window_ns > 0")
+        if self.kind == "event" and not (
+                self.window_ns and math.isfinite(self.window_ns) and self.window_ns > 0):
+            raise ValidationError("event windowing requires a finite window_ns > 0")
 
 
 def _pieces(source):
@@ -560,13 +564,26 @@ def event_windowed_counts(stream, window_ns: float, schedule) -> CountsTable:
     Pairing is greedy earliest-first with each detection used once; a
     coincidence is attributed to the trial of its earlier member, so a
     trial can hold several.  Singles are raw detection counts per trial.
-    The window must stay below half the trial period (the header period,
-    else the median clock spacing), otherwise this discipline is rejected
-    outright.  The stream is a TimetagStream or a TimetagFile; detections
-    still waiting for a partner carry across chunk edges.
+    The window must be finite and stay below half the trial period (the
+    header period, else the median clock spacing), otherwise this
+    discipline is rejected outright.  The stream is a TimetagStream or a
+    TimetagFile; detections still waiting for a partner carry across
+    chunk edges.
+
+    Splitting the time-ordered detections wherever consecutive times
+    differ by more than the window cuts them into clusters that pair
+    independently: no pair spans two clusters, and a detection left
+    waiting from an earlier cluster has expired for every later one, so
+    it is dropped from the queue before any live entry is looked at.  A
+    cluster of one detection pairs with nothing and a cluster of two is
+    one coincidence exactly when it holds both arms.  Only larger
+    clusters, the last cluster of a chunk (it may go on in the next) and
+    the cluster holding detections carried from earlier chunks walk the
+    queue.
     """
-    if window_ns <= 0:
-        raise ValidationError("window_ns must be positive")
+    if not (math.isfinite(window_ns) and window_ns > 0):
+        raise ValidationError(f"event window must be a finite positive number of ns, "
+                              f"got {window_ns}")
     period = stream.trial_period_ns
     if period is not None:
         _check_window(window_ns, float(period))
@@ -593,9 +610,25 @@ def event_windowed_counts(stream, window_ns: float, schedule) -> CountsTable:
         tally[1] += np.bincount(sched[trial[det_ch == CHANNEL_ALICE]], minlength=4)
         tally[2] += np.bincount(sched[trial[det_ch == CHANNEL_BOB]], minlength=4)
 
-        # queue entries index the pending detections followed by this piece's
+        # clusters: runs of detections, the pending ones first, split where
+        # consecutive times differ by more than w
         times = np.concatenate([pending_t, det_t])
         trials = np.concatenate([pending_trial, trial])
+        bounds = np.concatenate(([0], np.flatnonzero(np.diff(times) > w) + 1, [times.size]))
+        sizes = np.diff(bounds)
+        walked = sizes >= 3
+        walked[-1] = True  # it may continue into the next piece
+        walked[0] |= pending_t.size > 0
+        # a two-detection cluster on both arms is one coincidence; a cluster
+        # that is not walked holds no pending detection, so it indexes det_*
+        pairs = bounds[:-1][~walked & (sizes == 2)] - pending_t.size
+        pairs = pairs[det_ch[pairs] != det_ch[pairs + 1]]
+        tally[3] += np.bincount(sched[trial[pairs]], minlength=4)
+
+        # the queue walks the rest: its entries index the pending detections
+        # followed by this piece's walked ones
+        kept = np.repeat(walked, sizes)
+        times, trials, det_ch = times[kept], trials[kept], det_ch[kept[pending_t.size:]]
         tl = times.tolist()
         queue = deque(range(pending_t.size))
         first = []  # the earlier member of each coincidence

@@ -202,6 +202,19 @@ def test_malformed_event_window_is_exit_2(tmp_path, capsys):
     assert "event:abc" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("window", ["event:inf", "event:1e400", "event:nan"])
+def test_non_finite_event_window_is_exit_2(window, tmp_path, capsys):
+    # a binary stream has no header period to reject the window first
+    out = tmp_path / "demo"
+    assert main(["lhv-demo", "--what", "timing", "--trials", "200",
+                 "--out", str(out), "--quiet"]) == 0
+    code = main(["analyze", str(out / "adversarial_timetags.bin"), "--window", window,
+                 "--settings", str(out / "adversarial_settings.txt"), "--out", str(out),
+                 "--quiet"])
+    assert code == 2
+    assert "finite" in capsys.readouterr().err
+
+
 def test_non_integer_settings_line_is_exit_2(tmp_path, capsys):
     out = tmp_path / "demo"
     assert main(["lhv-demo", "--what", "timing", "--trials", "200",
@@ -370,7 +383,8 @@ _ANALYZABLE = st.tuples(
 
 
 @given(inputs=st.one_of(_ANALYZABLE, st.tuples(_TIMETAGS, _SETTINGS)),
-       window=st.sampled_from(["clock", "event:8.33", "event:40", "event:1e30", "event:nan"]))
+       window=st.sampled_from(["clock", "event:8.33", "event:40", "event:1e30", "event:nan",
+                               "event:inf"]))
 @example(inputs=((".bin", _binary_timetags([(0, 2), (5, 0)])), b"\xff\n"), window="clock")
 @example(inputs=((".csv", b"2,0\n0,18446744073709551615\n"), b"0\n"), window="clock")
 def test_analyze_fuzzed_timetags_and_settings(tmp_path_factory, inputs, window):
@@ -394,7 +408,8 @@ def _analyze_outcome(argv):
 
 
 @given(inputs=st.one_of(_ANALYZABLE, st.tuples(_TIMETAGS, _SETTINGS)),
-       window=st.sampled_from(["clock", "event:8.33", "event:40", "event:1e30", "event:nan"]))
+       window=st.sampled_from(["clock", "event:8.33", "event:40", "event:1e30", "event:nan",
+                               "event:inf"]))
 @example(inputs=((".bin", _binary_timetags([(0, 2), (5, 0)])), b"\xff\n"), window="clock")
 def test_analyze_fuzzed_timetags_at_small_chunks(tmp_path_factory, inputs, window):
     # records and settings lines read two at a time give the same exit code,

@@ -1,6 +1,7 @@
 """Timetag parsing, serialization, and the two counting disciplines."""
 
 from collections import deque
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -315,6 +316,63 @@ def test_event_window_fractional_ns_is_exact():
     assert reference_event_coincidences(stream, 8.33, [0, 1]) == [1, 0, 0, 0]
 
 
+@pytest.mark.parametrize("window_ns", [float("nan"), float("inf"), 1e400, 0, -1])
+def test_event_window_must_be_finite_and_positive(window_ns):
+    with pytest.raises(ValidationError):
+        bs.WindowPolicy("event", window_ns)
+    with pytest.raises(ValidationError):
+        bs.event_windowed_counts(small_stream(), window_ns, [2, 1])
+
+
+def _clustered_stream(window_ns, clusters, joins, splits, clock_offset, seed):
+    """Detections in clusters whose members follow each other by a gap from
+    `joins` (at most the window) and whose clusters follow by one from
+    `splits` (beyond it); clock marks every 4w + 3 ns from clock_offset
+    to past the last detection."""
+    w = int(window_ns)
+    times, chans = [], []
+    t = 0
+    for k, arms in enumerate(clusters):
+        for j, arm in enumerate(arms):
+            if times:
+                t += joins[(k + j) % len(joins)] if j else splits[k % len(splits)]
+            times.append(t)
+            chans.append(arm)
+    period = 4 * w + 3
+    clocks = [clock_offset + period * k for k in range(t // period + 2)]
+    order = np.argsort(np.array(times + clocks), kind="stable")
+    stream = bs.TimetagStream(np.array(times + clocks)[order],
+                              np.array(chans + [bs.CHANNEL_CLOCK] * len(clocks))[order],
+                              trial_period_ns=float(period))
+    schedule = np.random.default_rng(seed).integers(0, 4, size=len(clocks))
+    return stream, schedule
+
+
+@given(window_ns=st.sampled_from([1, 8.33, 25]),
+       clusters=st.lists(st.lists(st.integers(0, 1), min_size=1, max_size=6),
+                         min_size=1, max_size=12),
+       joins=st.lists(st.sampled_from(["w-1", "w"]), min_size=1, max_size=5),
+       splits=st.lists(st.sampled_from(["w+1", "50w"]), min_size=1, max_size=5),
+       clock_offset=st.integers(0, 60), seed=st.integers(0, 3))
+def test_event_window_clusters_match_two_queue_reference(tmp_path_factory, window_ns,
+                                                         clusters, joins, splits,
+                                                         clock_offset, seed):
+    # cluster edges fall exactly on the window, and on chunk edges
+    w = int(window_ns)
+    gap = {"w-1": w - 1, "w": w, "w+1": w + 1, "50w": 50 * w}
+    stream, schedule = _clustered_stream(window_ns, clusters, [gap[g] for g in joins],
+                                         [gap[g] for g in splits], clock_offset, seed)
+    expected = bs.event_windowed_counts(stream, window_ns, schedule)
+    assert expected.coincidences.tolist() == reference_event_coincidences(
+        stream, window_ns, schedule)
+    path = tmp_path_factory.mktemp("clusters") / "stream.bin"
+    path.write_bytes(bs.serialize_timetags(stream))
+    for chunk in (1, 2, 7, counting.CHUNK_RECORDS):
+        with mock.patch.object(counting, "CHUNK_RECORDS", chunk):
+            table = bs.event_windowed_counts(TimetagFile(path), window_ns, schedule)
+        assert (table.to_json_dict(), table.meta) == (expected.to_json_dict(), expected.meta)
+
+
 def test_row_totals_conservation():
     rng = np.random.default_rng(2)
     settings = rng.integers(0, 4, size=500)
@@ -502,6 +560,30 @@ def test_reader_rejects_a_partial_record(tmp_path):
     path.write_bytes(b"\x00" * 20)
     assert _error(lambda: TimetagFile(path)) == _error(
         lambda: bs.parse_timetags(path.read_bytes(), "binary"))
+
+
+@pytest.mark.parametrize("chunk", [1, None])
+def test_reader_boundary_at_two_to_the_63(chunk, tmp_path, monkeypatch):
+    # 2^63 - 1 is the last timestamp the signed view reads back unchanged
+    if chunk:
+        monkeypatch.setattr(counting, "CHUNK_RECORDS", chunk)
+    path = tmp_path / "stream.bin"
+
+    def write(last):
+        data = np.array([(0, 2), (5, 0), (last, 1)], dtype=counting._BINARY_DTYPE).tobytes()
+        path.write_bytes(data)
+        return data
+
+    data = write(2**63 - 1)
+    streams = [bs.parse_timetags(data, "binary"), *TimetagFile(path).chunks()]
+    assert all(s.timestamps.dtype == np.int64 for s in streams)
+    assert streams[0].timestamps.tolist() == [0, 5, 2**63 - 1]
+    assert np.concatenate([s.timestamps for s in streams[1:]]).tolist() == [0, 5, 2**63 - 1]
+
+    data = write(2**63)
+    expected = ("timestamp exceeds signed 64-bit range (at record/line 2)", 2)
+    assert _error(lambda: bs.parse_timetags(data, "binary")) == expected
+    assert _error(lambda: list(TimetagFile(path).chunks())) == expected
 
 
 @pytest.mark.parametrize("chunk", [1, 2, 7])

@@ -19,20 +19,8 @@ N_BLOCKS = 50
 MAX_BYTES_PER_TRIAL = 3.0
 
 
-def _step_peaks(work, n_blocks):
-    """Peak traced bytes of simulate --timetags, then clock and event analyze."""
-    cfg = bs.ExperimentConfig(
-        state=bs.make_eberhard_state(0.26), settings=bs.reference_settings(),
-        det=bs.DetectionModel(pair_mean=0.1, bg_a=0.01, bg_b=0.01),
-        trials_per_block=TRIALS_PER_BLOCK, n_blocks=n_blocks, rng_seed=5,
-    )
-    work.mkdir()
-    (work / "config.json").write_text(cfg.to_json())
-    steps = [["simulate", str(work / "config.json"), "--timetags"]] + [
-        ["analyze", str(work / "timetags.bin"), "--window", window,
-         "--settings", str(work / "trial_settings.txt")]
-        for window in ("clock", "event:2000")
-    ]
+def _peaks(work, steps):
+    """Peak traced bytes of each CLI step, run in order with output to work."""
     peaks = []
     for argv in steps:
         tracemalloc.start()
@@ -47,13 +35,51 @@ def _step_peaks(work, n_blocks):
     return peaks
 
 
-def test_timetag_pipeline_peak_does_not_grow_with_trials(tmp_path, monkeypatch):
-    monkeypatch.setattr(counting, "CHUNK_RECORDS", 1 << 12)
-    _step_peaks(tmp_path / "warm-up", N_BLOCKS)  # first-call allocations
-    small = _step_peaks(tmp_path / "n", N_BLOCKS)
-    large = _step_peaks(tmp_path / "4n", 4 * N_BLOCKS)
+def _step_peaks(work, n_blocks):
+    """Peak traced bytes of simulate --timetags, then clock and event analyze."""
+    cfg = bs.ExperimentConfig(
+        state=bs.make_eberhard_state(0.26), settings=bs.reference_settings(),
+        det=bs.DetectionModel(pair_mean=0.1, bg_a=0.01, bg_b=0.01),
+        trials_per_block=TRIALS_PER_BLOCK, n_blocks=n_blocks, rng_seed=5,
+    )
+    work.mkdir()
+    (work / "config.json").write_text(cfg.to_json())
+    steps = [["simulate", str(work / "config.json"), "--timetags"]] + [
+        ["analyze", str(work / "timetags.bin"), "--window", window,
+         "--settings", str(work / "trial_settings.txt")]
+        for window in ("clock", "event:2000")
+    ]
+    return _peaks(work, steps)
+
+
+def _adversarial_peaks(work, n_blocks):
+    """Peak traced bytes of lhv-demo --what timing, then event analyze: a
+    stream with a detection on each arm in every trial."""
+    work.mkdir()
+    return _peaks(work, [
+        ["lhv-demo", "--what", "timing", "--trials", str(n_blocks * TRIALS_PER_BLOCK)],
+        ["analyze", str(work / "adversarial_timetags.bin"), "--window", "event:2000",
+         "--settings", str(work / "adversarial_settings.txt")],
+    ])
+
+
+def _assert_bounded(steps, peaks, tmp_path, name):
+    peaks(tmp_path / f"{name}-warm-up", N_BLOCKS)  # first-call allocations
+    small = peaks(tmp_path / f"{name}-n", N_BLOCKS)
+    large = peaks(tmp_path / f"{name}-4n", 4 * N_BLOCKS)
     extra_trials = 3 * N_BLOCKS * TRIALS_PER_BLOCK
-    for step, a, b in zip(("simulate", "analyze clock", "analyze event"), small, large):
+    for step, a, b in zip(steps, small, large):
         assert (b - a) / extra_trials <= MAX_BYTES_PER_TRIAL, \
             f"{step}: peak {a} -> {b} bytes"
 
+
+def test_timetag_pipeline_peak_does_not_grow_with_trials(tmp_path, monkeypatch):
+    monkeypatch.setattr(counting, "CHUNK_RECORDS", 1 << 12)
+    _assert_bounded(("simulate", "analyze clock", "analyze event"), _step_peaks,
+                    tmp_path, "simulated")
+
+
+def test_adversarial_pipeline_peak_does_not_grow_with_trials(tmp_path, monkeypatch):
+    monkeypatch.setattr(counting, "CHUNK_RECORDS", 1 << 12)
+    _assert_bounded(("lhv-demo timing", "analyze event"), _adversarial_peaks,
+                    tmp_path, "adversarial")
