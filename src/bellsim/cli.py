@@ -53,16 +53,14 @@ from .lhv import (
     demo_strategy_ideal,
     drifted_counts,
 )
-from .quantum import DetectionModel, MeasurementSettings, density_matrix_state, make_eberhard_state
+from .quantum import DetectionModel, MeasurementSettings, density_matrix_state
 from .randomness import (
     dire_report,
-    extractable_length,
     hash_extract,
-    read_extracted_bits,
     unpack_bits,
     write_extracted_bits,
 )
-from .stats import bell_result, ch_from_counts, partition_sigma, reference_settings
+from .stats import bell_result, ch_from_counts, chprime_from_counts, partition_sigma
 
 EXIT_OK = 0
 EXIT_VALIDATION = 2
@@ -124,7 +122,7 @@ def _cmd_simulate(args) -> int:
         records = clamped = 0
         with open(stream_path, "wb") as stream_file, open(sched_path, "wb") as sched_file:
             for chunk in timetag_chunks(cfg):
-                stream_file.write(serialize_timetags(chunk, "binary"))
+                stream_file.write(serialize_timetags(chunk))
                 sched_file.write(serialize_settings(chunk.meta["trial_settings"]))
                 records += len(chunk)
                 clamped += chunk.meta["clamped_events"]
@@ -176,7 +174,7 @@ def _load_counts_for_analysis(args) -> CountsTable:
     if suffix in (".bin", ".dat"):
         stream = TimetagFile(path)  # counted chunk by chunk
     else:
-        stream = parse_timetags(path.read_bytes(), "csv")  # a small-file format, read whole
+        stream = parse_timetags(path.read_bytes())  # a small-file format, read whole
     table = windowed_counts(stream, policy, read_settings(args.settings))
     if policy.kind == "event" and ch_from_counts(table, args.singles_mode) > 0:
         print(
@@ -306,7 +304,7 @@ def _cmd_lhv_demo(args) -> int:
                 settings = rng.integers(0, 4, size=min(per_range, args.trials - first))
                 stream = coincidence_time_stream(schedule, settings, T_ns=1000,
                                                  n_trials=settings.size, first_trial=first)
-                stream_file.write(serialize_timetags(stream, "binary"))
+                stream_file.write(serialize_timetags(stream))
                 sched_file.write(serialize_settings(settings))
             if not args.trials:
                 sched_file.write(serialize_settings([]))
@@ -327,8 +325,6 @@ def _cmd_lhv_demo(args) -> int:
         p = _out_path(args, "drift_counts.json")
         p.write_text(table.to_json())
         outputs.append(p)
-        from .stats import chprime_from_counts
-
         _say(
             args,
             "separable state + cyclic settings + intensity decay: "

@@ -22,9 +22,11 @@ does not grow with the length of the run.
 
 Serialized formats:
 
-- CSV: one record per line, "channel,timestamp_ns".
+- CSV: one record per line, "channel,timestamp_ns", read whole by
+  parse_timetags; a format for small hand-made files.
 - binary: repeated 9-byte records, little-endian uint64 timestamp_ns
-  followed by one channel byte.
+  followed by one channel byte, written by serialize_timetags and read
+  chunk by chunk by TimetagFile.
 - settings file: the setting-pair index (0-3) of each trial, or of each
   block in a config's schedule file, one per line.  The reader accepts
   any whitespace-separated integers.
@@ -150,9 +152,11 @@ def _checked_records(rec: np.ndarray, start: int = 0, prev=None) -> tuple:
 class TimetagFile:
     """A binary timetag file, read CHUNK_RECORDS records at a time.
 
-    The counting functions take it in place of a TimetagStream.  Each
-    chunk gets the checks parse_timetags makes, time order across chunk
-    edges included, and an error names the record's index in the file.
+    This is the one reader of the binary format.  The counting functions
+    take it in place of a TimetagStream.  Each chunk is checked for
+    timestamps beyond the signed 64-bit range, unknown channels and time
+    regressions, time order across chunk edges included, and an error
+    names the record's index in the file.
     """
 
     trial_period_ns = None  # the binary format has no header
@@ -187,64 +191,49 @@ class TimetagFile:
                 yield _records(t, c)
 
 
-def parse_timetags(data: bytes | str, fmt: str = "csv") -> TimetagStream:
-    """Parse a serialized stream; rejects malformed records and time regressions."""
-    if fmt == "csv":
-        if isinstance(data, bytes):
-            try:
-                text = data.decode("ascii")
-            except UnicodeDecodeError as exc:
-                raise FormatError(f"timetag CSV is not ASCII: {exc}") from None
-        else:
-            text = data
-        chans: list[int] = []
-        times: list[int] = []
-        for lineno, line in enumerate(text.splitlines(), start=1):
-            line = line.strip()
-            if not line:
-                continue
-            parts = line.split(",")
-            if len(parts) != 2:
-                raise FormatError(f"expected 'channel,timestamp_ns', got {line!r}", lineno)
-            try:
-                ch, ts = int(parts[0]), int(parts[1])
-            except ValueError:
-                raise FormatError(f"non-integer field in {line!r}", lineno) from None
-            if ch not in (CHANNEL_ALICE, CHANNEL_BOB, CHANNEL_CLOCK):
-                raise FormatError(f"unknown channel {ch}", lineno)
-            if ts < 0:
-                raise FormatError(f"negative timestamp {ts}", lineno)
-            if ts > _INT64_MAX:
-                raise FormatError("timestamp exceeds signed 64-bit range", lineno)
-            chans.append(ch)
-            times.append(ts)
-        t = np.array(times, dtype=np.int64)
-        idx = _first_regression(t)
-        if idx < t.size:
-            raise FormatError("timestamp regression", idx)
-        return _records(t, np.array(chans, dtype=np.uint8))
-    if fmt == "binary":
-        if isinstance(data, str):
-            raise FormatError("binary format requires bytes input")
-        if len(data) % _BINARY_DTYPE.itemsize:
-            raise FormatError(
-                f"binary stream length {len(data)} is not a multiple of 9 bytes",
-                len(data) // _BINARY_DTYPE.itemsize,
-            )
-        return _records(*_checked_records(np.frombuffer(data, dtype=_BINARY_DTYPE)))
-    raise ValidationError(f"unknown timetag format {fmt!r}")
+def parse_timetags(data: bytes | str) -> TimetagStream:
+    """Parse a CSV stream; rejects malformed records and time regressions."""
+    if isinstance(data, bytes):
+        try:
+            text = data.decode("ascii")
+        except UnicodeDecodeError as exc:
+            raise FormatError(f"timetag CSV is not ASCII: {exc}") from None
+    else:
+        text = data
+    chans: list[int] = []
+    times: list[int] = []
+    for lineno, line in enumerate(text.splitlines(), start=1):
+        line = line.strip()
+        if not line:
+            continue
+        parts = line.split(",")
+        if len(parts) != 2:
+            raise FormatError(f"expected 'channel,timestamp_ns', got {line!r}", lineno)
+        try:
+            ch, ts = int(parts[0]), int(parts[1])
+        except ValueError:
+            raise FormatError(f"non-integer field in {line!r}", lineno) from None
+        if ch not in (CHANNEL_ALICE, CHANNEL_BOB, CHANNEL_CLOCK):
+            raise FormatError(f"unknown channel {ch}", lineno)
+        if ts < 0:
+            raise FormatError(f"negative timestamp {ts}", lineno)
+        if ts > _INT64_MAX:
+            raise FormatError("timestamp exceeds signed 64-bit range", lineno)
+        chans.append(ch)
+        times.append(ts)
+    t = np.array(times, dtype=np.int64)
+    idx = _first_regression(t)
+    if idx < t.size:
+        raise FormatError("timestamp regression", idx)
+    return _records(t, np.array(chans, dtype=np.uint8))
 
 
-def serialize_timetags(stream: TimetagStream, fmt: str = "binary") -> bytes:
-    if fmt == "csv":
-        lines = [f"{int(c)},{int(t)}" for c, t in zip(stream.channels, stream.timestamps)]
-        return ("\n".join(lines) + ("\n" if lines else "")).encode("ascii")
-    if fmt == "binary":
-        rec = np.empty(len(stream), dtype=_BINARY_DTYPE)
-        rec["t"] = stream.timestamps.astype(np.uint64)
-        rec["ch"] = stream.channels
-        return rec.tobytes()
-    raise ValidationError(f"unknown timetag format {fmt!r}")
+def serialize_timetags(stream: TimetagStream) -> bytes:
+    """The stream as binary records."""
+    rec = np.empty(len(stream), dtype=_BINARY_DTYPE)
+    rec["t"] = stream.timestamps.astype(np.uint64)
+    rec["ch"] = stream.channels
+    return rec.tobytes()
 
 
 def serialize_settings(settings) -> bytes:
@@ -272,16 +261,10 @@ def _digit_lines(raw: np.ndarray) -> np.ndarray | None:
 
 
 def parse_settings(data: bytes) -> np.ndarray:
-    """Setting indices of a settings file of whitespace-separated integers.
-
-    The format serialize_settings writes, one digit and a newline per
-    line, is read as an array of one byte per trial; any other file token
-    by token.  A token that is not an integer, or not a 64-bit one, raises
-    a FormatError naming its line.
+    """Setting indices of a settings file of whitespace-separated integers,
+    read token by token.  A token that is not an integer, or not a 64-bit
+    one, raises a FormatError naming its line.
     """
-    digits = _digit_lines(np.frombuffer(data, dtype=np.uint8))
-    if digits is not None:
-        return digits
     try:
         text = data.decode("utf-8")
     except UnicodeDecodeError as exc:
@@ -294,7 +277,8 @@ def parse_settings(data: bytes) -> np.ndarray:
 
 def read_settings(path) -> np.ndarray:
     """parse_settings of a file.  A file in the format serialize_settings
-    writes is read CHUNK_RECORDS lines at a time into one byte per trial."""
+    writes, one digit and a newline per line, is read CHUNK_RECORDS lines
+    at a time into one byte per trial; any other file by parse_settings."""
     size = os.path.getsize(path)
     if size and size % 2 == 0:
         settings = np.empty(size // 2, dtype=np.uint8)

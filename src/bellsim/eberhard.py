@@ -32,7 +32,7 @@ The objective takes either forward model of `quantum.click_probabilities`:
 
 Objectives: "b" (the difference form), "b-prime" (the ratio form), and
 "b-over-sigma" (difference form over its binomial standard error at a
-given trial budget, a significance proxy).
+budget of 1 000 000 trials, a significance proxy).
 
 The critical efficiency has a closed form (Eberhard, PRA 47, R747
 (1993)).  With symmetric arms of efficiency eta, the linear model, one
@@ -74,6 +74,8 @@ _REFINE_START_DEG = 0.25
 _REFINE_STOP_DEG = 1e-3
 _R_STEP_START = 0.02
 _R_STEP_STOP = 1e-4
+# trials behind the binomial error of the "b-over-sigma" objective
+_TRIAL_BUDGET = 1_000_000
 
 
 @dataclass(frozen=True)
@@ -120,11 +122,10 @@ def _grid_probs(state, axis: np.ndarray):
 class _Evaluator:
     """Broadcastable objective for one r; angles in degrees."""
 
-    def __init__(self, r: float, det: DetectionModel, model: str, trial_budget: int):
+    def __init__(self, r: float, det: DetectionModel, model: str):
         self.state = make_eberhard_state(r)
         self.det = det
         self.model = model
-        self.budget = trial_budget
 
     def value(self, probs, objective: str):
         """The objective from `pair_probs`-shaped (p1, p2, p12), broadcasting."""
@@ -142,8 +143,8 @@ class _Evaluator:
             return p * (1.0 - p) / n
 
         pA, pB, _ = clicks[0]
-        var = (sum(binomial_var(pab, self.budget) for _, _, pab in clicks)
-               + binomial_var(pA, 2.0 * self.budget) + binomial_var(pB, 2.0 * self.budget))
+        var = (sum(binomial_var(pab, _TRIAL_BUDGET) for _, _, pab in clicks)
+               + binomial_var(pA, 2.0 * _TRIAL_BUDGET) + binomial_var(pB, 2.0 * _TRIAL_BUDGET))
         return (num - den) / np.sqrt(np.maximum(var, 1e-300))
 
     def at(self, x, objective: str) -> float:
@@ -191,8 +192,8 @@ def _grid_refine(f, grid: np.ndarray, axis: np.ndarray) -> tuple[float, np.ndarr
 
 
 def _optimize_angles(r: float, det: DetectionModel, objective: str,
-                     model: str, trial_budget: int) -> tuple[float, np.ndarray, bool]:
-    ev = _Evaluator(r, det, model, trial_budget)
+                     model: str) -> tuple[float, np.ndarray, bool]:
+    ev = _Evaluator(r, det, model)
     axis = _angle_axis()
     with np.errstate(invalid="ignore", divide="ignore"):
         grid = ev.value(_grid_probs(ev.state, axis), objective)
@@ -206,7 +207,6 @@ def optimize(
     objective: str = "b",
     fix_r: float | None = None,
     model: str = "linear",
-    trial_budget: int = 1_000_000,
 ) -> OptimizationResult:
     """Maximize the chosen objective over (r, a, a', b, b').
 
@@ -222,7 +222,7 @@ def optimize(
     best = None
     exhausted = 0
     for r in rs:
-        val, x, ran_out = _optimize_angles(r, det, objective, model, trial_budget)
+        val, x, ran_out = _optimize_angles(r, det, objective, model)
         exhausted += ran_out
         if best is None or val > best[0]:
             best = (val, r, x)
@@ -231,15 +231,13 @@ def optimize(
     # refine r jointly with the angles when it is free
     if fix_r is None:
         step = _R_STEP_START
-        ev_cache: dict[float, _Evaluator] = {}
         while step > _R_STEP_STOP:
             improved = False
             for s in (step, -step):
                 r_try = r + s
                 if r_try <= 0:
                     continue
-                ev = ev_cache.setdefault(round(r_try, 12),
-                                         _Evaluator(r_try, det, model, trial_budget))
+                ev = _Evaluator(r_try, det, model)
                 v_try, x_try, ran_out = _refine(lambda y: ev.at(y, objective), x)
                 exhausted += ran_out
                 if v_try > val:
@@ -260,24 +258,19 @@ def optimize(
     )
 
 
-def critical_efficiency(
-    r: float, bg: float = 0.0, tol: float = 1e-4,
-    bracket: tuple[float, float] = (0.60, 1.0),
-) -> float:
+def critical_efficiency(r: float, bg: float = 0.0) -> float:
     """Symmetric-arm efficiency where the best attainable B crosses zero.
 
     The minimum over angles of the closed-form crossing eta* of the
     linear-model B with one pair per trial and the given per-trial
-    background on both arms (module docstring).  Raises NumericalError
-    unless eta* lies strictly inside `bracket`.  `tol` is the accepted
-    error on eta and must be positive; eta* is exact at the refined
-    angles, whose 1e-3-degree resolution moves it by orders of magnitude
-    less than any tolerance a bisection would use.
+    background probability on both arms (module docstring).  Raises
+    NumericalError when eta* is not below 1: then no efficiency gives a
+    violation.
     """
     if not 0.0 < r <= 1.0:
         raise ValidationError("r must be in (0, 1]")
-    if not tol > 0.0:
-        raise ValidationError(f"tol must be > 0, got {tol!r}")
+    if not 0.0 <= bg <= 1.0:
+        raise ValidationError(f"bg must be a probability in [0,1], got {bg!r}")
     state = make_eberhard_state(r)
     ideal = DetectionModel.ideal()
 
@@ -290,11 +283,8 @@ def critical_efficiency(
     best, _, _ = _grid_refine(lambda x: float(minus_eta(pair_probs(state, *x))),
                               minus_eta(_grid_probs(state, axis)), axis)
     eta = -best
-    lo, hi = bracket
-    if not lo < eta < hi:
-        raise NumericalError(
-            f"no sign change in bracket ({lo}, {hi}): B crosses zero at eta = {eta:.6g}"
-        )
+    if not eta < 1.0:
+        raise NumericalError(f"no violation at any efficiency up to 1: eta* = {eta:.6g}")
     return eta
 
 

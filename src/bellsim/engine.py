@@ -34,7 +34,7 @@ import io
 import itertools
 import json
 import math
-from dataclasses import asdict, astuple, dataclass, field, fields
+from dataclasses import asdict, astuple, dataclass, field, fields, replace
 from typing import Iterator, NamedTuple, Sequence
 
 import numpy as np
@@ -377,8 +377,11 @@ def timetag_chunks(cfg: ExperimentConfig) -> Iterator[TimetagStream]:
     """
     schedule = _block_schedule(cfg)
     mult = _drift_multipliers(cfg)
-    p1, p2, p12 = pair_probs(cfg.state, *astuple(cfg.settings))
     det = cfg.det
+    # one pair's detection probabilities at each setting pair, without background
+    pA, pB, q11s = click_probabilities(
+        *(np.array(p) for p in pair_probs(cfg.state, *astuple(cfg.settings))),
+        replace(det, pair_mean=1.0, bg_a=0.0, bg_b=0.0), "linear")
     n = cfg.trials_per_block
     period = int(round(det.trial_period_ns))
     if period < 1 or (cfg.n_blocks * n + 2) * period > _INT64_MAX:
@@ -392,9 +395,9 @@ def timetag_chunks(cfg: ExperimentConfig) -> Iterator[TimetagStream]:
     for b in range(cfg.n_blocks):
         combo = int(schedule[b])
         # per-pair joint detection probabilities; no detection is implicit
-        q11 = det.eta_a * det.eta_b * p12[combo]
-        q10 = det.eta_a * p1[combo] - q11
-        q01 = det.eta_b * p2[combo] - q11
+        q11 = q11s[combo]
+        q10 = pA[combo] - q11
+        q01 = pB[combo] - q11
         m = float(mult[b])
         mu = det.pair_mean * m
         bg_a = min(det.bg_a * m, 1.0)

@@ -31,7 +31,6 @@ Three families, all fully deterministic given their parameters:
 from __future__ import annotations
 
 import itertools
-import json
 import math
 from dataclasses import astuple, dataclass
 from typing import Sequence
@@ -39,7 +38,7 @@ from typing import Sequence
 import numpy as np
 
 from .counting import CHANNEL_ALICE, CHANNEL_BOB, CHANNEL_CLOCK, CountsTable, TimetagStream
-from .errors import FormatError, ValidationError
+from .errors import ValidationError
 from .quantum import (
     DetectionModel,
     MeasurementSettings,
@@ -79,44 +78,6 @@ class LhvStrategy:
     @property
     def total_weight(self) -> int:
         return sum(c.weight for c in self.classes)
-
-    def to_json(self) -> str:
-        return json.dumps(
-            [
-                {"weight": c.weight, "fires_a": list(c.fires_a), "fires_b": list(c.fires_b)}
-                for c in self.classes
-            ],
-            indent=2,
-        )
-
-    @classmethod
-    def from_json(cls, text: str) -> "LhvStrategy":
-        try:
-            doc = json.loads(text)
-        except json.JSONDecodeError as exc:
-            raise FormatError(f"strategy JSON does not parse: {exc}") from None
-        if not isinstance(doc, list):
-            raise ValidationError("strategy JSON must be an array of classes")
-        return cls(tuple(_class_from_json(entry, i) for i, entry in enumerate(doc)))
-
-
-def _class_from_json(entry, index: int) -> LhvClass:
-    """One class of a strategy JSON array, its field types checked."""
-    where = f"strategy class {index}"
-    if not isinstance(entry, dict):
-        raise ValidationError(f"{where} must be an object, got {entry!r}")
-    missing = {"weight", "fires_a", "fires_b"} - entry.keys()
-    if missing:
-        raise ValidationError(f"{where} is missing {sorted(missing)}")
-    weight = entry["weight"]
-    if isinstance(weight, bool) or not isinstance(weight, int):
-        raise ValidationError(f"{where}: weight must be an integer, got {weight!r}")
-    for side in ("fires_a", "fires_b"):
-        flags = entry[side]
-        if not (isinstance(flags, list) and len(flags) == 2
-                and all(isinstance(f, bool) for f in flags)):
-            raise ValidationError(f"{where}: {side} must be two booleans, got {flags!r}")
-    return LhvClass(weight, tuple(entry["fires_a"]), tuple(entry["fires_b"]))
 
 
 def _cls(w, fa, fb) -> LhvClass:
@@ -268,18 +229,17 @@ def coincidence_time_stream(
     settings_per_trial: Sequence[int],
     T_ns: int,
     n_trials: int,
-    trial_period_ns: int | None = None,
     first_trial: int = 0,
 ) -> TimetagStream:
     """Emit the adversarial detection stream for n_trials trials.
 
     Per trial, each scheduled emission produces a detection exactly when
     its fires_under flag matches the trial's local setting.  A clock
-    marker starts every trial.  The default trial period leaves a guard
-    band of 4 T after the last emission slot so that legal event windows
-    (radius < 3T) can never pair detections across trials; so the streams
-    of consecutive trial ranges, each starting at its `first_trial`,
-    concatenate to the stream of the whole run.
+    marker starts every trial.  The trial period, (max offset + 4) T,
+    leaves a guard band of 4 T after the last emission slot so that legal
+    event windows (radius < 3T) can never pair detections across trials;
+    so the streams of consecutive trial ranges, each starting at its
+    `first_trial`, concatenate to the stream of the whole run.
     """
     if T_ns <= 0:
         raise ValidationError("T_ns must be positive")
@@ -291,9 +251,7 @@ def coincidence_time_stream(
     settings = settings[:n_trials]
     if n_trials and (settings.min() < 0 or settings.max() > 3):
         raise ValidationError("setting indices must be in 0..3")
-    period = trial_period_ns if trial_period_ns is not None else (schedule.max_offset + 4) * T_ns
-    if schedule.max_offset * T_ns >= period:
-        raise ValidationError("schedule offsets exceed the trial period")
+    period = (schedule.max_offset + 4) * T_ns
 
     trial_start = np.arange(first_trial, first_trial + n_trials, dtype=np.int64) * int(period)
     times = [trial_start]

@@ -26,15 +26,24 @@ def small_stream():
 # parsing and round trips
 
 
+def csv_text(stream):
+    """The stream as timetag CSV, one "channel,timestamp_ns" line per record."""
+    return "".join(f"{c},{t}\n" for c, t in zip(stream.channels.tolist(),
+                                                 stream.timestamps.tolist()))
+
+
 def test_parse_csv_example():
-    stream = bs.parse_timetags(b"2,0\n0,1000\n1,1010\n", "csv")
+    stream = bs.parse_timetags(b"2,0\n0,1000\n1,1010\n")
     assert len(stream) == 3
     assert list(stream.channels) == [2, 0, 1]
 
 
-def test_parse_empty():
-    assert len(bs.parse_timetags(b"", "csv")) == 0
-    assert len(bs.parse_timetags(b"", "binary")) == 0
+def test_parse_empty(tmp_path):
+    assert len(bs.parse_timetags(b"")) == 0
+    path = tmp_path / "empty.bin"
+    path.write_bytes(bs.serialize_timetags(bs.TimetagStream([], [])))
+    assert len(TimetagFile(path)) == 0
+    assert list(TimetagFile(path).chunks()) == []
 
 
 @pytest.mark.parametrize(
@@ -43,22 +52,25 @@ def test_parse_empty():
 )
 def test_parse_csv_malformed(payload):
     with pytest.raises(FormatError):
-        bs.parse_timetags(payload, "csv")
+        bs.parse_timetags(payload)
 
 
-def test_parse_binary_malformed():
+def test_parse_binary_malformed(tmp_path):
+    path = tmp_path / "stream.bin"
+    path.write_bytes(b"\x00" * 10)  # not a multiple of 9
     with pytest.raises(FormatError):
-        bs.parse_timetags(b"\x00" * 10, "binary")  # not a multiple of 9
-    bad_channel = b"\x00" * 8 + b"\x09"
+        TimetagFile(path)
+    path.write_bytes(b"\x00" * 8 + b"\x09")  # channel 9
     with pytest.raises(FormatError):
-        bs.parse_timetags(bad_channel, "binary")
+        list(TimetagFile(path).chunks())
 
 
-def test_round_trips():
+def test_round_trips(tmp_path):
     stream = small_stream()
-    for fmt in ("csv", "binary"):
-        data = bs.serialize_timetags(stream, fmt)
-        assert bs.parse_timetags(data, fmt) == stream
+    assert bs.parse_timetags(csv_text(stream).encode()) == stream
+    path = tmp_path / "stream.bin"
+    path.write_bytes(bs.serialize_timetags(stream))
+    assert list(TimetagFile(path).chunks()) == [stream]
 
 
 def test_stream_invariants():
@@ -497,7 +509,7 @@ def test_chunked_counts_equal_one_chunk(name, chunk, tmp_path, monkeypatch):
     stream, schedule, window = GENERATED[name]()
     path = tmp_path / "stream.bin"
     path.write_bytes(bs.serialize_timetags(stream))
-    one_chunk = _counted(bs.parse_timetags(path.read_bytes(), "binary"), schedule, window)
+    one_chunk = _counted(stream, schedule, window)
     assert _counted(TimetagFile(path), schedule, window) == one_chunk
     monkeypatch.setattr(counting, "CHUNK_RECORDS", chunk)
     assert _counted(TimetagFile(path), schedule, window) == one_chunk
@@ -544,10 +556,9 @@ def _corrupted(data, faults):
     [("regression", 2), ("channel", 12)], [("range", 8), ("channel", 8)],
 ])
 def test_reader_errors_equal_one_chunk(faults, chunk, tmp_path, monkeypatch):
-    data = _corrupted(bs.serialize_timetags(bursty_stream(1)[0]), faults)
     path = tmp_path / "stream.bin"
-    path.write_bytes(data)
-    expected = _error(lambda: bs.parse_timetags(data, "binary"))
+    path.write_bytes(_corrupted(bs.serialize_timetags(bursty_stream(1)[0]), faults))
+    expected = _error(lambda: list(TimetagFile(path).chunks()))  # one chunk
     assert expected is not None
     assert expected[1] == min(k + (kind == "regression") for kind, k in faults)
     monkeypatch.setattr(counting, "CHUNK_RECORDS", chunk)
@@ -558,8 +569,8 @@ def test_reader_errors_equal_one_chunk(faults, chunk, tmp_path, monkeypatch):
 def test_reader_rejects_a_partial_record(tmp_path):
     path = tmp_path / "stream.bin"
     path.write_bytes(b"\x00" * 20)
-    assert _error(lambda: TimetagFile(path)) == _error(
-        lambda: bs.parse_timetags(path.read_bytes(), "binary"))
+    assert _error(lambda: TimetagFile(path)) == (
+        "binary stream length 20 is not a multiple of 9 bytes (at record/line 2)", 2)
 
 
 @pytest.mark.parametrize("chunk", [1, None])
@@ -570,19 +581,16 @@ def test_reader_boundary_at_two_to_the_63(chunk, tmp_path, monkeypatch):
     path = tmp_path / "stream.bin"
 
     def write(last):
-        data = np.array([(0, 2), (5, 0), (last, 1)], dtype=counting._BINARY_DTYPE).tobytes()
-        path.write_bytes(data)
-        return data
+        path.write_bytes(
+            np.array([(0, 2), (5, 0), (last, 1)], dtype=counting._BINARY_DTYPE).tobytes())
 
-    data = write(2**63 - 1)
-    streams = [bs.parse_timetags(data, "binary"), *TimetagFile(path).chunks()]
+    write(2**63 - 1)
+    streams = list(TimetagFile(path).chunks())
     assert all(s.timestamps.dtype == np.int64 for s in streams)
-    assert streams[0].timestamps.tolist() == [0, 5, 2**63 - 1]
-    assert np.concatenate([s.timestamps for s in streams[1:]]).tolist() == [0, 5, 2**63 - 1]
+    assert np.concatenate([s.timestamps for s in streams]).tolist() == [0, 5, 2**63 - 1]
 
-    data = write(2**63)
+    write(2**63)
     expected = ("timestamp exceeds signed 64-bit range (at record/line 2)", 2)
-    assert _error(lambda: bs.parse_timetags(data, "binary")) == expected
     assert _error(lambda: list(TimetagFile(path).chunks())) == expected
 
 

@@ -32,7 +32,7 @@ def test_table_grid_equals_meshgrid_bitwise(r, det_name):
     axis = eberhard._angle_axis()
     aa, pp = np.meshgrid(axis, axis, indexing="ij")
     for model in quantum.MODELS:
-        ev = eberhard._Evaluator(r, DETECTORS[det_name], model, 10_000_000)
+        ev = eberhard._Evaluator(r, DETECTORS[det_name], model)
         meshgrid_probs = quantum.pair_probs(ev.state, aa, pp, -aa, -pp)
         table_probs = eberhard._grid_probs(ev.state, axis)
         for objective in eberhard.OBJECTIVES:
@@ -70,14 +70,14 @@ def test_closed_form_maximally_entangled_is_exact():
     assert abs(bs.critical_efficiency(1.0) - 2.0 * (math.sqrt(2.0) - 1.0)) <= 1e-6
 
 
-def test_critical_efficiency_tol_must_be_positive():
-    for tol in (0.0, -1e-4, float("nan")):
-        with pytest.raises(ValidationError):
-            bs.critical_efficiency(0.5, tol=tol)
+@pytest.mark.parametrize("bg", [-0.01, 1.5, float("nan"), float("inf")])
+def test_critical_efficiency_rejects_a_background_that_is_not_a_probability(bg):
+    with pytest.raises(ValidationError):
+        bs.critical_efficiency(0.5, bg=bg)
 
 
 def test_critical_efficiency_outside_bracket_from_above():
-    # background pushes eta* above 1, past the default bracket's top
+    # background pushes eta* above 1: no efficiency up to 1 violates
     with pytest.raises(NumericalError):
         bs.critical_efficiency(0.3, bg=0.05)
 

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import bellsim as bs
-from bellsim.errors import NumericalError, ValidationError
+from bellsim.errors import ValidationError
 
 SQRT2 = math.sqrt(2.0)
 
@@ -93,7 +93,7 @@ def test_objective_validation():
 
 def test_significance_objective_runs():
     det = bs.DetectionModel(eta_a=0.75, eta_b=0.75, pair_mean=0.033, bg_a=5e-5, bg_b=5e-5)
-    res = bs.optimize(det, objective="b-over-sigma", fix_r=0.26, trial_budget=10_000_000)
+    res = bs.optimize(det, objective="b-over-sigma", fix_r=0.26)
     assert res.value > 0
     assert res.predicted_b > 0
 
@@ -112,16 +112,11 @@ def test_critical_efficiency_weak_state_limit():
 
 def test_critical_efficiency_intermediate_and_monotone():
     rs = np.linspace(0.1, 1.0, 10)
-    etas = [bs.critical_efficiency(float(r), tol=5e-4) for r in rs]
+    etas = [bs.critical_efficiency(float(r)) for r in rs]
     mid = bs.critical_efficiency(0.26)
     assert 2.0 / 3.0 < mid < 0.8285
     for lo, hi in zip(etas, etas[1:]):
         assert hi >= lo - 2e-3  # non-decreasing in r up to bisection wobble
-
-
-def test_critical_efficiency_no_bracket():
-    with pytest.raises(NumericalError):
-        bs.critical_efficiency(1.0, bracket=(0.9, 1.0))  # both sides violate
 
 
 # ---------------------------------------------------------------------------

@@ -5,7 +5,7 @@ import pytest
 
 import bellsim as bs
 from bellsim import lhv
-from bellsim.errors import FormatError, ValidationError
+from bellsim.errors import ValidationError
 
 from conftest import random_strategies
 
@@ -45,32 +45,6 @@ def test_counts_deterministic_and_order_invariant():
 def test_strategy_weight_must_fit_trials():
     with pytest.raises(ValidationError):
         bs.counts_from_strategy(bs.demo_strategy_ideal(), 10)
-
-
-def test_strategy_json_round_trip():
-    strat = bs.demo_strategy_82pct()
-    assert bs.LhvStrategy.from_json(strat.to_json()) == strat
-
-
-@pytest.mark.parametrize("text", [
-    "[1]",
-    '[{"weight": 1}]',
-    '[{"weight": 1.5, "fires_a": [true, true], "fires_b": [true, false]}]',
-    '[{"weight": true, "fires_a": [true, true], "fires_b": [true, false]}]',
-    '[{"weight": 1, "fires_a": [true], "fires_b": [true, false]}]',
-    '[{"weight": 1, "fires_a": [1, 0], "fires_b": [true, false]}]',
-    '[{"weight": 1, "fires_a": "yes", "fires_b": [true, false]}]',
-    '{"weight": 1}',
-    "[]",
-])
-def test_strategy_json_malformed_classes(text):
-    with pytest.raises(ValidationError):
-        bs.LhvStrategy.from_json(text)
-
-
-def test_strategy_json_unparseable():
-    with pytest.raises(FormatError):
-        bs.LhvStrategy.from_json("nope")
 
 
 def test_soundness_sweep_1000_random_strategies():
@@ -132,14 +106,6 @@ def test_empty_schedule_yields_clock_only_stream():
     )
     assert stream.n_trials == 2
     assert len(stream) == 2
-
-
-def test_schedule_offsets_must_fit_period():
-    with pytest.raises(ValidationError):
-        bs.coincidence_time_stream(
-            bs.coincidence_loophole_schedule(), [0], T_ns=1000, n_trials=1,
-            trial_period_ns=3000,
-        )
 
 
 def test_every_detection_present_per_side():
