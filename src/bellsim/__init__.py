@@ -19,8 +19,6 @@ from .counting import (
     TimetagFile,
     TimetagStream,
     WindowPolicy,
-    clock_windowed_counts,
-    event_windowed_counts,
     parse_timetags,
     serialize_timetags,
     windowed_counts,

@@ -16,6 +16,7 @@ from __future__ import annotations
 import argparse
 import datetime
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -155,7 +156,7 @@ def _load_counts_for_analysis(args) -> CountsTable:
     suffix = path.suffix.lower()
     if suffix == ".json":
         return CountsTable.from_json(_read_text(path))
-    # timetag input: needs a window policy and a settings schedule
+    # timetag input: a window policy, clock by default, and a settings schedule
     policy_text = args.window or "clock"
     if policy_text == "clock":
         policy = WindowPolicy("clock")
@@ -202,7 +203,7 @@ def _blocks_sigma(args, blocks) -> float | None:
 def _cmd_analyze(args) -> int:
     path = Path(args.input)
     sigma = args.sigma
-    if path.suffix.lower() == ".csv" and args.window is None:
+    if path.suffix.lower() == ".csv" and args.window is None and args.settings is None:
         blocks = blocks_from_csv(_read_text(path))
         table = blocks_to_counts(blocks)
         if sigma is None:
@@ -253,6 +254,8 @@ def _parse_grid(spec: str) -> np.ndarray:
         start, stop, step = (float(v) for v in spec.split(":"))
     except ValueError:
         raise ValidationError(f"--r-grid must be 'start:stop:step', got {spec!r}") from None
+    if not all(math.isfinite(v) for v in (start, stop, step)):
+        raise ValidationError(f"--r-grid needs finite numbers, got {spec!r}")
     if step <= 0 or stop < start:
         raise ValidationError("--r-grid needs step > 0 and stop >= start")
     return np.arange(start, stop + 1e-12, step)
@@ -393,7 +396,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_simulate)
 
     p = sub.add_parser("analyze", help="Bell estimates from counts, blocks, or timetags")
-    p.add_argument("input", help="counts .json, blocks .csv, or timetag .bin/.csv")
+    p.add_argument("input", help="counts .json, timetag .bin/.dat, or a .csv: blocks, "
+                   "or timetags when --window or --settings is given")
     p.add_argument("--window", default=None,
                    help="'clock' or 'event:NS' (timetag inputs only)")
     p.add_argument("--settings", default=None,

@@ -2,9 +2,12 @@
 
 A timetag stream is an ordered list of (timestamp_ns, channel) records,
 channel 0 = alice, 1 = bob, 2 = trial clock.  Exactly one clock record
-marks the start of each trial.
+marks the start of each trial.  Records are ordered by time, clock marks
+first at equal times (sort_records).  No stream carries a trial period:
+the period is the median spacing of the stream's clock marks.
 
-Two counting disciplines are provided:
+windowed_counts is the one function that counts a stream, under one of
+two disciplines (WindowPolicy):
 
 - clock windowing: every detection belongs to the trial of the most
   recent clock marker.  A trial yields at most one click per arm and a
@@ -14,11 +17,12 @@ Two counting disciplines are provided:
   |dt| <= window_ns, paired greedily earliest-first with each detection
   used at most once.  This is the discipline that a hostile source with
   an emission-time schedule can exploit, and it is provided exactly so
-  that the exploit can be demonstrated.
+  that the exploit can be demonstrated.  The window must stay below half
+  the period, which is known, and so checked, only after the pass.
 
-Both count a TimetagStream in memory, or a binary file (TimetagFile)
-chunk by chunk, carrying their state across chunk edges, so that memory
-does not grow with the length of the run.
+windowed_counts takes a TimetagStream in memory, or a binary file
+(TimetagFile) that it counts chunk by chunk, carrying its state across
+chunk edges, so that memory does not grow with the length of the run.
 
 Serialized formats:
 
@@ -62,11 +66,10 @@ CHUNK_RECORDS = 1 << 18
 
 @dataclass(eq=False)
 class TimetagStream:
-    """Ordered detection/clock records plus trial-geometry header fields."""
+    """Ordered detection/clock records."""
 
     timestamps: np.ndarray
     channels: np.ndarray
-    trial_period_ns: float | None = None
     meta: dict = field(default_factory=dict)
 
     def __post_init__(self):
@@ -106,9 +109,15 @@ class TimetagStream:
 def _records(timestamps: np.ndarray, channels: np.ndarray) -> TimetagStream:
     """A stream of records that the caller has already checked."""
     stream = object.__new__(TimetagStream)
-    stream.timestamps, stream.channels = timestamps, channels
-    stream.trial_period_ns, stream.meta = None, {}
+    stream.timestamps, stream.channels, stream.meta = timestamps, channels, {}
     return stream
+
+
+def sort_records(timestamps: np.ndarray, channels: np.ndarray) -> tuple:
+    """(timestamps, channels) in record order: stably by time, clock marks
+    ahead of detections at equal times."""
+    order = np.lexsort((channels != CHANNEL_CLOCK, timestamps))
+    return timestamps[order], channels[order]
 
 
 def _first(mask: np.ndarray) -> int:
@@ -152,14 +161,12 @@ def _checked_records(rec: np.ndarray, start: int = 0, prev=None) -> tuple:
 class TimetagFile:
     """A binary timetag file, read CHUNK_RECORDS records at a time.
 
-    This is the one reader of the binary format.  The counting functions
-    take it in place of a TimetagStream.  Each chunk is checked for
+    This is the one reader of the binary format.  windowed_counts takes
+    it in place of a TimetagStream.  Each chunk is checked for
     timestamps beyond the signed 64-bit range, unknown channels and time
     regressions, time order across chunk edges included, and an error
     names the record's index in the file.
     """
-
-    trial_period_ns = None  # the binary format has no header
 
     def __init__(self, path):
         self.path = path
@@ -340,6 +347,8 @@ class CountsTable:
                 arr = arr.astype(np.int64)
             else:
                 arr = arr.astype(np.float64)
+            if not np.all(np.isfinite(arr)):
+                raise ValidationError(f"{name} contains non-finite entries")
             if np.any(arr < 0):
                 raise ValidationError(f"{name} contains negative entries")
             setattr(self, name, arr)
@@ -473,33 +482,9 @@ def _schedule(schedule) -> tuple[np.ndarray, bool]:
     return sched, usable
 
 
-def _check_schedule(sched: np.ndarray, usable: bool, n_clocks: int) -> None:
-    if n_clocks == 0:
-        raise ValidationError("stream has no trial-clock markers")
-    if sched.ndim != 1 or sched.size < n_clocks:
-        raise ValidationError(
-            f"settings schedule covers {sched.size} trials, stream has {n_clocks}"
-        )
-    if not usable:
-        raise ValidationError("setting indices must be in 0..3")
-
-
-def _table(tally: np.ndarray, window: str, walk: _TrialWalk) -> CountsTable:
-    return CountsTable(*tally, meta={"window": window,
-                                     "pre_marker_detections_dropped": walk.n_early})
-
-
-def clock_windowed_counts(stream, schedule) -> CountsTable:
-    """Count clicks per trial interval defined by the clock markers.
-
-    A detection belongs to the trial of the most recent marker; detections
-    before the first marker are excluded and tallied in table.meta.  The
-    stream is a TimetagStream or a TimetagFile; a trial open at the end
-    of a chunk carries its clicks into the next.
-    """
-    sched, usable = _schedule(schedule)
-    walk = _TrialWalk(stream)
-    tally = np.zeros((4, 4), dtype=np.int64)  # n_trials, singles_a, singles_b, coincidences
+def _clock_tally(tally: np.ndarray, walk: _TrialWalk, sched: np.ndarray, usable: bool) -> None:
+    """Add to tally the clock-windowed counts of the walk's trials; a trial
+    open at the end of a piece carries its clicks into the next."""
 
     def close(trials, a_click, b_click):
         for row, clicked in enumerate((slice(None), a_click, b_click, a_click & b_click)):
@@ -518,16 +503,6 @@ def clock_windowed_counts(stream, schedule) -> CountsTable:
         close(sched[start - 1 + first:walk.n_clocks - 1], *clicks[:, first:-1])
     if usable and 0 < walk.n_clocks <= sched.size:
         close(sched[walk.n_clocks - 1:walk.n_clocks], *open_clicks[:, None])
-    _check_schedule(sched, usable, walk.n_clocks)
-    return _table(tally, "clock", walk)
-
-
-def _check_window(window_ns: float, period: float) -> None:
-    if window_ns >= period / 2.0:
-        raise ValidationError(
-            f"event window {window_ns} ns >= half the trial period {period} ns; "
-            "use clock windowing instead"
-        )
 
 
 def _median_spacing(spacings: Counter) -> float:
@@ -542,17 +517,15 @@ def _median_spacing(spacings: Counter) -> float:
     return float(np.mean(np.array(middle)))
 
 
-def event_windowed_counts(stream, window_ns: float, schedule) -> CountsTable:
-    """Count coincidences as detection pairs within |dt| <= window_ns.
+def _event_tally(tally: np.ndarray, walk: _TrialWalk, window_ns: float, sched: np.ndarray,
+                 usable: bool) -> None:
+    """Add to tally the event-windowed counts of the walk's detections,
+    then reject a window at or above half the median clock spacing.
 
     Pairing is greedy earliest-first with each detection used once; a
     coincidence is attributed to the trial of its earlier member, so a
     trial can hold several.  Singles are raw detection counts per trial.
-    The window must be finite and stay below half the trial period (the
-    header period, else the median clock spacing), otherwise this
-    discipline is rejected outright.  The stream is a TimetagStream or a
-    TimetagFile; detections still waiting for a partner carry across
-    chunk edges.
+    Detections still waiting for a partner carry across chunk edges.
 
     Splitting the time-ordered detections wherever consecutive times
     differ by more than the window cuts them into clusters that pair
@@ -565,18 +538,8 @@ def event_windowed_counts(stream, window_ns: float, schedule) -> CountsTable:
     the cluster holding detections carried from earlier chunks walk the
     queue.
     """
-    if not (math.isfinite(window_ns) and window_ns > 0):
-        raise ValidationError(f"event window must be a finite positive number of ns, "
-                              f"got {window_ns}")
-    period = stream.trial_period_ns
-    if period is not None:
-        _check_window(window_ns, float(period))
-    sched, usable = _schedule(schedule)
-    walk = _TrialWalk(stream)
-    tally = np.zeros((4, 4), dtype=np.int64)  # n_trials, singles_a, singles_b, coincidences
     spacings: Counter = Counter()
     last_clock = np.empty(0, dtype=np.int64)
-
     # A detection only queues when no opposite-arm detection is waiting,
     # so the unpaired detections pending at any time all share one channel.
     # On integer timestamps dt > int(w) exactly when dt > w.
@@ -584,7 +547,7 @@ def event_windowed_counts(stream, window_ns: float, schedule) -> CountsTable:
     pending_t = pending_trial = np.empty(0, dtype=np.int64)
     queue_ch = -1
     for start, clocks, det_t, det_ch, trial in walk:
-        if period is None and clocks.size:
+        if clocks.size:
             gaps, counts = np.unique(np.diff(clocks, prepend=last_clock), return_counts=True)
             spacings.update(dict(zip(gaps.tolist(), counts.tolist())))
             last_clock = clocks[-1:]
@@ -632,14 +595,39 @@ def event_windowed_counts(stream, window_ns: float, schedule) -> CountsTable:
             queue.popleft()
         waiting = np.fromiter(queue, dtype=np.intp, count=len(queue))
         pending_t, pending_trial = times[waiting], trials[waiting]
-    if period is None:
-        period = _median_spacing(spacings)
-        _check_window(window_ns, period)
-    _check_schedule(sched, usable, walk.n_clocks)
-    return _table(tally, f"event:{window_ns}", walk)
+    period = _median_spacing(spacings)
+    if window_ns >= period / 2.0:
+        raise ValidationError(
+            f"event window {window_ns} ns >= half the trial period {period} ns; "
+            "use clock windowing instead"
+        )
 
 
 def windowed_counts(stream, policy: WindowPolicy, schedule) -> CountsTable:
+    """Count a TimetagStream or a TimetagFile under the policy's discipline.
+
+    A detection belongs to the trial of the most recent clock mark at or
+    before it; detections before the first mark are excluded and tallied
+    in table.meta["pre_marker_detections_dropped"].  Each trial's row is
+    its setting index in the schedule, which must cover every trial.  An
+    event window is checked against the median clock spacing after the
+    pass, before the schedule is.
+    """
+    sched, usable = _schedule(schedule)
+    walk = _TrialWalk(stream)
+    tally = np.zeros((4, 4), dtype=np.int64)  # n_trials, singles_a, singles_b, coincidences
     if policy.kind == "clock":
-        return clock_windowed_counts(stream, schedule)
-    return event_windowed_counts(stream, policy.window_ns, schedule)
+        _clock_tally(tally, walk, sched, usable)
+        window = "clock"
+    else:
+        _event_tally(tally, walk, policy.window_ns, sched, usable)
+        window = f"event:{policy.window_ns}"
+    if walk.n_clocks == 0:
+        raise ValidationError("stream has no trial-clock markers")
+    if sched.ndim != 1 or sched.size < walk.n_clocks:
+        raise ValidationError(
+            f"settings schedule covers {sched.size} trials, stream has {walk.n_clocks}")
+    if not usable:
+        raise ValidationError("setting indices must be in 0..3")
+    return CountsTable(*tally, meta={"window": window,
+                                     "pre_marker_detections_dropped": walk.n_early})

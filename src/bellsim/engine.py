@@ -47,6 +47,7 @@ from .counting import (
     CountsTable,
     TimetagStream,
     read_settings,
+    sort_records,
 )
 from .errors import FormatError, NumericalError, ValidationError
 from .lhv import DriftModel
@@ -446,20 +447,19 @@ def timetag_chunks(cfg: ExperimentConfig) -> Iterator[TimetagStream]:
         t = np.concatenate([trial_start, ta, tba, tb, tbb])
         c = np.repeat(np.array([CHANNEL_CLOCK, CHANNEL_ALICE, CHANNEL_BOB], dtype=np.uint8),
                       [n, ta.size + tba.size, tb.size + tbb.size])
-        order = np.lexsort((c != CHANNEL_CLOCK, t))
-        t, c = t[order], c[order]
+        t, c = sort_records(t, c)
         if carry_t.size:
             head = int(np.searchsorted(t, carry_t[-1], side="right"))
-            head_t = np.concatenate([carry_t, t[:head]])
-            head_c = np.concatenate([carry_c, c[:head]])
-            order = np.lexsort((head_c != CHANNEL_CLOCK, head_t))  # stable: carry first
-            t = np.concatenate([head_t[order], t[head:]])
-            c = np.concatenate([head_c[order], c[head:]])
+            # stable, so the carry goes first at equal keys
+            head_t, head_c = sort_records(np.concatenate([carry_t, t[:head]]),
+                                          np.concatenate([carry_c, c[:head]]))
+            t = np.concatenate([head_t, t[head:]])
+            c = np.concatenate([head_c, c[head:]])
         last = b == cfg.n_blocks - 1
         cut = t.size if last else int(np.searchsorted(t, (b + 1) * n * period - period))
         carry_t, carry_c = t[cut:], c[cut:]
         yield TimetagStream(
-            t[:cut], c[:cut], trial_period_ns=float(period),
+            t[:cut], c[:cut],
             meta={"clamped_events": c1 + c2 + c3 + c4,
                   "trial_settings": np.full(n, combo, dtype=np.uint8)},
         )
@@ -474,7 +474,6 @@ def simulate_timetags(cfg: ExperimentConfig) -> TimetagStream:
     return TimetagStream(
         np.concatenate([chunk.timestamps for chunk in chunks]),
         np.concatenate([chunk.channels for chunk in chunks]),
-        trial_period_ns=chunks[0].trial_period_ns,
         meta={
             "clamped_events": sum(chunk.meta["clamped_events"] for chunk in chunks),
             "trial_settings": np.concatenate([chunk.meta["trial_settings"] for chunk in chunks]),

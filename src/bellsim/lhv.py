@@ -37,7 +37,14 @@ from typing import Sequence
 
 import numpy as np
 
-from .counting import CHANNEL_ALICE, CHANNEL_BOB, CHANNEL_CLOCK, CountsTable, TimetagStream
+from .counting import (
+    CHANNEL_ALICE,
+    CHANNEL_BOB,
+    CHANNEL_CLOCK,
+    CountsTable,
+    TimetagStream,
+    sort_records,
+)
 from .errors import ValidationError
 from .quantum import (
     DetectionModel,
@@ -264,15 +271,8 @@ def coincidence_time_stream(
         times.append(t)
         chans.append(np.full(t.size, chan_of[em.target], dtype=np.uint8))
 
-    t_all = np.concatenate(times)
-    c_all = np.concatenate(chans)
-    # stable order: time, clock markers ahead of detections at equal times
-    order = np.lexsort((c_all != CHANNEL_CLOCK, t_all))
-    return TimetagStream(
-        t_all[order], c_all[order],
-        trial_period_ns=float(period),
-        meta={"source": "timed-emission"},
-    )
+    return TimetagStream(*sort_records(np.concatenate(times), np.concatenate(chans)),
+                         meta={"source": "timed-emission"})
 
 
 # ---------------------------------------------------------------------------

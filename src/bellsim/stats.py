@@ -131,6 +131,8 @@ class BellResult:
 def bell_result(
     table: CountsTable, sigma_b: float | None = None, singles_mode: str = "pooled"
 ) -> BellResult:
+    if sigma_b is not None and not (math.isfinite(sigma_b) and sigma_b >= 0):
+        raise ValidationError(f"sigma_B must be a finite number >= 0, got {sigma_b!r}")
     return BellResult(
         B=ch_from_counts(table, singles_mode),
         B_prime=chprime_from_counts(table, singles_mode),

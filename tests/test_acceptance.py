@@ -80,8 +80,9 @@ def test_criterion_04_coincidence_time_loophole_demo():
     stream = bs.coincidence_time_stream(
         bs.coincidence_loophole_schedule(), settings, T_ns=1000, n_trials=n
     )
-    b_event = bs.ch_from_counts(bs.event_windowed_counts(stream, 2000, settings))
-    b_clock = bs.ch_from_counts(bs.clock_windowed_counts(stream, settings))
+    event, clock = bs.WindowPolicy("event", 2000), bs.WindowPolicy("clock")
+    b_event = bs.ch_from_counts(bs.windowed_counts(stream, event, settings))
+    b_clock = bs.ch_from_counts(bs.windowed_counts(stream, clock, settings))
     elapsed = time.perf_counter() - t0
 
     assert b_event == pytest.approx(1.0, abs=1e-12)
@@ -234,7 +235,7 @@ def test_criterion_10_end_to_end_simulation(calibrated_reference_model):
         trials_per_block=25_000, n_blocks=40, rng_seed=6,
     )
     stream = bs.simulate_timetags(cfg)
-    table = bs.clock_windowed_counts(stream, bs.trial_settings(cfg))
+    table = bs.windowed_counts(stream, bs.WindowPolicy("clock"), bs.trial_settings(cfg))
     b = bs.ch_from_counts(table)
     assert table.total_trials == 1_000_000
     assert b > 0

@@ -204,7 +204,7 @@ def test_malformed_event_window_is_exit_2(tmp_path, capsys):
 
 @pytest.mark.parametrize("window", ["event:inf", "event:1e400", "event:nan"])
 def test_non_finite_event_window_is_exit_2(window, tmp_path, capsys):
-    # a binary stream has no header period to reject the window first
+    # rejected when the policy is built, before the stream is read
     out = tmp_path / "demo"
     assert main(["lhv-demo", "--what", "timing", "--trials", "200",
                  "--out", str(out), "--quiet"]) == 0
@@ -280,6 +280,12 @@ def test_dire_non_finite_seconds_is_exit_2(seconds, tmp_path, reference_counts):
     assert not (tmp_path / "dire_report.json").exists()
 
 
+def _reference_counts_with(label, name, value):
+    doc = bs.reference_run_counts().to_json_dict()
+    doc[label][name] = value
+    return doc
+
+
 MALFORMED_INPUTS = {
     "config-unknown-det-field": ("simulate", lambda: {**_valid_config(), "det": {"foo": 1}}),
     "config-top-level-array": ("simulate", lambda: [_valid_config()]),
@@ -292,6 +298,10 @@ MALFORMED_INPUTS = {
         "dire", lambda: {**bs.reference_run_counts().to_json_dict(), "ab": 5}),
     "dire-counts-top-level-array": (
         "dire", lambda: [bs.reference_run_counts().to_json_dict()]),
+    "analyze-counts-nan": (
+        "analyze", lambda: _reference_counts_with("ab", "coincidences", float("nan"))),
+    "dire-counts-infinite-trials": (
+        "dire", lambda: _reference_counts_with("a'b", "n_trials", float("inf"))),
 }
 
 
@@ -307,6 +317,27 @@ def test_malformed_input_is_exit_2(case, tmp_path, capsys):
         argv += ["--seconds", "10"]
     assert main(argv) == 2
     assert capsys.readouterr().err.startswith("error: ")
+
+
+# case -> argv, with COUNTS standing for a valid counts JSON
+NON_FINITE_ARGUMENTS = {
+    "analyze-sigma-nan": ["analyze", "COUNTS", "--sigma", "nan"],
+    "analyze-sigma-inf": ["analyze", "COUNTS", "--sigma", "inf"],
+    "analyze-sigma-negative": ["analyze", "COUNTS", "--sigma=-1"],
+    "sweep-grid-stop-nan": ["sweep", "--eta", "0.75", "--r-grid", "0:nan:0.1"],
+    "sweep-grid-start-nan": ["sweep", "--eta", "0.75", "--r-grid", "nan:1:0.1"],
+    "sweep-grid-stop-inf": ["sweep", "--eta", "0.75", "--r-grid", "0.1:inf:0.1"],
+}
+
+
+@pytest.mark.parametrize("case", sorted(NON_FINITE_ARGUMENTS))
+def test_non_finite_number_argument_is_exit_2(case, tmp_path, capsys, reference_counts):
+    counts = tmp_path / "counts.json"
+    counts.write_text(reference_counts.to_json())
+    argv = [str(counts) if arg == "COUNTS" else arg for arg in NON_FINITE_ARGUMENTS[case]]
+    assert main(argv + ["--out", str(tmp_path), "--quiet"]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not (tmp_path / "manifest.json").exists()
 
 
 NON_UTF8 = b"\xff\xfe0\n"
@@ -453,6 +484,28 @@ def test_timetag_analyze_manifest_records_dropped_detections(window, tmp_path):
                  str(tmp_path / "settings.txt"), "--out", str(tmp_path), "--quiet"]) == 0
     manifest = json.loads((tmp_path / "manifest.json").read_text())
     assert manifest["pre_marker_detections_dropped"] == 1
+
+
+@pytest.mark.parametrize("window", [[], ["--window", "clock"]])
+def test_csv_with_settings_is_timetags(window, tmp_path):
+    # --settings alone marks a .csv as timetags, counted under the clock window
+    path = tmp_path / "stream.csv"
+    path.write_text("2,0\n0,100\n1,120\n2,1000\n0,1100\n2,2000\n2,3000\n1,3050\n")
+    (tmp_path / "settings.txt").write_text("0\n1\n2\n3\n")
+    code, out, err = _analyze_outcome(["analyze", str(path), *window, "--settings",
+                                       str(tmp_path / "settings.txt"), "--out", str(tmp_path),
+                                       "--quiet"])
+    assert (code, err) == (0, "")
+    table = bs.windowed_counts(bs.parse_timetags(path.read_bytes()), bs.WindowPolicy("clock"),
+                               [0, 1, 2, 3])
+    assert json.loads(out)["B"] == bs.ch_from_counts(table)
+
+
+def test_csv_without_window_or_settings_is_blocks(tmp_path, capsys):
+    path = tmp_path / "stream.csv"
+    path.write_text("2,0\n0,100\n")
+    assert main(["analyze", str(path), "--out", str(tmp_path), "--quiet"]) == 2
+    assert "expected 5 fields" in capsys.readouterr().err
 
 
 def test_counts_analyze_manifest_has_no_timetag_diagnostics(tmp_path, reference_counts):

@@ -19,7 +19,15 @@ def small_stream():
     # two trials of period 1000: both channels in trial 0, alice only in trial 1
     t = np.array([0, 100, 120, 1000, 1100])
     c = np.array([2, 0, 1, 2, 0])
-    return bs.TimetagStream(t, c, trial_period_ns=1000.0)
+    return bs.TimetagStream(t, c)
+
+
+def clock_counts(stream, schedule):
+    return bs.windowed_counts(stream, bs.WindowPolicy("clock"), schedule)
+
+
+def event_counts(stream, window_ns, schedule):
+    return bs.windowed_counts(stream, bs.WindowPolicy("event", window_ns), schedule)
 
 
 # ---------------------------------------------------------------------------
@@ -135,7 +143,7 @@ def test_parse_settings_matches_int_tokens(text):
 
 def test_clock_window_single_trial():
     stream = bs.TimetagStream(np.array([0, 10, 20]), np.array([2, 0, 1]))
-    table = bs.clock_windowed_counts(stream, [0])
+    table = clock_counts(stream, [0])
     assert table.n_trials.tolist() == [1, 0, 0, 0]
     assert table.singles_a.tolist() == [1, 0, 0, 0]
     assert table.singles_b.tolist() == [1, 0, 0, 0]
@@ -143,7 +151,7 @@ def test_clock_window_single_trial():
 
 
 def test_clock_window_rows_keyed_by_schedule():
-    table = bs.clock_windowed_counts(small_stream(), [3, 1])
+    table = clock_counts(small_stream(), [3, 1])
     assert table.n_trials.tolist() == [0, 1, 0, 1]
     assert table.coincidences.tolist() == [0, 0, 0, 1]
     assert table.singles_a.tolist() == [0, 1, 0, 1]
@@ -153,7 +161,7 @@ def test_clock_window_rows_keyed_by_schedule():
 def test_clock_window_drops_pre_marker_detections():
     t = np.array([5, 10, 50])
     c = np.array([0, 2, 1])
-    table = bs.clock_windowed_counts(bs.TimetagStream(t, c), [0])
+    table = clock_counts(bs.TimetagStream(t, c), [0])
     assert table.meta["pre_marker_detections_dropped"] == 1
     assert table.singles_a.tolist() == [0, 0, 0, 0]
     assert table.singles_b.tolist() == [1, 0, 0, 0]
@@ -161,27 +169,27 @@ def test_clock_window_drops_pre_marker_detections():
 
 def test_clock_window_requires_schedule_cover():
     with pytest.raises(ValidationError):
-        bs.clock_windowed_counts(small_stream(), [0])
+        clock_counts(small_stream(), [0])
 
 
 def test_clock_window_invariant_to_subboundary_perturbation():
     stream = small_stream()
-    base = bs.clock_windowed_counts(stream, [2, 0])
+    base = clock_counts(stream, [2, 0])
     rng = np.random.default_rng(0)
     t = stream.timestamps.copy()
     det = stream.channels != bs.CHANNEL_CLOCK
     # shifts keep every detection strictly inside its original trial
     t[det] += rng.integers(-50, 400, size=det.sum())
     order = np.argsort(t, kind="stable")
-    moved = bs.TimetagStream(t[order], stream.channels[order], trial_period_ns=1000.0)
-    assert bs.clock_windowed_counts(moved, [2, 0]) == base
+    moved = bs.TimetagStream(t[order], stream.channels[order])
+    assert clock_counts(moved, [2, 0]) == base
 
 
 def test_clock_window_click_collapse():
     # three alice detections in one trial still count as one click
     t = np.array([0, 10, 11, 12, 15])
     c = np.array([2, 0, 0, 0, 1])
-    table = bs.clock_windowed_counts(bs.TimetagStream(t, c), [0])
+    table = clock_counts(bs.TimetagStream(t, c), [0])
     assert table.singles_a.tolist() == [1, 0, 0, 0]
     assert table.coincidences.tolist() == [1, 0, 0, 0]
 
@@ -192,7 +200,7 @@ def test_clock_window_click_collapse():
 
 def test_event_window_pairs_within_radius():
     stream = small_stream()
-    table = bs.event_windowed_counts(stream, 100, [0, 1])
+    table = event_counts(stream, 100, [0, 1])
     assert table.coincidences.tolist() == [1, 0, 0, 0]
     # singles are raw detections
     assert table.singles_a.tolist() == [1, 1, 0, 0]
@@ -201,16 +209,16 @@ def test_event_window_pairs_within_radius():
 
 def test_event_window_rejects_wide_windows():
     with pytest.raises(ValidationError):
-        bs.event_windowed_counts(small_stream(), 500, [0, 1])
+        event_counts(small_stream(), 500, [0, 1])
 
 
 def test_event_window_each_event_used_once():
     # one alice detection flanked by two bob detections within the window:
-    # only the earlier bob event pairs
-    t = np.array([0, 100, 140, 180])
-    c = np.array([2, 1, 0, 1])
-    stream = bs.TimetagStream(t, c, trial_period_ns=1000.0)
-    table = bs.event_windowed_counts(stream, 60, [0])
+    # only the earlier bob event pairs; the second clock mark sets the period
+    t = np.array([0, 100, 140, 180, 1000])
+    c = np.array([2, 1, 0, 1, 2])
+    stream = bs.TimetagStream(t, c)
+    table = event_counts(stream, 60, [0, 0])
     assert int(table.coincidences.sum()) == 1
 
 
@@ -220,12 +228,12 @@ def test_event_window_adversarial_inflation_and_clock_sanity():
     stream = bs.coincidence_time_stream(
         bs.coincidence_loophole_schedule(), settings, T_ns=1000, n_trials=4000
     )
-    inflated = bs.event_windowed_counts(stream, 2000, settings)
+    inflated = event_counts(stream, 2000, settings)
     assert bs.ch_from_counts(inflated) == pytest.approx(1.0, abs=1e-12)
-    sound = bs.clock_windowed_counts(stream, settings)
+    sound = clock_counts(stream, settings)
     assert bs.ch_from_counts(sound) <= 1e-12
     # window below T pairs nothing at all
-    narrow = bs.event_windowed_counts(stream, 900, settings)
+    narrow = event_counts(stream, 900, settings)
     assert int(narrow.coincidences.sum()) == 0
 
 
@@ -242,8 +250,8 @@ def test_event_window_matches_clock_when_events_simultaneous():
     )
     stream = bs.simulate_timetags(cfg)
     sched = bs.trial_settings(cfg)
-    clock = bs.clock_windowed_counts(stream, sched)
-    event = bs.event_windowed_counts(stream, det.pulse_period_ns, sched)
+    clock = clock_counts(stream, sched)
+    event = event_counts(stream, det.pulse_period_ns, sched)
     assert event == clock
     assert int(event.coincidences.sum()) > 0  # nontrivial comparison
 
@@ -283,14 +291,14 @@ def bursty_stream(seed, n_trials=300, period=100, max_detections=3):
     c = np.concatenate([det_ch, np.full(n_trials, bs.CHANNEL_CLOCK), rng.integers(0, 2, size=3)])
     order = np.argsort(t, kind="stable")
     schedule = rng.integers(0, 4, size=n_trials)
-    return bs.TimetagStream(t[order], c[order], trial_period_ns=float(period)), schedule
+    return bs.TimetagStream(t[order], c[order]), schedule
 
 
 @pytest.mark.parametrize("seed", range(6))
 @pytest.mark.parametrize("window_ns", [1, 8.33, 9, 25, 49.5])
 def test_event_window_matches_two_queue_reference(seed, window_ns):
     stream, schedule = bursty_stream(seed)
-    table = bs.event_windowed_counts(stream, window_ns, schedule)
+    table = event_counts(stream, window_ns, schedule)
     expected = reference_event_coincidences(stream, window_ns, schedule)
     assert table.coincidences.tolist() == expected
     assert sum(expected) > 0
@@ -300,7 +308,7 @@ def test_event_window_matches_two_queue_reference(seed, window_ns):
 def test_dense_event_window_matches_two_queue_reference(seed):
     # 0-6 detections per trial: a trial can hold several event-window pairs
     stream, schedule = bursty_stream(seed, max_detections=6)
-    table = bs.event_windowed_counts(stream, 49.5, schedule)
+    table = event_counts(stream, 49.5, schedule)
     assert table.coincidences.tolist() == reference_event_coincidences(stream, 49.5, schedule)
 
 
@@ -309,7 +317,7 @@ def test_dense_event_stream_analyzes_through_the_cli(chunk, tmp_path, monkeypatc
     if chunk:
         monkeypatch.setattr(counting, "CHUNK_RECORDS", chunk)
     stream, schedule = bursty_stream(3, max_detections=6)
-    table = bs.event_windowed_counts(stream, 49.5, schedule)
+    table = event_counts(stream, 49.5, schedule)
     assert np.any(table.coincidences > table.n_trials)  # a row with more pairs than trials
     (tmp_path / "s.bin").write_bytes(bs.serialize_timetags(stream))
     (tmp_path / "s.txt").write_bytes(serialize_settings(schedule))
@@ -322,8 +330,8 @@ def test_event_window_fractional_ns_is_exact():
     # window 8.33 ns: a pair 8 ns apart is within it, a pair 9 ns apart is not
     t = np.array([0, 10, 18, 100, 110, 119])
     c = np.array([2, 0, 1, 2, 0, 1])
-    stream = bs.TimetagStream(t, c, trial_period_ns=100.0)
-    table = bs.event_windowed_counts(stream, 8.33, [0, 1])
+    stream = bs.TimetagStream(t, c)
+    table = event_counts(stream, 8.33, [0, 1])
     assert table.coincidences.tolist() == [1, 0, 0, 0]
     assert reference_event_coincidences(stream, 8.33, [0, 1]) == [1, 0, 0, 0]
 
@@ -332,8 +340,6 @@ def test_event_window_fractional_ns_is_exact():
 def test_event_window_must_be_finite_and_positive(window_ns):
     with pytest.raises(ValidationError):
         bs.WindowPolicy("event", window_ns)
-    with pytest.raises(ValidationError):
-        bs.event_windowed_counts(small_stream(), window_ns, [2, 1])
 
 
 def _clustered_stream(window_ns, clusters, joins, splits, clock_offset, seed):
@@ -354,8 +360,7 @@ def _clustered_stream(window_ns, clusters, joins, splits, clock_offset, seed):
     clocks = [clock_offset + period * k for k in range(t // period + 2)]
     order = np.argsort(np.array(times + clocks), kind="stable")
     stream = bs.TimetagStream(np.array(times + clocks)[order],
-                              np.array(chans + [bs.CHANNEL_CLOCK] * len(clocks))[order],
-                              trial_period_ns=float(period))
+                              np.array(chans + [bs.CHANNEL_CLOCK] * len(clocks))[order])
     schedule = np.random.default_rng(seed).integers(0, 4, size=len(clocks))
     return stream, schedule
 
@@ -374,14 +379,14 @@ def test_event_window_clusters_match_two_queue_reference(tmp_path_factory, windo
     gap = {"w-1": w - 1, "w": w, "w+1": w + 1, "50w": 50 * w}
     stream, schedule = _clustered_stream(window_ns, clusters, [gap[g] for g in joins],
                                          [gap[g] for g in splits], clock_offset, seed)
-    expected = bs.event_windowed_counts(stream, window_ns, schedule)
+    expected = event_counts(stream, window_ns, schedule)
     assert expected.coincidences.tolist() == reference_event_coincidences(
         stream, window_ns, schedule)
     path = tmp_path_factory.mktemp("clusters") / "stream.bin"
     path.write_bytes(bs.serialize_timetags(stream))
     for chunk in (1, 2, 7, counting.CHUNK_RECORDS):
         with mock.patch.object(counting, "CHUNK_RECORDS", chunk):
-            table = bs.event_windowed_counts(TimetagFile(path), window_ns, schedule)
+            table = event_counts(TimetagFile(path), window_ns, schedule)
         assert (table.to_json_dict(), table.meta) == (expected.to_json_dict(), expected.meta)
 
 
@@ -391,7 +396,7 @@ def test_row_totals_conservation():
     stream = bs.coincidence_time_stream(
         bs.coincidence_loophole_schedule(), settings, T_ns=500, n_trials=500
     )
-    table = bs.clock_windowed_counts(stream, settings)
+    table = clock_counts(stream, settings)
     n_alice = int(np.count_nonzero(stream.channels == bs.CHANNEL_ALICE))
     n_bob = int(np.count_nonzero(stream.channels == bs.CHANNEL_BOB))
     # the adversarial stream emits exactly one detection per arm per trial,
@@ -443,29 +448,30 @@ def test_window_policy_validation():
     assert bs.WindowPolicy("clock").kind == "clock"
 
 
-@pytest.mark.parametrize("header", [True, False])
-def test_event_window_extracts_clock_marks_once(header, monkeypatch):
+def test_event_window_extracts_clock_marks_once(monkeypatch):
     stream, schedule = bursty_stream(3)
-    if not header:
-        stream.trial_period_ns = None  # inferred from the median clock spacing
     expected = reference_event_coincidences(stream, 25, schedule)
     calls = []
     clock_times = bs.TimetagStream.clock_times
     monkeypatch.setattr(bs.TimetagStream, "clock_times",
                         lambda self: calls.append(1) or clock_times(self))
-    table = bs.event_windowed_counts(stream, 25, schedule)
+    table = event_counts(stream, 25, schedule)
     assert len(calls) == 1
     assert table.coincidences.tolist() == expected
 
 
-def test_event_window_header_period_takes_precedence():
-    # clock marks 1000 ns apart, header period 40 ns: a 25 ns window is too wide
+def _marks_1000_ns_apart():
     t = np.array([0, 5, 10, 1000, 1005])
     c = np.array([2, 0, 1, 2, 0])
-    with pytest.raises(ValidationError, match="half the trial period 40.0 ns"):
-        bs.event_windowed_counts(bs.TimetagStream(t, c, trial_period_ns=40.0), 25, [0, 1])
-    table = bs.event_windowed_counts(bs.TimetagStream(t, c), 25, [0, 1])
+    return bs.TimetagStream(t, c), [0, 1], 25
+
+
+def test_event_window_period_is_the_median_clock_spacing():
+    stream, schedule, window = _marks_1000_ns_apart()
+    table = event_counts(stream, window, schedule)
     assert table.coincidences.tolist() == [1, 0, 0, 0]
+    with pytest.raises(ValidationError, match="half the trial period 1000.0 ns"):
+        event_counts(stream, 500, schedule)
 
 
 # ---------------------------------------------------------------------------
@@ -497,9 +503,36 @@ GENERATED = {
 }
 
 
+def _outcome(source, policy, schedule):
+    """The table counted from source, as JSON and meta, or the message of
+    the ValidationError that counting raises."""
+    try:
+        table = bs.windowed_counts(source, policy, schedule)
+    except ValidationError as exc:
+        return str(exc)
+    return table.to_json_dict(), table.meta
+
+
+@pytest.mark.parametrize("window", ["clock", "legal", "half-spacing", "wide"])
+@pytest.mark.parametrize("name", ["marks-1000-ns-apart", "adversarial", "simulated"])
+def test_memory_and_disk_count_alike(name, window, tmp_path):
+    # the same records in memory and in a file: same table, or same error
+    stream, schedule, legal = {"marks-1000-ns-apart": _marks_1000_ns_apart,
+                               "adversarial": _adversarial, "simulated": _simulated}[name]()
+    half_spacing = float(np.median(np.diff(stream.clock_times()))) / 2
+    policy = {"clock": bs.WindowPolicy("clock"), "legal": bs.WindowPolicy("event", legal),
+              "half-spacing": bs.WindowPolicy("event", half_spacing),
+              "wide": bs.WindowPolicy("event", 3 * half_spacing)}[window]
+    path = tmp_path / "stream.bin"
+    path.write_bytes(bs.serialize_timetags(stream))
+    in_memory = _outcome(stream, policy, schedule)
+    assert _outcome(TimetagFile(path), policy, schedule) == in_memory
+    assert isinstance(in_memory, str) == (window in ("half-spacing", "wide"))
+
+
 def _counted(stream, schedule, window):
-    tables = [bs.clock_windowed_counts(stream, schedule),
-              bs.event_windowed_counts(stream, window, schedule)]
+    tables = [clock_counts(stream, schedule),
+              event_counts(stream, window, schedule)]
     return [(t.to_json_dict(), t.meta) for t in tables]
 
 
@@ -524,9 +557,9 @@ def test_chunks_keep_a_detection_with_the_clock_mark_it_shares_a_time_with(tmp_p
     path = tmp_path / "stream.bin"
     path.write_bytes(bs.serialize_timetags(stream))
     monkeypatch.setattr(counting, "CHUNK_RECORDS", 3)
-    table = bs.clock_windowed_counts(TimetagFile(path), [0, 3])
+    table = clock_counts(TimetagFile(path), [0, 3])
     assert table.singles_b.tolist() == [0, 0, 0, 1]
-    assert table == bs.clock_windowed_counts(stream, [0, 3])
+    assert table == clock_counts(stream, [0, 3])
 
 
 def _error(fn):
@@ -563,7 +596,7 @@ def test_reader_errors_equal_one_chunk(faults, chunk, tmp_path, monkeypatch):
     assert expected[1] == min(k + (kind == "regression") for kind, k in faults)
     monkeypatch.setattr(counting, "CHUNK_RECORDS", chunk)
     assert _error(lambda: list(TimetagFile(path).chunks())) == expected
-    assert _error(lambda: bs.clock_windowed_counts(TimetagFile(path), np.zeros(300))) == expected
+    assert _error(lambda: clock_counts(TimetagFile(path), np.zeros(300))) == expected
 
 
 def test_reader_rejects_a_partial_record(tmp_path):

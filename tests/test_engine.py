@@ -380,7 +380,7 @@ def test_two_path_consistency_blocks_vs_clock_windows():
     cfg = quick_cfg(trials_per_block=25_000, n_blocks=4, rng_seed=8)
     table_blocks = bs.blocks_to_counts(bs.simulate_blocks(cfg))
     stream = bs.simulate_timetags(cfg)
-    table_stream = bs.clock_windowed_counts(stream, bs.trial_settings(cfg))
+    table_stream = bs.windowed_counts(stream, bs.WindowPolicy("clock"), bs.trial_settings(cfg))
     assert table_stream.n_trials.tolist() == table_blocks.n_trials.tolist()
     # same forward model, independent randomness: agreement within 5 sigma
     n = table_blocks.n_trials.astype(float)
