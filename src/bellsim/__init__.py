@@ -103,7 +103,6 @@ from .stats import (
     distribution_floor,
     hacker_bound,
     partition_sigma,
-    partition_sigma_sweep,
     partition_values,
     reference_run_counts,
     reference_settings,

@@ -14,6 +14,7 @@ Exit codes: 0 success, 2 validation failure, 3 I/O failure,
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import datetime
 import json
 import math
@@ -112,7 +113,7 @@ def _out_path(args, name: str) -> Path:
 def _cmd_simulate(args) -> int:
     cfg = ExperimentConfig.from_json(_read_text(args.config))
     if args.seed is not None:
-        cfg = ExperimentConfig.from_json_dict({**cfg.to_json_dict(), "rng_seed": args.seed})
+        cfg = dataclasses.replace(cfg, rng_seed=args.seed)
     outputs = []
     diagnostics = {}
 

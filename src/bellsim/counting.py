@@ -209,6 +209,7 @@ def parse_timetags(data: bytes | str) -> TimetagStream:
         text = data
     chans: list[int] = []
     times: list[int] = []
+    linenos: list[int] = []
     for lineno, line in enumerate(text.splitlines(), start=1):
         line = line.strip()
         if not line:
@@ -228,10 +229,11 @@ def parse_timetags(data: bytes | str) -> TimetagStream:
             raise FormatError("timestamp exceeds signed 64-bit range", lineno)
         chans.append(ch)
         times.append(ts)
+        linenos.append(lineno)
     t = np.array(times, dtype=np.int64)
     idx = _first_regression(t)
     if idx < t.size:
-        raise FormatError("timestamp regression", idx)
+        raise FormatError("timestamp regression", linenos[idx])
     return _records(t, np.array(chans, dtype=np.uint8))
 
 

@@ -34,7 +34,7 @@ import io
 import itertools
 import json
 import math
-from dataclasses import asdict, astuple, dataclass, field, fields, replace
+from dataclasses import MISSING, astuple, dataclass, field, fields, is_dataclass, replace
 from typing import Iterator, NamedTuple, Sequence
 
 import numpy as np
@@ -82,28 +82,82 @@ def _json_object(value, what: str) -> dict:
     return value
 
 
-def _json_number(value, what: str, integer: bool = False):
-    if isinstance(value, bool) or not isinstance(value, int if integer else (int, float)):
-        kind = "an integer" if integer else "a number"
-        raise ValidationError(f"{what} must be {kind}, got {value!r}")
-    return value
+# field annotation (a string, as annotations are postponed) -> what its JSON
+# value must be and the check; string fields are checked by their dataclass
+_FIELD_CHECKS = {
+    "int": ("an integer", lambda v: type(v) is int),
+    "float": ("a number", lambda v: type(v) in (int, float)),
+    "tuple[int, int, int, int]": ("an array of 4 integers",
+                                  lambda v: type(v) is list and list(map(type, v)) == [int] * 4),
+    "str | None": ("a path or null", lambda v: v is None or type(v) is str),
+}
 
 
-def _json_ints(value, what: str) -> tuple:
-    if not isinstance(value, (list, tuple)):
-        raise ValidationError(f"{what} must be an array of integers, got {value!r}")
-    return tuple(_json_number(v, what, integer=True) for v in value)
+def _checked_fields(doc, annotations: dict, required, what: str) -> dict:
+    """doc's values checked against the annotations of the fields they name,
+    arrays as tuples; unknown names and a missing required field raise."""
+    doc = _json_object(doc, what)
+    unknown = sorted(set(doc) - set(annotations))
+    if unknown:
+        raise ValidationError(f"{what} has unknown field(s) {unknown}")
+    for name in required:
+        if name not in doc:
+            raise ValidationError(f"{what} is missing required field {name!r}")
+    for name, value in doc.items():
+        kind, ok = _FIELD_CHECKS.get(annotations[name], (None, None))
+        if ok is not None and not ok(value):
+            raise ValidationError(f"{what}.{name} must be {kind}, got {value!r}")
+    return {name: tuple(v) if type(v) is list else v for name, v in doc.items()}
 
 
-def _rho_from_json(rows) -> np.ndarray:
-    """4x4 complex matrix from rows of [re, im] pairs."""
+def _from_fields(cls, doc, what: str, **parsed):
+    """cls from a JSON object keyed by its field names, absent fields at
+    their defaults; parsed holds the nested fields, already read."""
+    fs = fields(cls)
+    required = [f.name for f in fs if f.default is MISSING and f.default_factory is MISSING]
+    return cls(**{**_checked_fields(doc, {f.name: f.type for f in fs}, required, what),
+                  **parsed})
+
+
+def _to_fields(obj) -> dict:
+    """A dataclass as a JSON object of its fields in order, None omitted."""
+    doc = {}
+    for f in fields(obj):
+        value = getattr(obj, f.name)
+        if isinstance(value, PolarizationState):
+            value = _state_to_json(value)
+        elif is_dataclass(value):
+            value = _to_fields(value)
+        if value is not None:
+            doc[f.name] = value
+    return doc
+
+
+def _state_from_json(doc) -> PolarizationState:
+    """An eberhard-pure state from r and an optional phase, or a
+    density-matrix state from rho as 4 rows of 4 [re, im] pairs."""
+    kind = _json_object(doc, "state").get("kind")
+    if kind == "eberhard-pure":
+        args = _checked_fields(doc, {"kind": "str", "r": "float", "phase": "float"}, ["r"], "state")
+        del args["kind"]
+        return make_eberhard_state(**args)
+    if kind != "density-matrix":
+        raise ValidationError(f"state.kind must be 'eberhard-pure' or 'density-matrix', "
+                              f"got {kind!r}")
+    _checked_fields(doc, {"kind": "str", "rho": "np.ndarray"}, ["rho"], "state")
     try:
-        parts = np.array(rows, dtype=float)
+        parts = np.array(doc["rho"], dtype=float)
     except (TypeError, ValueError):
         parts = None
     if parts is None or parts.shape != (4, 4, 2):
         raise ValidationError("state.rho must be 4 rows of 4 [re, im] pairs")
-    return parts.view(complex)[..., 0]
+    return density_matrix_state(parts.view(complex)[..., 0])
+
+
+def _state_to_json(state: PolarizationState) -> dict:
+    if state.kind == "eberhard-pure":
+        return {"kind": state.kind, "r": state.r, "phase": state.phase}
+    return {"kind": state.kind, "rho": [[[z.real, z.imag] for z in row] for row in state.rho]}
 
 
 @dataclass(frozen=True)
@@ -117,8 +171,9 @@ class ExperimentConfig:
     trials_per_block: int = 25_000
     n_blocks: int = 1
     rng_seed: int = 0
-    schedule_file: str | None = None
+    # the writer walks the fields in this order
     cyclic_order: tuple[int, int, int, int] = (0, 1, 2, 3)
+    schedule_file: str | None = None
     drift: DriftModel | None = None
 
     def __post_init__(self):
@@ -132,29 +187,7 @@ class ExperimentConfig:
             raise ValidationError("schedule_kind 'file' requires schedule_file")
 
     def to_json_dict(self) -> dict:
-        if self.state.kind == "eberhard-pure":
-            state_doc = {"kind": "eberhard-pure", "r": self.state.r, "phase": self.state.phase}
-        else:
-            rho = self.state.rho
-            state_doc = {
-                "kind": "density-matrix",
-                "rho": [[[z.real, z.imag] for z in row] for row in rho],
-            }
-        doc = {
-            "state": state_doc,
-            "settings": asdict(self.settings),
-            "det": asdict(self.det),
-            "schedule_kind": self.schedule_kind,
-            "trials_per_block": self.trials_per_block,
-            "n_blocks": self.n_blocks,
-            "rng_seed": self.rng_seed,
-            "cyclic_order": list(self.cyclic_order),
-        }
-        if self.schedule_file:
-            doc["schedule_file"] = self.schedule_file
-        if self.drift is not None:
-            doc["drift"] = asdict(self.drift)
-        return doc
+        return _to_fields(self)
 
     def to_json(self) -> str:
         return json.dumps(self.to_json_dict(), indent=2)
@@ -162,55 +195,13 @@ class ExperimentConfig:
     @classmethod
     def from_json_dict(cls, doc: dict) -> "ExperimentConfig":
         doc = _json_object(doc, "config")
-        try:
-            sdoc = _json_object(doc["state"], "state")
-            if sdoc["kind"] == "eberhard-pure":
-                state = make_eberhard_state(_json_number(sdoc["r"], "state.r"),
-                                            _json_number(sdoc.get("phase", 0.0), "state.phase"))
-            elif sdoc["kind"] == "density-matrix":
-                state = density_matrix_state(_rho_from_json(sdoc["rho"]))
-            else:
-                raise ValidationError(f"unknown state kind {sdoc['kind']!r}")
-            mdoc = _json_object(doc["settings"], "settings")
-            settings = MeasurementSettings(
-                *(_json_number(mdoc[k], f"settings.{k}") for k in ("a", "a_prime", "b", "b_prime"))
-            )
-            det_doc = _json_object(doc.get("det", {}), "det")
-            unknown = sorted(set(det_doc) - {f.name for f in fields(DetectionModel)})
-            if unknown:
-                raise ValidationError(f"det has unknown field(s) {unknown}")
-            det = DetectionModel(**{
-                k: _json_number(v, f"det.{k}", integer=k == "pulses_per_trial")
-                for k, v in det_doc.items()
-            })
-            drift = None
-            if "drift" in doc:
-                ddoc = _json_object(doc["drift"], "drift")
-                drift = DriftModel(
-                    setting_order=_json_ints(ddoc.get("setting_order", (0, 1, 2, 3)),
-                                             "drift.setting_order"),
-                    decay_kind=ddoc.get("decay_kind", "continuous-exponential-integrated"),
-                    final_fraction=_json_number(ddoc.get("final_fraction", 1.0),
-                                                "drift.final_fraction"),
-                )
-            schedule_file = doc.get("schedule_file")
-            if not isinstance(schedule_file, (str, type(None))):
-                raise ValidationError(f"schedule_file must be a path, got {schedule_file!r}")
-            return cls(
-                state=state,
-                settings=settings,
-                det=det,
-                schedule_kind=doc.get("schedule_kind", "random-per-block"),
-                trials_per_block=_json_number(doc.get("trials_per_block", 25_000),
-                                              "trials_per_block", integer=True),
-                n_blocks=_json_number(doc.get("n_blocks", 1), "n_blocks", integer=True),
-                rng_seed=_json_number(doc.get("rng_seed", 0), "rng_seed", integer=True),
-                schedule_file=schedule_file,
-                cyclic_order=_json_ints(doc.get("cyclic_order", (0, 1, 2, 3)), "cyclic_order"),
-                drift=drift,
-            )
-        except KeyError as exc:
-            raise ValidationError(f"config is missing required field {exc}") from None
+        parsed = {name: _from_fields(section, doc[name], name)
+                  for name, section in (("settings", MeasurementSettings),
+                                        ("det", DetectionModel), ("drift", DriftModel))
+                  if name in doc}
+        if "state" in doc:
+            parsed["state"] = _state_from_json(doc["state"])
+        return _from_fields(cls, doc, "config", **parsed)
 
     @classmethod
     def from_json(cls, text: str) -> "ExperimentConfig":
@@ -423,26 +414,22 @@ def timetag_chunks(cfg: ExperimentConfig) -> Iterator[TimetagStream]:
         bg_pulse_a = rng.integers(0, det.pulses_per_trial, size=int(bg_hit_a.sum()))
         bg_pulse_b = rng.integers(0, det.pulses_per_trial, size=int(bg_hit_b.sum()))
 
-        def place(trials_idx, pulses):
-            base = (
-                trial_start[trials_idx].astype(np.float64)
-                + burst_offset
-                + pulses * det.pulse_period_ns
-            )
-            if det.jitter_sigma_ns > 0:
-                base = base + rng.normal(0.0, det.jitter_sigma_ns, size=base.size)
-            lo = np.maximum(trial_start[trials_idx] - period, 0)
-            hi = trial_start[trials_idx] + 2 * period - 1
-            # a period's margin beyond the clamp keeps huge jitter inside int64
-            t = np.rint(np.clip(base, lo - period, hi + period)).astype(np.int64)
-            out_of_range = (t < lo) | (t > hi)
-            t = np.clip(t, lo, hi)
-            return t, int(out_of_range.sum())
-
-        ta, c1 = place(pair_trial[det_a], pulse[det_a])
-        tb, c2 = place(pair_trial[det_b], pulse[det_b])
-        tba, c3 = place(np.nonzero(bg_hit_a)[0], bg_pulse_a)
-        tbb, c4 = place(np.nonzero(bg_hit_b)[0], bg_pulse_b)
+        # one jitter draw, in the order A pairs, B pairs, A background, B background
+        groups = [pair_trial[det_a], pair_trial[det_b], np.nonzero(bg_hit_a)[0],
+                  np.nonzero(bg_hit_b)[0]]
+        start = trial_start[np.concatenate(groups)]
+        times = (start.astype(np.float64) + burst_offset
+                 + np.concatenate([pulse[det_a], pulse[det_b], bg_pulse_a, bg_pulse_b])
+                 * det.pulse_period_ns)
+        if det.jitter_sigma_ns > 0:
+            times = times + rng.normal(0.0, det.jitter_sigma_ns, size=times.size)
+        lo = np.maximum(start - period, 0)
+        hi = start + 2 * period - 1
+        # a period's margin beyond the clamp keeps huge jitter inside int64
+        times = np.rint(np.clip(times, lo - period, hi + period)).astype(np.int64)
+        clamped = int(np.count_nonzero((times < lo) | (times > hi)))
+        ta, tb, tba, tbb = np.split(np.clip(times, lo, hi),
+                                    np.cumsum([g.size for g in groups])[:-1])
 
         t = np.concatenate([trial_start, ta, tba, tb, tbb])
         c = np.repeat(np.array([CHANNEL_CLOCK, CHANNEL_ALICE, CHANNEL_BOB], dtype=np.uint8),
@@ -460,7 +447,7 @@ def timetag_chunks(cfg: ExperimentConfig) -> Iterator[TimetagStream]:
         carry_t, carry_c = t[cut:], c[cut:]
         yield TimetagStream(
             t[:cut], c[:cut],
-            meta={"clamped_events": c1 + c2 + c3 + c4,
+            meta={"clamped_events": clamped,
                   "trial_settings": np.full(n, combo, dtype=np.uint8)},
         )
 

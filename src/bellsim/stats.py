@@ -22,9 +22,8 @@ which trials estimate p1(a) matters for both statistics and adversaries:
 
 Uncertainty follows the partition method: split the run into k
 partitions, compute B on each, and scale the spread of the k values down
-to the full data set.  By default each setting pair's blocks are dealt
-round-robin over the partitions (stratified), so that every partition
-sees all four pairs; interleaved and contiguous partitions remain.  The
+to the full data set.  Each setting pair's blocks are dealt round-robin
+over the partitions, so that every partition sees all four pairs.  The
 hacker bound is the exact binomial tail probability that a
 settings-guessing adversary produces at least the observed number of
 per-partition violations.
@@ -46,7 +45,6 @@ from .errors import ValidationError
 from .quantum import MeasurementSettings
 
 SINGLES_MODES = ("pooled", "paired", "conditional")
-PARTITION_MODES = ("stratified", "strided", "sequential")
 
 TSIRELSON_S = 2.0 * math.sqrt(2.0)
 
@@ -145,41 +143,30 @@ def bell_result(
 # partition-based error estimation
 
 
-def _partition_index(settings: np.ndarray, k: int, mode: str) -> np.ndarray:
-    """Each block's partition in 0..k-1, given the blocks' setting indices."""
+def _partition_index(settings: np.ndarray, k: int) -> np.ndarray:
+    """Each block's partition in 0..k-1, given the blocks' setting indices.
+
+    The blocks, grouped by setting and in run order within a setting, are
+    dealt round-robin: a setting with m blocks puts floor(m/k) or ceil(m/k)
+    of them in every partition.
+    """
     n = settings.size
     if k < 2:
         raise ValidationError("need at least 2 partitions")
     if n < k:
         raise ValidationError(f"cannot split {n} blocks into {k} partitions")
-    if mode == "stratified":
-        # deal the blocks, grouped by setting and in run order within a
-        # setting, round-robin: a setting with m blocks puts floor(m/k) or
-        # ceil(m/k) of them in every partition
-        part = np.empty(n, dtype=np.int64)
-        part[np.argsort(settings, kind="stable")] = np.arange(n) % k
-        return part
-    if mode == "strided":
-        return np.arange(n) % k
-    if mode == "sequential":
-        bounds = np.linspace(0, n, k + 1).astype(int)
-        return np.repeat(np.arange(k), np.diff(bounds))
-    raise ValidationError(f"partition mode must be one of {PARTITION_MODES}, got {mode!r}")
+    part = np.empty(n, dtype=np.int64)
+    part[np.argsort(settings, kind="stable")] = np.arange(n) % k
+    return part
 
 
 def partition_values(
-    blocks: Sequence[BlockRecord], k: int, mode: str = "stratified",
-    singles_mode: str = "pooled",
+    blocks: Sequence[BlockRecord], k: int, singles_mode: str = "pooled",
 ) -> np.ndarray:
-    """B evaluated on each of the k partitions.
-
-    "stratified" deals each setting pair's blocks round-robin over the
-    partitions, so every partition covers all four pairs whenever each
-    pair has at least k blocks; "strided" takes every k-th block and
-    "sequential" contiguous runs of blocks.
-    """
+    """B evaluated on each of the k partitions; every partition covers all
+    four setting pairs whenever each pair has at least k blocks."""
     arr = block_array(blocks)
-    tally = tally_blocks(arr, _partition_index(arr[:, 0], k, mode), k)
+    tally = tally_blocks(arr, _partition_index(arr[:, 0], k), k)
     n, c = tally[0], tally[3]
     unusable = (tally < 0).any(axis=(0, 1)) | (c > n).any(axis=0) | (n <= 0).any(axis=0)
     if unusable.any():
@@ -194,26 +181,15 @@ def partition_values(
 
 
 def partition_sigma(
-    blocks: Sequence[BlockRecord], k: int = 50, mode: str = "stratified",
-    singles_mode: str = "pooled",
+    blocks: Sequence[BlockRecord], k: int = 50, singles_mode: str = "pooled",
 ) -> float:
     """Standard error of B: spread of the k partition values over sqrt(k-1)."""
-    values = partition_values(blocks, k, mode, singles_mode)
+    values = partition_values(blocks, k, singles_mode)
     return float(np.std(values, ddof=1) / math.sqrt(k - 1))
 
 
-def partition_sigma_sweep(
-    blocks: Sequence[BlockRecord], ks: Sequence[int] = range(47, 54),
-    mode: str = "stratified", singles_mode: str = "pooled",
-) -> tuple[float, float]:
-    """Mean and spread of the sigma estimate over several partition counts."""
-    sigmas = [partition_sigma(blocks, k, mode, singles_mode) for k in ks]
-    return float(np.mean(sigmas)), float(np.std(sigmas, ddof=1))
-
-
 def violations_by_partition(
-    blocks: Sequence[BlockRecord], ks: Sequence[int],
-    mode: str = "stratified", singles_mode: str = "conditional",
+    blocks: Sequence[BlockRecord], ks: Sequence[int], singles_mode: str = "conditional",
 ) -> list[tuple[int, int]]:
     """(k, number of partitions with B > 0) for each requested k.
 
@@ -222,7 +198,7 @@ def violations_by_partition(
     """
     out = []
     for k in ks:
-        values = partition_values(blocks, k, mode, singles_mode)
+        values = partition_values(blocks, k, singles_mode)
         out.append((int(k), int(np.count_nonzero(values > 0))))
     return out
 

@@ -199,7 +199,7 @@ def test_criterion_08_statistical_pipeline():
     var += (psa[0] * (1 - psa[0]) + psa[1] * (1 - psa[1])) / (4 * n)
     var += (psb[0] * (1 - psb[0]) + psb[2] * (1 - psb[2])) / (4 * n)
     oracle = math.sqrt(var)
-    got = bs.partition_sigma(blocks, k=51, mode="strided")
+    got = bs.partition_sigma(blocks, k=51)
     assert got == pytest.approx(oracle, rel=0.2)
     report(8, f"hacker p={p_hack:.2e}, floor(5)=0.03125, "
               f"super-quantum=({sq.s_upper:.3f}, {sq.on_fraction:.3f}), "

@@ -286,10 +286,29 @@ def _reference_counts_with(label, name, value):
     return doc
 
 
+def _config_section_with(section, name, value):
+    doc = _valid_config()
+    doc[section] = {**doc[section], name: value}
+    return doc
+
+
+def _config_without_b_prime():
+    doc = _valid_config()
+    del doc["settings"]["b_prime"]
+    return doc
+
+
 MALFORMED_INPUTS = {
     "config-unknown-det-field": ("simulate", lambda: {**_valid_config(), "det": {"foo": 1}}),
     "config-top-level-array": ("simulate", lambda: [_valid_config()]),
     "config-string-n-blocks": ("simulate", lambda: {**_valid_config(), "n_blocks": "4"}),
+    "config-unknown-top-level-field": ("simulate", lambda: {**_valid_config(), "n_block": 3}),
+    "config-unknown-state-field": ("simulate", lambda: _config_section_with("state", "rho", [])),
+    "config-unknown-settings-field": (
+        "simulate", lambda: _config_section_with("settings", "b_primed", 25.2)),
+    "config-unknown-drift-field": (
+        "simulate", lambda: {**_valid_config(), "drift": {"final_fracton": 0.5}}),
+    "config-missing-settings-b-prime": ("simulate", lambda: _config_without_b_prime()),
     "analyze-counts-row-number": (
         "analyze", lambda: {**bs.reference_run_counts().to_json_dict(), "ab": 5}),
     "analyze-counts-top-level-array": (

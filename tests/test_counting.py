@@ -63,6 +63,15 @@ def test_parse_csv_malformed(payload):
         bs.parse_timetags(payload)
 
 
+@pytest.mark.parametrize("payload, line", [(b"2,10\n2,5\n", 2),
+                                           (b"\n\n2,10\n0,11\n2,5\n", 5)],
+                         ids=["adjacent", "after-blank-lines"])
+def test_parse_csv_regression_names_its_line(payload, line):
+    with pytest.raises(FormatError, match="timestamp regression") as info:
+        bs.parse_timetags(payload)
+    assert info.value.position == line
+
+
 def test_parse_binary_malformed(tmp_path):
     path = tmp_path / "stream.bin"
     path.write_bytes(b"\x00" * 10)  # not a multiple of 9

@@ -2,6 +2,7 @@
 
 import dataclasses
 import hashlib
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -506,6 +507,14 @@ def test_config_json_round_trip():
     cfg2 = quick_cfg(state=mixed)
     back2 = bs.ExperimentConfig.from_json(cfg2.to_json())
     assert np.allclose(back2.state.rho, mixed.rho)
+
+
+def test_readme_config_example_parses():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    after = readme.split("A minimal simulation config:", 1)[1]
+    example = after.split("```json", 1)[1].split("```", 1)[0]
+    cfg = bs.ExperimentConfig.from_json(example)
+    assert (cfg.n_blocks, cfg.rng_seed, cfg.det.bg_a) == (40, 6, 6.5e-5)
 
 
 def test_config_validation():

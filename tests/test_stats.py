@@ -114,26 +114,8 @@ def test_partition_sigma_matches_binomial_oracle():
     blocks, (psa, psb, pc) = synthetic_blocks(rng)
     trials_per_setting = 102 * 2451  # 408 blocks / 4 settings
     expected = oracle_sigma(psa, psb, pc, trials_per_setting)
-    got = bs.partition_sigma(blocks, k=51, mode="strided")
+    got = bs.partition_sigma(blocks, k=51)
     assert got == pytest.approx(expected, rel=0.2)
-
-
-def test_partition_modes_agree_within_factor_two():
-    rng = np.random.default_rng(99)
-    blocks, _ = synthetic_blocks(rng)
-    strided = bs.partition_sigma(blocks, k=51, mode="strided")
-    seq = bs.partition_sigma(blocks, k=51, mode="sequential")
-    assert 0.5 <= strided / seq <= 2.0
-
-
-def test_partition_sigma_sweep_reports_mean_and_spread():
-    rng = np.random.default_rng(7)
-    blocks, _ = synthetic_blocks(rng)
-    # the synthetic settings cycle with period 4, so strides that share a
-    # factor with 4 would starve partitions of settings; odd ks avoid that
-    mean, spread = bs.partition_sigma_sweep(blocks, ks=(47, 49, 51, 53))
-    assert mean > 0
-    assert spread < mean  # k barely matters on i.i.d. data
 
 
 def test_partition_insufficient_data():
@@ -189,16 +171,14 @@ def _reference_ch(table, singles_mode):
     return c[0] / n[0] + c[1] / n[1] + c[2] / n[2] - c[3] / n[3] - p1a - p2b
 
 
-def _reference_partition_values(blocks, k, mode, singles_mode):
+def _reference_partition_values(blocks, k, singles_mode):
     if k < 2:
         raise ValidationError("need at least 2 partitions")
     if len(blocks) < k:
         raise ValidationError(f"cannot split {len(blocks)} blocks into {k} partitions")
-    if mode == "strided":
-        parts = [list(blocks[i::k]) for i in range(k)]
-    else:
-        bounds = np.linspace(0, len(blocks), k + 1).astype(int)
-        parts = [list(blocks[bounds[i]:bounds[i + 1]]) for i in range(k)]
+    # grouped by setting, in run order within a setting, dealt round-robin
+    by_setting = sorted(blocks, key=lambda rec: rec.setting_pair)
+    parts = [by_setting[i::k] for i in range(k)]
     values = []
     for i, part in enumerate(parts):
         table = _reference_blocks_to_counts(part)
@@ -230,11 +210,11 @@ _BLOCKS = st.one_of(st.lists(_BLOCK, max_size=8), st.lists(_BLOCK, min_size=24, 
 
 
 @settings(max_examples=200)
-@given(blocks=_BLOCKS, k=st.integers(1, 10), mode=st.sampled_from(["strided", "sequential"]),
+@given(blocks=_BLOCKS, k=st.integers(1, 10),
        singles_mode=st.sampled_from(["pooled", "paired", "conditional"]))
-def test_partition_values_equal_list_reference(blocks, k, mode, singles_mode):
-    got = _outcome(bs.partition_values, blocks, k, mode, singles_mode)
-    want = _outcome(_reference_partition_values, blocks, k, mode, singles_mode)
+def test_partition_values_equal_list_reference(blocks, k, singles_mode):
+    got = _outcome(bs.partition_values, blocks, k, singles_mode)
+    want = _outcome(_reference_partition_values, blocks, k, singles_mode)
     assert got[0] == want[0]
     if got[0] == "ok":
         assert got[1].tobytes() == want[1].tobytes()  # bit for bit
@@ -254,7 +234,7 @@ def test_stratified_partitions_cover_every_setting(pairs, k, singles_mode):
     # one trial per block and one coincidence-free click on each arm: a
     # partition evaluates exactly when it holds a block of every setting
     blocks = [bs.BlockRecord(s, 1, 1, 1, 0) for s in pairs]
-    status, result = _outcome(bs.partition_values, blocks, k, "stratified", singles_mode)
+    status, result = _outcome(bs.partition_values, blocks, k, singles_mode)
     if np.bincount(pairs, minlength=4).min() >= k:
         assert status == "ok"
         assert np.array_equal(result, np.full(k, -2.0))
@@ -265,7 +245,7 @@ def test_stratified_partitions_cover_every_setting(pairs, k, singles_mode):
 @pytest.fixture(scope="module")
 def paper_schedule_blocks():
     # the 4450-block random-per-block schedule of seed 6 at 25 000 trials per
-    # block: strided partitions miss a setting pair from k = 200 on
+    # block
     cfg = bs.ExperimentConfig(
         state=bs.make_eberhard_state(bs.REFERENCE_R), settings=bs.reference_settings(),
         det=bs.DetectionModel(), schedule_kind="random-per-block",
@@ -277,8 +257,9 @@ def paper_schedule_blocks():
 @pytest.mark.parametrize("singles_mode", ["pooled", "conditional"])
 def test_stratified_partitions_at_paper_scale(paper_schedule_blocks, singles_mode):
     blocks = paper_schedule_blocks
+    fewest = np.bincount([rec.setting_pair for rec in blocks], minlength=4).min()
     with pytest.raises(ValidationError, match="insufficient data"):
-        bs.partition_values(blocks, 200, "strided", singles_mode)
+        bs.partition_values(blocks, int(fewest) + 1, singles_mode)
     ks = [200, 300, 445, 650, 1000]
     curve = bs.violations_by_partition(blocks, ks, singles_mode=singles_mode)
     for (k, wins), k_want in zip(curve, ks):
