@@ -19,7 +19,8 @@ B only, neither) counts are exactly Multinomial(n; pAB, pA - pAB,
 pB - pAB, 1 - pA - pB + pAB).  Its cost does not grow with the trials
 per block.  Timetag mode samples individual pair and background
 detections, places them on pulses inside the gated burst, applies
-Gaussian timing jitter, and emits a clock marker per trial.  Both modes
+Gaussian timing jitter, and emits a clock marker per trial; its draws
+scale with the detections, not the trials (`_timetag_blocks`).  Both modes
 draw from per-block generators derived from (seed, block index), so
 blocks are independent and any run is bit-reproducible from its config.
 
@@ -185,6 +186,11 @@ class ExperimentConfig:
             raise ValidationError("rng_seed must fit in an unsigned 64-bit integer")
         if self.schedule_kind == "file" and not self.schedule_file:
             raise ValidationError("schedule_kind 'file' requires schedule_file")
+        # the blocks are measured in cyclic_order; drift applies by block index
+        if (self.schedule_kind == "cyclic" and self.drift is not None
+                and tuple(self.drift.setting_order) != tuple(self.cyclic_order)):
+            raise ValidationError(f"drift.setting_order {list(self.drift.setting_order)} "
+                                  f"differs from cyclic_order {list(self.cyclic_order)}")
 
     def to_json_dict(self) -> dict:
         return _to_fields(self)
@@ -350,22 +356,22 @@ def blocks_to_counts(blocks: Sequence[BlockRecord]) -> CountsTable:
     return CountsTable(*tally_blocks(block_array(blocks), 0, 1)[..., 0])
 
 
-def timetag_chunks(cfg: ExperimentConfig) -> Iterator[TimetagStream]:
-    """The timetag stream of the run as ordered chunks, one per block.
+# A block's pair total is drawn before any per-pair array.  Drawing a block
+# takes up to about 100 bytes per pair, so a block of more pairs than this
+# is rejected rather than let it exhaust memory.
+MAX_BLOCK_PAIRS = 4_000_000
 
-    Detections sit on individual pulses of the gated burst (a pair's two
-    photons share a pulse), smeared with Gaussian jitter; the burst is
-    centered in the trial so realistic jitter stays inside the trial.
-    Events jittered outside trial +- one period are clamped.  Each chunk
-    carries its block's per-trial setting indices (one byte per trial) in
-    meta["trial_settings"] and its clamped events in
-    meta["clamped_events"].
 
-    Each block is sorted on its own.  Records of a block at or after the
-    next block's lowest possible time, one period before its first
-    trial, wait and are merged into the next chunk, ahead of that
-    block's records at equal keys; so the chunks concatenate to the one
-    stable sort of the whole run by (time, clock marks first).
+def _timetag_blocks(cfg: ExperimentConfig) -> Iterator[tuple]:
+    """Each block's (setting pair, timestamps, channels, clamped events),
+    its records sorted on their own.
+
+    The work grows with the detections, not the trials.  A block's pair
+    total is one Poisson(n mu) draw and its pairs fall on uniform trials,
+    the joint law of n iid Poisson(mu) pair numbers.  Each arm's
+    background is a Binomial(n, bg) count on distinct trials, so a trial
+    holds at most one hit per arm.  Only the detections are sorted; they
+    are merged after the clock marks at equal times.
     """
     schedule = _block_schedule(cfg)
     mult = _drift_multipliers(cfg)
@@ -382,8 +388,6 @@ def timetag_chunks(cfg: ExperimentConfig) -> Iterator[TimetagStream]:
     burst_ns = det.pulses_per_trial * det.pulse_period_ns
     burst_offset = (det.trial_period_ns - burst_ns) / 2.0
 
-    carry_t = np.empty(0, dtype=np.int64)
-    carry_c = np.empty(0, dtype=np.uint8)
     for b in range(cfg.n_blocks):
         combo = int(schedule[b])
         # per-pair joint detection probabilities; no detection is implicit
@@ -392,34 +396,32 @@ def timetag_chunks(cfg: ExperimentConfig) -> Iterator[TimetagStream]:
         q01 = pB[combo] - q11
         m = float(mult[b])
         mu = det.pair_mean * m
-        bg_a = min(det.bg_a * m, 1.0)
-        bg_b = min(det.bg_b * m, 1.0)
-
         rng = _rng(cfg.rng_seed, _BLOCK_STREAM, b)
-        trial_start = (np.arange(n, dtype=np.int64) + b * n) * period
 
         try:
-            k = rng.poisson(mu, size=n)
+            npairs = int(rng.poisson(n * mu))
         except ValueError as exc:
             raise ValidationError(f"pair mean {mu!r} is out of range: {exc}") from None
-        pair_trial = np.repeat(np.arange(n), k)
-        npairs = pair_trial.size
+        if npairs > MAX_BLOCK_PAIRS:
+            raise ValidationError(f"block {b} draws {npairs} pairs, more than the "
+                                  f"{MAX_BLOCK_PAIRS} one block may hold")
+        pair_trial = rng.integers(0, n, size=npairs)
         u = rng.random(npairs)
         det_a = u < (q11 + q10)
         det_b = (u < q11) | ((u >= q11 + q10) & (u < q11 + q10 + q01))
         pulse = rng.integers(0, det.pulses_per_trial, size=npairs)
 
-        bg_hit_a = rng.random(n) < bg_a
-        bg_hit_b = rng.random(n) < bg_b
-        bg_pulse_a = rng.integers(0, det.pulses_per_trial, size=int(bg_hit_a.sum()))
-        bg_pulse_b = rng.integers(0, det.pulses_per_trial, size=int(bg_hit_b.sum()))
+        bg_trial_a = rng.choice(n, rng.binomial(n, min(det.bg_a * m, 1.0)), replace=False)
+        bg_trial_b = rng.choice(n, rng.binomial(n, min(det.bg_b * m, 1.0)), replace=False)
+        bg_pulse_a = rng.integers(0, det.pulses_per_trial, size=bg_trial_a.size)
+        bg_pulse_b = rng.integers(0, det.pulses_per_trial, size=bg_trial_b.size)
 
-        # one jitter draw, in the order A pairs, B pairs, A background, B background
-        groups = [pair_trial[det_a], pair_trial[det_b], np.nonzero(bg_hit_a)[0],
-                  np.nonzero(bg_hit_b)[0]]
-        start = trial_start[np.concatenate(groups)]
+        # one jitter draw, in record order: A pairs, A background, B pairs, B background
+        n_a = int(np.count_nonzero(det_a)) + bg_trial_a.size
+        start = (np.concatenate([pair_trial[det_a], bg_trial_a, pair_trial[det_b], bg_trial_b])
+                 + b * n) * period
         times = (start.astype(np.float64) + burst_offset
-                 + np.concatenate([pulse[det_a], pulse[det_b], bg_pulse_a, bg_pulse_b])
+                 + np.concatenate([pulse[det_a], bg_pulse_a, pulse[det_b], bg_pulse_b])
                  * det.pulse_period_ns)
         if det.jitter_sigma_ns > 0:
             times = times + rng.normal(0.0, det.jitter_sigma_ns, size=times.size)
@@ -428,13 +430,41 @@ def timetag_chunks(cfg: ExperimentConfig) -> Iterator[TimetagStream]:
         # a period's margin beyond the clamp keeps huge jitter inside int64
         times = np.rint(np.clip(times, lo - period, hi + period)).astype(np.int64)
         clamped = int(np.count_nonzero((times < lo) | (times > hi)))
-        ta, tb, tba, tbb = np.split(np.clip(times, lo, hi),
-                                    np.cumsum([g.size for g in groups])[:-1])
+        times = np.clip(times, lo, hi)
 
-        t = np.concatenate([trial_start, ta, tba, tb, tbb])
-        c = np.repeat(np.array([CHANNEL_CLOCK, CHANNEL_ALICE, CHANNEL_BOB], dtype=np.uint8),
-                      [n, ta.size + tba.size, tb.size + tbb.size])
-        t, c = sort_records(t, c)
+        order = np.argsort(times, kind="stable")
+        trial_start = (np.arange(n, dtype=np.int64) + b * n) * period
+        # each detection goes after the clock marks at or before its time
+        at = np.searchsorted(trial_start, times[order], side="right")
+        t = np.insert(trial_start, at, times[order])
+        c = np.insert(np.full(n, CHANNEL_CLOCK, dtype=np.uint8), at,
+                      np.where(order < n_a, CHANNEL_ALICE, CHANNEL_BOB))
+        yield combo, t, c, clamped
+
+
+def timetag_chunks(cfg: ExperimentConfig) -> Iterator[TimetagStream]:
+    """The timetag stream of the run as ordered chunks, one per block.
+
+    Detections sit on individual pulses of the gated burst (a pair's two
+    photons share a pulse), smeared with Gaussian jitter; the burst is
+    centered in the trial so realistic jitter stays inside the trial.
+    Events jittered outside trial +- one period are clamped.  Each chunk
+    carries its block's per-trial setting indices (one byte per trial) in
+    meta["trial_settings"] and its clamped events in
+    meta["clamped_events"].  A block that would draw more than
+    MAX_BLOCK_PAIRS pairs raises ValidationError.
+
+    Each block is sorted on its own.  Records of a block at or after the
+    next block's lowest possible time, one period before its first
+    trial, wait and are merged into the next chunk, ahead of that
+    block's records at equal keys; so the chunks concatenate to the one
+    stable sort of the whole run by (time, clock marks first).
+    """
+    n = cfg.trials_per_block
+    period = int(round(cfg.det.trial_period_ns))
+    carry_t = np.empty(0, dtype=np.int64)
+    carry_c = np.empty(0, dtype=np.uint8)
+    for b, (combo, t, c, clamped) in enumerate(_timetag_blocks(cfg)):
         if carry_t.size:
             head = int(np.searchsorted(t, carry_t[-1], side="right"))
             # stable, so the carry goes first at equal keys

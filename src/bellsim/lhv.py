@@ -294,6 +294,10 @@ class DriftModel:
       variant that reproduces the documented drift-attack numbers.
     - "piecewise-geometric": constant intensity within each period, the
       last period at final_fraction of the first.
+
+    `simulate` applies the drift by block index and does not read
+    setting_order: the blocks' setting pairs come from the config's
+    schedule, and a cyclic schedule must measure in setting_order.
     """
 
     setting_order: tuple[int, int, int, int] = (0, 1, 2, 3)

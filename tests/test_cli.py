@@ -309,6 +309,13 @@ MALFORMED_INPUTS = {
     "config-unknown-drift-field": (
         "simulate", lambda: {**_valid_config(), "drift": {"final_fracton": 0.5}}),
     "config-missing-settings-b-prime": ("simulate", lambda: _config_without_b_prime()),
+    "config-drift-order-differs-from-cyclic-order": (
+        "simulate", lambda: {**_valid_config(), "schedule_kind": "cyclic",
+                             "drift": {"setting_order": [0, 3, 1, 2]}}),
+    # 25 000 trials of 1e6 pairs each would need about 186 GiB per block
+    "config-timetag-block-pairs-over-cap": (
+        "simulate --timetags", lambda: {**_config_section_with("det", "pair_mean", 1e6),
+                                        "trials_per_block": 25_000, "n_blocks": 1}),
     "analyze-counts-row-number": (
         "analyze", lambda: {**bs.reference_run_counts().to_json_dict(), "ab": 5}),
     "analyze-counts-top-level-array": (
@@ -329,9 +336,10 @@ def test_malformed_input_is_exit_2(case, tmp_path, capsys):
     # main() catches only the package's documented errors, so any other
     # exception escapes here and fails the test
     command, make_doc = MALFORMED_INPUTS[case]
+    command, *flags = command.split()
     path = tmp_path / "input.json"
     path.write_text(json.dumps(make_doc()))
-    argv = [command, str(path), "--out", str(tmp_path), "--quiet"]
+    argv = [command, str(path), *flags, "--out", str(tmp_path), "--quiet"]
     if command == "dire":
         argv += ["--seconds", "10"]
     assert main(argv) == 2
@@ -735,7 +743,7 @@ _GEOMETRY_FLOATS = st.one_of(st.floats(), st.sampled_from([1e300, -1e300, 0.3, 1
 @given(top=st.fixed_dictionaries({"n_blocks": st.integers(1, 4),
                                   "trials_per_block": st.integers(1, 50)}),
        det=st.fixed_dictionaries({}, optional={
-           "pair_mean": st.floats(max_value=10.0),
+           "pair_mean": st.floats(),
            "pulses_per_trial": st.one_of(st.integers(-2, 300), st.integers(-(2**70), 2**70)),
            "pulse_period_ns": _GEOMETRY_FLOATS,
            "trial_period_ns": _GEOMETRY_FLOATS,
@@ -746,7 +754,8 @@ _GEOMETRY_FLOATS = st.one_of(st.floats(), st.sampled_from([1e300, -1e300, 0.3, 1
          det={"pulses_per_trial": 10**400, "pulse_period_ns": 1e-300})
 def test_simulate_fuzzed_timetag_config(tmp_path_factory, top, det):
     # the config fuzz above stays in block mode; this one bounds the run
-    # size and pair mean, since the timetag sampler allocates per detection
+    # size, since the timetag sampler allocates per trial and per detection;
+    # a block's pair total beyond engine.MAX_BLOCK_PAIRS exits 2
     work = tmp_path_factory.mktemp("fuzz")
     (work / "config.json").write_bytes(_fuzzed_config(top, {}, det))
     code = main(["simulate", str(work / "config.json"), "--timetags", "--out", str(work),

@@ -14,6 +14,7 @@ from bellsim.engine import (
     _block_schedule,
     _drift_multipliers,
     _rng,
+    _timetag_blocks,
     pair_probs,
     timetag_chunks,
 )
@@ -90,13 +91,14 @@ def test_timetags_deterministic_and_serialized_identically():
     assert bs.serialize_timetags(s1) == bs.serialize_timetags(s2)
 
 
-# Digests of runs under version 0.2.0 (numpy 2.4).  The same (config, seed)
-# must keep giving the same bytes; a change here changes every published run.
+# Digests of runs under version 0.2.0 (blocks) and 0.3.0 (timetags, drawn
+# per detection), numpy 2.4.  The same (config, seed) must keep giving the
+# same bytes; a change here changes every published run.
 FROZEN_BLOCKS = {
     "drift-cyclic": "e286b964f44f18df8df5cd5eca41460319d961954e38cb3caebcf9f5ebc64190",
     "density-matrix": "4b959b26bec13861308140d3f1f9da5c873c4fef93772f91a85ae8ed420185ce",
 }
-FROZEN_TIMETAGS = "66070823dc6edc612895f20661b724db6f9a902ea1cedd7437e12615fa5060c3"
+FROZEN_TIMETAGS = "c2cee146194bd9181dfe68adb45671c9e56a09a1f6c7556c2072df3083d203ca"
 
 
 def frozen_cfg(name):
@@ -126,52 +128,11 @@ def whole_run_timetags(cfg):
     """The whole-run timetag writer: every block's records concatenated,
     then one stable sort by (time, clock marks first).  Also returns the
     timestamps of the blocks each sorted on its own and concatenated."""
-    schedule = _block_schedule(cfg)
-    mult = _drift_multipliers(cfg)
-    p1, p2, p12 = pair_probs(cfg.state, *dataclasses.astuple(cfg.settings))
-    det, n = cfg.det, cfg.trials_per_block
-    period = int(round(det.trial_period_ns))
-    burst_offset = (det.trial_period_ns - det.pulses_per_trial * det.pulse_period_ns) / 2.0
-    blocks = []
-    for b in range(cfg.n_blocks):
-        combo, m = int(schedule[b]), float(mult[b])
-        q11 = det.eta_a * det.eta_b * p12[combo]
-        q10 = det.eta_a * p1[combo] - q11
-        q01 = det.eta_b * p2[combo] - q11
-        rng = _rng(cfg.rng_seed, _BLOCK_STREAM, b)
-        trial_start = (np.arange(n, dtype=np.int64) + b * n) * period
-        pair_trial = np.repeat(np.arange(n), rng.poisson(det.pair_mean * m, size=n))
-        u = rng.random(pair_trial.size)
-        det_a = u < (q11 + q10)
-        det_b = (u < q11) | ((u >= q11 + q10) & (u < q11 + q10 + q01))
-        pulse = rng.integers(0, det.pulses_per_trial, size=pair_trial.size)
-        bg_a = rng.random(n) < min(det.bg_a * m, 1.0)
-        bg_b = rng.random(n) < min(det.bg_b * m, 1.0)
-        bg_pulse_a = rng.integers(0, det.pulses_per_trial, size=int(bg_a.sum()))
-        bg_pulse_b = rng.integers(0, det.pulses_per_trial, size=int(bg_b.sum()))
-
-        def place(trials, pulses):
-            base = trial_start[trials] + burst_offset + pulses * det.pulse_period_ns
-            if det.jitter_sigma_ns > 0:
-                base = base + rng.normal(0.0, det.jitter_sigma_ns, size=base.size)
-            lo = np.maximum(trial_start[trials] - period, 0)
-            return np.clip(np.rint(base).astype(np.int64), lo, trial_start[trials] + 2 * period - 1)
-
-        ta = place(pair_trial[det_a], pulse[det_a])
-        tb = place(pair_trial[det_b], pulse[det_b])
-        tba = place(np.nonzero(bg_a)[0], bg_pulse_a)
-        tbb = place(np.nonzero(bg_b)[0], bg_pulse_b)
-        parts = [(trial_start, bs.CHANNEL_CLOCK), (ta, bs.CHANNEL_ALICE),
-                 (tba, bs.CHANNEL_ALICE), (tb, bs.CHANNEL_BOB), (tbb, bs.CHANNEL_BOB)]
-        blocks.append((np.concatenate([t for t, _ in parts]),
-                       np.concatenate([np.full(t.size, ch, dtype=np.uint8) for t, ch in parts])))
-
-    def sort(t, c):
-        order = np.lexsort((c != bs.CHANNEL_CLOCK, t))
-        return t[order], c[order]
-
-    t, c = sort(np.concatenate([t for t, _ in blocks]), np.concatenate([c for _, c in blocks]))
-    return bs.TimetagStream(t, c), np.concatenate([sort(*block)[0] for block in blocks])
+    blocks = [(t, c) for _, t, c, _ in _timetag_blocks(cfg)]
+    t = np.concatenate([t for t, _ in blocks])
+    c = np.concatenate([c for _, c in blocks])
+    order = np.lexsort((c != bs.CHANNEL_CLOCK, t))
+    return bs.TimetagStream(t[order], c[order]), t
 
 
 def crossing_cfg(trials_per_block):
@@ -185,11 +146,10 @@ def crossing_cfg(trials_per_block):
                      trials_per_block=trials_per_block, n_blocks=60, rng_seed=77)
 
 
-# digests of the whole-run writer's bytes for crossing_cfg, before the
-# stream was drawn in chunks
+# digests of the whole-run writer's bytes for crossing_cfg under version 0.3.0
 FROZEN_CROSSING = {
-    1: "28a351e443d8c0cede1e253af405fc1f35fcc49d9d5bb05209dac2cbc003ca3e",
-    3: "829b5265cdceb23bc485afbedf24c29a07ae4f8c29536c3acf2ece9c305820ba",
+    1: "89386c11f779007e1118bf4894aaa1605768da04ce0dfe210e946b82c6ae9a93",
+    3: "b167d21e9db44a581f9b1c7d8e357bd138ef18ba83efb40a3702914fd08743a1",
 }
 
 
@@ -288,7 +248,8 @@ SAMPLER_CASES = {
     # multi-pair trials and a per-block intensity multiplier
     "drift": dict(det=bs.DetectionModel(eta_a=0.762, eta_b=0.7, pair_mean=0.5,
                                         bg_a=4e-3, bg_b=2e-3),
-                  drift=bs.DriftModel(setting_order=(0, 3, 1, 2), final_fraction=0.3)),
+                  drift=bs.DriftModel(setting_order=(0, 3, 1, 2), final_fraction=0.3),
+                  cyclic_order=(0, 3, 1, 2)),
     # Alice's background saturates: she clicks on every trial
     "background-at-1": dict(det=bs.DetectionModel(eta_a=0.75, eta_b=0.75, pair_mean=0.2,
                                                   bg_a=1.0, bg_b=1e-3)),
@@ -319,6 +280,112 @@ def test_multinomial_sampler_matches_per_trial_reference(case):
         assert not new[2].any() and not ref[2].any()
     if case == "no-a-only":
         assert not new[1].any() and not ref[1].any()
+
+
+# ---------------------------------------------------------------------------
+# the timetag sampler against the per-trial reference
+
+
+def per_trial_timetags(cfg):
+    """Reference timetag sampler: draws every trial's pair number and each
+    arm's background hit, then sorts the whole run.  The per-detection
+    sampler must match it in distribution."""
+    schedule = _block_schedule(cfg)
+    mult = _drift_multipliers(cfg)
+    p1, p2, p12 = pair_probs(cfg.state, *dataclasses.astuple(cfg.settings))
+    det, n = cfg.det, cfg.trials_per_block
+    period = int(round(det.trial_period_ns))
+    burst_offset = (det.trial_period_ns - det.pulses_per_trial * det.pulse_period_ns) / 2.0
+    ts, cs, clamped = [], [], 0
+    for b in range(cfg.n_blocks):
+        combo, m = int(schedule[b]), float(mult[b])
+        q11 = det.eta_a * det.eta_b * p12[combo]
+        q10 = det.eta_a * p1[combo] - q11
+        q01 = det.eta_b * p2[combo] - q11
+        rng = _rng(cfg.rng_seed, _BLOCK_STREAM, b)
+        trial_start = (np.arange(n, dtype=np.int64) + b * n) * period
+        pair_trial = np.repeat(np.arange(n), rng.poisson(det.pair_mean * m, size=n))
+        u = rng.random(pair_trial.size)
+        det_a = u < (q11 + q10)
+        det_b = (u < q11) | ((u >= q11 + q10) & (u < q11 + q10 + q01))
+        pulse = rng.integers(0, det.pulses_per_trial, size=pair_trial.size)
+        bg_a = np.nonzero(rng.random(n) < min(det.bg_a * m, 1.0))[0]
+        bg_b = np.nonzero(rng.random(n) < min(det.bg_b * m, 1.0))[0]
+        start = trial_start[np.concatenate([pair_trial[det_a], bg_a, pair_trial[det_b], bg_b])]
+        pulses = np.concatenate([pulse[det_a], rng.integers(0, det.pulses_per_trial, bg_a.size),
+                                 pulse[det_b], rng.integers(0, det.pulses_per_trial, bg_b.size)])
+        times = (start + burst_offset + pulses * det.pulse_period_ns
+                 + rng.normal(0.0, det.jitter_sigma_ns, size=start.size))
+        lo = np.maximum(start - period, 0)
+        hi = start + 2 * period - 1
+        times = np.rint(np.clip(times, lo - period, hi + period)).astype(np.int64)
+        clamped += int(np.count_nonzero((times < lo) | (times > hi)))
+        n_a = int(det_a.sum()) + bg_a.size
+        ts += [trial_start, np.clip(times, lo, hi)]
+        cs += [np.full(n, bs.CHANNEL_CLOCK, dtype=np.uint8),
+               np.repeat(np.array([bs.CHANNEL_ALICE, bs.CHANNEL_BOB], dtype=np.uint8),
+                         [n_a, start.size - n_a])]
+    t, c = np.concatenate(ts), np.concatenate(cs)
+    order = np.lexsort((c != bs.CHANNEL_CLOCK, t))
+    return bs.TimetagStream(t[order], c[order], meta={"clamped_events": clamped})
+
+
+def _multiplicities(cfg, stream, channel):
+    """How many trials hold 0, 1, 2, ... detections on one arm, each
+    detection in the trial whose clock window holds it."""
+    trial = stream.timestamps[stream.channels == channel] // int(round(cfg.det.trial_period_ns))
+    return np.bincount(np.bincount(trial, minlength=cfg.n_blocks * cfg.trials_per_block))
+
+
+def _agree_within_5_sd(x, y):
+    # independent counts whose variance is at most their mean: the
+    # difference stays within 5 sd of sqrt(x + y); missing entries are 0
+    size = max(len(x), len(y))
+    x, y = (np.pad(np.asarray(v, dtype=float), (0, size - len(v))) for v in (x, y))
+    return bool(np.all(np.abs(x - y) <= 5 * np.sqrt(x + y)))
+
+
+TIMETAG_CASES = {
+    **SAMPLER_CASES,
+    # background alone: at most one hit per trial per arm, and Bob's on every trial
+    "background-only": dict(det=bs.DetectionModel(pair_mean=0.0, bg_a=0.3, bg_b=1.0)),
+}
+
+
+@pytest.mark.parametrize("case", sorted(TIMETAG_CASES) + ["crossing"])
+def test_timetag_sampler_matches_per_trial_reference(case):
+    if case == "crossing":
+        cfg = dataclasses.replace(crossing_cfg(3), schedule_kind="cyclic", n_blocks=1000,
+                                  rng_seed=41)
+    else:
+        cfg = quick_cfg(schedule_kind="cyclic", trials_per_block=2000, n_blocks=40,
+                        rng_seed=41, **TIMETAG_CASES[case])
+    new = bs.simulate_timetags(cfg)
+    # the reference runs on another seed, so the two samples are independent
+    ref = per_trial_timetags(dataclasses.replace(cfg, rng_seed=42))
+    tables = [bs.windowed_counts(s, bs.WindowPolicy("clock"), bs.trial_settings(cfg))
+              for s in (new, ref)]
+    for f in ("singles_a", "singles_b", "coincidences"):
+        assert _agree_within_5_sd(*(getattr(t, f) for t in tables)), f
+    for channel in (bs.CHANNEL_ALICE, bs.CHANNEL_BOB):
+        assert _agree_within_5_sd(*(_multiplicities(cfg, s, channel) for s in (new, ref)))
+    assert _agree_within_5_sd([new.meta["clamped_events"]], [ref.meta["clamped_events"]])
+    if case == "crossing":
+        assert new.meta["clamped_events"] > 0
+    if case == "vacuum":
+        assert len(new) == len(ref) == new.n_trials
+    if case == "background-only":
+        n_trials = cfg.n_blocks * cfg.trials_per_block
+        for s in (new, ref):
+            assert len(_multiplicities(cfg, s, bs.CHANNEL_ALICE)) == 2
+            assert _multiplicities(cfg, s, bs.CHANNEL_BOB).tolist() == [0, n_trials]
+
+
+def test_block_pair_total_over_the_cap_is_rejected(monkeypatch):
+    cfg = quick_cfg(det=bs.DetectionModel(pair_mean=1.0), trials_per_block=100, n_blocks=3)
+    monkeypatch.setattr(bs.engine, "MAX_BLOCK_PAIRS", 50)
+    with pytest.raises(ValidationError, match=r"block 0 draws \d+ pairs, more than the 50"):
+        list(timetag_chunks(cfg))
 
 
 # ---------------------------------------------------------------------------
@@ -524,6 +591,11 @@ def test_config_validation():
         quick_cfg(n_blocks=0)
     with pytest.raises(ValidationError):
         quick_cfg(schedule_kind="file")  # no file given
+    with pytest.raises(ValidationError, match=r"setting_order \[0, 3, 1, 2\] differs from "
+                                              r"cyclic_order \[0, 1, 2, 3\]"):
+        quick_cfg(schedule_kind="cyclic", drift=bs.DriftModel(setting_order=(0, 3, 1, 2)))
+    # other schedules apply the drift by block index
+    quick_cfg(drift=bs.DriftModel(setting_order=(0, 3, 1, 2)))
 
 
 def test_calibration_recovers_rates():
