@@ -43,7 +43,6 @@ from .engine import (
     simulate_blocks,
     simulate_timetags,
     timetag_chunks,
-    trial_settings,
 )
 from .errors import BellSimError, FormatError, NumericalError, ValidationError
 from .lhv import (

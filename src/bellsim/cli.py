@@ -44,7 +44,7 @@ from .engine import (
     simulate_timetags,  # noqa: F401  (bound here for the traced benchmark, perfbench/spans.py)
     timetag_chunks,
 )
-from .eberhard import bprime_vs_r_sweep, optimize, sweep_to_csv, violation_interval
+from .eberhard import OBJECTIVES, bprime_vs_r_sweep, optimize, sweep_to_csv, violation_interval
 from .errors import FormatError, NumericalError, ValidationError
 from .lhv import (
     DriftModel,
@@ -55,14 +55,15 @@ from .lhv import (
     demo_strategy_ideal,
     drifted_counts,
 )
-from .quantum import DetectionModel, MeasurementSettings, density_matrix_state
+from .quantum import MODELS, DetectionModel, MeasurementSettings, density_matrix_state
 from .randomness import (
+    POLICIES,
     dire_report,
     hash_extract,
     unpack_bits,
     write_extracted_bits,
 )
-from .stats import bell_result, ch_from_counts, chprime_from_counts, partition_sigma
+from .stats import SINGLES_MODES, bell_result, ch_from_counts, chprime_from_counts, partition_sigma
 
 EXIT_OK = 0
 EXIT_VALIDATION = 2
@@ -77,8 +78,6 @@ def _say(args, message: str) -> None:
 
 def _write_manifest(args, subcommand: str, inputs: dict, outputs: list[Path],
                     **diagnostics) -> None:
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
     manifest = {
         "subcommand": subcommand,
         "inputs": inputs,
@@ -88,8 +87,7 @@ def _write_manifest(args, subcommand: str, inputs: dict, outputs: list[Path],
         "timestamp": datetime.datetime.now(datetime.timezone.utc).isoformat(),
         **diagnostics,
     }
-    path = out_dir / "manifest.json"
-    path.write_text(json.dumps(manifest, indent=2))
+    _out_path(args, "manifest.json").write_text(json.dumps(manifest, indent=2))
 
 
 def _read_text(path) -> str:
@@ -106,6 +104,21 @@ def _out_path(args, name: str) -> Path:
     return out_dir / name
 
 
+def _write_timetags(args, chunks, stream_name: str, settings_name: str):
+    """Write timetag chunks as they come: their records to a binary file
+    and their meta["trial_settings"] to a settings file.  Returns the two
+    paths, the records written and the chunks' clamped events."""
+    paths = [_out_path(args, stream_name), _out_path(args, settings_name)]
+    records = clamped = 0
+    with open(paths[0], "wb") as stream_file, open(paths[1], "wb") as settings_file:
+        for chunk in chunks:
+            stream_file.write(serialize_timetags(chunk))
+            settings_file.write(serialize_settings(chunk.meta["trial_settings"]))
+            records += len(chunk)
+            clamped += chunk.meta.get("clamped_events", 0)
+    return paths, records, clamped
+
+
 # ---------------------------------------------------------------------------
 # simulate
 
@@ -119,16 +132,9 @@ def _cmd_simulate(args) -> int:
 
     if args.timetags:
         # each block's records and settings are written as they are drawn
-        stream_path = _out_path(args, "timetags.bin")
-        sched_path = _out_path(args, "trial_settings.txt")
-        records = clamped = 0
-        with open(stream_path, "wb") as stream_file, open(sched_path, "wb") as sched_file:
-            for chunk in timetag_chunks(cfg):
-                stream_file.write(serialize_timetags(chunk))
-                sched_file.write(serialize_settings(chunk.meta["trial_settings"]))
-                records += len(chunk)
-                clamped += chunk.meta["clamped_events"]
-        outputs += [stream_path, sched_path]
+        paths, records, clamped = _write_timetags(args, timetag_chunks(cfg), "timetags.bin",
+                                                  "trial_settings.txt")
+        outputs += paths
         diagnostics["clamped_events"] = clamped
         _say(args, f"wrote {records} records over {cfg.n_blocks * cfg.trials_per_block} trials")
     else:
@@ -301,18 +307,16 @@ def _cmd_lhv_demo(args) -> int:
         schedule = coincidence_loophole_schedule()
         # trials never interleave, so ranges of trials are written one after another
         per_range = max(counting.CHUNK_RECORDS // (1 + len(schedule.emissions)), 1)
-        p = _out_path(args, "adversarial_timetags.bin")
-        sp = _out_path(args, "adversarial_settings.txt")
-        with open(p, "wb") as stream_file, open(sp, "wb") as sched_file:
-            for first in range(0, args.trials, per_range):
+
+        def ranges():
+            # no trials is one empty range, whose settings file is one empty line
+            for first in range(0, max(args.trials, 1), per_range):
                 settings = rng.integers(0, 4, size=min(per_range, args.trials - first))
-                stream = coincidence_time_stream(schedule, settings, T_ns=1000,
-                                                 n_trials=settings.size, first_trial=first)
-                stream_file.write(serialize_timetags(stream))
-                sched_file.write(serialize_settings(settings))
-            if not args.trials:
-                sched_file.write(serialize_settings([]))
-        outputs += [p, sp]
+                yield coincidence_time_stream(schedule, settings, T_ns=1000, first_trial=first)
+
+        paths, _, _ = _write_timetags(args, ranges(), "adversarial_timetags.bin",
+                                      "adversarial_settings.txt")
+        outputs += paths
         _say(
             args,
             "wrote an emission-time attack stream; analyze with "
@@ -403,8 +407,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="'clock' or 'event:NS' (timetag inputs only)")
     p.add_argument("--settings", default=None,
                    help="per-trial settings file (timetag inputs)")
-    p.add_argument("--singles-mode", default="pooled",
-                   choices=("pooled", "paired", "conditional"))
+    p.add_argument("--singles-mode", default="pooled", choices=SINGLES_MODES)
     p.add_argument("--sigma", type=float, default=None,
                    help="externally determined sigma_B")
     p.add_argument("--sigma-partitions", type=int, default=50,
@@ -418,8 +421,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--bg", type=float, default=0.0, help="background probability per trial/arm")
     p.add_argument("--pair-mean", type=float, default=1.0)
     p.add_argument("--fix-r", type=float, default=None)
-    p.add_argument("--objective", default="b", choices=("b", "b-prime", "b-over-sigma"))
-    p.add_argument("--model", default="linear", choices=("linear", "compound"))
+    p.add_argument("--objective", default="b", choices=OBJECTIVES)
+    p.add_argument("--model", default="linear", choices=MODELS)
     common(p)
     p.set_defaults(func=_cmd_optimize)
 
@@ -429,7 +432,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--bg", type=float, default=0.0)
     p.add_argument("--pair-mean", type=float, default=0.033)
     p.add_argument("--r-grid", default="0.05:1.0:0.05", help="start:stop:step")
-    p.add_argument("--model", default="compound", choices=("linear", "compound"))
+    p.add_argument("--model", default="compound", choices=MODELS)
     common(p)
     p.set_defaults(func=_cmd_sweep)
 
@@ -442,8 +445,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("dire", help="randomness certification from a counts table")
     p.add_argument("counts", help="counts table JSON")
     p.add_argument("--seconds", type=float, required=True, help="acquisition time")
-    p.add_argument("--policy", default="sha-half",
-                   choices=("sha-half", "trevisan-sized", "hash-extract"))
+    p.add_argument("--policy", default="sha-half", choices=POLICIES)
     p.add_argument("--epsilon", type=float, default=None)
     p.add_argument("--bits-per-event", type=int, default=8)
     p.add_argument("--extract", default=None, help="raw bit file to extract from")

@@ -23,6 +23,9 @@ two disciplines (WindowPolicy):
 windowed_counts takes a TimetagStream in memory, or a binary file
 (TimetagFile) that it counts chunk by chunk, carrying its state across
 chunk edges, so that memory does not grow with the length of the run.
+It rejects a schedule index outside 0..3 before the pass; after the
+pass, a schedule that does not cover every trial, and then an event
+window at or above half the period.
 
 Serialized formats:
 
@@ -124,6 +127,14 @@ def _first(mask: np.ndarray) -> int:
     """Index of the first true entry of a 1-D mask, or its length if none is."""
     idx = int(np.argmax(mask)) if mask.size else 0
     return idx if mask.size and mask[idx] else mask.size
+
+
+def _first_bad_setting(idx: np.ndarray) -> int:
+    """Index of the first entry of a 1-D array of setting indices outside
+    0..3, or its length if none is."""
+    if idx.size and (idx.min() < 0 or idx.max() > 3):
+        return _first((idx < 0) | (idx > 3))
+    return idx.size
 
 
 def _first_regression(t: np.ndarray, prev=None) -> int:
@@ -250,7 +261,7 @@ def serialize_settings(settings) -> bytes:
     idx = np.asarray(settings)
     if idx.size == 0:
         return b"\n"
-    if idx.min() < 0 or idx.max() > 3:
+    if _first_bad_setting(idx) < idx.size:
         raise ValidationError("setting indices must be in 0..3")
     lines = np.empty((idx.size, 2), dtype=np.uint8)
     lines[:, 0] = idx
@@ -474,17 +485,7 @@ class _TrialWalk:
             yield start, clocks, det_t, det_ch, trial
 
 
-def _schedule(schedule) -> tuple[np.ndarray, bool]:
-    """The schedule as an integer array, and whether it is usable: 1-D
-    with every index in 0..3."""
-    sched = np.asarray(schedule)
-    if sched.dtype.kind not in "iu":
-        sched = np.asarray(schedule, dtype=np.int64)
-    usable = sched.ndim == 1 and not (sched.size and (sched.min() < 0 or sched.max() > 3))
-    return sched, usable
-
-
-def _clock_tally(tally: np.ndarray, walk: _TrialWalk, sched: np.ndarray, usable: bool) -> None:
+def _clock_tally(tally: np.ndarray, walk: _TrialWalk, sched: np.ndarray) -> None:
     """Add to tally the clock-windowed counts of the walk's trials; a trial
     open at the end of a piece carries its clicks into the next."""
 
@@ -494,7 +495,7 @@ def _clock_tally(tally: np.ndarray, walk: _TrialWalk, sched: np.ndarray, usable:
 
     open_clicks = np.zeros(2, dtype=bool)  # alice, bob in the trial open between pieces
     for start, clocks, _, det_ch, trial in walk:
-        if not (usable and 0 < walk.n_clocks <= sched.size):
+        if not 0 < walk.n_clocks <= sched.size:
             continue
         # slot j holds the clicks of trial start - 1 + j: the open trial, then one per mark
         clicks = np.zeros((2, clocks.size + 1), dtype=bool)
@@ -503,7 +504,7 @@ def _clock_tally(tally: np.ndarray, walk: _TrialWalk, sched: np.ndarray, usable:
         open_clicks = clicks[:, -1]
         first = 0 if start else 1  # before the first mark no trial is open
         close(sched[start - 1 + first:walk.n_clocks - 1], *clicks[:, first:-1])
-    if usable and 0 < walk.n_clocks <= sched.size:
+    if 0 < walk.n_clocks <= sched.size:
         close(sched[walk.n_clocks - 1:walk.n_clocks], *open_clicks[:, None])
 
 
@@ -519,10 +520,10 @@ def _median_spacing(spacings: Counter) -> float:
     return float(np.mean(np.array(middle)))
 
 
-def _event_tally(tally: np.ndarray, walk: _TrialWalk, window_ns: float, sched: np.ndarray,
-                 usable: bool) -> None:
-    """Add to tally the event-windowed counts of the walk's detections,
-    then reject a window at or above half the median clock spacing.
+def _event_tally(tally: np.ndarray, walk: _TrialWalk, window_ns: float,
+                 sched: np.ndarray) -> Counter:
+    """Add to tally the event-windowed counts of the walk's detections and
+    return the spacings of its clock marks, as {spacing: count}.
 
     Pairing is greedy earliest-first with each detection used once; a
     coincidence is attributed to the trial of its earlier member, so a
@@ -553,7 +554,7 @@ def _event_tally(tally: np.ndarray, walk: _TrialWalk, window_ns: float, sched: n
             gaps, counts = np.unique(np.diff(clocks, prepend=last_clock), return_counts=True)
             spacings.update(dict(zip(gaps.tolist(), counts.tolist())))
             last_clock = clocks[-1:]
-        if not (usable and walk.n_clocks <= sched.size):
+        if walk.n_clocks > sched.size:
             continue
         tally[0] += np.bincount(sched[start:walk.n_clocks], minlength=4)
         tally[1] += np.bincount(sched[trial[det_ch == CHANNEL_ALICE]], minlength=4)
@@ -597,12 +598,7 @@ def _event_tally(tally: np.ndarray, walk: _TrialWalk, window_ns: float, sched: n
             queue.popleft()
         waiting = np.fromiter(queue, dtype=np.intp, count=len(queue))
         pending_t, pending_trial = times[waiting], trials[waiting]
-    period = _median_spacing(spacings)
-    if window_ns >= period / 2.0:
-        raise ValidationError(
-            f"event window {window_ns} ns >= half the trial period {period} ns; "
-            "use clock windowing instead"
-        )
+    return spacings
 
 
 def windowed_counts(stream, policy: WindowPolicy, schedule) -> CountsTable:
@@ -611,25 +607,35 @@ def windowed_counts(stream, policy: WindowPolicy, schedule) -> CountsTable:
     A detection belongs to the trial of the most recent clock mark at or
     before it; detections before the first mark are excluded and tallied
     in table.meta["pre_marker_detections_dropped"].  Each trial's row is
-    its setting index in the schedule, which must cover every trial.  An
-    event window is checked against the median clock spacing after the
-    pass, before the schedule is.
+    its setting index in the schedule.  The schedule's indices are checked
+    to lie in 0..3 before the pass; after it, that the schedule covers
+    every trial, and then that an event window lies below half the median
+    clock spacing.
     """
-    sched, usable = _schedule(schedule)
+    sched = np.asarray(schedule)
+    if sched.dtype.kind not in "iu":
+        sched = np.asarray(schedule, dtype=np.int64)
+    if sched.ndim != 1:
+        raise ValidationError(f"settings schedule must be 1-D, got shape {sched.shape}")
+    if _first_bad_setting(sched) < sched.size:
+        raise ValidationError("setting indices must be in 0..3")
     walk = _TrialWalk(stream)
     tally = np.zeros((4, 4), dtype=np.int64)  # n_trials, singles_a, singles_b, coincidences
     if policy.kind == "clock":
-        _clock_tally(tally, walk, sched, usable)
-        window = "clock"
+        _clock_tally(tally, walk, sched)
     else:
-        _event_tally(tally, walk, policy.window_ns, sched, usable)
-        window = f"event:{policy.window_ns}"
+        spacings = _event_tally(tally, walk, policy.window_ns, sched)
     if walk.n_clocks == 0:
         raise ValidationError("stream has no trial-clock markers")
-    if sched.ndim != 1 or sched.size < walk.n_clocks:
+    if sched.size < walk.n_clocks:
         raise ValidationError(
             f"settings schedule covers {sched.size} trials, stream has {walk.n_clocks}")
-    if not usable:
-        raise ValidationError("setting indices must be in 0..3")
+    if policy.kind == "event":
+        period = _median_spacing(spacings)
+        if policy.window_ns >= period / 2.0:
+            raise ValidationError(
+                f"event window {policy.window_ns} ns >= half the trial period {period} ns; "
+                "use clock windowing instead")
+    window = "clock" if policy.kind == "clock" else f"event:{policy.window_ns}"
     return CountsTable(*tally, meta={"window": window,
                                      "pre_marker_detections_dropped": walk.n_early})

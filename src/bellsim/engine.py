@@ -47,6 +47,7 @@ from .counting import (
     _INT64_MAX,
     CountsTable,
     TimetagStream,
+    _first_bad_setting,
     read_settings,
     sort_records,
 )
@@ -248,10 +249,9 @@ def setting_schedule(
         if file is None:
             raise ValidationError("file schedule requires a path")
         idx = read_settings(file).astype(np.int64)
-        bad = np.flatnonzero((idx < 0) | (idx > 3))
-        if bad.size:
-            raise FormatError(f"settings file: index {idx[bad[0]]} out of range 0..3",
-                              int(bad[0]) + 1)
+        bad = _first_bad_setting(idx)
+        if bad < idx.size:
+            raise FormatError(f"settings file: index {idx[bad]} out of range 0..3", bad + 1)
         if idx.size < n_blocks:
             raise ValidationError(f"settings file provides {idx.size} entries, need {n_blocks}")
         return idx[:n_blocks]
@@ -333,9 +333,9 @@ def block_array(blocks: Sequence[BlockRecord]) -> np.ndarray:
     except OverflowError:
         raise ValidationError("block count outside the 64-bit integer range") from None
     settings = arr[:, 0]
-    bad = (settings < 0) | (settings > 3)
-    if bad.any():
-        raise ValidationError(f"block setting index {settings[bad][0]} out of range")
+    bad = _first_bad_setting(settings)
+    if bad < settings.size:
+        raise ValidationError(f"block setting index {settings[bad]} out of range")
     return arr
 
 
@@ -356,10 +356,10 @@ def blocks_to_counts(blocks: Sequence[BlockRecord]) -> CountsTable:
     return CountsTable(*tally_blocks(block_array(blocks), 0, 1)[..., 0])
 
 
-# A block's pair total is drawn before any per-pair array.  Drawing a block
-# takes up to about 100 bytes per pair, so a block of more pairs than this
-# is rejected rather than let it exhaust memory.
-MAX_BLOCK_PAIRS = 4_000_000
+# A timetag block takes up to about 100 bytes per trial and per pair, so a
+# block of more trials, or a pair total (drawn before any per-pair array) of
+# more pairs, than this is rejected rather than let it exhaust memory.
+MAX_BLOCK_SIZE = 4_000_000
 
 
 def _timetag_blocks(cfg: ExperimentConfig) -> Iterator[tuple]:
@@ -381,6 +381,9 @@ def _timetag_blocks(cfg: ExperimentConfig) -> Iterator[tuple]:
         *(np.array(p) for p in pair_probs(cfg.state, *astuple(cfg.settings))),
         replace(det, pair_mean=1.0, bg_a=0.0, bg_b=0.0), "linear")
     n = cfg.trials_per_block
+    if n > MAX_BLOCK_SIZE:
+        raise ValidationError(f"{n} trials per block, more than the {MAX_BLOCK_SIZE} "
+                              "one timetag block may hold")
     period = int(round(det.trial_period_ns))
     if period < 1 or (cfg.n_blocks * n + 2) * period > _INT64_MAX:
         raise ValidationError(f"{cfg.n_blocks * n} trials of {det.trial_period_ns!r} ns do not "
@@ -402,9 +405,9 @@ def _timetag_blocks(cfg: ExperimentConfig) -> Iterator[tuple]:
             npairs = int(rng.poisson(n * mu))
         except ValueError as exc:
             raise ValidationError(f"pair mean {mu!r} is out of range: {exc}") from None
-        if npairs > MAX_BLOCK_PAIRS:
+        if npairs > MAX_BLOCK_SIZE:
             raise ValidationError(f"block {b} draws {npairs} pairs, more than the "
-                                  f"{MAX_BLOCK_PAIRS} one block may hold")
+                                  f"{MAX_BLOCK_SIZE} one block may hold")
         pair_trial = rng.integers(0, n, size=npairs)
         u = rng.random(npairs)
         det_a = u < (q11 + q10)
@@ -451,8 +454,8 @@ def timetag_chunks(cfg: ExperimentConfig) -> Iterator[TimetagStream]:
     Events jittered outside trial +- one period are clamped.  Each chunk
     carries its block's per-trial setting indices (one byte per trial) in
     meta["trial_settings"] and its clamped events in
-    meta["clamped_events"].  A block that would draw more than
-    MAX_BLOCK_PAIRS pairs raises ValidationError.
+    meta["clamped_events"].  A block of more than MAX_BLOCK_SIZE
+    trials, or that would draw more pairs, raises ValidationError.
 
     Each block is sorted on its own.  Records of a block at or after the
     next block's lowest possible time, one period before its first
@@ -496,11 +499,6 @@ def simulate_timetags(cfg: ExperimentConfig) -> TimetagStream:
             "trial_settings": np.concatenate([chunk.meta["trial_settings"] for chunk in chunks]),
         },
     )
-
-
-def trial_settings(cfg: ExperimentConfig) -> np.ndarray:
-    """Per-trial setting indices implied by the per-block schedule, one byte each."""
-    return np.repeat(_block_schedule(cfg).astype(np.uint8), cfg.trials_per_block)
 
 
 # ---------------------------------------------------------------------------

@@ -43,6 +43,7 @@ from .counting import (
     CHANNEL_CLOCK,
     CountsTable,
     TimetagStream,
+    _first_bad_setting,
     sort_records,
 )
 from .errors import ValidationError
@@ -235,10 +236,10 @@ def coincidence_time_stream(
     schedule: TimedEmissionSchedule,
     settings_per_trial: Sequence[int],
     T_ns: int,
-    n_trials: int,
     first_trial: int = 0,
 ) -> TimetagStream:
-    """Emit the adversarial detection stream for n_trials trials.
+    """Emit the adversarial detection stream, one trial per entry of
+    settings_per_trial, which the stream carries in meta["trial_settings"].
 
     Per trial, each scheduled emission produces a detection exactly when
     its fires_under flag matches the trial's local setting.  A clock
@@ -250,19 +251,14 @@ def coincidence_time_stream(
     """
     if T_ns <= 0:
         raise ValidationError("T_ns must be positive")
-    if n_trials < 0:
-        raise ValidationError("n_trials must be >= 0")
     settings = np.asarray(settings_per_trial, dtype=np.int64)
-    if settings.size < n_trials:
-        raise ValidationError("settings_per_trial shorter than n_trials")
-    settings = settings[:n_trials]
-    if n_trials and (settings.min() < 0 or settings.max() > 3):
+    if _first_bad_setting(settings) < settings.size:
         raise ValidationError("setting indices must be in 0..3")
     period = (schedule.max_offset + 4) * T_ns
 
-    trial_start = np.arange(first_trial, first_trial + n_trials, dtype=np.int64) * int(period)
+    trial_start = np.arange(first_trial, first_trial + settings.size, dtype=np.int64) * int(period)
     times = [trial_start]
-    chans = [np.full(n_trials, CHANNEL_CLOCK, dtype=np.uint8)]
+    chans = [np.full(settings.size, CHANNEL_CLOCK, dtype=np.uint8)]
     local = {"alice": settings >> 1, "bob": settings & 1}
     chan_of = {"alice": CHANNEL_ALICE, "bob": CHANNEL_BOB}
     for em in schedule.emissions:
@@ -272,7 +268,7 @@ def coincidence_time_stream(
         chans.append(np.full(t.size, chan_of[em.target], dtype=np.uint8))
 
     return TimetagStream(*sort_records(np.concatenate(times), np.concatenate(chans)),
-                         meta={"source": "timed-emission"})
+                         meta={"source": "timed-emission", "trial_settings": settings})
 
 
 # ---------------------------------------------------------------------------

@@ -141,19 +141,6 @@ class MeasurementSettings:
         for name in ("a", "a_prime", "b", "b_prime"):
             object.__setattr__(self, name, _canonical_angle(getattr(self, name)))
 
-    def alice(self, index: int) -> float:
-        return self.a if index == 0 else self.a_prime
-
-    def bob(self, index: int) -> float:
-        return self.b if index == 0 else self.b_prime
-
-    def pair_angles(self, combo: int) -> tuple[float, float]:
-        """Angles for setting-pair index 0=(a,b), 1=(a,b'), 2=(a',b), 3=(a',b')."""
-        return self.alice(combo >> 1), self.bob(combo & 1)
-
-    def reflected(self) -> "MeasurementSettings":
-        return MeasurementSettings(-self.a, -self.a_prime, -self.b, -self.b_prime)
-
 
 @dataclass(frozen=True)
 class DetectionModel:

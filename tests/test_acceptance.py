@@ -78,7 +78,7 @@ def test_criterion_04_coincidence_time_loophole_demo():
     n = 10_000
     settings = np.random.default_rng(40).integers(0, 4, size=n)
     stream = bs.coincidence_time_stream(
-        bs.coincidence_loophole_schedule(), settings, T_ns=1000, n_trials=n
+        bs.coincidence_loophole_schedule(), settings, T_ns=1000
     )
     event, clock = bs.WindowPolicy("event", 2000), bs.WindowPolicy("clock")
     b_event = bs.ch_from_counts(bs.windowed_counts(stream, event, settings))
@@ -235,7 +235,7 @@ def test_criterion_10_end_to_end_simulation(calibrated_reference_model):
         trials_per_block=25_000, n_blocks=40, rng_seed=6,
     )
     stream = bs.simulate_timetags(cfg)
-    table = bs.windowed_counts(stream, bs.WindowPolicy("clock"), bs.trial_settings(cfg))
+    table = bs.windowed_counts(stream, bs.WindowPolicy("clock"), stream.meta["trial_settings"])
     b = bs.ch_from_counts(table)
     assert table.total_trials == 1_000_000
     assert b > 0

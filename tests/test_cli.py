@@ -75,6 +75,23 @@ FROZEN_SETTINGS = {
 }
 
 
+@pytest.mark.parametrize("window", ["clock", "event:2000"])
+def test_out_of_range_settings_exit_2_before_reading_the_stream(window, config_path, tmp_path,
+                                                                 monkeypatch, capsys):
+    assert main(["simulate", str(config_path), "--timetags", "--out", str(tmp_path),
+                 "--quiet"]) == 0
+    settings = (tmp_path / "trial_settings.txt").read_bytes()
+    bad = tmp_path / "bad_settings.txt"
+    bad.write_bytes(settings[:-4] + b"7\n" + settings[-2:])
+    chunks = mock.Mock(wraps=counting.TimetagFile.chunks)
+    monkeypatch.setattr(counting.TimetagFile, "chunks", lambda self: chunks(self))
+    for path, code, reads in ((bad, 2, 0), (tmp_path / "trial_settings.txt", 0, 1)):
+        assert main(["analyze", str(tmp_path / "timetags.bin"), "--window", window,
+                     "--settings", str(path), "--out", str(tmp_path), "--quiet"]) == code
+        assert chunks.call_count == reads
+    assert "0..3" in capsys.readouterr().err
+
+
 def test_settings_files_frozen(config_path, tmp_path):
     assert main(["simulate", str(config_path), "--timetags", "--out", str(tmp_path),
                  "--quiet"]) == 0
@@ -258,6 +275,16 @@ TIMETAG_GEOMETRY_ERRORS = {
     "jitter-nan": {"jitter_sigma_ns": float("nan")},
     "pulse-period-nan": {"pulse_period_ns": float("nan")},
 }
+
+
+def test_oversized_timetag_block_is_exit_2(tmp_path, capsys):
+    doc = _valid_config()
+    doc.update(trials_per_block=10**12, n_blocks=1, det={**doc["det"], "pair_mean": 0.0})
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(doc))
+    assert main(["simulate", str(config), "--timetags", "--out", str(tmp_path),
+                 "--quiet"]) == 2
+    assert "trials per block" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("case", sorted(TIMETAG_GEOMETRY_ERRORS))
@@ -755,7 +782,7 @@ _GEOMETRY_FLOATS = st.one_of(st.floats(), st.sampled_from([1e300, -1e300, 0.3, 1
 def test_simulate_fuzzed_timetag_config(tmp_path_factory, top, det):
     # the config fuzz above stays in block mode; this one bounds the run
     # size, since the timetag sampler allocates per trial and per detection;
-    # a block's pair total beyond engine.MAX_BLOCK_PAIRS exits 2
+    # a block of more trials or pairs than engine.MAX_BLOCK_SIZE exits 2
     work = tmp_path_factory.mktemp("fuzz")
     (work / "config.json").write_bytes(_fuzzed_config(top, {}, det))
     code = main(["simulate", str(work / "config.json"), "--timetags", "--out", str(work),

@@ -181,6 +181,23 @@ def test_clock_window_requires_schedule_cover():
         clock_counts(small_stream(), [0])
 
 
+@pytest.mark.parametrize("policy", [bs.WindowPolicy("clock"), bs.WindowPolicy("event", 100)])
+def test_out_of_range_schedule_is_rejected_before_the_pass(policy):
+    stream = small_stream()
+    stream.chunks = mock.Mock(wraps=stream.chunks)
+    with pytest.raises(ValidationError, match="0..3"):
+        bs.windowed_counts(stream, policy, [0, 4])
+    assert stream.chunks.call_count == 0
+    bs.windowed_counts(stream, policy, [0, 3])
+    assert stream.chunks.call_count == 1
+
+
+def test_schedule_cover_is_checked_before_the_event_window():
+    stream, schedule, _ = _marks_1000_ns_apart()
+    with pytest.raises(ValidationError, match="covers 1 trials, stream has 2"):
+        event_counts(stream, 500, schedule[:1])
+
+
 def test_clock_window_invariant_to_subboundary_perturbation():
     stream = small_stream()
     base = clock_counts(stream, [2, 0])
@@ -235,7 +252,7 @@ def test_event_window_adversarial_inflation_and_clock_sanity():
     rng = np.random.default_rng(11)
     settings = rng.integers(0, 4, size=4000)
     stream = bs.coincidence_time_stream(
-        bs.coincidence_loophole_schedule(), settings, T_ns=1000, n_trials=4000
+        bs.coincidence_loophole_schedule(), settings, T_ns=1000
     )
     inflated = event_counts(stream, 2000, settings)
     assert bs.ch_from_counts(inflated) == pytest.approx(1.0, abs=1e-12)
@@ -258,7 +275,7 @@ def test_event_window_matches_clock_when_events_simultaneous():
         det=det, trials_per_block=20_000, n_blocks=4, rng_seed=21,
     )
     stream = bs.simulate_timetags(cfg)
-    sched = bs.trial_settings(cfg)
+    sched = stream.meta["trial_settings"]
     clock = clock_counts(stream, sched)
     event = event_counts(stream, det.pulse_period_ns, sched)
     assert event == clock
@@ -403,7 +420,7 @@ def test_row_totals_conservation():
     rng = np.random.default_rng(2)
     settings = rng.integers(0, 4, size=500)
     stream = bs.coincidence_time_stream(
-        bs.coincidence_loophole_schedule(), settings, T_ns=500, n_trials=500
+        bs.coincidence_loophole_schedule(), settings, T_ns=500
     )
     table = clock_counts(stream, settings)
     n_alice = int(np.count_nonzero(stream.channels == bs.CHANNEL_ALICE))
@@ -492,13 +509,14 @@ def _simulated():
     cfg = bs.ExperimentConfig(state=bs.make_eberhard_state(0.26),
                               settings=bs.reference_settings(), det=det,
                               trials_per_block=40, n_blocks=5, rng_seed=3)
-    return bs.simulate_timetags(cfg), bs.trial_settings(cfg), 2000
+    stream = bs.simulate_timetags(cfg)
+    return stream, stream.meta["trial_settings"], 2000
 
 
 def _adversarial():
     settings = np.random.default_rng(5).integers(0, 4, size=40)
     stream = bs.coincidence_time_stream(bs.coincidence_loophole_schedule(), settings,
-                                        T_ns=1000, n_trials=40)
+                                        T_ns=1000)
     return stream, settings, 2000
 
 

@@ -205,7 +205,8 @@ def per_trial_blocks(cfg):
     records = []
     for b in range(cfg.n_blocks):
         combo = int(schedule[b])
-        a_deg, b_deg = cfg.settings.pair_angles(combo)
+        sett = cfg.settings
+        a_deg, b_deg = (sett.a, sett.a_prime)[combo >> 1], (sett.b, sett.b_prime)[combo & 1]
         p1 = float(bs.singles_prob(cfg.state, a_deg, "A"))
         p2 = float(bs.singles_prob(cfg.state, b_deg, "B"))
         p12 = float(bs.coincidence_prob(cfg.state, a_deg, b_deg))
@@ -363,7 +364,7 @@ def test_timetag_sampler_matches_per_trial_reference(case):
     new = bs.simulate_timetags(cfg)
     # the reference runs on another seed, so the two samples are independent
     ref = per_trial_timetags(dataclasses.replace(cfg, rng_seed=42))
-    tables = [bs.windowed_counts(s, bs.WindowPolicy("clock"), bs.trial_settings(cfg))
+    tables = [bs.windowed_counts(s, bs.WindowPolicy("clock"), new.meta["trial_settings"])
               for s in (new, ref)]
     for f in ("singles_a", "singles_b", "coincidences"):
         assert _agree_within_5_sd(*(getattr(t, f) for t in tables)), f
@@ -382,8 +383,8 @@ def test_timetag_sampler_matches_per_trial_reference(case):
 
 
 def test_block_pair_total_over_the_cap_is_rejected(monkeypatch):
-    cfg = quick_cfg(det=bs.DetectionModel(pair_mean=1.0), trials_per_block=100, n_blocks=3)
-    monkeypatch.setattr(bs.engine, "MAX_BLOCK_PAIRS", 50)
+    cfg = quick_cfg(det=bs.DetectionModel(pair_mean=2.0), trials_per_block=50, n_blocks=3)
+    monkeypatch.setattr(bs.engine, "MAX_BLOCK_SIZE", 50)
     with pytest.raises(ValidationError, match=r"block 0 draws \d+ pairs, more than the 50"):
         list(timetag_chunks(cfg))
 
@@ -448,7 +449,8 @@ def test_two_path_consistency_blocks_vs_clock_windows():
     cfg = quick_cfg(trials_per_block=25_000, n_blocks=4, rng_seed=8)
     table_blocks = bs.blocks_to_counts(bs.simulate_blocks(cfg))
     stream = bs.simulate_timetags(cfg)
-    table_stream = bs.windowed_counts(stream, bs.WindowPolicy("clock"), bs.trial_settings(cfg))
+    table_stream = bs.windowed_counts(stream, bs.WindowPolicy("clock"),
+                                      stream.meta["trial_settings"])
     assert table_stream.n_trials.tolist() == table_blocks.n_trials.tolist()
     # same forward model, independent randomness: agreement within 5 sigma
     n = table_blocks.n_trials.astype(float)

@@ -83,7 +83,7 @@ def test_stream_unprimed_pair_detections():
     # settings (a, b): one alice detection at 3T, one bob detection at 2T,
     # separated by T, inside any window of radius between T and 3T
     stream = bs.coincidence_time_stream(
-        bs.coincidence_loophole_schedule(), [0], T_ns=1000, n_trials=1
+        bs.coincidence_loophole_schedule(), [0], T_ns=1000
     )
     alice_t = stream.timestamps[stream.channels == bs.CHANNEL_ALICE]
     bob_t = stream.timestamps[stream.channels == bs.CHANNEL_BOB]
@@ -93,7 +93,7 @@ def test_stream_unprimed_pair_detections():
 
 def test_stream_primed_pair_has_distant_detections():
     stream = bs.coincidence_time_stream(
-        bs.coincidence_loophole_schedule(), [3], T_ns=1000, n_trials=1
+        bs.coincidence_loophole_schedule(), [3], T_ns=1000
     )
     alice_t = stream.timestamps[stream.channels == bs.CHANNEL_ALICE]
     bob_t = stream.timestamps[stream.channels == bs.CHANNEL_BOB]
@@ -102,7 +102,7 @@ def test_stream_primed_pair_has_distant_detections():
 
 def test_empty_schedule_yields_clock_only_stream():
     stream = bs.coincidence_time_stream(
-        bs.TimedEmissionSchedule(()), [0, 1], T_ns=1000, n_trials=2
+        bs.TimedEmissionSchedule(()), [0, 1], T_ns=1000
     )
     assert stream.n_trials == 2
     assert len(stream) == 2
@@ -112,7 +112,7 @@ def test_every_detection_present_per_side():
     rng = np.random.default_rng(5)
     settings = rng.integers(0, 4, size=1000)
     stream = bs.coincidence_time_stream(
-        bs.coincidence_loophole_schedule(), settings, T_ns=100, n_trials=1000
+        bs.coincidence_loophole_schedule(), settings, T_ns=100
     )
     # exactly one detection per arm per trial, whatever the settings
     assert int(np.count_nonzero(stream.channels == bs.CHANNEL_ALICE)) == 1000

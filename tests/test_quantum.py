@@ -341,7 +341,7 @@ def test_drifted_counts_equal_per_period_sum():
     expect = np.zeros((4, 4))
     for period, m in enumerate(drift.multipliers(4 * cycles)):
         combo = drift.setting_order[period % 4]
-        x, y = sett.pair_angles(combo)
+        x, y = (sett.a, sett.a_prime)[combo >> 1], (sett.b, sett.b_prime)[combo & 1]
         mu = det.pair_mean
         # the multiplier scales the whole linear rate, background included
         expect[:, combo] += n * np.array([
