@@ -47,10 +47,8 @@ from .engine import (
 from .errors import BellSimError, FormatError, NumericalError, ValidationError
 from .lhv import (
     DriftModel,
-    Emission,
     LhvClass,
     LhvStrategy,
-    TimedEmissionSchedule,
     coincidence_loophole_schedule,
     coincidence_time_stream,
     counts_from_strategy,
@@ -91,7 +89,6 @@ from .randomness import (
     write_extracted_bits,
 )
 from .stats import (
-    REFERENCE_ACQUISITION_S,
     REFERENCE_R,
     REFERENCE_SIGMA_B,
     BellResult,

@@ -107,15 +107,21 @@ def _out_path(args, name: str) -> Path:
 def _write_timetags(args, chunks, stream_name: str, settings_name: str):
     """Write timetag chunks as they come: their records to a binary file
     and their meta["trial_settings"] to a settings file.  Returns the two
-    paths, the records written and the chunks' clamped events."""
+    paths, the records written and the chunks' clamped events.  A failure
+    part way removes both files, so no partial run is left behind."""
     paths = [_out_path(args, stream_name), _out_path(args, settings_name)]
     records = clamped = 0
-    with open(paths[0], "wb") as stream_file, open(paths[1], "wb") as settings_file:
-        for chunk in chunks:
-            stream_file.write(serialize_timetags(chunk))
-            settings_file.write(serialize_settings(chunk.meta["trial_settings"]))
-            records += len(chunk)
-            clamped += chunk.meta.get("clamped_events", 0)
+    try:
+        with open(paths[0], "wb") as stream_file, open(paths[1], "wb") as settings_file:
+            for chunk in chunks:
+                stream_file.write(serialize_timetags(chunk))
+                settings_file.write(serialize_settings(chunk.meta["trial_settings"]))
+                records += len(chunk)
+                clamped += chunk.meta.get("clamped_events", 0)
+    except BaseException:
+        for path in paths:
+            path.unlink(missing_ok=True)
+        raise
     return paths, records, clamped
 
 
@@ -306,7 +312,7 @@ def _cmd_lhv_demo(args) -> int:
         rng = np.random.default_rng(args.seed or 0)
         schedule = coincidence_loophole_schedule()
         # trials never interleave, so ranges of trials are written one after another
-        per_range = max(counting.CHUNK_RECORDS // (1 + len(schedule.emissions)), 1)
+        per_range = max(counting.CHUNK_RECORDS // (1 + len(schedule)), 1)
 
         def ranges():
             # no trials is one empty range, whose settings file is one empty line

@@ -119,37 +119,25 @@ def _grid_probs(state, axis: np.ndarray):
             (diag[:, None], table, table.T, diag[None, :]))
 
 
-class _Evaluator:
-    """Broadcastable objective for one r; angles in degrees."""
+def _objective(probs, det: DetectionModel, model: str, objective: str):
+    """The objective from `pair_probs`-shaped (p1, p2, p12), broadcasting."""
+    num, den = ch_terms(*probs, det, model)
+    if objective == "b":
+        return num - den
+    if objective == "b-prime":
+        return num / den
+    # significance proxy: independent-binomial error of the linear-model
+    # rates at the trial budget
+    clicks = [click_probabilities(*pair, det, "linear") for pair in zip(*probs)]
 
-    def __init__(self, r: float, det: DetectionModel, model: str):
-        self.state = make_eberhard_state(r)
-        self.det = det
-        self.model = model
+    def binomial_var(p, n):
+        p = np.clip(p, 0.0, 1.0)
+        return p * (1.0 - p) / n
 
-    def value(self, probs, objective: str):
-        """The objective from `pair_probs`-shaped (p1, p2, p12), broadcasting."""
-        num, den = ch_terms(*probs, self.det, self.model)
-        if objective == "b":
-            return num - den
-        if objective == "b-prime":
-            return num / den
-        # significance proxy: independent-binomial error of the linear-model
-        # rates at the trial budget
-        clicks = [click_probabilities(*pair, self.det, "linear") for pair in zip(*probs)]
-
-        def binomial_var(p, n):
-            p = np.clip(p, 0.0, 1.0)
-            return p * (1.0 - p) / n
-
-        pA, pB, _ = clicks[0]
-        var = (sum(binomial_var(pab, _TRIAL_BUDGET) for _, _, pab in clicks)
-               + binomial_var(pA, 2.0 * _TRIAL_BUDGET) + binomial_var(pB, 2.0 * _TRIAL_BUDGET))
-        return (num - den) / np.sqrt(np.maximum(var, 1e-300))
-
-    def at(self, x, objective: str) -> float:
-        """The objective at the angles x = (a, a', b, b')."""
-        return float(self.value(pair_probs(self.state, *x), objective))
+    pA, pB, _ = clicks[0]
+    var = (sum(binomial_var(pab, _TRIAL_BUDGET) for _, _, pab in clicks)
+           + binomial_var(pA, 2.0 * _TRIAL_BUDGET) + binomial_var(pB, 2.0 * _TRIAL_BUDGET))
+    return (num - den) / np.sqrt(np.maximum(var, 1e-300))
 
 
 _REFINE_MAX_SWEEPS = 240
@@ -193,13 +181,14 @@ def _grid_refine(f, grid: np.ndarray, axis: np.ndarray) -> tuple[float, np.ndarr
 
 def _optimize_angles(r: float, det: DetectionModel, objective: str,
                      model: str) -> tuple[float, np.ndarray, bool]:
-    ev = _Evaluator(r, det, model)
+    state = make_eberhard_state(r)
     axis = _angle_axis()
     with np.errstate(invalid="ignore", divide="ignore"):
-        grid = ev.value(_grid_probs(ev.state, axis), objective)
+        grid = _objective(_grid_probs(state, axis), det, model, objective)
     if not np.all(np.isfinite(grid)):
         raise NumericalError("objective is not finite on the search grid")
-    return _grid_refine(lambda x: ev.at(x, objective), grid, axis)
+    return _grid_refine(lambda x: float(_objective(pair_probs(state, *x), det, model, objective)),
+                        grid, axis)
 
 
 def optimize(
@@ -237,8 +226,9 @@ def optimize(
                 r_try = r + s
                 if r_try <= 0:
                     continue
-                ev = _Evaluator(r_try, det, model)
-                v_try, x_try, ran_out = _refine(lambda y: ev.at(y, objective), x)
+                state = make_eberhard_state(r_try)
+                v_try, x_try, ran_out = _refine(
+                    lambda y: float(_objective(pair_probs(state, *y), det, model, objective)), x)
                 exhausted += ran_out
                 if v_try > val:
                     val, r, x, improved = v_try, r_try, x_try, True

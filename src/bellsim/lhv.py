@@ -11,8 +11,9 @@ Three families, all fully deterministic given their parameters:
    strategies is included as the explicit proof of that bound.
 
 2. An emission-time schedule that defeats event-windowed coincidence
-   counting: four emissions per trial at offsets T, 2T, 3T, 4T,
-   alternating Alice/Bob, with detection flags arranged so that the
+   counting, held as rows of (offset, channel, fires_under): four
+   emissions per trial at offsets T, 2T, 3T, 4T, alternating Alice/Bob
+   channels, with detection flags arranged so that the
    primed/primed setting pair produces detections 3T apart while every
    other pair produces detections T apart.  With any event window of
    radius between T and 3T the primed/primed coincidences vanish and the
@@ -51,6 +52,7 @@ from .quantum import (
     DetectionModel,
     MeasurementSettings,
     PolarizationState,
+    ch_terms,
     click_probabilities,
     pair_probs,
 )
@@ -162,11 +164,12 @@ def counts_from_strategy(strategy: LhvStrategy, trials_per_combo: int) -> Counts
 
 def _deterministic_terms():
     """(strategy, coincidence combination, singles sum) for each of the 16
-    deterministic one-detector-per-arm strategies, one class of weight 1."""
+    deterministic one-detector-per-arm strategies, one class of weight 1,
+    the combination taken by `quantum.ch_terms` at ideal detection."""
     for fa0, fa1, fb0, fb1 in itertools.product((False, True), repeat=4):
         strategy = LhvStrategy((LhvClass(1, (fa0, fa1), (fb0, fb1)),))
-        singles_a, singles_b, coinc = _pair_weights(strategy)
-        yield strategy, coinc[0] + coinc[1] + coinc[2] - coinc[3], singles_a[0] + singles_b[0]
+        num, den = ch_terms(*_pair_weights(strategy), DetectionModel.ideal(), "linear")
+        yield strategy, num, den
 
 
 def max_deterministic_ch() -> float:
@@ -184,56 +187,26 @@ def max_deterministic_ch_ratio() -> float:
 # timing-based adversary
 
 
-@dataclass(frozen=True)
-class Emission:
-    """A scheduled emission: time offset (in units of the base spacing T),
-    target side, and per-setting detection flags for that side."""
-
-    offset: int
-    target: str  # "alice" | "bob"
-    fires_under: tuple[bool, bool]
-
-    def __post_init__(self):
-        if self.target not in ("alice", "bob"):
-            raise ValidationError(f"target must be 'alice' or 'bob', got {self.target!r}")
-        if self.offset < 0:
-            raise ValidationError("emission offset must be >= 0")
-
-
-@dataclass(frozen=True)
-class TimedEmissionSchedule:
-    """Per-trial emission schedule with strictly increasing offsets."""
-
-    emissions: tuple[Emission, ...]
-
-    def __post_init__(self):
-        offs = [e.offset for e in self.emissions]
-        if any(b <= a for a, b in zip(offs, offs[1:])):
-            raise ValidationError("emission offsets must be strictly increasing")
-
-    @property
-    def max_offset(self) -> int:
-        return max((e.offset for e in self.emissions), default=0)
-
-
-def coincidence_loophole_schedule() -> TimedEmissionSchedule:
+def coincidence_loophole_schedule() -> tuple[tuple[int, int, tuple[bool, bool]], ...]:
     """The four-emission schedule that defeats event windowing.
 
-    Alice's T photon fires under a', Bob's 2T photon under b, Alice's 3T
-    photon under a, Bob's 4T photon under b'.  Any setting pair except
-    (a',b') then yields one detection on each side exactly T apart, while
-    (a',b') yields detections 3T apart.
+    One row per emission: (offset in units of the base spacing T,
+    detector channel, whether it fires under the unprimed and the primed
+    local setting).  Alice's T photon fires under a', Bob's 2T photon
+    under b, Alice's 3T photon under a, Bob's 4T photon under b'.  Any
+    setting pair except (a',b') then yields one detection on each side
+    exactly T apart, while (a',b') yields detections 3T apart.
     """
-    return TimedEmissionSchedule((
-        Emission(1, "alice", (False, True)),
-        Emission(2, "bob", (True, False)),
-        Emission(3, "alice", (True, False)),
-        Emission(4, "bob", (False, True)),
-    ))
+    return (
+        (1, CHANNEL_ALICE, (False, True)),
+        (2, CHANNEL_BOB, (True, False)),
+        (3, CHANNEL_ALICE, (True, False)),
+        (4, CHANNEL_BOB, (False, True)),
+    )
 
 
 def coincidence_time_stream(
-    schedule: TimedEmissionSchedule,
+    schedule: Sequence[tuple[int, int, tuple[bool, bool]]],
     settings_per_trial: Sequence[int],
     T_ns: int,
     first_trial: int = 0,
@@ -241,31 +214,31 @@ def coincidence_time_stream(
     """Emit the adversarial detection stream, one trial per entry of
     settings_per_trial, which the stream carries in meta["trial_settings"].
 
-    Per trial, each scheduled emission produces a detection exactly when
-    its fires_under flag matches the trial's local setting.  A clock
-    marker starts every trial.  The trial period, (max offset + 4) T,
-    leaves a guard band of 4 T after the last emission slot so that legal
-    event windows (radius < 3T) can never pair detections across trials;
-    so the streams of consecutive trial ranges, each starting at its
-    `first_trial`, concatenate to the stream of the whole run.
+    Per trial, each schedule row (offset, channel, fires_under) produces a
+    detection on its channel exactly when fires_under holds for the
+    trial's local setting on that side.  A clock marker starts every
+    trial.  The trial period, (largest offset + 4) T, leaves a guard band
+    of 4 T after the last emission slot so that legal event windows
+    (radius < 3T) can never pair detections across trials; so the streams
+    of consecutive trial ranges, each starting at its `first_trial`,
+    concatenate to the stream of the whole run.
     """
     if T_ns <= 0:
         raise ValidationError("T_ns must be positive")
     settings = np.asarray(settings_per_trial, dtype=np.int64)
     if _first_bad_setting(settings) < settings.size:
         raise ValidationError("setting indices must be in 0..3")
-    period = (schedule.max_offset + 4) * T_ns
+    period = (max((offset for offset, _, _ in schedule), default=0) + 4) * T_ns
 
     trial_start = np.arange(first_trial, first_trial + settings.size, dtype=np.int64) * int(period)
     times = [trial_start]
     chans = [np.full(settings.size, CHANNEL_CLOCK, dtype=np.uint8)]
-    local = {"alice": settings >> 1, "bob": settings & 1}
-    chan_of = {"alice": CHANNEL_ALICE, "bob": CHANNEL_BOB}
-    for em in schedule.emissions:
-        fires = np.asarray(em.fires_under, dtype=bool)[local[em.target]]
-        t = trial_start[fires] + em.offset * T_ns
+    local = {CHANNEL_ALICE: settings >> 1, CHANNEL_BOB: settings & 1}
+    for offset, channel, fires_under in schedule:
+        fires = np.asarray(fires_under, dtype=bool)[local[channel]]
+        t = trial_start[fires] + offset * T_ns
         times.append(t)
-        chans.append(np.full(t.size, chan_of[em.target], dtype=np.uint8))
+        chans.append(np.full(t.size, channel, dtype=np.uint8))
 
     return TimetagStream(*sort_records(np.concatenate(times), np.concatenate(chans)),
                          meta={"source": "timed-emission", "trial_settings": settings})

@@ -146,32 +146,18 @@ def _as_bits(x, name: str) -> np.ndarray:
     return arr
 
 
-def hash_extract(
-    raw_bits, seed_bits, out_len: int,
-    declared_entropy_bits: float | None = None,
-    epsilon: float | None = None,
-) -> np.ndarray:
+def hash_extract(raw_bits, seed_bits, out_len: int) -> np.ndarray:
     """Toeplitz-hash raw_bits down to out_len bits using the seed.
 
     out[i] = parity over j of T[i, j] * raw[j], with the Toeplitz matrix
     T[i, j] = seed[i + (n-1) - j] for an n-bit input.  Requires
     len(seed_bits) >= n + out_len - 1.  Linear over XOR of inputs for a
-    fixed seed; deterministic.  When the caller declares the input's
-    min-entropy (and an error bound), out_len is checked against the
-    leftover-hash budget declared_entropy - 2*log2(1/epsilon).
+    fixed seed; deterministic.
     """
     raw = _as_bits(raw_bits, "raw_bits")
     seed = _as_bits(seed_bits, "seed_bits")
     if out_len < 0:
         raise ValidationError("out_len must be >= 0")
-    if declared_entropy_bits is not None:
-        if epsilon is None or not 0.0 < epsilon < 1.0:
-            raise ValidationError("declared entropy needs epsilon in (0,1)")
-        budget = declared_entropy_bits - 2.0 * math.log2(1.0 / epsilon)
-        if out_len > budget:
-            raise ValidationError(
-                f"out_len {out_len} exceeds the leftover-hash budget {budget:.1f} bits"
-            )
     if out_len == 0:
         return np.zeros(0, dtype=np.uint8)
     n = raw.size

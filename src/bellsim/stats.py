@@ -293,7 +293,6 @@ def reference_run_counts() -> CountsTable:
 
 REFERENCE_R = 0.26
 REFERENCE_SIGMA_B = 7.0e-6
-REFERENCE_ACQUISITION_S = 10_800.0
 
 
 def reference_settings() -> MeasurementSettings:

@@ -287,6 +287,17 @@ def test_oversized_timetag_block_is_exit_2(tmp_path, capsys):
     assert "trials per block" in capsys.readouterr().err
 
 
+def test_failed_timetag_write_leaves_no_files(tmp_path):
+    doc = _valid_config()
+    doc.update(trials_per_block=10**12, n_blocks=1, det={**doc["det"], "pair_mean": 0.0})
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(doc))
+    out = tmp_path / "out"
+    assert main(["simulate", str(config), "--timetags", "--out", str(out), "--quiet"]) == 2
+    assert not (out / "timetags.bin").exists()
+    assert not (out / "trial_settings.txt").exists()
+
+
 @pytest.mark.parametrize("case", sorted(TIMETAG_GEOMETRY_ERRORS))
 def test_timetag_geometry_out_of_range_is_exit_2(case, tmp_path, capsys):
     doc = _valid_config()

@@ -32,13 +32,14 @@ def test_table_grid_equals_meshgrid_bitwise(r, det_name):
     axis = eberhard._angle_axis()
     aa, pp = np.meshgrid(axis, axis, indexing="ij")
     for model in quantum.MODELS:
-        ev = eberhard._Evaluator(r, DETECTORS[det_name], model)
-        meshgrid_probs = quantum.pair_probs(ev.state, aa, pp, -aa, -pp)
-        table_probs = eberhard._grid_probs(ev.state, axis)
+        state = bs.make_eberhard_state(r)
+        meshgrid_probs = quantum.pair_probs(state, aa, pp, -aa, -pp)
+        table_probs = eberhard._grid_probs(state, axis)
         for objective in eberhard.OBJECTIVES:
             with np.errstate(invalid="ignore", divide="ignore"):
-                oracle = ev.value(meshgrid_probs, objective)
-                table = ev.value(table_probs, objective)
+                oracle = eberhard._objective(meshgrid_probs, DETECTORS[det_name], model,
+                                             objective)
+                table = eberhard._objective(table_probs, DETECTORS[det_name], model, objective)
             assert table.shape == oracle.shape == (axis.size, axis.size)
             assert table.tobytes() == oracle.tobytes(), (model, objective)
 

@@ -75,8 +75,9 @@ def test_deterministic_enumeration_matches_counts_tables():
 
 def test_default_schedule_shape():
     sched = bs.coincidence_loophole_schedule()
-    assert [e.offset for e in sched.emissions] == [1, 2, 3, 4]
-    assert [e.target for e in sched.emissions] == ["alice", "bob", "alice", "bob"]
+    assert [offset for offset, _, _ in sched] == [1, 2, 3, 4]
+    assert [channel for _, channel, _ in sched] == [bs.CHANNEL_ALICE, bs.CHANNEL_BOB,
+                                                    bs.CHANNEL_ALICE, bs.CHANNEL_BOB]
 
 
 def test_stream_unprimed_pair_detections():
@@ -102,7 +103,7 @@ def test_stream_primed_pair_has_distant_detections():
 
 def test_empty_schedule_yields_clock_only_stream():
     stream = bs.coincidence_time_stream(
-        bs.TimedEmissionSchedule(()), [0, 1], T_ns=1000
+        (), [0, 1], T_ns=1000
     )
     assert stream.n_trials == 2
     assert len(stream) == 2

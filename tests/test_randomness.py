@@ -229,17 +229,6 @@ def test_seed_too_short():
         bs.hash_extract(np.ones(64, dtype=np.uint8), np.ones(64, dtype=np.uint8), 32)
 
 
-def test_out_len_exceeding_declared_entropy_budget():
-    raw = np.ones(64, dtype=np.uint8)
-    seed = np.ones(64 + 32 - 1, dtype=np.uint8)
-    # budget = 20 - 2*log2(1e3) ~ 0.07 bits, so 32 output bits must be refused
-    with pytest.raises(ValidationError):
-        bs.hash_extract(raw, seed, 32, declared_entropy_bits=20.0, epsilon=1e-3)
-    # within budget the declaration is accepted
-    out = bs.hash_extract(raw, seed, 10, declared_entropy_bits=40.0, epsilon=1e-3)
-    assert out.size == 10
-
-
 def test_xor_linearity_1000_cases():
     rng = np.random.default_rng(23)
     seed = rng.integers(0, 2, 128 + 32 - 1, dtype=np.uint8)
