@@ -359,19 +359,21 @@ def _cmd_dire(args) -> int:
         table, acquisition_s=args.seconds, policy=args.policy, epsilon=args.epsilon,
         bits_per_event=args.bits_per_event,
     )
+    # extract before writing anything, so a failed extraction leaves no output
+    if args.extract:
+        raw = unpack_bits(Path(args.extract).read_bytes())
+        if not args.seed_file:
+            raise ValidationError("--extract requires --seed-file")
+        seed_bits = unpack_bits(Path(args.seed_file).read_bytes())
+        out_len = min(report.extractable_bits, raw.size)
+        bits = hash_extract(raw, seed_bits, out_len)
+
     text = report.to_json()
     print(text)
     outputs = [_out_path(args, "dire_report.json")]
     outputs[0].write_text(text + "\n")
 
     if args.extract:
-        raw = unpack_bits(Path(args.extract).read_bytes())
-        if args.seed_file:
-            seed_bits = unpack_bits(Path(args.seed_file).read_bytes())
-        else:
-            raise ValidationError("--extract requires --seed-file")
-        out_len = min(report.extractable_bits, raw.size)
-        bits = hash_extract(raw, seed_bits, out_len)
         bits_path = _out_path(args, "extracted.bits")
         write_extracted_bits(str(bits_path), bits)
         outputs.append(bits_path)

@@ -19,6 +19,14 @@ column and as a row.  Every singles probability is a vector over the
 axis.  These broadcast through `quantum.ch_terms` to the same values,
 bit for bit, as evaluating `pair_probs` at every grid point.
 
+Each descent keeps the click probabilities of every setting pair it
+computes, keyed by the pair's (x, y) angles, for that descent only.  A
+move changes one angle and so two of the four pairs, and a descent
+revisits its points, so most lookups are hits.  A miss makes the same
+scalar calls as `pair_probs` and `ch_terms`, and the pairs combine
+through `quantum.ch_from_clicks` as `ch_terms` does on the grid, so each
+value equals the unmemoized objective bit for bit.
+
 The objective takes either forward model of `quantum.click_probabilities`:
 
 - "linear": the single-pair analytic combination (backgrounds enter the
@@ -52,6 +60,7 @@ from typing import Sequence
 
 import numpy as np
 
+from . import quantum
 from .errors import NumericalError, ValidationError
 from .quantum import (
     MODELS,
@@ -121,23 +130,63 @@ def _grid_probs(state, axis: np.ndarray):
 
 def _objective(probs, det: DetectionModel, model: str, objective: str):
     """The objective from `pair_probs`-shaped (p1, p2, p12), broadcasting."""
-    num, den = ch_terms(*probs, det, model)
+    linear = None
+    if objective == "b-over-sigma":
+        linear = [click_probabilities(*pair, det, "linear") for pair in zip(*probs)]
+    return _score(ch_terms(*probs, det, model), linear, objective)
+
+
+def _score(terms, linear, objective: str):
+    """The objective from the CH (num, den) and, for "b-over-sigma", the
+    linear-model clicks at the four setting pairs."""
+    num, den = terms
     if objective == "b":
         return num - den
     if objective == "b-prime":
         return num / den
     # significance proxy: independent-binomial error of the linear-model
     # rates at the trial budget
-    clicks = [click_probabilities(*pair, det, "linear") for pair in zip(*probs)]
 
     def binomial_var(p, n):
         p = np.clip(p, 0.0, 1.0)
         return p * (1.0 - p) / n
 
-    pA, pB, _ = clicks[0]
-    var = (sum(binomial_var(pab, _TRIAL_BUDGET) for _, _, pab in clicks)
+    pA, pB, _ = linear[0]
+    var = (sum(binomial_var(pab, _TRIAL_BUDGET) for _, _, pab in linear)
            + binomial_var(pA, 2.0 * _TRIAL_BUDGET) + binomial_var(pB, 2.0 * _TRIAL_BUDGET))
     return (num - den) / np.sqrt(np.maximum(var, 1e-300))
+
+
+def _descent_objective(state, det: DetectionModel, model: str, objective: str):
+    """The f(x) of one `_refine` descent, equal bit for bit to
+    float(_objective(pair_probs(state, *x), det, model, objective)), with
+    each setting pair's clicks memoized by its angles (module docstring).
+
+    A miss looks the forward model up in `quantum`, as `pair_probs` does:
+    the traced benchmark (perfbench/spans.py) wraps this module's imported
+    names to time the grid's table calls, and a span per pair would swamp
+    it.
+    """
+    sigma = objective == "b-over-sigma"
+    memo = {}
+
+    def pair(x, y):
+        clicks = memo.get((x, y))
+        if clicks is None:
+            probs = (quantum.singles_prob(state, x, "A"), quantum.singles_prob(state, y, "B"),
+                     quantum.coincidence_prob(state, x, y))
+            clicks = memo[x, y] = (
+                quantum.click_probabilities(*probs, det, model),
+                quantum.click_probabilities(*probs, det, "linear") if sigma else None)
+        return clicks
+
+    def f(angles):
+        a, a_prime, b, b_prime = angles.tolist()
+        clicks, linear = zip(pair(a, b), pair(a, b_prime), pair(a_prime, b),
+                             pair(a_prime, b_prime))
+        return float(_score(quantum.ch_from_clicks(clicks), linear, objective))
+
+    return f
 
 
 _REFINE_MAX_SWEEPS = 240
@@ -187,8 +236,7 @@ def _optimize_angles(r: float, det: DetectionModel, objective: str,
         grid = _objective(_grid_probs(state, axis), det, model, objective)
     if not np.all(np.isfinite(grid)):
         raise NumericalError("objective is not finite on the search grid")
-    return _grid_refine(lambda x: float(_objective(pair_probs(state, *x), det, model, objective)),
-                        grid, axis)
+    return _grid_refine(_descent_objective(state, det, model, objective), grid, axis)
 
 
 def optimize(
@@ -226,9 +274,8 @@ def optimize(
                 r_try = r + s
                 if r_try <= 0:
                     continue
-                state = make_eberhard_state(r_try)
                 v_try, x_try, ran_out = _refine(
-                    lambda y: float(_objective(pair_probs(state, *y), det, model, objective)), x)
+                    _descent_objective(make_eberhard_state(r_try), det, model, objective), x)
                 exhausted += ran_out
                 if v_try > val:
                     val, r, x, improved = v_try, r_try, x_try, True

@@ -29,7 +29,8 @@ efficiency multiplies once, unpolarized background adds to the singles
 only) and the exact Poisson-compounded model, in which multi-pair pileup
 and background-signal coincidences count.  Every consumer, from the CH
 values below to the optimizer, the Monte-Carlo engine and the drift
-adversary, calls `pair_probs` and `click_probabilities`.
+adversary, calls `pair_probs` (or, per setting pair, `singles_prob` and
+`coincidence_prob`) and `click_probabilities`.
 """
 
 from __future__ import annotations
@@ -315,7 +316,12 @@ def ch_terms(p1, p2, p12, det: DetectionModel, model: str = "compound"):
     - pAB(a',b') and den the singles pA(a) + pB(b), so B = num - den and
     B' = num / den.  Broadcasts like `click_probabilities`.
     """
-    clicks = [click_probabilities(*pair, det, model) for pair in zip(p1, p2, p12)]
+    return ch_from_clicks([click_probabilities(*pair, det, model) for pair in zip(p1, p2, p12)])
+
+
+def ch_from_clicks(clicks):
+    """(num, den) of the CH combination from the (pA, pB, pAB) of
+    `click_probabilities` at the pairs (a,b), (a,b'), (a',b), (a',b')."""
     pA, pB, c_ab = clicks[0]
     return c_ab + clicks[1][2] + clicks[2][2] - clicks[3][2], pA + pB
 

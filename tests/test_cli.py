@@ -309,6 +309,23 @@ def test_timetag_geometry_out_of_range_is_exit_2(case, tmp_path, capsys):
     assert capsys.readouterr().err.startswith("error: ")
 
 
+@pytest.mark.parametrize("seed_bytes", [None, b"\xa5\x5a"], ids=["no-seed-file", "16-bit-seed"])
+def test_failed_dire_extraction_leaves_no_output(seed_bytes, tmp_path, reference_counts):
+    counts = tmp_path / "counts.json"
+    counts.write_text(reference_counts.to_json())
+    raw = tmp_path / "raw.bin"
+    raw.write_bytes(bytes(range(256)) * 8)
+    argv = ["dire", str(counts), "--seconds", "10800", "--extract", str(raw)]
+    if seed_bytes is not None:  # a 16-bit seed file: far too short
+        seed = tmp_path / "seed.bin"
+        seed.write_bytes(seed_bytes)
+        argv += ["--seed-file", str(seed)]
+    out = tmp_path / "out"
+    out.mkdir()
+    assert main([*argv, "--out", str(out), "--quiet"]) == 2
+    assert list(out.iterdir()) == []
+
+
 @pytest.mark.parametrize("seconds", ["nan", "inf"])
 def test_dire_non_finite_seconds_is_exit_2(seconds, tmp_path, reference_counts):
     counts = tmp_path / "counts.json"

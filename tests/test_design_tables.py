@@ -44,6 +44,55 @@ def test_table_grid_equals_meshgrid_bitwise(r, det_name):
             assert table.tobytes() == oracle.tobytes(), (model, objective)
 
 
+def _bits(v):
+    return float(v).hex()
+
+
+@pytest.mark.parametrize("det_name", sorted(DETECTORS))
+@pytest.mark.parametrize("model", quantum.MODELS)
+@pytest.mark.parametrize("objective", eberhard.OBJECTIVES)
+def test_descent_objective_equals_unmemoized_objective_bitwise(objective, model, det_name):
+    det = DETECTORS[det_name]
+    state = bs.make_eberhard_state(0.26)
+
+    def oracle(x):
+        return _bits(eberhard._objective(quantum.pair_probs(state, *x), det, model, objective))
+
+    f = eberhard._descent_objective(state, det, model, objective)
+    rng = np.random.default_rng(3)
+    points = list(rng.uniform(-45.0, 45.0, size=(12, 4)))
+    # x + s - s is not always x; x itself is a memo hit
+    points += [x + s - s for x in points[:6] for s in (0.25, 1e-3)] + points[:6]
+    # 0.0 and -0.0 share a memo key
+    points += [np.array([0.0, 1.0, -0.0, -1.0]), np.array([-0.0, 1.0, 0.0, -1.0])]
+    for x in points:
+        assert _bits(f(x)) == oracle(x), x
+
+    # along a real descent from the grid argmax, with a fresh memo
+    axis = eberhard._angle_axis()
+    with np.errstate(invalid="ignore", divide="ignore"):
+        grid = eberhard._objective(eberhard._grid_probs(state, axis), det, model, objective)
+    f = eberhard._descent_objective(state, det, model, objective)
+    visited = []
+
+    def recorded(x):
+        visited.append((x.copy(), f(x)))
+        return visited[-1][1]
+
+    eberhard._grid_refine(recorded, grid, axis)
+    assert len(visited) > 8
+    for x, v in visited:
+        assert _bits(v) == oracle(x), x
+
+
+def test_frozen_sweep_exhausts_only_its_two_smallest_r():
+    det = bs.DetectionModel(eta_a=0.75, eta_b=0.75, pair_mean=0.033, bg_a=6.55e-5, bg_b=6.55e-5)
+    points = bs.bprime_vs_r_sweep(det, np.arange(0.04, 1.0 + 1e-9, 0.02))
+    assert len(points) == 49
+    assert [(round(p.r, 2), p.exhausted_refinements) for p in points
+            if p.exhausted_refinements] == [(0.04, 1), (0.06, 1)]
+
+
 def bisected_critical_efficiency(r, bg, lo=0.6, hi=1.0, tol=1e-7):
     """Reference: bisection on eta of the optimized linear-model B."""
     def best_b(eta):

@@ -51,3 +51,34 @@ def test_traced_pipeline_hooks_the_timetag_io(monkeypatch, tmp_path):
     written = (sim / "timetags.bin").stat().st_size // 9
     assert written > 4 * 200
     assert tracer.counts["counting.timetag_bytes"] == 9 * written + 9 * len(csv_records)
+
+
+SOURCE = ["--eta", "0.75", "--bg", "6.55e-5", "--pair-mean", "0.033"]
+
+
+def _traced(spans, tmp_path, argv):
+    tracer = spans.Tracer()
+    with spans.installed(tracer):
+        assert cli.main([*argv, "--out", str(tmp_path), "--quiet"]) == 0
+    return tracer.counts["quantum.calls"], len(tracer.names), tracer.names.count("engine.click_prob")
+
+
+def test_traced_design_path_opens_spans_per_grid_not_per_step(monkeypatch, tmp_path):
+    """The descents evaluate the forward model per step without going
+    through the traced names; only each search grid's table calls (one
+    coincidence table and four singles vectors) open spans, so the span
+    count does not grow with descent length.  r = 0.04, 0.06 and 0.05
+    run out of sweeps (1921 evaluations each), r = 0.26..0.30 do not."""
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    import spans
+
+    long_sweep = _traced(spans, tmp_path, ["sweep", *SOURCE, "--r-grid", "0.04:0.08:0.02"])
+    short_sweep = _traced(spans, tmp_path, ["sweep", *SOURCE, "--r-grid", "0.26:0.30:0.02"])
+    # cli.main, bprime_vs_r_sweep, sweep_to_csv, violation_interval and 3 x 5 grid calls
+    assert long_sweep == short_sweep == (15, 19, 0)
+    for fix_r in ("0.05", "0.26"):
+        assert _traced(spans, tmp_path, ["optimize", *SOURCE, "--objective", "b-prime",
+                                         "--model", "compound", "--fix-r", fix_r]) == (5, 7, 0)
+    # the significance proxy's linear clicks: four grid calls, none per step
+    assert _traced(spans, tmp_path, ["optimize", *SOURCE, "--objective", "b-over-sigma",
+                                     "--fix-r", "0.26"]) == (5, 11, 4)
