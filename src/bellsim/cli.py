@@ -297,6 +297,9 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_lhv_demo(args) -> int:
+    # the range ExperimentConfig.rng_seed takes, so --seed means one range
+    if args.seed is not None and not 0 <= args.seed < 2**64:
+        raise ValidationError("--seed must fit in an unsigned 64-bit integer")
     outputs = []
     if args.what == "tables":
         for name, strat in (("instruction_ideal", demo_strategy_ideal()),
@@ -334,7 +337,8 @@ def _cmd_lhv_demo(args) -> int:
             mixed,
             MeasurementSettings(a=33.75, a_prime=-11.25, b=-33.75, b_prime=11.25),
             DetectionModel(eta_a=0.762, eta_b=0.762, pair_mean=1.0),
-            DriftModel(setting_order=(0, 2, 1, 3), final_fraction=0.03),
+            DriftModel(final_fraction=0.03),
+            order=(0, 2, 1, 3),
         )
         p = _out_path(args, "drift_counts.json")
         p.write_text(table.to_json())
@@ -355,10 +359,8 @@ def _cmd_lhv_demo(args) -> int:
 
 def _cmd_dire(args) -> int:
     table = CountsTable.from_json(_read_text(args.counts))
-    report = dire_report(
-        table, acquisition_s=args.seconds, policy=args.policy, epsilon=args.epsilon,
-        bits_per_event=args.bits_per_event,
-    )
+    report = dire_report(table, acquisition_s=args.seconds, policy=args.policy,
+                         epsilon=args.epsilon)
     # extract before writing anything, so a failed extraction leaves no output
     if args.extract:
         raw = unpack_bits(Path(args.extract).read_bytes())
@@ -455,7 +457,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seconds", type=float, required=True, help="acquisition time")
     p.add_argument("--policy", default="sha-half", choices=POLICIES)
     p.add_argument("--epsilon", type=float, default=None)
-    p.add_argument("--bits-per-event", type=int, default=8)
     p.add_argument("--extract", default=None, help="raw bit file to extract from")
     p.add_argument("--seed-file", default=None, help="seed bit file for extraction")
     common(p)

@@ -164,7 +164,12 @@ def _state_to_json(state: PolarizationState) -> dict:
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """Everything needed to reproduce one simulated run bit-for-bit."""
+    """Everything needed to reproduce one simulated run bit-for-bit.
+
+    cyclic_order is the one measurement order of a cyclic schedule; drift,
+    when set, scales each block's intensity by its block index under any
+    schedule.
+    """
 
     state: PolarizationState
     settings: MeasurementSettings
@@ -187,11 +192,6 @@ class ExperimentConfig:
             raise ValidationError("rng_seed must fit in an unsigned 64-bit integer")
         if self.schedule_kind == "file" and not self.schedule_file:
             raise ValidationError("schedule_kind 'file' requires schedule_file")
-        # the blocks are measured in cyclic_order; drift applies by block index
-        if (self.schedule_kind == "cyclic" and self.drift is not None
-                and tuple(self.drift.setting_order) != tuple(self.cyclic_order)):
-            raise ValidationError(f"drift.setting_order {list(self.drift.setting_order)} "
-                                  f"differs from cyclic_order {list(self.cyclic_order)}")
 
     def to_json_dict(self) -> dict:
         return _to_fields(self)
@@ -525,8 +525,13 @@ def blocks_from_csv(text: str) -> list[BlockRecord]:
         if len(row) != 5:
             raise FormatError(f"expected 5 fields, got {row!r}", lineno)
         try:
-            vals = [int(v) for v in row]
+            setting, n, singles_a, singles_b, coinc = map(int, row)
         except ValueError:
             raise FormatError(f"non-integer field in {row!r}", lineno) from None
-        records.append(BlockRecord(*vals))
+        # the rules CountsTable applies to a row
+        if n < 0 or singles_a < 0 or singles_b < 0 or coinc < 0:
+            raise FormatError(f"negative count in {row!r}", lineno)
+        if coinc > n:
+            raise FormatError(f"coincidences exceed trials in {row!r}", lineno)
+        records.append(BlockRecord(setting, n, singles_a, singles_b, coinc))
     return records

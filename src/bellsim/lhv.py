@@ -250,34 +250,22 @@ def coincidence_time_stream(
 
 @dataclass(frozen=True)
 class DriftModel:
-    """Source-intensity drift across a fixed cyclic measurement order.
+    """Source-intensity decay through a cycle of four measurement periods.
 
-    setting_order is the permutation of the four setting-pair indices in
-    the order they are measured.  final_fraction is the end-of-cycle
-    intensity over the start-of-cycle intensity.  Two discretizations of
-    the decay are supported:
+    final_fraction is the end-of-cycle intensity over the start-of-cycle
+    intensity.  The intensity decays as exp(-lambda t) through the cycle,
+    and each measurement period takes the time integral over its quarter
+    of the cycle; these are the documented drift-attack numbers.
 
-    - "continuous-exponential-integrated" (default): intensity decays as
-      exp(-lambda t) through the cycle and each measurement period uses
-      the time integral over its quarter of the cycle.  This is the
-      variant that reproduces the documented drift-attack numbers.
-    - "piecewise-geometric": constant intensity within each period, the
-      last period at final_fraction of the first.
-
-    `simulate` applies the drift by block index and does not read
-    setting_order: the blocks' setting pairs come from the config's
-    schedule, and a cyclic schedule must measure in setting_order.
+    The model holds no measurement order.  `drifted_counts` takes the
+    order its cyclic settings visit, and `simulate` applies the drift by
+    block index to the blocks of the config's schedule, which a cyclic
+    schedule measures in `ExperimentConfig.cyclic_order`.
     """
 
-    setting_order: tuple[int, int, int, int] = (0, 1, 2, 3)
-    decay_kind: str = "continuous-exponential-integrated"
     final_fraction: float = 1.0
 
     def __post_init__(self):
-        if sorted(self.setting_order) != [0, 1, 2, 3]:
-            raise ValidationError("setting_order must be a permutation of 0..3")
-        if self.decay_kind not in ("piecewise-geometric", "continuous-exponential-integrated"):
-            raise ValidationError(f"unknown decay kind {self.decay_kind!r}")
         if not (0.0 < self.final_fraction <= 1.0):
             raise ValidationError("final_fraction must be in (0, 1]")
 
@@ -285,48 +273,37 @@ class DriftModel:
         """Per-period intensity multipliers, decay continuing across cycles."""
         if n_periods < 1:
             raise ValidationError("n_periods must be >= 1")
-        k = np.arange(n_periods, dtype=float)
         f = self.final_fraction
         if f == 1.0:
             return np.ones(n_periods)
-        if self.decay_kind == "piecewise-geometric":
-            return f ** (k / 3.0)
+        k = np.arange(n_periods, dtype=float)
         lam = -math.log(f)
         return (4.0 / lam) * (np.exp(-lam * k / 4.0) - np.exp(-lam * (k + 1) / 4.0))
 
 
-def _source_probs(source, settings: MeasurementSettings):
-    """(p1, p2, p12) over the four setting pairs for a quantum state or an
-    instruction set, as `quantum.pair_probs` returns them."""
-    if isinstance(source, PolarizationState):
-        return pair_probs(source, *astuple(settings))
-    if isinstance(source, LhvStrategy):
-        tot = source.total_weight
-        if tot == 0:
-            raise ValidationError("strategy has zero total weight")
-        return tuple(tuple(w / tot for w in weights) for weights in _pair_weights(source))
-    raise ValidationError(f"unsupported source type {type(source).__name__}")
-
-
 def drifted_counts(
-    source,
+    state: PolarizationState,
     settings: MeasurementSettings,
     det: DetectionModel,
     drift: DriftModel,
+    order: Sequence[int] = (0, 1, 2, 3),
     cycles: int = 1,
     trials_per_period: int = 1_000_000,
 ) -> CountsTable:
     """Expected counts under cyclic settings with a drifting source.
 
-    Each measurement period takes the linear-model click probabilities
-    with the drift multiplier scaling its pair rate and backgrounds;
-    settings are visited in drift.setting_order with no randomization.
-    The returned table holds expected (float) counts.
+    The four setting-pair indices are measured in `order`, a permutation
+    of 0..3, once per cycle with no randomization.  Each measurement
+    period takes the linear-model click probabilities with the drift
+    multiplier scaling its pair rate and backgrounds.  The returned
+    table holds expected (float) counts.
     """
+    if sorted(order) != [0, 1, 2, 3]:
+        raise ValidationError("order must be a permutation of 0..3")
     if cycles < 1:
         raise ValidationError("cycles must be >= 1")
-    combos = np.tile(drift.setting_order, cycles)
-    p1, p2, p12 = (np.array(p)[combos] for p in _source_probs(source, settings))
+    combos = np.tile(order, cycles)
+    p1, p2, p12 = (np.array(p)[combos] for p in pair_probs(state, *astuple(settings)))
     rates = click_probabilities(p1, p2, p12, det, "linear", drift.multipliers(4 * cycles))
 
     def per_combo(per_period):
@@ -334,5 +311,5 @@ def drifted_counts(
 
     return CountsTable(
         per_combo(np.ones(combos.size)), *(per_combo(r) for r in rates),
-        meta={"source": "drift-expectation", "decay_kind": drift.decay_kind},
+        meta={"source": "drift-expectation"},
     )

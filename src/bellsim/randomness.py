@@ -53,6 +53,10 @@ POLICIES = ("sha-half", "trevisan-sized", "hash-extract")
 
 B_QUANTUM_MAX = (math.sqrt(2.0) - 1.0) / 2.0
 
+# raw bits recorded per event; dire_report sizes the seeded policies'
+# raw string as events times this
+BITS_PER_EVENT = 8
+
 FINITE_SIZE_CAVEAT = (
     "entropy accounting neglects finite-size effects; rates are asymptotic"
 )
@@ -264,7 +268,6 @@ def dire_report(
     acquisition_s: float,
     policy: str = "sha-half",
     epsilon: float | None = None,
-    bits_per_event: int = 8,
 ) -> DireReport:
     """Chain counts -> violation -> min-entropy -> extractable length -> rate.
 
@@ -272,15 +275,13 @@ def dire_report(
     """
     if not (math.isfinite(acquisition_s) and acquisition_s > 0):
         raise ValidationError(f"acquisition_s must be finite and positive, got {acquisition_s!r}")
-    if bits_per_event < 1:
-        raise ValidationError("bits_per_event must be >= 1")
     b_value = ch_from_counts(table, "pooled")
     p = guessing_probability(min(b_value, B_QUANTUM_MAX))
     h = -math.log2(p)
     n_events = int(table.total_trials)
     raw = n_events * h
     out, seed = extractable_length(
-        raw, policy, epsilon=epsilon, raw_string_bits=n_events * bits_per_event
+        raw, policy, epsilon=epsilon, raw_string_bits=n_events * BITS_PER_EVENT
     )
     return DireReport(
         B=float(b_value),

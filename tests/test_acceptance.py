@@ -99,7 +99,8 @@ def test_criterion_05_drift_attacks():
         mixed,
         bs.MeasurementSettings(a=33.75, a_prime=-11.25, b=-33.75, b_prime=11.25),
         bs.DetectionModel(eta_a=0.762, eta_b=0.762, pair_mean=1.0),
-        bs.DriftModel(setting_order=(0, 2, 1, 3), final_fraction=0.03),
+        bs.DriftModel(final_fraction=0.03),
+        order=(0, 2, 1, 3),
     )
     bp = bs.chprime_from_counts(table1, "conditional")
     assert bp == pytest.approx(1.17, abs=0.05)
@@ -110,7 +111,7 @@ def test_criterion_05_drift_attacks():
     det = bs.DetectionModel(eta_a=0.762, eta_b=0.762, pair_mean=1.0,
                             bg_a=0.006 * 0.762, bg_b=0.006 * 0.762)
     table2 = bs.drifted_counts(
-        state, sett, det, bs.DriftModel(setting_order=(0, 3, 1, 2), final_fraction=0.82)
+        state, sett, det, bs.DriftModel(final_fraction=0.82), order=(0, 3, 1, 2)
     )
     b_faked = bs.ch_from_counts(table2, "conditional")
     assert b_faked == pytest.approx(0.005, abs=0.002)
@@ -118,7 +119,7 @@ def test_criterion_05_drift_attacks():
     # randomizing the settings neutralizes the same drift
     det_mc = bs.DetectionModel(eta_a=0.762, eta_b=0.762, pair_mean=0.02,
                                bg_a=9e-5, bg_b=9e-5)
-    drift = bs.DriftModel(setting_order=(0, 3, 1, 2), final_fraction=0.82)
+    drift = bs.DriftModel(final_fraction=0.82)
     pa, pb, pab = bs.expected_rates(state, sett, det_mc)
     b_free = float((pab[0] + pab[1] + pab[2] - pab[3]) - pa[0] - pb[0])
     values = []

@@ -364,9 +364,14 @@ MALFORMED_INPUTS = {
     "config-unknown-drift-field": (
         "simulate", lambda: {**_valid_config(), "drift": {"final_fracton": 0.5}}),
     "config-missing-settings-b-prime": ("simulate", lambda: _config_without_b_prime()),
-    "config-drift-order-differs-from-cyclic-order": (
+    # drift sections of 0.3.0 configs: the order is cyclic_order alone,
+    # and the decay has one kind
+    "config-drift-setting-order": (
         "simulate", lambda: {**_valid_config(), "schedule_kind": "cyclic",
                              "drift": {"setting_order": [0, 3, 1, 2]}}),
+    "config-drift-decay-kind": (
+        "simulate", lambda: {**_valid_config(), "drift": {
+            "decay_kind": "continuous-exponential-integrated", "final_fraction": 0.5}}),
     # 25 000 trials of 1e6 pairs each would need about 186 GiB per block
     "config-timetag-block-pairs-over-cap": (
         "simulate --timetags", lambda: {**_config_section_with("det", "pair_mean", 1e6),
@@ -623,6 +628,25 @@ def test_lhv_demo_timing_without_trials(tmp_path):
                  "--out", str(tmp_path), "--quiet"]) == 2
 
 
+# Digest of the drift demo's expected counts written under version 0.3.0.
+FROZEN_DRIFT = "46ea023837c8f6602dc3f1ba0f6967e98fbf13109a93d769be364bdd929a7fa2"
+
+
+def test_lhv_demo_drift_counts_frozen(tmp_path):
+    assert main(["lhv-demo", "--what", "drift", "--out", str(tmp_path), "--quiet"]) == 0
+    data = (tmp_path / "drift_counts.json").read_bytes()
+    assert hashlib.sha256(data).hexdigest() == FROZEN_DRIFT
+
+
+@pytest.mark.parametrize("seed, nearest_legal", [(-1, 0), (2**64, 2**64 - 1)])
+def test_lhv_demo_seed_out_of_range_is_exit_2(seed, nearest_legal, tmp_path, capsys):
+    # the range simulate's rng_seed takes
+    argv = ["lhv-demo", "--what", "timing", "--trials", "10", "--out", str(tmp_path), "--quiet"]
+    assert main([*argv, "--seed", str(seed)]) == 2
+    assert "unsigned 64-bit" in capsys.readouterr().err
+    assert main([*argv, "--seed", str(nearest_legal)]) == 0
+
+
 def test_exit_code_numerical(tmp_path):
     # optimizing a fully degenerate model cannot bracket anything useful;
     # force the numerical-error path through a NaN-producing objective
@@ -728,6 +752,20 @@ def test_analyze_oversized_block_count_is_exit_2(tmp_path, capsys):
     path.write_text("".join(f"{s},10,1,1,1\n" for s in range(4)) + f"0,{10**30},1,1,1\n")
     assert main(["analyze", str(path), "--out", str(tmp_path), "--quiet"]) == 2
     assert "64-bit" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("row, message", [
+    ("0,10,-5,1,1", "negative count"),
+    ("0,5,10,10,10", "coincidences exceed trials"),
+], ids=["negative-singles", "coincidences-over-trials"])
+def test_analyze_malformed_block_row_is_exit_2(row, message, tmp_path, capsys):
+    # a given sigma skips the partitions, so only the reader can catch it
+    path = tmp_path / "blocks.csv"
+    path.write_text("".join(f"{s},10,8,8,1\n" for s in range(4)) + row + "\n")
+    assert main(["analyze", str(path), "--sigma", "1e-5", "--out", str(tmp_path),
+                 "--quiet"]) == 2
+    err = capsys.readouterr().err
+    assert message in err and "line 5" in err
 
 
 # ---------------------------------------------------------------------------

@@ -105,7 +105,7 @@ def frozen_cfg(name):
     if name == "drift-cyclic":
         return quick_cfg(det=bs.DetectionModel(pair_mean=0.5, bg_a=0.01, bg_b=0.02),
                          schedule_kind="cyclic", cyclic_order=(2, 0, 3, 1), n_blocks=12,
-                         drift=bs.DriftModel(setting_order=(2, 0, 3, 1), final_fraction=0.5),
+                         drift=bs.DriftModel(final_fraction=0.5),
                          rng_seed=2024)
     rho = 0.9 * bs.make_eberhard_state(0.26).density_matrix() + 0.1 * np.eye(4) / 4
     return quick_cfg(state=bs.density_matrix_state(rho), rng_seed=31)
@@ -249,7 +249,7 @@ SAMPLER_CASES = {
     # multi-pair trials and a per-block intensity multiplier
     "drift": dict(det=bs.DetectionModel(eta_a=0.762, eta_b=0.7, pair_mean=0.5,
                                         bg_a=4e-3, bg_b=2e-3),
-                  drift=bs.DriftModel(setting_order=(0, 3, 1, 2), final_fraction=0.3),
+                  drift=bs.DriftModel(final_fraction=0.3),
                   cyclic_order=(0, 3, 1, 2)),
     # Alice's background saturates: she clicks on every trial
     "background-at-1": dict(det=bs.DetectionModel(eta_a=0.75, eta_b=0.75, pair_mean=0.2,
@@ -478,14 +478,14 @@ def test_drift_injection_matches_expected_counts():
     sett = bs.MeasurementSettings(4.4, -28.0, -5.4, 25.9)
     det = bs.DetectionModel(eta_a=0.762, eta_b=0.762, pair_mean=0.01,
                             bg_a=4e-5, bg_b=4e-5)
-    drift = bs.DriftModel(setting_order=(0, 3, 1, 2), final_fraction=0.82)
+    drift, order = bs.DriftModel(final_fraction=0.82), (0, 3, 1, 2)
     cfg = bs.ExperimentConfig(
         state=state, settings=sett, det=det, schedule_kind="cyclic",
-        cyclic_order=drift.setting_order, trials_per_block=200_000, n_blocks=4,
+        cyclic_order=order, trials_per_block=200_000, n_blocks=4,
         rng_seed=5, drift=drift,
     )
     sim = bs.blocks_to_counts(bs.simulate_blocks(cfg))
-    expected = bs.drifted_counts(state, sett, det, drift, trials_per_period=200_000)
+    expected = bs.drifted_counts(state, sett, det, drift, order, trials_per_period=200_000)
     for f in ("singles_a", "singles_b", "coincidences"):
         x = getattr(sim, f).astype(float)
         m = getattr(expected, f)
@@ -503,7 +503,7 @@ def test_randomized_settings_neutralize_drift():
     sett = bs.MeasurementSettings(4.4, -28.0, -5.4, 25.9)
     det = bs.DetectionModel(eta_a=0.762, eta_b=0.762, pair_mean=0.02,
                             bg_a=9e-5, bg_b=9e-5)
-    drift = bs.DriftModel(setting_order=(0, 3, 1, 2), final_fraction=0.82)
+    drift = bs.DriftModel(final_fraction=0.82)
     pa, pb, pab = bs.expected_rates(state, sett, det)
     b_free = (pab[0] + pab[1] + pab[2] - pab[3]) - pa[0] - pb[0]
     values = []
@@ -593,11 +593,6 @@ def test_config_validation():
         quick_cfg(n_blocks=0)
     with pytest.raises(ValidationError):
         quick_cfg(schedule_kind="file")  # no file given
-    with pytest.raises(ValidationError, match=r"setting_order \[0, 3, 1, 2\] differs from "
-                                              r"cyclic_order \[0, 1, 2, 3\]"):
-        quick_cfg(schedule_kind="cyclic", drift=bs.DriftModel(setting_order=(0, 3, 1, 2)))
-    # other schedules apply the drift by block index
-    quick_cfg(drift=bs.DriftModel(setting_order=(0, 3, 1, 2)))
 
 
 def test_calibration_recovers_rates():

@@ -136,7 +136,8 @@ def test_drift_separable_state_fakes_ratio_violation():
         mixed_hh_vv(),
         bs.MeasurementSettings(a=33.75, a_prime=-11.25, b=-33.75, b_prime=11.25),
         bs.DetectionModel(eta_a=0.762, eta_b=0.762, pair_mean=1.0),
-        bs.DriftModel(setting_order=(0, 2, 1, 3), final_fraction=0.03),
+        bs.DriftModel(final_fraction=0.03),
+        order=(0, 2, 1, 3),
     )
     assert bs.chprime_from_counts(table, "conditional") == pytest.approx(1.17, abs=0.05)
     # the honest pooled estimator on the same counts does not violate
@@ -154,7 +155,7 @@ def test_drift_noisy_state_fakes_difference_violation():
     )
     assert bs.ch_value(state, sett, det) < 0  # honestly below threshold
     table = bs.drifted_counts(
-        state, sett, det, bs.DriftModel(setting_order=(0, 3, 1, 2), final_fraction=0.82)
+        state, sett, det, bs.DriftModel(final_fraction=0.82), order=(0, 3, 1, 2)
     )
     assert bs.ch_from_counts(table, "conditional") == pytest.approx(0.005, abs=0.002)
 
@@ -163,32 +164,16 @@ def test_identity_drift_matches_analytic():
     state = bs.make_eberhard_state(0.4)
     sett = bs.MeasurementSettings(3.8, -25.2, -3.8, 25.2)
     det = bs.DetectionModel(eta_a=0.8, eta_b=0.7, pair_mean=0.5, bg_a=1e-4, bg_b=2e-4)
-    for kind in ("piecewise-geometric", "continuous-exponential-integrated"):
-        table = bs.drifted_counts(
-            state, sett, det, bs.DriftModel(decay_kind=kind, final_fraction=1.0), cycles=3
-        )
-        assert bs.ch_from_counts(table) == pytest.approx(bs.ch_value(state, sett, det), abs=1e-12)
-        assert bs.chprime_from_counts(table) == pytest.approx(
-            bs.ch_prime_value(state, sett, det), abs=1e-12
-        )
-
-
-def test_drift_supports_strategy_sources():
-    table = bs.drifted_counts(
-        bs.demo_strategy_ideal(),
-        bs.MeasurementSettings(0, 45, 0, 45),
-        bs.DetectionModel.ideal(),
-        bs.DriftModel(final_fraction=0.5),
+    table = bs.drifted_counts(state, sett, det, bs.DriftModel(final_fraction=1.0), cycles=3)
+    assert bs.ch_from_counts(table) == pytest.approx(bs.ch_value(state, sett, det), abs=1e-12)
+    assert bs.chprime_from_counts(table) == pytest.approx(
+        bs.ch_prime_value(state, sett, det), abs=1e-12
     )
-    # a classical source cannot violate no matter the honest estimator,
-    # and the drift cannot hide that from the pooled estimator either
-    assert table.coincidences[3] > 0
 
 
 def test_drift_model_validation():
-    with pytest.raises(ValidationError):
-        bs.DriftModel(setting_order=(0, 1, 2, 2))
+    state, sett = bs.make_eberhard_state(0.4), bs.MeasurementSettings(0, 45, 0, 45)
+    with pytest.raises(ValidationError, match="permutation"):
+        bs.drifted_counts(state, sett, bs.DetectionModel(), bs.DriftModel(), order=(0, 1, 2, 2))
     with pytest.raises(ValidationError):
         bs.DriftModel(final_fraction=0.0)
-    with pytest.raises(ValidationError):
-        bs.DriftModel(decay_kind="linear")

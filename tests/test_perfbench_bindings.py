@@ -53,6 +53,27 @@ def test_traced_pipeline_hooks_the_timetag_io(monkeypatch, tmp_path):
     assert tracer.counts["counting.timetag_bytes"] == 9 * written + 9 * len(csv_records)
 
 
+def test_traced_event_count_reads_the_binary_file(monkeypatch, tmp_path):
+    # the event-window counter reads TimetagFile.channels
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    import spans
+
+    cfg = bs.ExperimentConfig(state=bs.make_eberhard_state(0.26),
+                              settings=bs.reference_settings(), det=bs.DetectionModel(),
+                              trials_per_block=200, n_blocks=4, schedule_kind="cyclic",
+                              rng_seed=5)
+    (tmp_path / "config.json").write_text(cfg.to_json())
+    assert cli.main(["simulate", str(tmp_path / "config.json"), "--timetags",
+                     "--out", str(tmp_path), "--quiet"]) == 0
+    tracer = spans.Tracer()
+    with spans.installed(tracer):
+        assert cli.main(["analyze", str(tmp_path / "timetags.bin"), "--window", "event:2",
+                         "--settings", str(tmp_path / "trial_settings.txt"),
+                         "--out", str(tmp_path / "event"), "--quiet"]) == 0
+    records = (tmp_path / "timetags.bin").stat().st_size // 9
+    assert tracer.counts["counting.event_detections"] == records - 4 * 200
+
+
 SOURCE = ["--eta", "0.75", "--bg", "6.55e-5", "--pair-mean", "0.033"]
 
 

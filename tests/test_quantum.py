@@ -335,12 +335,12 @@ def test_drifted_counts_equal_per_period_sum():
     state = bs.make_eberhard_state(0.4)
     sett = bs.MeasurementSettings(3.8, -25.2, -3.8, 25.2)
     det = bs.DetectionModel(eta_a=0.8, eta_b=0.7, pair_mean=0.9, bg_a=1e-3, bg_b=2e-3)
-    drift = bs.DriftModel(setting_order=(3, 1, 0, 2), final_fraction=0.4)
+    drift, order = bs.DriftModel(final_fraction=0.4), (3, 1, 0, 2)
     n, cycles = 50_000, 3
-    table = bs.drifted_counts(state, sett, det, drift, cycles=cycles, trials_per_period=n)
+    table = bs.drifted_counts(state, sett, det, drift, order, cycles=cycles, trials_per_period=n)
     expect = np.zeros((4, 4))
     for period, m in enumerate(drift.multipliers(4 * cycles)):
-        combo = drift.setting_order[period % 4]
+        combo = order[period % 4]
         x, y = (sett.a, sett.a_prime)[combo >> 1], (sett.b, sett.b_prime)[combo & 1]
         mu = det.pair_mean
         # the multiplier scales the whole linear rate, background included
