@@ -25,7 +25,6 @@ from .counting import (
 )
 from .eberhard import (
     OptimizationResult,
-    SweepPoint,
     bprime_vs_r_sweep,
     critical_efficiency,
     optimize,

@@ -3,9 +3,10 @@
 Subcommands: simulate, analyze, optimize, sweep, lhv-demo, dire.
 Structured results are JSON, plot-ready curves are CSV, and every run
 writes a manifest.json next to its outputs recording the subcommand,
-inputs, seed, output paths, tool version, and timestamp; optimize and
-sweep also record how many coordinate descents ran out of sweeps
-(`exhausted_refinements`).
+output paths, tool version and timestamp, and as its inputs every parsed
+argument but the subcommand, --out and --quiet, so the parser is the one
+list of a command's inputs; optimize and sweep also record how many
+coordinate descents ran out of sweeps (`exhausted_refinements`).
 
 Exit codes: 0 success, 2 validation failure, 3 I/O failure,
 4 numerical failure.
@@ -16,6 +17,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import datetime
+import functools
 import json
 import math
 import sys
@@ -76,12 +78,14 @@ def _say(args, message: str) -> None:
         print(message)
 
 
-def _write_manifest(args, subcommand: str, inputs: dict, outputs: list[Path],
-                    **diagnostics) -> None:
+# parsed arguments that are not inputs of the run
+_NOT_INPUTS = ("command", "func", "out", "quiet")
+
+
+def _write_manifest(args, outputs: list[Path], **diagnostics) -> None:
     manifest = {
-        "subcommand": subcommand,
-        "inputs": inputs,
-        "seed": getattr(args, "seed", None),
+        "subcommand": args.command,
+        "inputs": {k: v for k, v in vars(args).items() if k not in _NOT_INPUTS},
         "outputs": [str(p) for p in outputs],
         "tool_version": __version__,
         "timestamp": datetime.datetime.now(datetime.timezone.utc).isoformat(),
@@ -156,7 +160,7 @@ def _cmd_simulate(args) -> int:
     cfg_path = _out_path(args, "config.used.json")
     cfg_path.write_text(cfg.to_json())
     outputs.append(cfg_path)
-    _write_manifest(args, "simulate", {"config": str(args.config)}, outputs, **diagnostics)
+    _write_manifest(args, outputs, **diagnostics)
     return EXIT_OK
 
 
@@ -229,9 +233,7 @@ def _cmd_analyze(args) -> int:
     out_path = _out_path(args, "bell_result.json")
     out_path.write_text(text + "\n")
     dropped = "pre_marker_detections_dropped"
-    _write_manifest(args, "analyze", {"input": str(args.input),
-                                      "window": args.window,
-                                      "singles_mode": args.singles_mode}, [out_path],
+    _write_manifest(args, [out_path],
                     **{dropped: table.meta[dropped]} if dropped in table.meta else {})
     return EXIT_OK
 
@@ -241,9 +243,10 @@ def _cmd_analyze(args) -> int:
 
 
 def _det_from_args(args) -> DetectionModel:
-    eta_b = args.eta_b if args.eta_b is not None else args.eta
+    if args.eta_b is None:  # the manifest records the efficiency used
+        args.eta_b = args.eta
     return DetectionModel(
-        eta_a=args.eta, eta_b=eta_b, pair_mean=args.pair_mean,
+        eta_a=args.eta, eta_b=args.eta_b, pair_mean=args.pair_mean,
         bg_a=args.bg, bg_b=args.bg,
     )
 
@@ -255,10 +258,7 @@ def _cmd_optimize(args) -> int:
     print(text)
     out_path = _out_path(args, "optimization.json")
     out_path.write_text(text + "\n")
-    _write_manifest(args, "optimize", {"eta": args.eta, "eta_b": det.eta_b, "bg": args.bg,
-                                       "pair_mean": args.pair_mean, "fix_r": args.fix_r,
-                                       "objective": args.objective, "model": args.model},
-                    [out_path], exhausted_refinements=result.exhausted_refinements)
+    _write_manifest(args, [out_path], exhausted_refinements=result.exhausted_refinements)
     return EXIT_OK
 
 
@@ -285,9 +285,7 @@ def _cmd_sweep(args) -> int:
         _say(args, f"violation (B' > 1) for r in [{interval[0]:.3f}, {interval[1]:.3f}]")
     else:
         _say(args, "no violation anywhere on the grid")
-    _write_manifest(args, "sweep", {"eta": args.eta, "eta_b": det.eta_b, "bg": args.bg,
-                                    "pair_mean": args.pair_mean,
-                                    "r_grid": args.r_grid, "model": args.model}, [out_path],
+    _write_manifest(args, [out_path],
                     exhausted_refinements=sum(p.exhausted_refinements for p in points))
     return EXIT_OK
 
@@ -298,7 +296,7 @@ def _cmd_sweep(args) -> int:
 
 def _cmd_lhv_demo(args) -> int:
     # the range ExperimentConfig.rng_seed takes, so --seed means one range
-    if args.seed is not None and not 0 <= args.seed < 2**64:
+    if not 0 <= args.seed < 2**64:
         raise ValidationError("--seed must fit in an unsigned 64-bit integer")
     outputs = []
     if args.what == "tables":
@@ -312,7 +310,7 @@ def _cmd_lhv_demo(args) -> int:
     elif args.what == "timing":
         if args.trials < 0:
             raise ValidationError("--trials must be >= 0")
-        rng = np.random.default_rng(args.seed or 0)
+        rng = np.random.default_rng(args.seed)
         schedule = coincidence_loophole_schedule()
         # trials never interleave, so ranges of trials are written one after another
         per_range = max(counting.CHUNK_RECORDS // (1 + len(schedule)), 1)
@@ -349,7 +347,7 @@ def _cmd_lhv_demo(args) -> int:
             f"B' = {chprime_from_counts(table, 'conditional'):.3f} with late-sampled "
             "singles (a fake violation; randomized settings remove it)",
         )
-    _write_manifest(args, "lhv-demo", {"what": args.what, "trials": args.trials}, outputs)
+    _write_manifest(args, outputs)
     return EXIT_OK
 
 
@@ -381,8 +379,7 @@ def _cmd_dire(args) -> int:
         outputs.append(bits_path)
         _say(args, f"extracted {out_len} bits -> {bits_path}")
 
-    _write_manifest(args, "dire", {"counts": str(args.counts), "policy": args.policy,
-                                   "seconds": args.seconds, "epsilon": args.epsilon}, outputs)
+    _write_manifest(args, outputs)
     return EXIT_OK
 
 
@@ -396,10 +393,13 @@ def build_parser() -> argparse.ArgumentParser:
         description="Simulate and analyze detection-probability Bell tests",
     )
     parser.add_argument("--version", action="version", version=f"bellsim {__version__}")
-    sub = parser.add_subparsers(dest="command", required=True)
+    # options are spelled in full, so an option one command lacks is an
+    # error there, not a prefix of another (dire's --seed of --seed-file)
+    sub = parser.add_subparsers(
+        dest="command", required=True,
+        parser_class=functools.partial(argparse.ArgumentParser, allow_abbrev=False))
 
     def common(p):
-        p.add_argument("--seed", type=int, default=None, help="override the RNG seed")
         p.add_argument("--out", default=".", help="output directory (default: .)")
         p.add_argument("--quiet", action="store_true", help="suppress progress text")
 
@@ -407,6 +407,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("config", help="experiment config JSON")
     p.add_argument("--timetags", action="store_true",
                    help="emit a timetag stream instead of block counts")
+    p.add_argument("--seed", type=int, default=None, help="override the config's rng_seed")
     common(p)
     p.set_defaults(func=_cmd_simulate)
 
@@ -425,30 +426,32 @@ def build_parser() -> argparse.ArgumentParser:
     common(p)
     p.set_defaults(func=_cmd_analyze)
 
+    def source(p, pair_mean, model):
+        p.add_argument("--eta", type=float, required=True)
+        p.add_argument("--eta-b", type=float, default=None,
+                       help="Bob-arm efficiency if different")
+        p.add_argument("--bg", type=float, default=0.0,
+                       help="background probability per trial/arm")
+        p.add_argument("--pair-mean", type=float, default=pair_mean)
+        p.add_argument("--model", default=model, choices=MODELS)
+
     p = sub.add_parser("optimize", help="best state/settings for a detection model")
-    p.add_argument("--eta", type=float, required=True)
-    p.add_argument("--eta-b", type=float, default=None, help="Bob-arm efficiency if different")
-    p.add_argument("--bg", type=float, default=0.0, help="background probability per trial/arm")
-    p.add_argument("--pair-mean", type=float, default=1.0)
+    source(p, pair_mean=1.0, model="linear")
     p.add_argument("--fix-r", type=float, default=None)
     p.add_argument("--objective", default="b", choices=OBJECTIVES)
-    p.add_argument("--model", default="linear", choices=MODELS)
     common(p)
     p.set_defaults(func=_cmd_optimize)
 
     p = sub.add_parser("sweep", help="optimized B' as a function of r")
-    p.add_argument("--eta", type=float, required=True)
-    p.add_argument("--eta-b", type=float, default=None)
-    p.add_argument("--bg", type=float, default=0.0)
-    p.add_argument("--pair-mean", type=float, default=0.033)
+    source(p, pair_mean=0.033, model="compound")
     p.add_argument("--r-grid", default="0.05:1.0:0.05", help="start:stop:step")
-    p.add_argument("--model", default="compound", choices=MODELS)
     common(p)
     p.set_defaults(func=_cmd_sweep)
 
     p = sub.add_parser("lhv-demo", help="emit the classical-adversary demonstrations")
     p.add_argument("--what", default="tables", choices=("tables", "timing", "drift"))
     p.add_argument("--trials", type=int, default=4000)
+    p.add_argument("--seed", type=int, default=0, help="RNG seed of the timing stream")
     common(p)
     p.set_defaults(func=_cmd_lhv_demo)
 

@@ -340,9 +340,10 @@ class CountsTable:
 
     Rows follow SETTING_LABELS order: (a,b), (a,b'), (a',b), (a',b').
     Counts are integers for measured data; tables of expected values
-    (drift predictions) may carry floats.  Coincidences may exceed trials
-    only in an event-windowed table (meta["window"] "event:..."), which
-    counts detection pairs, several of which can fall in one trial.
+    (drift predictions) may carry floats.  Singles and coincidences may
+    exceed trials only in an event-windowed table (meta["window"]
+    "event:..."), which counts detections and detection pairs, several of
+    which can fall in one trial.
     """
 
     n_trials: np.ndarray
@@ -365,9 +366,10 @@ class CountsTable:
             if np.any(arr < 0):
                 raise ValidationError(f"{name} contains negative entries")
             setattr(self, name, arr)
-        event_pairs = str(self.meta.get("window", "")).startswith("event:")
-        if not event_pairs and np.any(self.coincidences > self.n_trials + 1e-9):
-            raise ValidationError("coincidences exceed trials in some row")
+        if not str(self.meta.get("window", "")).startswith("event:"):
+            for name in ("coincidences", "singles_a", "singles_b"):
+                if np.any(getattr(self, name) > self.n_trials + 1e-9):
+                    raise ValidationError(f"{name} exceed trials in some row")
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, CountsTable):

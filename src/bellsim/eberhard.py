@@ -325,45 +325,30 @@ def critical_efficiency(r: float, bg: float = 0.0) -> float:
     return eta
 
 
-@dataclass(frozen=True)
-class SweepPoint:
-    r: float
-    b_prime: float
-    settings: MeasurementSettings
-    exhausted_refinements: int = 0
-
-
 def bprime_vs_r_sweep(
     det: DetectionModel,
     r_grid: Sequence[float],
     model: str = "compound",
-) -> list[SweepPoint]:
-    """Optimized ratio-form value for each r on the grid."""
+) -> list[OptimizationResult]:
+    """The ratio-form optimum at each r on the grid."""
     if len(r_grid) == 0:
         raise ValidationError("r_grid must be nonempty")
-    points = []
-    for r in r_grid:
-        res = optimize(det, objective="b-prime", fix_r=float(r), model=model)
-        points.append(SweepPoint(r=float(r), b_prime=res.predicted_b_prime,
-                                 settings=res.settings,
-                                 exhausted_refinements=res.exhausted_refinements))
-    return points
+    return [optimize(det, objective="b-prime", fix_r=float(r), model=model) for r in r_grid]
 
 
-def sweep_to_csv(points: Sequence[SweepPoint]) -> str:
+def sweep_to_csv(points: Sequence[OptimizationResult]) -> str:
     buf = io.StringIO()
     buf.write("r,B_prime,a,a_prime,b,b_prime\n")
     for p in points:
         s = p.settings
-        buf.write(
-            f"{p.r:.6g},{p.b_prime:.8g},{s.a:.4f},{s.a_prime:.4f},{s.b:.4f},{s.b_prime:.4f}\n"
-        )
+        buf.write(f"{p.r:.6g},{p.predicted_b_prime:.8g},"
+                  f"{s.a:.4f},{s.a_prime:.4f},{s.b:.4f},{s.b_prime:.4f}\n")
     return buf.getvalue()
 
 
-def violation_interval(points: Sequence[SweepPoint]) -> tuple[float, float] | None:
-    """Smallest and largest grid r with b_prime > 1, or None."""
-    viol = [p.r for p in points if p.b_prime > 1.0]
+def violation_interval(points: Sequence[OptimizationResult]) -> tuple[float, float] | None:
+    """Smallest and largest grid r with predicted B' > 1, or None."""
+    viol = [p.r for p in points if p.predicted_b_prime > 1.0]
     if not viol:
         return None
     return min(viol), max(viol)

@@ -533,5 +533,7 @@ def blocks_from_csv(text: str) -> list[BlockRecord]:
             raise FormatError(f"negative count in {row!r}", lineno)
         if coinc > n:
             raise FormatError(f"coincidences exceed trials in {row!r}", lineno)
+        if singles_a > n or singles_b > n:
+            raise FormatError(f"singles exceed trials in {row!r}", lineno)
         records.append(BlockRecord(setting, n, singles_a, singles_b, coinc))
     return records

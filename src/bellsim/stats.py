@@ -167,8 +167,9 @@ def partition_values(
     four setting pairs whenever each pair has at least k blocks."""
     arr = block_array(blocks)
     tally = tally_blocks(arr, _partition_index(arr[:, 0], k), k)
-    n, c = tally[0], tally[3]
-    unusable = (tally < 0).any(axis=(0, 1)) | (c > n).any(axis=0) | (n <= 0).any(axis=0)
+    n = tally[0]
+    unusable = ((tally < 0).any(axis=(0, 1)) | (tally[1:] > n).any(axis=(0, 1))
+                | (n <= 0).any(axis=0))
     if unusable.any():
         # the first unusable partition raises exactly what its counts table does
         i = int(np.argmax(unusable))

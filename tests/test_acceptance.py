@@ -162,7 +162,7 @@ def test_criterion_07_bprime_curve_shape():
     grid = np.round(np.arange(0.04, 1.0001, 0.02), 4)
     points = bs.bprime_vs_r_sweep(det, grid)
     lo, hi = bs.violation_interval(points)
-    by_r = {p.r: p.b_prime for p in points}
+    by_r = {p.r: p.predicted_b_prime for p in points}
 
     assert lo <= 0.26 <= hi
     assert lo == pytest.approx(0.20, abs=0.07)

@@ -335,6 +335,9 @@ def test_dire_non_finite_seconds_is_exit_2(seconds, tmp_path, reference_counts):
     assert not (tmp_path / "dire_report.json").exists()
 
 
+_AB_TRIALS = int(bs.reference_run_counts().n_trials[0])
+
+
 def _reference_counts_with(label, name, value):
     doc = bs.reference_run_counts().to_json_dict()
     doc[label][name] = value
@@ -388,6 +391,10 @@ MALFORMED_INPUTS = {
         "analyze", lambda: _reference_counts_with("ab", "coincidences", float("nan"))),
     "dire-counts-infinite-trials": (
         "dire", lambda: _reference_counts_with("a'b", "n_trials", float("inf"))),
+    "analyze-counts-singles-over-trials": (
+        "analyze", lambda: _reference_counts_with("ab", "singles_a", _AB_TRIALS + 1)),
+    "dire-counts-singles-over-trials": (
+        "dire", lambda: _reference_counts_with("ab", "singles_a", _AB_TRIALS + 1)),
 }
 
 
@@ -682,6 +689,53 @@ def test_sweep_manifest_records_every_input(tmp_path):
     assert isinstance(manifest["exhausted_refinements"], int)
 
 
+# subcommand -> its arguments, with COUNTS, CONFIG, RAW and SEED standing
+# for input files; every option is set that the input does not rule out
+MANIFEST_ARGVS = {
+    "simulate": ["CONFIG", "--timetags", "--seed", "5"],
+    "analyze": ["COUNTS", "--singles-mode", "paired", "--sigma", "0.01",
+                "--sigma-partitions", "7"],
+    "optimize": ["--eta", "1", "--eta-b", "0.9", "--bg", "0", "--pair-mean", "1",
+                 "--model", "linear", "--fix-r", "1", "--objective", "b"],
+    "sweep": ["--eta", "0.75", "--eta-b", "0.76", "--bg", "6.55e-5", "--pair-mean", "0.033",
+              "--model", "compound", "--r-grid", "0.26:0.26:0.1"],
+    "lhv-demo": ["--what", "tables", "--trials", "1000", "--seed", "3"],
+    "dire": ["COUNTS", "--seconds", "10800", "--policy", "sha-half", "--epsilon", "1e-9",
+             "--extract", "RAW", "--seed-file", "SEED"],
+}
+
+
+@pytest.mark.parametrize("command", sorted(MANIFEST_ARGVS))
+def test_manifest_inputs_are_the_parsed_arguments(command, config_path, tmp_path,
+                                                  reference_counts):
+    files = {"COUNTS": tmp_path / "counts.json", "CONFIG": config_path,
+             "RAW": tmp_path / "raw.bin", "SEED": tmp_path / "seed.bin"}
+    files["COUNTS"].write_text(reference_counts.to_json())
+    files["RAW"].write_bytes(bytes(range(256)) * 8)
+    files["SEED"].write_bytes(b"\xa5" * 2600)
+    argv = [command, *(str(files.get(a, a)) for a in MANIFEST_ARGVS[command])]
+    out = tmp_path / "out"
+    assert main([*argv, "--out", str(out), "--quiet"]) == 0
+    parsed = vars(cli.build_parser().parse_args(argv))
+    for name in ("command", "func", "out", "quiet"):
+        del parsed[name]
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["subcommand"] == command
+    assert manifest["inputs"] == parsed
+    assert "seed" not in manifest
+
+
+@pytest.mark.parametrize("argv", [
+    ["dire", "counts.json", "--seconds", "10"],
+    ["optimize", "--eta", "1"],
+    ["sweep", "--eta", "0.75"],
+], ids=["dire", "optimize", "sweep"])
+def test_seed_is_a_usage_error_where_nothing_reads_it(argv):
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, "--seed", "1"])
+    assert exc.value.code == 2
+
+
 def test_free_r_optimize_counts_exhausted_refinements(tmp_path):
     # the design-sweep source: one coordinate descent of the free-r search
     # runs out of sweeps
@@ -757,7 +811,8 @@ def test_analyze_oversized_block_count_is_exit_2(tmp_path, capsys):
 @pytest.mark.parametrize("row, message", [
     ("0,10,-5,1,1", "negative count"),
     ("0,5,10,10,10", "coincidences exceed trials"),
-], ids=["negative-singles", "coincidences-over-trials"])
+    ("0,10,20,8,9", "singles exceed trials"),
+], ids=["negative-singles", "coincidences-over-trials", "singles-over-trials"])
 def test_analyze_malformed_block_row_is_exit_2(row, message, tmp_path, capsys):
     # a given sigma skips the partitions, so only the reader can catch it
     path = tmp_path / "blocks.csv"

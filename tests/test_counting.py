@@ -466,6 +466,17 @@ def test_only_event_tables_may_hold_more_pairs_than_trials():
         bs.CountsTable.from_json(table.to_json())
 
 
+def test_only_event_tables_may_hold_more_singles_than_trials():
+    rows = dict(n_trials=[10, 10, 10, 10], singles_a=[0, 0, 0, 0], singles_b=[0, 20, 0, 0],
+                coincidences=[0, 0, 0, 0])
+    assert bs.CountsTable(**rows, meta={"window": "event:25"}).singles_b[1] == 20
+    with pytest.raises(ValidationError, match="singles_b exceed trials"):
+        bs.CountsTable(**rows)
+    # an expected-value table may sit within rounding above its trials
+    bs.CountsTable(n_trials=[0.5] * 4, singles_a=[0.5 + 1e-12] * 4, singles_b=[0.5] * 4,
+                   coincidences=[0.5] * 4)
+
+
 def test_window_policy_validation():
     with pytest.raises(ValidationError):
         bs.WindowPolicy("event")

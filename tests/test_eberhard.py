@@ -146,7 +146,7 @@ def test_sweep_violation_window(reference_sweep):
 
 
 def test_sweep_no_violation_at_extremes(reference_sweep):
-    by_r = {p.r: p.b_prime for p in reference_sweep}
+    by_r = {p.r: p.predicted_b_prime for p in reference_sweep}
     assert by_r[1.0] <= 1.0
     assert by_r[0.04] <= 1.0
 
@@ -155,14 +155,14 @@ def test_sweep_ideal_detection_violates_everywhere():
     det = bs.DetectionModel.ideal()
     pts = bs.bprime_vs_r_sweep(det, [0.1, 0.3, 0.6, 1.0], model="linear")
     for p in pts:
-        assert p.b_prime > 1.0
+        assert p.predicted_b_prime > 1.0
 
 
 def test_sweep_subthreshold_never_violates():
     det = bs.DetectionModel(eta_a=0.5, eta_b=0.5, pair_mean=1.0)
     pts = bs.bprime_vs_r_sweep(det, [0.1, 0.3, 0.6, 1.0], model="linear")
     for p in pts:
-        assert p.b_prime <= 1.0
+        assert p.predicted_b_prime <= 1.0
 
 
 def test_sweep_csv_format(reference_sweep):

@@ -125,6 +125,17 @@ def test_partition_insufficient_data():
         bs.partition_sigma(blocks, k=50)
 
 
+def test_partition_values_reject_singles_above_trials():
+    # two blocks of each setting pair; the (a,b') block of partition 1 has
+    # 20 singles in 10 trials, as its counts table would not accept
+    blocks = [bs.BlockRecord(s, 10, 5, 5, 2) for s in range(4) for _ in range(2)]
+    blocks[3] = bs.BlockRecord(1, 10, 20, 5, 2)
+    with pytest.raises(ValidationError, match="singles_a exceed trials"):
+        bs.partition_values(blocks, k=2)
+    blocks[3] = bs.BlockRecord(1, 10, 10, 5, 2)
+    assert bs.partition_values(blocks, k=2).shape == (2,)
+
+
 def test_violations_by_partition_counts():
     rng = np.random.default_rng(55)
     blocks, _ = synthetic_blocks(rng)
