@@ -46,8 +46,6 @@ from .engine import (
 from .errors import BellSimError, FormatError, NumericalError, ValidationError
 from .lhv import (
     DriftModel,
-    LhvClass,
-    LhvStrategy,
     coincidence_loophole_schedule,
     coincidence_time_stream,
     counts_from_strategy,

@@ -271,7 +271,10 @@ def _parse_grid(spec: str) -> np.ndarray:
         raise ValidationError(f"--r-grid needs finite numbers, got {spec!r}")
     if step <= 0 or stop < start:
         raise ValidationError("--r-grid needs step > 0 and stop >= start")
-    return np.arange(start, stop + 1e-12, step)
+    try:
+        return np.arange(start, stop + 1e-12, step)
+    except (MemoryError, ValueError) as exc:  # too many points to hold
+        raise ValidationError(f"--r-grid {spec!r} cannot be built: {exc}") from None
 
 
 def _cmd_sweep(args) -> int:

@@ -2,12 +2,13 @@
 
 Three families, all fully deterministic given their parameters:
 
-1. Instruction sets: each pair class carries per-setting detection flags
-   for both sides.  Classes with weight w contribute w pairs to each of
-   the four setting combinations, so count tables derived from them are
-   exact integer arithmetic.  No instruction set can push the
-   detection-probability Bell combination above 0 (ratio form above 1);
-   the enumeration over all 16 deterministic one-detector-per-arm
+1. Instruction sets, held in their normal form: 16 non-negative integer
+   weights, weight s being the number of pairs that follow deterministic
+   one-detector-per-arm strategy s (detected under a, a', b, b' as bits
+   3, 2, 1, 0 of s).  Each pair contributes to each of the four setting
+   combinations, so a count table is one integer table times the
+   weights.  No instruction set can push the detection-probability Bell
+   combination above 0 (ratio form above 1); the maximum over the 16
    strategies is included as the explicit proof of that bound.
 
 2. An emission-time schedule that defeats event-windowed coincidence
@@ -31,7 +32,6 @@ Three families, all fully deterministic given their parameters:
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import astuple, dataclass
 from typing import Sequence
@@ -60,127 +60,80 @@ from .quantum import (
 _INT64_MAX = np.iinfo(np.int64).max
 
 
-@dataclass(frozen=True)
-class LhvClass:
-    """One pair class: weight plus per-setting detection flags per side."""
-
-    weight: int
-    fires_a: tuple[bool, bool]  # detected under (a, a')
-    fires_b: tuple[bool, bool]  # detected under (b, b')
-
-    def __post_init__(self):
-        if self.weight < 0:
-            raise ValidationError("class weight must be >= 0")
-        if len(self.fires_a) != 2 or len(self.fires_b) != 2:
-            raise ValidationError("fires_a/fires_b must carry one flag per setting")
+# Singles A, singles B and coincidences (layers) of deterministic strategy s
+# (columns) at each setting pair c (rows, primed flags c >> 1 and c & 1).
+# Strategy s fires under a, a', b, b' as bits 3, 2, 1, 0 of s.
+_COMBO = np.arange(4)[:, None]
+_FIRES_A = (np.arange(16) >> (3 - (_COMBO >> 1))) & 1
+_FIRES_B = (np.arange(16) >> (1 - (_COMBO & 1))) & 1
+_STRATEGY_COUNTS = np.stack([_FIRES_A, _FIRES_B, _FIRES_A & _FIRES_B]).astype(np.int64)
 
 
-@dataclass(frozen=True)
-class LhvStrategy:
-    """A weighted collection of instruction-set pair classes."""
-
-    classes: tuple[LhvClass, ...]
-
-    def __post_init__(self):
-        if not self.classes:
-            raise ValidationError("strategy needs at least one class")
-
-    @property
-    def total_weight(self) -> int:
-        return sum(c.weight for c in self.classes)
+def _weights(classes: dict) -> np.ndarray:
+    """Strategy weights from {(fires under a, a', b, b'): pairs}."""
+    w = np.zeros(16, dtype=np.int64)
+    for flags, pairs in classes.items():
+        w[np.dot(flags, (8, 4, 2, 1))] = pairs
+    return w
 
 
-def _cls(w, fa, fb) -> LhvClass:
-    return LhvClass(w, (bool(fa[0]), bool(fa[1])), (bool(fb[0]), bool(fb[1])))
-
-
-def demo_strategy_ideal() -> LhvStrategy:
+def demo_strategy_ideal() -> np.ndarray:
     """Best instruction set against ideal-detector maximally entangled counts.
 
     Matches the quantum coincidences exactly but necessarily overshoots
     the singles on the unprimed settings (604 vs 500 per 1000 pairs).
     """
-    return LhvStrategy((
-        _cls(73, (1, 1), (1, 1)),
-        _cls(177, (1, 1), (1, 0)),
-        _cls(177, (1, 0), (1, 1)),
-        _cls(177, (1, 0), (0, 1)),
-        _cls(177, (0, 1), (1, 0)),
-        _cls(73, (0, 1), (0, 0)),
-        _cls(73, (0, 0), (0, 1)),
-    ))
+    return _weights({(1, 1, 1, 1): 73, (1, 1, 1, 0): 177, (1, 0, 1, 1): 177,
+                     (1, 0, 0, 1): 177, (0, 1, 1, 0): 177, (0, 1, 0, 0): 73,
+                     (0, 0, 0, 1): 73})
 
 
-def demo_strategy_82pct() -> LhvStrategy:
+def demo_strategy_82pct() -> np.ndarray:
     """Instruction set that exactly mimics 82%-efficient quantum counts."""
-    return LhvStrategy((
-        _cls(49, (1, 1), (1, 1)),
-        _cls(119, (1, 1), (1, 0)),
-        _cls(119, (1, 0), (1, 1)),
-        _cls(119, (1, 0), (0, 1)),
-        _cls(119, (0, 1), (1, 0)),
-        _cls(123, (0, 1), (0, 0)),
-        _cls(123, (0, 0), (0, 1)),
-        _cls(4, (1, 0), (0, 0)),
-        _cls(4, (0, 0), (1, 0)),
-    ))
+    return _weights({(1, 1, 1, 1): 49, (1, 1, 1, 0): 119, (1, 0, 1, 1): 119,
+                     (1, 0, 0, 1): 119, (0, 1, 1, 0): 119, (0, 1, 0, 0): 123,
+                     (0, 0, 0, 1): 123, (1, 0, 0, 0): 4, (0, 0, 1, 0): 4})
 
 
-def _pair_weights(strategy: LhvStrategy):
-    """Summed weight of the classes firing on side A, on side B and on both,
-    each a list over the four setting pairs."""
-    def total(fires):
-        return [sum(c.weight * fires(c, combo >> 1, combo & 1) for c in strategy.classes)
-                for combo in range(4)]
+def counts_from_strategy(weights, trials_per_combo: int) -> CountsTable:
+    """Exact integer counts from an instruction set, no sampling.
 
-    return (total(lambda c, ia, ib: c.fires_a[ia]),
-            total(lambda c, ia, ib: c.fires_b[ib]),
-            total(lambda c, ia, ib: c.fires_a[ia] and c.fires_b[ib]))
-
-
-def counts_from_strategy(strategy: LhvStrategy, trials_per_combo: int) -> CountsTable:
-    """Exact integer counts from an instruction set, one weight-pair per combo.
-
-    Each class contributes weight * flag products to coincidences and
-    weight * flag to singles in every setting combination; no sampling.
+    weights[s] pairs follow deterministic strategy s in every setting
+    combination, so the counts are the strategy table times the weights.
     """
-    if trials_per_combo < 1:
-        raise ValidationError("trials_per_combo must be >= 1")
-    if strategy.total_weight > trials_per_combo:
-        raise ValidationError(
-            f"total class weight {strategy.total_weight} exceeds trials_per_combo"
-        )
-    singles_a, singles_b, coinc = _pair_weights(strategy)
-    if max(max(singles_a), max(singles_b)) > _INT64_MAX:
-        raise OverflowError("strategy counts overflow 64-bit integers")
-    return CountsTable(
-        n_trials=np.full(4, trials_per_combo, dtype=np.int64),
-        singles_a=np.array(singles_a, dtype=np.int64),
-        singles_b=np.array(singles_b, dtype=np.int64),
-        coincidences=np.array(coinc, dtype=np.int64),
-        meta={"source": "instruction-set"},
-    )
+    w = np.asarray(weights)
+    if w.shape != (16,) or w.dtype.kind not in "iu":
+        raise ValidationError("weights must be 16 integers, one per deterministic strategy")
+    if (w < 0).any():
+        raise ValidationError("strategy weights must be >= 0")
+    if not 1 <= trials_per_combo <= _INT64_MAX:
+        raise ValidationError("trials_per_combo must be in 1..2^63-1")
+    total = sum(int(x) for x in w)  # Python ints, so the sum cannot wrap
+    if total > trials_per_combo:
+        raise ValidationError(f"total strategy weight {total} exceeds trials_per_combo")
+    # every weight is at most total <= 2^63-1, so no count wraps
+    return CountsTable(np.full(4, trials_per_combo, dtype=np.int64),
+                       *(_STRATEGY_COUNTS @ w.astype(np.int64)),
+                       meta={"source": "instruction-set"})
 
 
 def _deterministic_terms():
-    """(strategy, coincidence combination, singles sum) for each of the 16
-    deterministic one-detector-per-arm strategies, one class of weight 1,
-    the combination taken by `quantum.ch_terms` at ideal detection."""
-    for fa0, fa1, fb0, fb1 in itertools.product((False, True), repeat=4):
-        strategy = LhvStrategy((LhvClass(1, (fa0, fa1), (fb0, fb1)),))
-        num, den = ch_terms(*_pair_weights(strategy), DetectionModel.ideal(), "linear")
-        yield strategy, num, den
+    """(coincidence combination, singles sum) of `quantum.ch_terms` at
+    ideal detection, each a 16-vector over the deterministic strategies."""
+    return ch_terms(*_STRATEGY_COUNTS, DetectionModel.ideal(), "linear")
 
 
 def max_deterministic_ch() -> float:
     """Exhaustive maximum of the CH combination over all 16 deterministic
     one-detector-per-arm strategies; equals 0, the classical bound."""
-    return float(max(num - den for _, num, den in _deterministic_terms()))
+    num, den = _deterministic_terms()
+    return float((num - den).max())
 
 
 def max_deterministic_ch_ratio() -> float:
     """Same enumeration for the ratio form; the bound is 1."""
-    return float(max(num / den for _, num, den in _deterministic_terms() if den > 0))
+    num, den = _deterministic_terms()
+    return float((num[den > 0] / den[den > 0]).max())
 
 
 # ---------------------------------------------------------------------------

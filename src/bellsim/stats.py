@@ -173,9 +173,8 @@ def partition_values(
     if unusable.any():
         # the first unusable partition raises exactly what its counts table does
         i = int(np.argmax(unusable))
-        table = CountsTable(*tally[..., i])
         try:
-            ch_from_counts(table, singles_mode)
+            ch_from_counts(CountsTable(*tally[..., i]), singles_mode)
         except ValidationError as exc:
             raise ValidationError(f"partition {i} has insufficient data: {exc}") from None
     return _ch(*tally.astype(float), singles_mode)

@@ -33,18 +33,15 @@ def calibrated_reference_model():
 
 
 def random_strategies(rng: np.random.Generator, count: int):
-    """Seeded stream of random instruction-set strategies for soundness sweeps."""
+    """Seeded stream of random instruction sets (16 strategy weights each)
+    for soundness sweeps: a class count, then per class a weight and its
+    flags under a, a', b, b', the class adding its weight to its strategy."""
     out = []
     for _ in range(count):
-        n_classes = int(rng.integers(1, 8))
-        classes = []
-        for _ in range(n_classes):
-            classes.append(
-                bs.LhvClass(
-                    weight=int(rng.integers(0, 100)),
-                    fires_a=(bool(rng.integers(2)), bool(rng.integers(2))),
-                    fires_b=(bool(rng.integers(2)), bool(rng.integers(2))),
-                )
-            )
-        out.append(bs.LhvStrategy(tuple(classes)))
+        weights = np.zeros(16, dtype=np.int64)
+        for _ in range(int(rng.integers(1, 8))):
+            weight = int(rng.integers(0, 100))
+            flags = [int(rng.integers(2)) for _ in range(4)]
+            weights[8 * flags[0] + 4 * flags[1] + 2 * flags[2] + flags[3]] += weight
+        out.append(weights)
     return out

@@ -47,7 +47,7 @@ def test_criterion_02_lhv_soundness_sweep():
     worst = -np.inf
     checked = 0
     for strat in random_strategies(rng, 1000):
-        table = bs.counts_from_strategy(strat, max(1, strat.total_weight))
+        table = bs.counts_from_strategy(strat, max(1, int(strat.sum())))
         worst = max(worst, bs.ch_from_counts(table))
         checked += 1
     exhaustive = bs.max_deterministic_ch()

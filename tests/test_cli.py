@@ -434,6 +434,15 @@ def test_non_finite_number_argument_is_exit_2(case, tmp_path, capsys, reference_
     assert not (tmp_path / "manifest.json").exists()
 
 
+@pytest.mark.parametrize("grid", ["0:1e9:1e-9", "0:1e300:1e-300"])
+def test_unbuildable_grid_is_exit_2(grid, tmp_path, capsys):
+    # finite, but more points than numpy can allocate or index
+    argv = ["sweep", "--eta", "0.75", "--r-grid", grid, "--out", str(tmp_path), "--quiet"]
+    assert main(argv) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not (tmp_path / "manifest.json").exists()
+
+
 NON_UTF8 = b"\xff\xfe0\n"
 
 
@@ -643,6 +652,29 @@ def test_lhv_demo_drift_counts_frozen(tmp_path):
     assert main(["lhv-demo", "--what", "drift", "--out", str(tmp_path), "--quiet"]) == 0
     data = (tmp_path / "drift_counts.json").read_bytes()
     assert hashlib.sha256(data).hexdigest() == FROZEN_DRIFT
+
+
+# Digests of the instruction-set tables at the default --trials, written
+# under version 0.3.0.
+FROZEN_TABLES = {
+    "instruction_ideal_counts.json":
+        "0eea3fb8b0f89ab155c455edad2c31d1733d5eb29fa042967fb144977e4c3d41",
+    "instruction_82pct_counts.json":
+        "4d23a2cdfb87d788a78b0916c644dcc46c7ae07fdbeed8b3308571a31ae5caaa",
+}
+
+
+def test_lhv_demo_tables_frozen(tmp_path):
+    assert main(["lhv-demo", "--what", "tables", "--out", str(tmp_path), "--quiet"]) == 0
+    for name, digest in FROZEN_TABLES.items():
+        assert hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() == digest
+
+
+def test_lhv_demo_tables_trials_beyond_int64_is_exit_2(tmp_path, capsys):
+    argv = ["lhv-demo", "--what", "tables", "--trials", str(10**20), "--out", str(tmp_path)]
+    assert main([*argv, "--quiet"]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not (tmp_path / "manifest.json").exists()
 
 
 @pytest.mark.parametrize("seed, nearest_legal", [(-1, 0), (2**64, 2**64 - 1)])

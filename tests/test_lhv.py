@@ -30,16 +30,9 @@ def test_82pct_instruction_table_counts():
 
 
 def test_single_always_fire_class_saturates_without_violating():
-    strat = bs.LhvStrategy((bs.LhvClass(1, (True, True), (True, True)),))
-    table = bs.counts_from_strategy(strat, 1000)
+    table = bs.counts_from_strategy(np.eye(16, dtype=np.int64)[15], 1000)
     assert table.coincidences.tolist() == [1, 1, 1, 1]
     assert bs.ch_from_counts(table) == pytest.approx(0.0, abs=1e-15)
-
-
-def test_counts_deterministic_and_order_invariant():
-    strat = bs.demo_strategy_82pct()
-    permuted = bs.LhvStrategy(tuple(reversed(strat.classes)))
-    assert bs.counts_from_strategy(strat, 4000) == bs.counts_from_strategy(permuted, 4000)
 
 
 def test_strategy_weight_must_fit_trials():
@@ -47,10 +40,37 @@ def test_strategy_weight_must_fit_trials():
         bs.counts_from_strategy(bs.demo_strategy_ideal(), 10)
 
 
+@pytest.mark.parametrize("weights", [
+    np.ones(15, dtype=np.int64),
+    np.array([-1] + [0] * 15),
+    np.ones(16),
+    np.ones(16, dtype=bool),
+], ids=["length-15", "negative", "float", "bool"])
+def test_strategy_weights_must_be_16_non_negative_integers(weights):
+    with pytest.raises(ValidationError):
+        bs.counts_from_strategy(weights, 1000)
+
+
+@pytest.mark.parametrize("trials", [0, 2**63, 10**20])
+def test_strategy_trials_must_fit_int64(trials):
+    with pytest.raises(ValidationError, match="trials_per_combo"):
+        bs.counts_from_strategy(np.zeros(16, dtype=np.int64), trials)
+
+
+def test_mixture_counts_are_sum_of_unit_strategy_counts():
+    weights = bs.demo_strategy_82pct()
+    total = int(weights.sum())
+    mixture = bs.counts_from_strategy(weights, total)
+    units = [bs.counts_from_strategy(unit, 1) for unit in np.eye(16, dtype=np.int64)]
+    for field in ("singles_a", "singles_b", "coincidences"):
+        summed = sum(w * getattr(t, field) for w, t in zip(weights, units))
+        assert getattr(mixture, field).tolist() == summed.tolist()
+
+
 def test_soundness_sweep_1000_random_strategies():
     rng = np.random.default_rng(2024)
     for strat in random_strategies(rng, 1000):
-        table = bs.counts_from_strategy(strat, max(1, strat.total_weight))
+        table = bs.counts_from_strategy(strat, max(1, int(strat.sum())))
         assert bs.ch_from_counts(table) <= 1e-12
         if table.singles_a[[0, 1]].sum() + table.singles_b[[0, 2]].sum() > 0:
             assert bs.chprime_from_counts(table) <= 1.0 + 1e-12
@@ -62,11 +82,13 @@ def test_deterministic_enumeration_bounds():
 
 
 def test_deterministic_enumeration_matches_counts_tables():
-    terms = list(lhv._deterministic_terms())
-    assert len({s.classes[0] for s, _, _ in terms}) == 16
-    for strategy, num, den in terms:
-        table = bs.counts_from_strategy(strategy, 1)
-        assert num - den == bs.ch_from_counts(table, "paired")
+    num, den = lhv._deterministic_terms()
+    assert num.shape == den.shape == (16,)
+    # the 16 strategies are distinct
+    assert len({tuple(col) for col in lhv._STRATEGY_COUNTS.reshape(12, 16).T}) == 16
+    for s, unit in enumerate(np.eye(16, dtype=np.int64)):
+        table = bs.counts_from_strategy(unit, 1)
+        assert num[s] - den[s] == bs.ch_from_counts(table, "paired")
 
 
 # ---------------------------------------------------------------------------
