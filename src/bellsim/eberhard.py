@@ -1,15 +1,20 @@
 """Search over state ratio and analyzer angles for the strongest violation.
 
-The optimizer is deliberately derivative-free and deterministic: a
-coarse grid over (a, a') with the reflection tie b = -a, b' = -a'
-(exact for phase-0 states with symmetric arms), followed by coordinate
-descent over all four angles (and r when it is free) with a shrinking
-step down to 1e-3 degree.  The search runs over the real-amplitude
-states r|HH> + |VV> only (phase 0, Eberhard, PRA 47, R747 (1993)),
-where the tie holds.  The coarse axis is 0.5-degree pitch over
-+-45 degrees plus a 0.05-degree fine band around zero, because the
-optimal angles collapse toward horizontal as r -> 0 and a plain
-half-degree grid would miss them entirely.
+One search, `_search`, serves every design quantity: each optimizer
+objective and the critical efficiency are scores of the CH terms,
+maximized over the angles.  It is derivative-free and deterministic: a
+coarse grid over (a, a') with the reflection tie b = -a, b' = -a' (exact
+for phase-0 states with symmetric arms), then coordinate descent over
+all four angles (and r when it is free) with a shrinking step down to
+1e-3 degree.  The search runs over the real-amplitude states
+r|HH> + |VV> only (phase 0, Eberhard, PRA 47, R747 (1993)), where the
+tie holds.  The coarse axis is 0.5-degree pitch over +-45 degrees plus a
+0.05-degree fine band around zero, because the optimal angles collapse
+toward horizontal as r -> 0 and a plain half-degree grid would miss
+them.  The descent starts at the best grid value that is not NaN; -inf
+is a legal worst value, and only a grid that is NaN everywhere raises
+NumericalError.  So at r = 0 (the product state), where some angles
+give a zero singles sum and an undefined B', the search skips them.
 
 The grid is built from separable tables, not from a meshgrid of angles.
 With a = axis_i and a' = axis_j, every coincidence probability is an
@@ -48,14 +53,15 @@ pair per trial and a background bg per trial on each arm,
 B(eta) = eta^2 C - eta S - 2 bg, where C and S are the coincidence
 combination and the singles sum at unit efficiency.  For C > 0 it
 crosses zero at eta* = (S + sqrt(S^2 + 8 bg C)) / (2C).  The critical
-efficiency is the minimum of eta* over the angles, found by the same
-table grid and coordinate descent.
+efficiency is the minimum of eta* over the angles: the search maximizes
+-eta*, with -inf where C <= 0.
 """
 
 from __future__ import annotations
 
 import io
 from dataclasses import asdict, dataclass
+from functools import partial
 from typing import Sequence
 
 import numpy as np
@@ -106,7 +112,9 @@ class OptimizationResult:
             "objective": self.objective,
             "value": self.value,
             "predicted_B": self.predicted_b,
-            "predicted_B_prime": self.predicted_b_prime,
+            # JSON has no NaN: an undefined ratio (zero singles sum) is null
+            "predicted_B_prime": self.predicted_b_prime if np.isfinite(self.predicted_b_prime)
+            else None,
         }
 
 
@@ -126,14 +134,6 @@ def _grid_probs(state, axis: np.ndarray):
     p2_b, p2_bp = singles_prob(state, -a, "B"), singles_prob(state, -ap, "B")
     return ((p1_a, p1_a, p1_ap, p1_ap), (p2_b, p2_bp, p2_b, p2_bp),
             (diag[:, None], table, table.T, diag[None, :]))
-
-
-def _objective(probs, det: DetectionModel, model: str, objective: str):
-    """The objective from `pair_probs`-shaped (p1, p2, p12), broadcasting."""
-    linear = None
-    if objective == "b-over-sigma":
-        linear = [click_probabilities(*pair, det, "linear") for pair in zip(*probs)]
-    return _score(ch_terms(*probs, det, model), linear, objective)
 
 
 def _score(terms, linear, objective: str):
@@ -157,17 +157,16 @@ def _score(terms, linear, objective: str):
     return (num - den) / np.sqrt(np.maximum(var, 1e-300))
 
 
-def _descent_objective(state, det: DetectionModel, model: str, objective: str):
-    """The f(x) of one `_refine` descent, equal bit for bit to
-    float(_objective(pair_probs(state, *x), det, model, objective)), with
-    each setting pair's clicks memoized by its angles (module docstring).
+def _descent_objective(state, det: DetectionModel, model: str, score, linear: bool):
+    """The f(x) of one `_refine` descent, equal bit for bit to score at
+    `pair_probs(state, *x)` as a float, with each setting pair's clicks
+    memoized by its angles (module docstring).
 
     A miss looks the forward model up in `quantum`, as `pair_probs` does:
     the traced benchmark (perfbench/spans.py) wraps this module's imported
     names to time the grid's table calls, and a span per pair would swamp
     it.
     """
-    sigma = objective == "b-over-sigma"
     memo = {}
 
     def pair(x, y):
@@ -177,14 +176,14 @@ def _descent_objective(state, det: DetectionModel, model: str, objective: str):
                      quantum.coincidence_prob(state, x, y))
             clicks = memo[x, y] = (
                 quantum.click_probabilities(*probs, det, model),
-                quantum.click_probabilities(*probs, det, "linear") if sigma else None)
+                quantum.click_probabilities(*probs, det, "linear") if linear else None)
         return clicks
 
     def f(angles):
         a, a_prime, b, b_prime = angles.tolist()
-        clicks, linear = zip(pair(a, b), pair(a, b_prime), pair(a_prime, b),
-                             pair(a_prime, b_prime))
-        return float(_score(quantum.ch_from_clicks(clicks), linear, objective))
+        clicks, linear_clicks = zip(pair(a, b), pair(a, b_prime), pair(a_prime, b),
+                                    pair(a_prime, b_prime))
+        return float(score(quantum.ch_from_clicks(clicks), linear_clicks))
 
     return f
 
@@ -219,24 +218,25 @@ def _refine(f, x0: np.ndarray) -> tuple[float, np.ndarray, bool]:
     return best, x, step > _REFINE_STOP_DEG
 
 
-def _grid_refine(f, grid: np.ndarray, axis: np.ndarray) -> tuple[float, np.ndarray, bool]:
-    """`_refine` f from the argmax of its values on the tied axis grid."""
-    i, j = np.unravel_index(int(np.argmax(grid)), grid.shape)
-    best, x, exhausted = _refine(f, np.array([axis[i], axis[j], -axis[i], -axis[j]]))
-    if best < grid[i, j]:
-        raise NumericalError("refinement regressed below the coarse grid")
-    return best, x, exhausted
-
-
-def _optimize_angles(r: float, det: DetectionModel, objective: str,
-                     model: str) -> tuple[float, np.ndarray, bool]:
-    state = make_eberhard_state(r)
-    axis = _angle_axis()
+def _search(state, det: DetectionModel, model: str, score, linear: bool,
+            x0: np.ndarray | None = None) -> tuple[float, np.ndarray, bool]:
+    """Maximize score, a broadcasting function of the CH (num, den) and,
+    if linear, the linear-model clicks at the four setting pairs, from x0
+    or else from the best grid value (module docstring).  Returns
+    `_refine`'s result."""
     with np.errstate(invalid="ignore", divide="ignore"):
-        grid = _objective(_grid_probs(state, axis), det, model, objective)
-    if not np.all(np.isfinite(grid)):
-        raise NumericalError("objective is not finite on the search grid")
-    return _grid_refine(_descent_objective(state, det, model, objective), grid, axis)
+        if x0 is None:
+            axis = _angle_axis()
+            probs = _grid_probs(state, axis)
+            grid = score(ch_terms(*probs, det, model),
+                         [click_probabilities(*pair, det, "linear") for pair in zip(*probs)]
+                         if linear else None)
+            top = np.fmax.reduce(grid, axis=None)  # NaN only if every value is
+            if np.isnan(top):
+                raise NumericalError("objective is undefined everywhere on the search grid")
+            i, j = divmod(int(np.argmax(grid == top)), axis.size)
+            x0 = np.array([axis[i], axis[j], -axis[i], -axis[j]])
+        return _refine(_descent_objective(state, det, model, score, linear), x0)
 
 
 def optimize(
@@ -255,15 +255,15 @@ def optimize(
         raise ValidationError(f"objective must be one of {OBJECTIVES}")
     if model not in MODELS:
         raise ValidationError(f"model must be one of {MODELS}")
+    score = partial(_score, objective=objective)
+
+    def search(r, x0=None):
+        return _search(make_eberhard_state(r), det, model, score, objective == "b-over-sigma", x0)
+
     rs = [float(fix_r)] if fix_r is not None else list(np.arange(0.05, 1.0 + 1e-9, 0.05))
-    best = None
-    exhausted = 0
-    for r in rs:
-        val, x, ran_out = _optimize_angles(r, det, objective, model)
-        exhausted += ran_out
-        if best is None or val > best[0]:
-            best = (val, r, x)
-    val, r, x = best
+    searched = [(r, *search(r)) for r in rs]
+    exhausted = sum(ran_out for *_, ran_out in searched)
+    r, val, x, _ = max(searched, key=lambda point: point[1])  # the first of equal maxima
 
     # refine r jointly with the angles when it is free
     if fix_r is None:
@@ -274,8 +274,7 @@ def optimize(
                 r_try = r + s
                 if r_try <= 0:
                     continue
-                v_try, x_try, ran_out = _refine(
-                    _descent_objective(make_eberhard_state(r_try), det, model, objective), x)
+                v_try, x_try, ran_out = search(r_try, x)
                 exhausted += ran_out
                 if v_try > val:
                     val, r, x, improved = v_try, r_try, x_try, True
@@ -283,14 +282,15 @@ def optimize(
                 step *= 0.5
 
     num, den = ch_terms(*pair_probs(make_eberhard_state(r), *x), det, model)
-    settings = MeasurementSettings(*x)
+    with np.errstate(invalid="ignore", divide="ignore"):
+        b_prime = float(num / den)  # NaN where the singles sum is zero
     return OptimizationResult(
         r=float(r),
-        settings=settings,
+        settings=MeasurementSettings(*x),
         objective=objective,
         value=float(val),
         predicted_b=float(num - den),
-        predicted_b_prime=float(num / den),
+        predicted_b_prime=b_prime,
         exhausted_refinements=exhausted,
     )
 
@@ -308,17 +308,13 @@ def critical_efficiency(r: float, bg: float = 0.0) -> float:
         raise ValidationError("r must be in (0, 1]")
     if not 0.0 <= bg <= 1.0:
         raise ValidationError(f"bg must be a probability in [0,1], got {bg!r}")
-    state = make_eberhard_state(r)
-    ideal = DetectionModel.ideal()
 
-    def minus_eta(probs):
-        c, s = ch_terms(*probs, ideal, "linear")
-        with np.errstate(invalid="ignore", divide="ignore"):
-            return -np.where(c > 0.0, (s + np.sqrt(s * s + 8.0 * bg * c)) / (2.0 * c), np.inf)
+    def minus_eta(terms, _):
+        c, s = terms
+        return -np.where(c > 0.0, (s + np.sqrt(s * s + 8.0 * bg * c)) / (2.0 * c), np.inf)
 
-    axis = _angle_axis()
-    best, _, _ = _grid_refine(lambda x: float(minus_eta(pair_probs(state, *x))),
-                              minus_eta(_grid_probs(state, axis)), axis)
+    best, _, _ = _search(make_eberhard_state(r), DetectionModel.ideal(), "linear", minus_eta,
+                         False)
     eta = -best
     if not eta < 1.0:
         raise NumericalError(f"no violation at any efficiency up to 1: eta* = {eta:.6g}")

@@ -186,8 +186,8 @@ class ExperimentConfig:
     def __post_init__(self):
         if self.schedule_kind not in SCHEDULE_KINDS:
             raise ValidationError(f"schedule_kind must be one of {SCHEDULE_KINDS}")
-        if self.trials_per_block < 1 or self.n_blocks < 1:
-            raise ValidationError("trials_per_block and n_blocks must be >= 1")
+        if not (1 <= self.trials_per_block < 2**63 and 1 <= self.n_blocks < 2**63):
+            raise ValidationError("trials_per_block and n_blocks must be in 1..2^63-1")
         if not (0 <= self.rng_seed < 2**64):
             raise ValidationError("rng_seed must fit in an unsigned 64-bit integer")
         if self.schedule_kind == "file" and not self.schedule_file:

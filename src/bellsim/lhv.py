@@ -113,8 +113,7 @@ def counts_from_strategy(weights, trials_per_combo: int) -> CountsTable:
         raise ValidationError(f"total strategy weight {total} exceeds trials_per_combo")
     # every weight is at most total <= 2^63-1, so no count wraps
     return CountsTable(np.full(4, trials_per_combo, dtype=np.int64),
-                       *(_STRATEGY_COUNTS @ w.astype(np.int64)),
-                       meta={"source": "instruction-set"})
+                       *(_STRATEGY_COUNTS @ w.astype(np.int64)))
 
 
 def _deterministic_terms():
@@ -194,7 +193,7 @@ def coincidence_time_stream(
         chans.append(np.full(t.size, channel, dtype=np.uint8))
 
     return TimetagStream(*sort_records(np.concatenate(times), np.concatenate(chans)),
-                         meta={"source": "timed-emission", "trial_settings": settings})
+                         meta={"trial_settings": settings})
 
 
 # ---------------------------------------------------------------------------
@@ -262,7 +261,4 @@ def drifted_counts(
     def per_combo(per_period):
         return np.bincount(combos, weights=trials_per_period * per_period, minlength=4)
 
-    return CountsTable(
-        per_combo(np.ones(combos.size)), *(per_combo(r) for r in rates),
-        meta={"source": "drift-expectation"},
-    )
+    return CountsTable(per_combo(np.ones(combos.size)), *(per_combo(r) for r in rates))

@@ -287,7 +287,6 @@ def reference_run_counts() -> CountsTable:
         singles_a=np.array([46_068, 48_076, 150_840, 150_505]),
         singles_b=np.array([46_039, 146_205, 47_447, 144_070]),
         coincidences=np.array([29_173, 34_145, 34_473, 1_862]),
-        meta={"source": "reference-run"},
     )
 
 

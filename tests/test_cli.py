@@ -150,6 +150,31 @@ def test_sweep_writes_csv(tmp_path):
     assert len(lines) == 4
 
 
+def test_sweep_through_the_product_state(tmp_path):
+    # at r = 0 some grid angles give a zero singles sum and an undefined B'
+    assert main(["sweep", "--eta", "0.75", "--r-grid", "0:1:0.1",
+                 "--out", str(tmp_path), "--quiet"]) == 0
+    rows = (tmp_path / "bprime_sweep.csv").read_text().strip().splitlines()[1:]
+    assert len(rows) == 11
+    assert rows[0].startswith("0,0.75384332,")
+
+
+def _reject_constant(name):
+    raise ValueError(f"not JSON: {name}")
+
+
+@pytest.mark.parametrize("objective", ["b", "b-over-sigma"])
+def test_optimize_undefined_ratio_is_null(objective, tmp_path, capsys):
+    # the product state's optimum has a zero singles sum, so B' = 0/0
+    assert main(["optimize", "--eta", "0.8", "--fix-r", "0", "--objective", objective,
+                 "--out", str(tmp_path), "--quiet"]) == 0
+    doc = json.loads((tmp_path / "optimization.json").read_text(),
+                     parse_constant=_reject_constant)
+    assert doc["predicted_B"] == 0.0
+    assert doc["predicted_B_prime"] is None
+    assert json.loads(capsys.readouterr().out, parse_constant=_reject_constant) == doc
+
+
 def test_sweep_subthreshold_reports_no_violation(tmp_path, capsys):
     assert main(["sweep", "--eta", "0.5", "--bg", "0", "--pair-mean", "1.0",
                  "--model", "linear", "--r-grid", "0.2:1.0:0.2",
@@ -379,6 +404,13 @@ MALFORMED_INPUTS = {
     "config-timetag-block-pairs-over-cap": (
         "simulate --timetags", lambda: {**_config_section_with("det", "pair_mean", 1e6),
                                         "trials_per_block": 25_000, "n_blocks": 1}),
+    # beyond int64 the samplers would raise OverflowError (trials) or numpy's
+    # "Maximum allowed dimension exceeded" (blocks)
+    "config-trials-per-block-beyond-int64": (
+        "simulate", lambda: {**_valid_config(), "trials_per_block": 10**20}),
+    "config-n-blocks-beyond-int64": ("simulate", lambda: {**_valid_config(), "n_blocks": 10**20}),
+    "config-n-blocks-beyond-int64-timetags": (
+        "simulate --timetags", lambda: {**_valid_config(), "n_blocks": 10**20}),
     "analyze-counts-row-number": (
         "analyze", lambda: {**bs.reference_run_counts().to_json_dict(), "ab": 5}),
     "analyze-counts-top-level-array": (

@@ -26,60 +26,130 @@ DETECTORS = {
 }
 
 
+def unmemoized(probs, det, model, objective):
+    """The objective from `pair_probs`-shaped (p1, p2, p12), broadcasting."""
+    linear = None
+    if objective == "b-over-sigma":
+        linear = [quantum.click_probabilities(*pair, det, "linear") for pair in zip(*probs)]
+    return eberhard._score(quantum.ch_terms(*probs, det, model), linear, objective)
+
+
+def search_args(objective, state, det, model):
+    """The (state, det, model, score, linear) that `eberhard._search`
+    takes for an optimizer objective."""
+    return (state, det, model, lambda terms, linear: eberhard._score(terms, linear, objective),
+            objective == "b-over-sigma")
+
+
+def search_grid(monkeypatch, args):
+    """The grid values `eberhard._search` computes, with its descent stubbed."""
+    state, det, model, score, linear = args
+    grids = []
+
+    def recorded(terms, clicks):
+        grids.append(score(terms, clicks))
+        return grids[-1]
+
+    with monkeypatch.context() as m:
+        m.setattr(eberhard, "_refine", lambda f, x0: (f(x0), x0, False))
+        eberhard._search(state, det, model, recorded, linear)
+    return grids[0]
+
+
 @pytest.mark.parametrize("det_name", sorted(DETECTORS))
 @pytest.mark.parametrize("r", [0.04, 0.26, 0.61, 1.0])
-def test_table_grid_equals_meshgrid_bitwise(r, det_name):
+def test_table_grid_equals_meshgrid_bitwise(r, det_name, monkeypatch):
     axis = eberhard._angle_axis()
     aa, pp = np.meshgrid(axis, axis, indexing="ij")
     for model in quantum.MODELS:
         state = bs.make_eberhard_state(r)
         meshgrid_probs = quantum.pair_probs(state, aa, pp, -aa, -pp)
-        table_probs = eberhard._grid_probs(state, axis)
         for objective in eberhard.OBJECTIVES:
             with np.errstate(invalid="ignore", divide="ignore"):
-                oracle = eberhard._objective(meshgrid_probs, DETECTORS[det_name], model,
-                                             objective)
-                table = eberhard._objective(table_probs, DETECTORS[det_name], model, objective)
+                oracle = unmemoized(meshgrid_probs, DETECTORS[det_name], model, objective)
+            table = search_grid(monkeypatch,
+                                search_args(objective, state, DETECTORS[det_name], model))
             assert table.shape == oracle.shape == (axis.size, axis.size)
             assert table.tobytes() == oracle.tobytes(), (model, objective)
+
+
+def test_search_never_starts_at_an_undefined_grid_point(monkeypatch):
+    """A NaN grid value never starts the descent, -inf is a legal worst
+    value, and only a grid that is NaN everywhere raises."""
+    state, det = bs.make_eberhard_state(0.26), DETECTORS["ideal"]
+    cut = np.median(quantum.ch_terms(*eberhard._grid_probs(state, eberhard._angle_axis()),
+                                     det, "linear")[0])
+
+    def score(terms, _):
+        return np.where(terms[0] < cut, -np.inf, np.nan)
+
+    grid = search_grid(monkeypatch, (state, det, "linear", score, False))
+    assert np.isnan(grid.flat[np.argmax(grid)])  # a plain argmax starts at a NaN
+    monkeypatch.setattr(eberhard, "_refine", lambda f, x0: (f(x0), x0, False))
+    assert eberhard._search(state, det, "linear", score, False)[0] == -np.inf
+    with pytest.raises(NumericalError, match="^objective is undefined everywhere"):
+        eberhard._search(state, det, "linear", lambda terms, _: terms[0] * np.nan, False)
 
 
 def _bits(v):
     return float(v).hex()
 
 
-@pytest.mark.parametrize("det_name", sorted(DETECTORS))
-@pytest.mark.parametrize("model", quantum.MODELS)
-@pytest.mark.parametrize("objective", eberhard.OBJECTIVES)
-def test_descent_objective_equals_unmemoized_objective_bitwise(objective, model, det_name):
-    det = DETECTORS[det_name]
-    state = bs.make_eberhard_state(0.26)
+def eta_star_search_args(monkeypatch, r, bg):
+    """The (state, det, model, score, linear) that `critical_efficiency`
+    passes to `eberhard._search`."""
+    calls = []
+    with monkeypatch.context() as m:
+        m.setattr(eberhard, "_search", lambda *args: calls.append(args) or (-0.5, None, False))
+        assert bs.critical_efficiency(r, bg) == 0.5
+    (args,) = calls
+    return args
+
+
+# the optimizer objectives, then the critical efficiency's score at two backgrounds
+SCORES = ([(objective, model, det_name) for objective in eberhard.OBJECTIVES
+           for model in quantum.MODELS for det_name in sorted(DETECTORS)]
+          + [("eta*", "linear", bg) for bg in (0.0, 1e-3)])
+
+
+@pytest.mark.parametrize("objective, model, det_name", SCORES)
+def test_descent_objective_equals_unmemoized_objective_bitwise(objective, model, det_name,
+                                                               monkeypatch):
+    if objective == "eta*":  # det_name is the background
+        args = eta_star_search_args(monkeypatch, 0.26, det_name)
+    else:
+        args = search_args(objective, bs.make_eberhard_state(0.26), DETECTORS[det_name], model)
+    state, det, model, score, linear = args
 
     def oracle(x):
-        return _bits(eberhard._objective(quantum.pair_probs(state, *x), det, model, objective))
+        probs = quantum.pair_probs(state, *x)
+        clicks = [quantum.click_probabilities(*pair, det, "linear") for pair in zip(*probs)]
+        with np.errstate(invalid="ignore", divide="ignore"):
+            return _bits(score(quantum.ch_terms(*probs, det, model), clicks if linear else None))
 
-    f = eberhard._descent_objective(state, det, model, objective)
+    f = eberhard._descent_objective(*args)
     rng = np.random.default_rng(3)
     points = list(rng.uniform(-45.0, 45.0, size=(12, 4)))
     # x + s - s is not always x; x itself is a memo hit
     points += [x + s - s for x in points[:6] for s in (0.25, 1e-3)] + points[:6]
     # 0.0 and -0.0 share a memo key
     points += [np.array([0.0, 1.0, -0.0, -1.0]), np.array([-0.0, 1.0, 0.0, -1.0])]
-    for x in points:
-        assert _bits(f(x)) == oracle(x), x
+    with np.errstate(invalid="ignore", divide="ignore"):
+        for x in points:
+            assert _bits(f(x)) == oracle(x), x
 
     # along a real descent from the grid argmax, with a fresh memo
-    axis = eberhard._angle_axis()
-    with np.errstate(invalid="ignore", divide="ignore"):
-        grid = eberhard._objective(eberhard._grid_probs(state, axis), det, model, objective)
-    f = eberhard._descent_objective(state, det, model, objective)
     visited = []
+    refine = eberhard._refine
 
-    def recorded(x):
-        visited.append((x.copy(), f(x)))
-        return visited[-1][1]
+    def recorded_refine(f, x0):
+        def recorded(x):
+            visited.append((x.copy(), f(x)))
+            return visited[-1][1]
+        return refine(recorded, x0)
 
-    eberhard._grid_refine(recorded, grid, axis)
+    monkeypatch.setattr(eberhard, "_refine", recorded_refine)
+    eberhard._search(*args)
     assert len(visited) > 8
     for x, v in visited:
         assert _bits(v) == oracle(x), x
@@ -124,6 +194,32 @@ def test_closed_form_maximally_entangled_is_exact():
 def test_critical_efficiency_rejects_a_background_that_is_not_a_probability(bg):
     with pytest.raises(ValidationError):
         bs.critical_efficiency(0.5, bg=bg)
+
+
+# float.hex of critical_efficiency(r, bg), taken from the search before
+# it shared the optimizer's grid and memoized descent
+CRITICAL_BITS = {
+    (1.0, 0.0): "0x1.a827999fcef34p-1", (1.0, 1e-4): "0x1.a841cee42b0fdp-1",
+    (1.0, 1e-3): "0x1.a92d1d402e8eap-1", (0.61, 0.0): "0x1.8a67d6ad2c659p-1",
+    (0.61, 1e-4): "0x1.8a964aa63b965p-1", (0.61, 1e-3): "0x1.8c366c79324c5p-1",
+    (0.26, 0.0): "0x1.6b54ab42d7562p-1", (0.26, 1e-4): "0x1.6c1752dc42191p-1",
+    (0.26, 1e-3): "0x1.72ca2d91d1340p-1", (0.1, 0.0): "0x1.5d55ef1f7a98ep-1",
+    (0.1, 1e-4): "0x1.624170875cea7p-1", (0.1, 1e-3): "0x1.8975a003204e4p-1",
+    (0.05, 0.0): "0x1.593c790f7e6c9p-1", (0.05, 1e-4): "0x1.6c4a0a68dd819p-1",
+    (0.05, 1e-3): "0x1.e6cf2218f3072p-1", (0.01, 0.0): "0x1.5618be354dc65p-1",
+}
+
+
+@pytest.mark.parametrize("r, bg", sorted(CRITICAL_BITS))
+def test_critical_efficiency_bits_frozen(r, bg):
+    assert _bits(bs.critical_efficiency(r, bg)) == CRITICAL_BITS[r, bg]
+
+
+@pytest.mark.parametrize("bg, eta", [(1e-4, "1.21417"), (1e-3, "1.00095")])
+def test_critical_efficiency_above_one_message_frozen(bg, eta):
+    with pytest.raises(NumericalError,
+                       match=rf"^no violation at any efficiency up to 1: eta\* = {eta}$"):
+        bs.critical_efficiency(0.01, bg)
 
 
 def test_critical_efficiency_outside_bracket_from_above():

@@ -593,6 +593,12 @@ def test_config_validation():
         quick_cfg(n_blocks=0)
     with pytest.raises(ValidationError):
         quick_cfg(schedule_kind="file")  # no file given
+    for name in ("trials_per_block", "n_blocks"):
+        # constructed, never run: 2^63 - 1 blocks of trials cannot be simulated
+        assert getattr(quick_cfg(**{name: 2**63 - 1}), name) == 2**63 - 1
+        for value in (2**63, 10**20):
+            with pytest.raises(ValidationError, match=r"must be in 1\.\.2\^63-1$"):
+                quick_cfg(**{name: value})
 
 
 def test_calibration_recovers_rates():
