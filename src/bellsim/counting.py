@@ -27,6 +27,15 @@ It rejects a schedule index outside 0..3 before the pass; after the
 pass, a schedule that does not cover every trial, and then an event
 window at or above half the period.
 
+Both disciplines assign a detection to its trial by record position:
+its trial index is the number of clock marks ahead of it in the
+stream, less one, so no clock timestamp is read for it.  The reader checks time order
+but not the clock-first order at equal times, so a file may write a
+detection ahead of a clock mark at its own time.  That detection still
+belongs to the mark's trial: one whose next record shares its
+timestamp counts the marks at or before its time instead.  Only event
+windowing reads the clock timestamps, for the period.
+
 Serialized formats:
 
 - CSV: one record per line, "channel,timestamp_ns", read whole by
@@ -459,9 +468,9 @@ def _pieces(source):
 class _TrialWalk:
     """The detections of a chunked stream, assigned to trials.
 
-    Iterating yields, per piece of the stream, (start, clocks, det_t,
+    Iterating yields, per piece of the stream, (start, piece, det_t,
     det_ch, trial): the index of the piece's first clock mark in the
-    whole stream, its clock times, and its detections with the index of
+    whole stream, the piece itself, and its detections with the index of
     their trial, the one of the most recent mark at or before them.
     Detections before the first mark are dropped and counted in n_early;
     n_clocks counts the marks walked so far.
@@ -474,17 +483,44 @@ class _TrialWalk:
 
     def __iter__(self):
         for piece in _pieces(self.source):
-            clocks = piece.clock_times()
-            det = piece.channels != CHANNEL_CLOCK
-            det_t, det_ch = piece.timestamps[det], piece.channels[det]
             start = self.n_clocks
-            trial = np.searchsorted(clocks, det_t, side="right") + (start - 1)
+            det_t, det_ch, trial = _detection_trials(piece, start)
+            self.n_clocks += len(piece) - det_t.size
             if start == 0:
                 kept = trial >= 0
                 self.n_early += int(kept.size - np.count_nonzero(kept))
                 det_t, det_ch, trial = det_t[kept], det_ch[kept], trial[kept]
-            self.n_clocks += clocks.size
-            yield start, clocks, det_t, det_ch, trial
+            yield start, piece, det_t, det_ch, trial
+
+
+def _detection_trials(piece: TimetagStream, start: int) -> tuple:
+    """(det_t, det_ch, trial) of the piece's detections, the piece's first
+    clock mark being mark `start` of the stream.
+
+    A detection's trial comes from its record position: the marks ahead
+    of it in the piece are its position less the detections ahead of
+    it.  A detection whose next record shares its timestamp, which may
+    be a mark written after it, counts the marks at or before its time
+    instead; _pieces keeps records of equal time in one piece, so that
+    count needs only the piece.
+    """
+    t = piece.timestamps
+    pos = np.flatnonzero(piece.channels != CHANNEL_CLOCK)
+    det_t = t[pos]
+    # a detection in the last record meets itself; the count is exact for any detection
+    tie = np.flatnonzero(t[np.minimum(pos + 1, t.size - 1)] == det_t)
+    # pos[i] - i, built in place so that few arrays of the detections' size live at once
+    trial = np.arange(start - 1, start - 1 - pos.size, -1)
+    trial += pos
+    trial[tie] = (np.searchsorted(t, det_t[tie], side="right")
+                  - np.searchsorted(det_t, det_t[tie], side="right") + (start - 1))
+    return det_t, piece.channels[pos], trial
+
+
+def _setting_tally(idx: np.ndarray) -> np.ndarray:
+    """np.bincount(idx, minlength=4) of setting indices in 0..3, counted
+    without widening idx to intp."""
+    return np.array([np.count_nonzero(idx == k) for k in range(4)], dtype=np.int64)
 
 
 def _clock_tally(tally: np.ndarray, walk: _TrialWalk, sched: np.ndarray) -> None:
@@ -493,14 +529,14 @@ def _clock_tally(tally: np.ndarray, walk: _TrialWalk, sched: np.ndarray) -> None
 
     def close(trials, a_click, b_click):
         for row, clicked in enumerate((slice(None), a_click, b_click, a_click & b_click)):
-            tally[row] += np.bincount(trials[clicked], minlength=4)
+            tally[row] += _setting_tally(trials[clicked])
 
     open_clicks = np.zeros(2, dtype=bool)  # alice, bob in the trial open between pieces
-    for start, clocks, _, det_ch, trial in walk:
+    for start, _, _, det_ch, trial in walk:
         if not 0 < walk.n_clocks <= sched.size:
             continue
         # slot j holds the clicks of trial start - 1 + j: the open trial, then one per mark
-        clicks = np.zeros((2, clocks.size + 1), dtype=bool)
+        clicks = np.zeros((2, walk.n_clocks - start + 1), dtype=bool)
         clicks[det_ch, trial - (start - 1)] = True
         clicks[:, 0] |= open_clicks
         open_clicks = clicks[:, -1]
@@ -520,6 +556,17 @@ def _median_spacing(spacings: Counter) -> float:
     middle = [values[int(np.searchsorted(ranks, rank, side="right"))]
               for rank in ((total - 1) // 2, total // 2)]
     return float(np.mean(np.array(middle)))
+
+
+def _add_spacings(spacings: Counter, clocks: np.ndarray, before: np.ndarray) -> None:
+    """Add to spacings the gaps between consecutive clock times, the first
+    one from `before`, the mark ahead of them if any."""
+    gaps = np.diff(clocks, prepend=before)
+    if gaps.size and gaps.min() == gaps.max():
+        spacings[int(gaps[0])] += gaps.size
+    else:
+        values, counts = np.unique(gaps, return_counts=True)
+        spacings.update(dict(zip(values.tolist(), counts.tolist())))
 
 
 def _event_tally(tally: np.ndarray, walk: _TrialWalk, window_ns: float,
@@ -551,16 +598,16 @@ def _event_tally(tally: np.ndarray, walk: _TrialWalk, window_ns: float,
     w = int(window_ns)
     pending_t = pending_trial = np.empty(0, dtype=np.int64)
     queue_ch = -1
-    for start, clocks, det_t, det_ch, trial in walk:
-        if clocks.size:
-            gaps, counts = np.unique(np.diff(clocks, prepend=last_clock), return_counts=True)
-            spacings.update(dict(zip(gaps.tolist(), counts.tolist())))
+    for start, piece, det_t, det_ch, trial in walk:
+        if walk.n_clocks > start:
+            clocks = piece.clock_times()
+            _add_spacings(spacings, clocks, last_clock)
             last_clock = clocks[-1:]
         if walk.n_clocks > sched.size:
             continue
-        tally[0] += np.bincount(sched[start:walk.n_clocks], minlength=4)
-        tally[1] += np.bincount(sched[trial[det_ch == CHANNEL_ALICE]], minlength=4)
-        tally[2] += np.bincount(sched[trial[det_ch == CHANNEL_BOB]], minlength=4)
+        tally[0] += _setting_tally(sched[start:walk.n_clocks])
+        tally[1] += _setting_tally(sched[trial[det_ch == CHANNEL_ALICE]])
+        tally[2] += _setting_tally(sched[trial[det_ch == CHANNEL_BOB]])
 
         # clusters: runs of detections, the pending ones first, split where
         # consecutive times differ by more than w
@@ -575,7 +622,7 @@ def _event_tally(tally: np.ndarray, walk: _TrialWalk, window_ns: float,
         # that is not walked holds no pending detection, so it indexes det_*
         pairs = bounds[:-1][~walked & (sizes == 2)] - pending_t.size
         pairs = pairs[det_ch[pairs] != det_ch[pairs + 1]]
-        tally[3] += np.bincount(sched[trial[pairs]], minlength=4)
+        tally[3] += _setting_tally(sched[trial[pairs]])
 
         # the queue walks the rest: its entries index the pending detections
         # followed by this piece's walked ones
@@ -594,7 +641,7 @@ def _event_tally(tally: np.ndarray, walk: _TrialWalk, window_ns: float,
                     continue
             queue.append(i)
             queue_ch = ch
-        tally[3] += np.bincount(sched[trials[np.array(first, dtype=np.intp)]], minlength=4)
+        tally[3] += _setting_tally(sched[trials[np.array(first, dtype=np.intp)]])
         # later detections are no earlier than this piece's last one
         while queue and tl[-1] - tl[queue[0]] > w:
             queue.popleft()

@@ -240,7 +240,7 @@ def setting_schedule(
         order = tuple(order)
         if sorted(order) != [0, 1, 2, 3]:
             raise ValidationError("cyclic order must be a permutation of 0..3")
-        return np.array([order[i % 4] for i in range(n_blocks)], dtype=np.int64)
+        return np.tile(np.array(order, dtype=np.int64), -(-n_blocks // 4))[:n_blocks]
     if kind == "random-per-block":
         if rng_seed is None:
             raise ValidationError("random schedule requires rng_seed")

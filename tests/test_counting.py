@@ -282,17 +282,53 @@ def test_event_window_matches_clock_when_events_simultaneous():
     assert int(event.coincidences.sum()) > 0  # nontrivial comparison
 
 
+def reference_trials(stream):
+    """Each detection's time, channel and trial, the one of the most recent
+    clock mark at or before its time (-1 before the first mark)."""
+    det = stream.channels != bs.CHANNEL_CLOCK
+    t = stream.timestamps[det]
+    return t, stream.channels[det], np.searchsorted(stream.clock_times(), t, side="right") - 1
+
+
+def reference_clock_counts(stream, schedule):
+    """The clock-windowed rows (n_trials, singles_a, singles_b,
+    coincidences) and the count of detections before the first mark."""
+    _, ch, trial = reference_trials(stream)
+    keep = trial >= 0
+    sched = np.asarray(schedule)[:stream.n_trials]
+    clicks = np.zeros((2, sched.size), dtype=bool)
+    clicks[ch[keep], trial[keep]] = True
+    rows = [np.bincount(sched[clicked], minlength=4).tolist()
+            for clicked in (slice(None), clicks[0], clicks[1], clicks[0] & clicks[1])]
+    return rows, int(np.count_nonzero(~keep))
+
+
+def reference_event_counts(stream, window_ns, schedule):
+    """The event-windowed rows, singles as raw detections, and the count of
+    detections before the first mark."""
+    _, ch, trial = reference_trials(stream)
+    keep = trial >= 0
+    sched = np.asarray(schedule)[:stream.n_trials]
+    singles = [np.bincount(sched[trial[keep & (ch == arm)]], minlength=4).tolist()
+               for arm in (bs.CHANNEL_ALICE, bs.CHANNEL_BOB)]
+    rows = [np.bincount(sched, minlength=4).tolist(), *singles,
+            reference_event_coincidences(stream, window_ns, schedule)]
+    return rows, int(np.count_nonzero(~keep))
+
+
+def _rows(table):
+    return [getattr(table, name).tolist()
+            for name in ("n_trials", "singles_a", "singles_b", "coincidences")]
+
+
 def reference_event_coincidences(stream, window_ns, schedule):
     """Greedy earliest-first pairing with one pending queue per arm."""
-    clocks = stream.clock_times()
-    det = stream.channels != bs.CHANNEL_CLOCK
-    trial = np.searchsorted(clocks, stream.timestamps[det], side="right") - 1
+    det_t, det_ch, trial = reference_trials(stream)
     keep = trial >= 0
     coincidences = np.zeros(4, dtype=np.int64)
     pending = (deque(), deque())  # alice, bob queues of (t, trial)
     w = int(window_ns)
-    for t, ch, tr in zip(stream.timestamps[det][keep].tolist(),
-                         stream.channels[det][keep].tolist(), trial[keep].tolist()):
+    for t, ch, tr in zip(det_t[keep].tolist(), det_ch[keep].tolist(), trial[keep].tolist()):
         other = pending[1 - ch]
         while other and t - other[0][0] > w:
             other.popleft()
@@ -497,6 +533,56 @@ def test_event_window_extracts_clock_marks_once(monkeypatch):
     assert table.coincidences.tolist() == expected
 
 
+def test_clock_window_extracts_no_clock_marks(monkeypatch):
+    stream, schedule = bursty_stream(3)
+    expected = reference_clock_counts(stream, schedule)
+    calls = []
+    clock_times = bs.TimetagStream.clock_times
+    monkeypatch.setattr(bs.TimetagStream, "clock_times",
+                        lambda self: calls.append(1) or clock_times(self))
+    table = clock_counts(stream, schedule)
+    assert calls == []
+    assert (_rows(table), table.meta["pre_marker_detections_dropped"]) == expected
+
+
+@pytest.mark.parametrize("idx", [
+    np.array([3, 0, 0, 2, 3, 3], dtype=np.uint8), np.arange(1000, dtype=np.int64) % 7 % 4,
+    np.empty(0, dtype=np.uint8), np.empty(0, dtype=np.int64),
+], ids=["uint8", "int64", "empty-uint8", "empty-int64"])
+def test_setting_tally_equals_bincount(idx):
+    tally = counting._setting_tally(idx)
+    assert tally.dtype == np.int64
+    assert tally.tolist() == np.bincount(idx, minlength=4).tolist()
+
+
+@pytest.mark.parametrize("chunk", [2, 3, 5, counting.CHUNK_RECORDS])
+def test_clock_spacings_tally_alike_when_equal_and_when_not(chunk, tmp_path, monkeypatch):
+    # equal spacings, then spacings that vary within a chunk and across its
+    # edges: pieces of equal gaps take one Counter entry, the rest np.unique.
+    # The median, 150, falls between the two middle spacings, so a spacing
+    # counted once too often or too rarely moves it.
+    gaps = [100] * 8 + [300, 200, 300, 200, 200, 300, 200, 200]
+    clocks = np.concatenate([[0], np.cumsum(gaps)])
+    t = np.sort(np.concatenate([clocks, clocks[::3] + 7]))
+    c = np.where(np.isin(t, clocks), bs.CHANNEL_CLOCK, bs.CHANNEL_ALICE)
+    stream = bs.TimetagStream(t, c)
+    period = float(np.median(gaps))
+    path = tmp_path / "stream.bin"
+    path.write_bytes(bs.serialize_timetags(stream))
+    monkeypatch.setattr(counting, "CHUNK_RECORDS", chunk)
+    schedule = np.zeros(clocks.size, dtype=np.uint8)
+    for source in (stream, TimetagFile(path)):
+        with mock.patch.object(counting.np, "unique", wraps=np.unique) as unique:
+            with pytest.raises(ValidationError, match=f"half the trial period {period} ns"):
+                event_counts(source, period / 2, schedule)
+        clock_pieces = sum(piece.n_trials > 0 for piece in counting._pieces(source))
+        # one piece holds every spacing; several take both paths
+        if clock_pieces == 1:
+            assert unique.call_count == 1
+        else:
+            assert 0 < unique.call_count < clock_pieces
+
+
 def _marks_1000_ns_apart():
     t = np.array([0, 5, 10, 1000, 1005])
     c = np.array([2, 0, 1, 2, 0])
@@ -598,6 +684,58 @@ def test_chunks_keep_a_detection_with_the_clock_mark_it_shares_a_time_with(tmp_p
     table = clock_counts(TimetagFile(path), [0, 3])
     assert table.singles_b.tolist() == [0, 0, 0, 1]
     assert table == clock_counts(stream, [0, 3])
+
+
+def _tied_by_hand():
+    """Detections written ahead of a clock mark at their own time: one
+    ahead of the first mark, one across the edge after record 5 (an edge
+    at chunks of 2 and of 3), runs of equal-time detections, and one
+    detection that precedes every mark."""
+    records = [(2, 0), (5, 1), (5, 2), (40, 0), (40, 1), (100, 0), (100, 2), (100, 1),
+               (150, 0), (150, 0), (150, 1), (200, 1), (200, 0), (200, 2), (200, 0),
+               (300, 2), (310, 1), (400, 2)]
+    t, c = zip(*records)
+    return bs.TimetagStream(t, c), [0, 1, 2, 3, 1]
+
+
+def _tied_at_random(seed, n_trials=60, period=100):
+    """Detections on a few instants per trial, one of them the trial's
+    clock mark, with the records at each time in random order."""
+    rng = np.random.default_rng(seed)
+    clocks = 10 + period * np.arange(n_trials)
+    instants = np.concatenate([clocks, clocks + 13, clocks + period - 1])
+    det_t = rng.choice(instants, size=3 * n_trials)
+    det_t = np.concatenate([det_t, rng.integers(0, 11, size=3)])  # the last at the first mark
+    t = np.concatenate([clocks, det_t])
+    c = np.concatenate([np.full(n_trials, bs.CHANNEL_CLOCK), rng.integers(0, 2, size=det_t.size)])
+    order = np.lexsort((rng.random(t.size), t))
+    return bs.TimetagStream(t[order], c[order]), rng.integers(0, 4, size=n_trials)
+
+
+TIED = {"by-hand": _tied_by_hand,
+        **{f"random-{seed}": (lambda seed=seed: _tied_at_random(seed)) for seed in range(4)}}
+
+
+@pytest.mark.parametrize("chunk", [2, 3, 1 << 18])
+@pytest.mark.parametrize("name", sorted(TIED))
+def test_detections_ahead_of_a_mark_at_their_time_count_in_its_trial(name, chunk, tmp_path,
+                                                                      monkeypatch):
+    # a file need not put clock marks first at equal times; a detection
+    # belongs to the trial of the last mark at or before its time, whatever
+    # the record order
+    stream, schedule = TIED[name]()
+    t, clock = stream.timestamps, stream.channels == bs.CHANNEL_CLOCK
+    assert np.any(~clock[:-1] & clock[1:] & (t[:-1] == t[1:]))
+    path = tmp_path / "stream.bin"
+    path.write_bytes(bs.serialize_timetags(stream))
+    monkeypatch.setattr(counting, "CHUNK_RECORDS", chunk)
+    expected = {"clock": reference_clock_counts(stream, schedule),
+                "event": reference_event_counts(stream, 25, schedule)}
+    for source in (stream, TimetagFile(path)):
+        for kind, table in (("clock", clock_counts(source, schedule)),
+                            ("event", event_counts(source, 25, schedule))):
+            got = (_rows(table), table.meta["pre_marker_detections_dropped"])
+            assert got == expected[kind], (kind, type(source).__name__)
 
 
 def _error(fn):

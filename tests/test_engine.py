@@ -42,6 +42,14 @@ def test_cyclic_schedule():
     assert bs.setting_schedule("cyclic", 8).tolist() == [0, 1, 2, 3, 0, 1, 2, 3]
 
 
+@pytest.mark.parametrize("order", [(0, 1, 2, 3), (2, 0, 3, 1)])
+@pytest.mark.parametrize("n_blocks", [1, 3, 4, 5, 4450])
+def test_cyclic_schedule_repeats_its_order(n_blocks, order):
+    schedule = bs.setting_schedule("cyclic", n_blocks, order=order)
+    assert schedule.dtype == np.int64
+    assert schedule.tolist() == [order[i % 4] for i in range(n_blocks)]
+
+
 def test_random_schedule_reproducible_and_balanced():
     s1 = bs.setting_schedule("random-per-block", 4450, rng_seed=17)
     s2 = bs.setting_schedule("random-per-block", 4450, rng_seed=17)
