@@ -21,8 +21,11 @@ per block.  Timetag mode samples individual pair and background
 detections, places them on pulses inside the gated burst, applies
 Gaussian timing jitter, and emits a clock marker per trial; its draws
 scale with the detections, not the trials (`_timetag_blocks`).  Both modes
-draw from per-block generators derived from (seed, block index), so
-blocks are independent and any run is bit-reproducible from its config.
+draw from per-block generators: block b's is PCG64 seeded by
+SeedSequence([rng_seed, 2, b]), so blocks are independent and any run is
+bit-reproducible from its config.  `_block_rngs` hashes those seed
+sequences for a batch of blocks at once in uint32 array arithmetic and
+checks its first generator against numpy's own.
 
 The burst is centered inside the trial period so that realistic jitter
 cannot push a detection across a trial boundary.
@@ -30,6 +33,7 @@ cannot push a detection across a trial boundary.
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import io
 import itertools
@@ -51,7 +55,7 @@ from .counting import (
     read_settings,
     sort_records,
 )
-from .errors import FormatError, NumericalError, ValidationError
+from .errors import BellSimError, FormatError, NumericalError, ValidationError
 from .lhv import DriftModel
 from .quantum import (
     DetectionModel,
@@ -220,12 +224,99 @@ class ExperimentConfig:
 
 
 def _rng(seed: int, *path: int) -> np.random.Generator:
-    """Named sub-generator: the same (seed, path) always yields the same stream."""
+    """Named sub-generator: the same (seed, path) always yields the same stream,
+    PCG64 seeded by SeedSequence([seed, *path]).  Block b's stream is
+    _rng(rng_seed, _BLOCK_STREAM, b); _block_rngs builds the same generators
+    for a range of blocks with their seeds hashed at once."""
     return np.random.default_rng([int(seed)] + [int(p) for p in path])
 
 
 _SCHEDULE_STREAM = 1
 _BLOCK_STREAM = 2
+
+# SeedSequence's hash of its entropy (O'Neill's seed_seq with a pool of four
+# 32-bit words, as numpy implements it), restated over arrays of blocks
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
+_SEED_BATCH = 4096
+
+
+def _hash_steps(const: int, mult: int) -> Iterator[tuple[np.uint32, np.uint32]]:
+    """The hash constant before and after each step that advances it."""
+    while True:
+        after = const * mult & 0xFFFFFFFF
+        yield np.uint32(const), np.uint32(after)
+        const = after
+
+
+def _hashmix(value: np.ndarray, step: tuple[np.uint32, np.uint32]) -> np.ndarray:
+    value = (value ^ step[0]) * step[1]
+    return value ^ (value >> np.uint32(16))
+
+
+def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    value = np.uint32(_MIX_MULT_L) * x - np.uint32(_MIX_MULT_R) * y
+    return value ^ (value >> np.uint32(16))
+
+
+def _block_seed_words(seed: int, blocks: np.ndarray) -> np.ndarray:
+    """SeedSequence([seed, _BLOCK_STREAM, b]).generate_state(4, np.uint64)
+    for each b of a uint64 array, as rows of four words."""
+    n = blocks.size
+    # each int is split into little-endian 32-bit words; the seed takes one or two
+    seed_words = [seed] if seed < 2**32 else [seed & 0xFFFFFFFF, seed >> 32]
+    high = (blocks >> np.uint64(32)).astype(np.uint32)
+    entropy = [np.full(n, w, dtype=np.uint32) for w in seed_words + [_BLOCK_STREAM]]
+    entropy += [(blocks & np.uint64(0xFFFFFFFF)).astype(np.uint32), high]
+    # entropy shorter than the pool is padded with zero words, so a block
+    # below 2^32 hashes its zero high word as padding
+    steps = _hash_steps(_INIT_A, _MULT_A)
+    pool = [_hashmix(word, next(steps)) for word in entropy[:4]]
+    for src in range(4):
+        for dst in range(4):
+            if src != dst:
+                pool[dst] = _mix(pool[dst], _hashmix(pool[src], next(steps)))
+    if len(entropy) == 5:
+        # after a two-word seed, a block at or above 2^32 has a fifth word
+        steps = [next(steps) for _ in range(4)]
+        pool = [np.where(high > 0, _mix(word, _hashmix(high, step)), word)
+                for word, step in zip(pool, steps)]
+    steps = _hash_steps(_INIT_B, _MULT_B)
+    state = np.stack([_hashmix(pool[i % 4], next(steps)) for i in range(8)], axis=1)
+    # each pair of words is read as one little-endian uint64
+    return state.astype("<u4").view("<u8").astype(np.uint64)
+
+
+def _block_rngs(seed: int, start: int, stop: int) -> Iterator[np.random.Generator]:
+    """_rng(seed, _BLOCK_STREAM, b) for b in start..stop-1, their seeds
+    hashed _SEED_BATCH blocks at a time; PCG64 still seeds itself from them.
+
+    Raises NumericalError when the first generator's state is not _rng's,
+    so that a numpy that hashes otherwise fails instead of changing streams.
+    """
+    # defined here, not at module level, so that importing the package does
+    # not import numpy.random (about 6 MiB) for commands that draw nothing
+    class _SeedWords(np.random.bit_generator.ISeedSequence):
+        """A seed sequence whose state, four uint64 words, was hashed already."""
+
+        def __init__(self, words: np.ndarray):
+            self.words = words
+
+        def generate_state(self, n_words, dtype=np.uint32):
+            return self.words
+
+    expected = _rng(seed, _BLOCK_STREAM, start).bit_generator.state
+    for lo in range(start, stop, _SEED_BATCH):
+        blocks = np.arange(lo, min(lo + _SEED_BATCH, stop), dtype=np.uint64)
+        for words in _block_seed_words(seed, blocks):
+            rng = np.random.Generator(np.random.PCG64(_SeedWords(words)))
+            if expected is not None:
+                if rng.bit_generator.state != expected:
+                    raise NumericalError(f"block {start}'s generator differs from "
+                                         f"SeedSequence([{seed}, {_BLOCK_STREAM}, {start}])'s")
+                expected = None
+            yield rng
 
 
 def setting_schedule(
@@ -289,6 +380,18 @@ def calibrate_source_rates(
     return mu, bg
 
 
+@contextlib.contextmanager
+def _per_block_arrays(n_blocks: int):
+    """Turns numpy's refusal to allocate an array of one entry per block,
+    a MemoryError or "array is too big", into a ValidationError."""
+    try:
+        yield
+    except BellSimError:
+        raise
+    except (MemoryError, ValueError) as exc:
+        raise ValidationError(f"{n_blocks} blocks do not fit in memory: {exc}") from None
+
+
 def _block_schedule(cfg: ExperimentConfig) -> np.ndarray:
     return setting_schedule(
         cfg.schedule_kind, cfg.n_blocks, rng_seed=cfg.rng_seed,
@@ -309,17 +412,19 @@ def simulate_blocks(cfg: ExperimentConfig) -> list[BlockRecord]:
     B only, neither) counts from the closed-form click probabilities at
     its setting pair and drift multiplier.
     """
-    schedule = _block_schedule(cfg)
-    p1, p2, p12 = (np.array(p)[schedule] for p in pair_probs(cfg.state, *astuple(cfg.settings)))
-    pa, pb, pab = click_probabilities(p1, p2, p12, cfg.det, multiplier=_drift_multipliers(cfg))
-    # rounding can leave a category a few ulp below zero
-    categories = np.clip(np.stack([pab, pa - pab, pb - pab, 1.0 - pa - pb + pab], axis=1),
-                         0.0, None)
+    with _per_block_arrays(cfg.n_blocks):
+        schedule = _block_schedule(cfg)
+        p1, p2, p12 = (np.array(p)[schedule]
+                       for p in pair_probs(cfg.state, *astuple(cfg.settings)))
+        pa, pb, pab = click_probabilities(p1, p2, p12, cfg.det,
+                                          multiplier=_drift_multipliers(cfg))
+        # rounding can leave a category a few ulp below zero
+        categories = np.clip(np.stack([pab, pa - pab, pb - pab, 1.0 - pa - pb + pab], axis=1),
+                             0.0, None)
     n = cfg.trials_per_block
     records = []
-    for b in range(cfg.n_blocks):
-        coinc, a_only, b_only, _ = _rng(cfg.rng_seed, _BLOCK_STREAM, b).multinomial(
-            n, categories[b])
+    for b, rng in enumerate(_block_rngs(cfg.rng_seed, 0, cfg.n_blocks)):
+        coinc, a_only, b_only, _ = rng.multinomial(n, categories[b])
         records.append(BlockRecord(int(schedule[b]), n, int(coinc + a_only),
                                    int(coinc + b_only), int(coinc)))
     return records
@@ -373,8 +478,9 @@ def _timetag_blocks(cfg: ExperimentConfig) -> Iterator[tuple]:
     holds at most one hit per arm.  Only the detections are sorted; they
     are merged after the clock marks at equal times.
     """
-    schedule = _block_schedule(cfg)
-    mult = _drift_multipliers(cfg)
+    with _per_block_arrays(cfg.n_blocks):
+        schedule = _block_schedule(cfg)
+        mult = _drift_multipliers(cfg)
     det = cfg.det
     # one pair's detection probabilities at each setting pair, without background
     pA, pB, q11s = click_probabilities(
@@ -391,7 +497,7 @@ def _timetag_blocks(cfg: ExperimentConfig) -> Iterator[tuple]:
     burst_ns = det.pulses_per_trial * det.pulse_period_ns
     burst_offset = (det.trial_period_ns - burst_ns) / 2.0
 
-    for b in range(cfg.n_blocks):
+    for b, rng in enumerate(_block_rngs(cfg.rng_seed, 0, cfg.n_blocks)):
         combo = int(schedule[b])
         # per-pair joint detection probabilities; no detection is implicit
         q11 = q11s[combo]
@@ -399,7 +505,6 @@ def _timetag_blocks(cfg: ExperimentConfig) -> Iterator[tuple]:
         q01 = pB[combo] - q11
         m = float(mult[b])
         mu = det.pair_mean * m
-        rng = _rng(cfg.rng_seed, _BLOCK_STREAM, b)
 
         try:
             npairs = int(rng.poisson(n * mu))

@@ -16,7 +16,7 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 import bellsim as bs
-from bellsim import cli, counting
+from bellsim import cli, counting, engine
 from bellsim.cli import main
 
 
@@ -321,6 +321,41 @@ def test_failed_timetag_write_leaves_no_files(tmp_path):
     assert main(["simulate", str(config), "--timetags", "--out", str(out), "--quiet"]) == 2
     assert not (out / "timetags.bin").exists()
     assert not (out / "trial_settings.txt").exists()
+
+
+SIMULATE_MODES = {"blocks": [], "timetags": ["--timetags"]}
+
+
+@pytest.mark.parametrize("mode", sorted(SIMULATE_MODES))
+def test_block_count_no_array_can_hold_is_exit_2(mode, tmp_path, capsys):
+    # numpy refuses an array of 2^62 entries without allocating it
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({**_valid_config(), "n_blocks": 2**62}))
+    out = tmp_path / "out"
+    assert main(["simulate", str(config), *SIMULATE_MODES[mode], "--out", str(out),
+                 "--quiet"]) == 2
+    assert "4611686018427387904 blocks do not fit in memory" in capsys.readouterr().err
+    assert not out.exists() or not any(out.iterdir())
+
+
+def _out_of_memory(*args, **kwargs):
+    raise MemoryError("Unable to allocate 7.28 TiB for an array with shape (1000000000000,)")
+
+
+@pytest.mark.parametrize("mode", sorted(SIMULATE_MODES))
+@pytest.mark.parametrize("array", ["schedule", "drift"])
+def test_block_arrays_out_of_memory_is_exit_2(array, mode, tmp_path, capsys, monkeypatch):
+    if array == "schedule":
+        monkeypatch.setattr(engine, "setting_schedule", _out_of_memory)
+    else:
+        monkeypatch.setattr(bs.DriftModel, "multipliers", _out_of_memory)
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({**_valid_config(), "drift": {"final_fraction": 0.5}}))
+    out = tmp_path / "out"
+    assert main(["simulate", str(config), *SIMULATE_MODES[mode], "--out", str(out),
+                 "--quiet"]) == 2
+    assert "4 blocks do not fit in memory: Unable to allocate" in capsys.readouterr().err
+    assert not out.exists() or not any(out.iterdir())
 
 
 @pytest.mark.parametrize("case", sorted(TIMETAG_GEOMETRY_ERRORS))

@@ -2,15 +2,20 @@
 
 import dataclasses
 import hashlib
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import bellsim as bs
+from bellsim import engine
 from bellsim.counting import serialize_settings
 from bellsim.engine import (
     _BLOCK_STREAM,
+    _block_rngs,
     _block_schedule,
     _drift_multipliers,
     _rng,
@@ -197,6 +202,54 @@ def test_cyclic_prefix_blocks_match_shorter_run():
     long_run = bs.simulate_blocks(quick_cfg(schedule_kind="cyclic", n_blocks=12))
     short_run = bs.simulate_blocks(quick_cfg(schedule_kind="cyclic", n_blocks=5))
     assert long_run[:5] == short_run
+
+
+# ---------------------------------------------------------------------------
+# per-block generators
+
+
+def assert_named_generators(rngs, seed, start, stop):
+    rngs = list(rngs)
+    assert len(rngs) == stop - start
+    for b, rng in zip(range(start, stop), rngs):
+        ref = _rng(seed, _BLOCK_STREAM, b)
+        assert rng.bit_generator.state == ref.bit_generator.state, b
+        assert rng.integers(0, 2**63, size=3).tolist() == ref.integers(0, 2**63, size=3).tolist()
+        assert rng.random() == ref.random()
+
+
+# a seed of one or two 32-bit words, blocks of one word, across 2^32, of two
+# words up to the largest index
+@pytest.mark.parametrize("start, stop", [(0, 50), (2**32 - 3, 2**32 + 3), (2**63 - 4, 2**63)])
+@pytest.mark.parametrize("seed", [0, 2**32 - 1, 2**32, 2**64 - 1])
+def test_block_rngs_equal_named_generators(seed, start, stop):
+    assert_named_generators(_block_rngs(seed, start, stop), seed, start, stop)
+
+
+@pytest.mark.parametrize("seed", [6, 2**63 + 12345])
+def test_block_rngs_span_several_batches(monkeypatch, seed):
+    monkeypatch.setattr(engine, "_SEED_BATCH", 3)
+    # 2^32 falls inside the third batch
+    start, stop = 2**32 - 7, 2**32 + 4
+    assert_named_generators(_block_rngs(seed, start, stop), seed, start, stop)
+    assert_named_generators(_block_rngs(seed, 0, 10), seed, 0, 10)
+
+
+def test_package_import_leaves_numpy_random_unimported():
+    # numpy 2 imports numpy.random on first use; the design commands never use it
+    code = ("import sys, numpy; before = 'numpy.random' in sys.modules; import bellsim; "
+            "print(before, 'numpy.random' in sys.modules)")
+    package_dir = str(Path(bs.__file__).resolve().parents[1])
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True, env={**os.environ, "PYTHONPATH": package_dir}).stdout.split()
+    assert out[1] == out[0]
+
+
+@pytest.mark.parametrize("constant", ["_MULT_A", "_INIT_B", "_MIX_MULT_R"])
+def test_block_rngs_check_their_hash_against_seed_sequence(monkeypatch, constant):
+    monkeypatch.setattr(engine, constant, getattr(engine, constant) ^ 1)
+    with pytest.raises(NumericalError, match=r"block 5's generator differs"):
+        next(_block_rngs(6, 5, 9))
 
 
 # ---------------------------------------------------------------------------
