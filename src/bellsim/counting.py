@@ -23,9 +23,11 @@ two disciplines (WindowPolicy):
 windowed_counts takes a TimetagStream in memory, or a binary file
 (TimetagFile) that it counts chunk by chunk, carrying its state across
 chunk edges, so that memory does not grow with the length of the run.
-It rejects a schedule index outside 0..3 before the pass; after the
-pass, a schedule that does not cover every trial, and then an event
-window at or above half the period.
+A read never splits a timestamp: its trailing run of equal times waits
+for the next read.  Trials are counted once, from the schedule, after
+the pass.  A schedule index outside 0..3 is rejected before the pass;
+after it, a schedule that does not cover every trial, and then an
+event window at or above half the period.
 
 Both disciplines assign a detection to its trial by record position:
 its trial index is the number of clock marks ahead of it in the
@@ -209,13 +211,20 @@ class TimetagFile:
         return np.memmap(self.path, dtype=_BINARY_DTYPE, mode="r")["ch"]
 
     def chunks(self):
+        """The file as ordered chunks; none splits a timestamp, since each
+        read but the last holds back its trailing run of equal times for the next."""
         prev = None
+        held_t, held_c = np.empty(0, dtype=np.int64), np.empty(0, dtype=np.uint8)
         with open(self.path, "rb") as fh:
             for start in range(0, self._n_records, CHUNK_RECORDS):
                 rec = np.fromfile(fh, dtype=_BINARY_DTYPE, count=CHUNK_RECORDS)
                 t, c = _checked_records(rec, start, prev)
                 prev = rec["t"][-1]
-                yield _records(t, c)
+                t, c = np.concatenate([held_t, t]), np.concatenate([held_c, c])
+                last = start + CHUNK_RECORDS >= self._n_records
+                cut = t.size if last else int(np.searchsorted(t, t[-1]))
+                held_t, held_c = t[cut:], c[cut:]
+                yield _records(t[:cut], c[:cut])
 
 
 def parse_timetags(data: bytes | str) -> TimetagStream:
@@ -444,33 +453,12 @@ class WindowPolicy:
             raise ValidationError("event windowing requires a finite window_ns > 0")
 
 
-def _pieces(source):
-    """The source's chunks, regrouped so that records sharing a timestamp
-    fall in one piece: a detection then meets every clock mark at or
-    before its time in its own piece or an earlier one."""
-    chunks = iter(source.chunks())
-    chunk, carry = next(chunks, None), None
-    while chunk is not None:
-        following = next(chunks, None)
-        if carry is not None:
-            chunk = _records(np.concatenate([carry.timestamps, chunk.timestamps]),
-                             np.concatenate([carry.channels, chunk.channels]))
-        if following is None:
-            yield chunk
-        else:
-            t = chunk.timestamps
-            cut = int(np.searchsorted(t, t[-1]))
-            carry = _records(t[cut:], chunk.channels[cut:])
-            yield _records(t[:cut], chunk.channels[:cut])
-        chunk = following
-
-
 class _TrialWalk:
     """The detections of a chunked stream, assigned to trials.
 
-    Iterating yields, per piece of the stream, (start, piece, det_t,
-    det_ch, trial): the index of the piece's first clock mark in the
-    whole stream, the piece itself, and its detections with the index of
+    Iterating yields, per chunk of the stream, (start, chunk, det_t,
+    det_ch, trial): the index of the chunk's first clock mark in the
+    whole stream, the chunk itself, and its detections with the index of
     their trial, the one of the most recent mark at or before them.
     Detections before the first mark are dropped and counted in n_early;
     n_clocks counts the marks walked so far.
@@ -482,30 +470,29 @@ class _TrialWalk:
         self.n_early = 0
 
     def __iter__(self):
-        for piece in _pieces(self.source):
+        for chunk in self.source.chunks():
             start = self.n_clocks
-            det_t, det_ch, trial = _detection_trials(piece, start)
-            self.n_clocks += len(piece) - det_t.size
+            det_t, det_ch, trial = _detection_trials(chunk, start)
+            self.n_clocks += len(chunk) - det_t.size
             if start == 0:
                 kept = trial >= 0
                 self.n_early += int(kept.size - np.count_nonzero(kept))
                 det_t, det_ch, trial = det_t[kept], det_ch[kept], trial[kept]
-            yield start, piece, det_t, det_ch, trial
+            yield start, chunk, det_t, det_ch, trial
 
 
-def _detection_trials(piece: TimetagStream, start: int) -> tuple:
-    """(det_t, det_ch, trial) of the piece's detections, the piece's first
+def _detection_trials(chunk: TimetagStream, start: int) -> tuple:
+    """(det_t, det_ch, trial) of the chunk's detections, the chunk's first
     clock mark being mark `start` of the stream.
 
     A detection's trial comes from its record position: the marks ahead
-    of it in the piece are its position less the detections ahead of
+    of it in the chunk are its position less the detections ahead of
     it.  A detection whose next record shares its timestamp, which may
     be a mark written after it, counts the marks at or before its time
-    instead; _pieces keeps records of equal time in one piece, so that
-    count needs only the piece.
+    instead; no chunk splits a timestamp, so that count needs only the chunk.
     """
-    t = piece.timestamps
-    pos = np.flatnonzero(piece.channels != CHANNEL_CLOCK)
+    t = chunk.timestamps
+    pos = np.flatnonzero(chunk.channels != CHANNEL_CLOCK)
     det_t = t[pos]
     # a detection in the last record meets itself; the count is exact for any detection
     tie = np.flatnonzero(t[np.minimum(pos + 1, t.size - 1)] == det_t)
@@ -514,7 +501,7 @@ def _detection_trials(piece: TimetagStream, start: int) -> tuple:
     trial += pos
     trial[tie] = (np.searchsorted(t, det_t[tie], side="right")
                   - np.searchsorted(det_t, det_t[tie], side="right") + (start - 1))
-    return det_t, piece.channels[pos], trial
+    return det_t, chunk.channels[pos], trial
 
 
 def _setting_tally(idx: np.ndarray) -> np.ndarray:
@@ -524,14 +511,14 @@ def _setting_tally(idx: np.ndarray) -> np.ndarray:
 
 
 def _clock_tally(tally: np.ndarray, walk: _TrialWalk, sched: np.ndarray) -> None:
-    """Add to tally the clock-windowed counts of the walk's trials; a trial
-    open at the end of a piece carries its clicks into the next."""
+    """Add to tally's click rows the clock-windowed counts of the walk's
+    trials; a trial open at the end of a chunk carries its clicks into the next."""
 
     def close(trials, a_click, b_click):
-        for row, clicked in enumerate((slice(None), a_click, b_click, a_click & b_click)):
+        for row, clicked in enumerate((a_click, b_click, a_click & b_click), start=1):
             tally[row] += _setting_tally(trials[clicked])
 
-    open_clicks = np.zeros(2, dtype=bool)  # alice, bob in the trial open between pieces
+    open_clicks = np.zeros(2, dtype=bool)  # alice, bob in the trial open between chunks
     for start, _, _, det_ch, trial in walk:
         if not 0 < walk.n_clocks <= sched.size:
             continue
@@ -571,8 +558,8 @@ def _add_spacings(spacings: Counter, clocks: np.ndarray, before: np.ndarray) -> 
 
 def _event_tally(tally: np.ndarray, walk: _TrialWalk, window_ns: float,
                  sched: np.ndarray) -> Counter:
-    """Add to tally the event-windowed counts of the walk's detections and
-    return the spacings of its clock marks, as {spacing: count}.
+    """Add to tally's click rows the event-windowed counts of the walk's
+    detections and return the spacings of its clock marks, as {spacing: count}.
 
     Pairing is greedy earliest-first with each detection used once; a
     coincidence is attributed to the trial of its earlier member, so a
@@ -598,14 +585,13 @@ def _event_tally(tally: np.ndarray, walk: _TrialWalk, window_ns: float,
     w = int(window_ns)
     pending_t = pending_trial = np.empty(0, dtype=np.int64)
     queue_ch = -1
-    for start, piece, det_t, det_ch, trial in walk:
+    for start, chunk, det_t, det_ch, trial in walk:
         if walk.n_clocks > start:
-            clocks = piece.clock_times()
+            clocks = chunk.clock_times()
             _add_spacings(spacings, clocks, last_clock)
             last_clock = clocks[-1:]
         if walk.n_clocks > sched.size:
             continue
-        tally[0] += _setting_tally(sched[start:walk.n_clocks])
         tally[1] += _setting_tally(sched[trial[det_ch == CHANNEL_ALICE]])
         tally[2] += _setting_tally(sched[trial[det_ch == CHANNEL_BOB]])
 
@@ -616,7 +602,7 @@ def _event_tally(tally: np.ndarray, walk: _TrialWalk, window_ns: float,
         bounds = np.concatenate(([0], np.flatnonzero(np.diff(times) > w) + 1, [times.size]))
         sizes = np.diff(bounds)
         walked = sizes >= 3
-        walked[-1] = True  # it may continue into the next piece
+        walked[-1] = True  # it may continue into the next chunk
         walked[0] |= pending_t.size > 0
         # a two-detection cluster on both arms is one coincidence; a cluster
         # that is not walked holds no pending detection, so it indexes det_*
@@ -625,7 +611,7 @@ def _event_tally(tally: np.ndarray, walk: _TrialWalk, window_ns: float,
         tally[3] += _setting_tally(sched[trial[pairs]])
 
         # the queue walks the rest: its entries index the pending detections
-        # followed by this piece's walked ones
+        # followed by this chunk's walked ones
         kept = np.repeat(walked, sizes)
         times, trials, det_ch = times[kept], trials[kept], det_ch[kept[pending_t.size:]]
         tl = times.tolist()
@@ -642,7 +628,7 @@ def _event_tally(tally: np.ndarray, walk: _TrialWalk, window_ns: float,
             queue.append(i)
             queue_ch = ch
         tally[3] += _setting_tally(sched[trials[np.array(first, dtype=np.intp)]])
-        # later detections are no earlier than this piece's last one
+        # later detections are no earlier than this chunk's last one
         while queue and tl[-1] - tl[queue[0]] > w:
             queue.popleft()
         waiting = np.fromiter(queue, dtype=np.intp, count=len(queue))
@@ -679,6 +665,8 @@ def windowed_counts(stream, policy: WindowPolicy, schedule) -> CountsTable:
     if sched.size < walk.n_clocks:
         raise ValidationError(
             f"settings schedule covers {sched.size} trials, stream has {walk.n_clocks}")
+    tally[0] = sum(_setting_tally(sched[i:min(i + CHUNK_RECORDS, walk.n_clocks)])
+                   for i in range(0, walk.n_clocks, CHUNK_RECORDS))  # no run-sized temporary
     if policy.kind == "event":
         period = _median_spacing(spacings)
         if policy.window_ns >= period / 2.0:

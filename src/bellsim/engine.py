@@ -633,9 +633,14 @@ def blocks_from_csv(text: str) -> list[BlockRecord]:
             setting, n, singles_a, singles_b, coinc = map(int, row)
         except ValueError:
             raise FormatError(f"non-integer field in {row!r}", lineno) from None
-        # the rules CountsTable applies to a row
+        if not 0 <= setting <= 3:
+            raise FormatError(f"block setting index {setting} out of range", lineno)
+        # the rules CountsTable applies to a row, in 64-bit integers; a count
+        # above n fails below, so n bounds every count
         if n < 0 or singles_a < 0 or singles_b < 0 or coinc < 0:
             raise FormatError(f"negative count in {row!r}", lineno)
+        if n > _INT64_MAX:
+            raise FormatError("block count outside the 64-bit integer range", lineno)
         if coinc > n:
             raise FormatError(f"coincidences exceed trials in {row!r}", lineno)
         if singles_a > n or singles_b > n:

@@ -271,12 +271,13 @@ def dire_report(
 ) -> DireReport:
     """Chain counts -> violation -> min-entropy -> extractable length -> rate.
 
-    B is the pooled-singles estimate.
+    B is the pooled-singles estimate; a B above the quantum maximum is
+    rejected, as guessing_probability rejects it.
     """
     if not (math.isfinite(acquisition_s) and acquisition_s > 0):
         raise ValidationError(f"acquisition_s must be finite and positive, got {acquisition_s!r}")
     b_value = ch_from_counts(table, "pooled")
-    p = guessing_probability(min(b_value, B_QUANTUM_MAX))
+    p = guessing_probability(b_value)
     h = -math.log2(p)
     n_events = int(table.total_trials)
     raw = n_events * h

@@ -395,6 +395,21 @@ def test_dire_non_finite_seconds_is_exit_2(seconds, tmp_path, reference_counts):
     assert not (tmp_path / "dire_report.json").exists()
 
 
+def test_dire_of_a_superquantum_table_is_exit_2(tmp_path, capsys):
+    # coincidences 500/500/500/0 in 1000 trials with 500 singles per arm give
+    # B = 0.5: dire rejects it and writes nothing, while analyze reports it
+    counts = tmp_path / "counts.json"
+    counts.write_text(bs.CountsTable(np.full(4, 1000), np.full(4, 500), np.full(4, 500),
+                                     np.array([500, 500, 500, 0])).to_json())
+    out = tmp_path / "out"
+    out.mkdir()
+    assert main(["dire", str(counts), "--seconds", "10", "--out", str(out), "--quiet"]) == 2
+    assert "B = 0.5 exceeds the quantum maximum 0.207107" in capsys.readouterr().err
+    assert list(out.iterdir()) == []
+    assert main(["analyze", str(counts), "--out", str(out), "--quiet"]) == 0
+    assert json.loads(capsys.readouterr().out)["B"] == pytest.approx(0.5)
+
+
 _AB_TRIALS = int(bs.reference_run_counts().n_trials[0])
 
 
@@ -911,7 +926,10 @@ def test_analyze_oversized_block_count_is_exit_2(tmp_path, capsys):
     ("0,10,-5,1,1", "negative count"),
     ("0,5,10,10,10", "coincidences exceed trials"),
     ("0,10,20,8,9", "singles exceed trials"),
-], ids=["negative-singles", "coincidences-over-trials", "singles-over-trials"])
+    ("7,10,1,1,1", "block setting index 7 out of range"),
+    ("1,99999999999999999999,1,1,1", "block count outside the 64-bit integer range"),
+], ids=["negative-singles", "coincidences-over-trials", "singles-over-trials",
+        "setting-index", "count-over-64-bit"])
 def test_analyze_malformed_block_row_is_exit_2(row, message, tmp_path, capsys):
     # a given sigma skips the partitions, so only the reader can catch it
     path = tmp_path / "blocks.csv"

@@ -575,7 +575,7 @@ def test_clock_spacings_tally_alike_when_equal_and_when_not(chunk, tmp_path, mon
         with mock.patch.object(counting.np, "unique", wraps=np.unique) as unique:
             with pytest.raises(ValidationError, match=f"half the trial period {period} ns"):
                 event_counts(source, period / 2, schedule)
-        clock_pieces = sum(piece.n_trials > 0 for piece in counting._pieces(source))
+        clock_pieces = sum(piece.n_trials > 0 for piece in source.chunks())
         # one piece holds every spacing; several take both paths
         if clock_pieces == 1:
             assert unique.call_count == 1
@@ -684,6 +684,25 @@ def test_chunks_keep_a_detection_with_the_clock_mark_it_shares_a_time_with(tmp_p
     table = clock_counts(TimetagFile(path), [0, 3])
     assert table.singles_b.tolist() == [0, 0, 0, 1]
     assert table == clock_counts(stream, [0, 3])
+
+
+@pytest.mark.parametrize("chunk", [1, 2, 3])
+def test_no_chunk_splits_a_timestamp(chunk, tmp_path, monkeypatch):
+    # runs of equal times longer than one read; at t = 40 a detection is
+    # written ahead of the clock mark at its own time
+    records = [(0, 2), (3, 0), (3, 1), (3, 0), (3, 1), (40, 1), (40, 2), (40, 0), (40, 0),
+               (41, 1), (90, 2), (90, 0), (90, 1), (90, 1), (90, 0)]
+    t, c = zip(*records)
+    stream = bs.TimetagStream(t, c)
+    path = tmp_path / "stream.bin"
+    path.write_bytes(bs.serialize_timetags(stream))
+    monkeypatch.setattr(counting, "CHUNK_RECORDS", chunk)
+    chunks = [piece for piece in TimetagFile(path).chunks() if len(piece)]
+    assert len(chunks) > 1
+    for before, after in zip(chunks, chunks[1:]):
+        assert before.timestamps[-1] < after.timestamps[0]
+    assert np.array_equal(np.concatenate([p.timestamps for p in chunks]), stream.timestamps)
+    assert np.array_equal(np.concatenate([p.channels for p in chunks]), stream.channels)
 
 
 def _tied_by_hand():

@@ -274,6 +274,19 @@ def test_dire_report_zero_violation():
     assert rep.rate_bits_per_s == 0.0
 
 
+def test_dire_report_rejects_a_superquantum_table():
+    # B = 0.5 lies above the quantum maximum, so it certifies nothing
+    table = bs.CountsTable(
+        n_trials=np.full(4, 1000),
+        singles_a=np.full(4, 500),
+        singles_b=np.full(4, 500),
+        coincidences=np.array([500, 500, 500, 0]),
+    )
+    assert bs.ch_from_counts(table) == pytest.approx(0.5)
+    with pytest.raises(ValidationError, match="exceeds the quantum maximum"):
+        bs.dire_report(table, acquisition_s=100.0)
+
+
 def test_dire_report_json_round(reference_counts):
     doc = bs.dire_report(reference_counts, 10_800.0).to_json_dict()
     assert doc["n_events"] == 111_259_682
