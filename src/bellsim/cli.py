@@ -39,11 +39,14 @@ from .counting import (
 )
 from .engine import (
     ExperimentConfig,
+    _block_batches,
+    _write_block_batches,
     blocks_from_csv,
     blocks_to_counts,
-    blocks_to_csv,
-    simulate_blocks,
-    simulate_timetags,  # noqa: F401  (bound here for the traced benchmark, perfbench/spans.py)
+    # bound here for the traced benchmark (perfbench/spans.py)
+    blocks_to_csv,  # noqa: F401
+    simulate_blocks,  # noqa: F401
+    simulate_timetags,  # noqa: F401
     timetag_chunks,
 )
 from .eberhard import OBJECTIVES, bprime_vs_r_sweep, optimize, sweep_to_csv, violation_interval
@@ -129,6 +132,19 @@ def _write_timetags(args, chunks, stream_name: str, settings_name: str):
     return paths, records, clamped
 
 
+def _write_blocks(args, batches):
+    """Write batches of block rows to blocks.csv as they come.  Returns the
+    path and the blocks' counts table.  A failure part way removes the file."""
+    path = _out_path(args, "blocks.csv")
+    try:
+        with open(path, "w") as fh:
+            table = _write_block_batches(fh, batches)
+    except BaseException:
+        path.unlink(missing_ok=True)
+        raise
+    return path, table
+
+
 # ---------------------------------------------------------------------------
 # simulate
 
@@ -148,14 +164,13 @@ def _cmd_simulate(args) -> int:
         diagnostics["clamped_events"] = clamped
         _say(args, f"wrote {records} records over {cfg.n_blocks * cfg.trials_per_block} trials")
     else:
-        blocks = simulate_blocks(cfg)
-        blocks_path = _out_path(args, "blocks.csv")
-        blocks_path.write_text(blocks_to_csv(blocks))
+        # each batch of blocks is written and counted as it is drawn
+        blocks_path, table = _write_blocks(args, _block_batches(cfg))
         outputs.append(blocks_path)
         counts_path = _out_path(args, "counts.json")
-        counts_path.write_text(blocks_to_counts(blocks).to_json())
+        counts_path.write_text(table.to_json())
         outputs.append(counts_path)
-        _say(args, f"wrote {len(blocks)} blocks")
+        _say(args, f"wrote {cfg.n_blocks} blocks")
 
     cfg_path = _out_path(args, "config.used.json")
     cfg_path.write_text(cfg.to_json())
@@ -359,14 +374,17 @@ def _cmd_lhv_demo(args) -> int:
 
 
 def _cmd_dire(args) -> int:
+    # the two bit files come together; neither is read when one is missing
+    if args.extract and not args.seed_file:
+        raise ValidationError("--extract requires --seed-file")
+    if args.seed_file and not args.extract:
+        raise ValidationError("--seed-file requires --extract")
     table = CountsTable.from_json(_read_text(args.counts))
     report = dire_report(table, acquisition_s=args.seconds, policy=args.policy,
                          epsilon=args.epsilon)
     # extract before writing anything, so a failed extraction leaves no output
     if args.extract:
         raw = unpack_bits(Path(args.extract).read_bytes())
-        if not args.seed_file:
-            raise ValidationError("--extract requires --seed-file")
         seed_bits = unpack_bits(Path(args.seed_file).read_bytes())
         out_len = min(report.extractable_bits, raw.size)
         bits = hash_extract(raw, seed_bits, out_len)

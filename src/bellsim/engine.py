@@ -405,29 +405,37 @@ def _drift_multipliers(cfg: ExperimentConfig) -> np.ndarray:
     return cfg.drift.multipliers(cfg.n_blocks)
 
 
-def simulate_blocks(cfg: ExperimentConfig) -> list[BlockRecord]:
-    """Simulate the run block by block, returning per-block click counts.
+def _block_batches(cfg: ExperimentConfig) -> Iterator[np.ndarray]:
+    """The run's blocks as block_array rows, _SEED_BATCH blocks at a time.
 
     Each block is one multinomial draw of its (coincidence, A only,
     B only, neither) counts from the closed-form click probabilities at
-    its setting pair and drift multiplier.
+    its setting pair and drift multiplier.  Only the schedule and the
+    drift multipliers, 16 bytes per block, are held for the whole run.
     """
     with _per_block_arrays(cfg.n_blocks):
         schedule = _block_schedule(cfg)
-        p1, p2, p12 = (np.array(p)[schedule]
-                       for p in pair_probs(cfg.state, *astuple(cfg.settings)))
-        pa, pb, pab = click_probabilities(p1, p2, p12, cfg.det,
-                                          multiplier=_drift_multipliers(cfg))
+        multipliers = _drift_multipliers(cfg)
+    probs = [np.array(p) for p in pair_probs(cfg.state, *astuple(cfg.settings))]
+    rngs = _block_rngs(cfg.rng_seed, 0, cfg.n_blocks)
+    n = cfg.trials_per_block
+    for lo in range(0, cfg.n_blocks, _SEED_BATCH):
+        settings = schedule[lo:lo + _SEED_BATCH]
+        pa, pb, pab = click_probabilities(*(p[settings] for p in probs), cfg.det,
+                                          multiplier=multipliers[lo:lo + _SEED_BATCH])
         # rounding can leave a category a few ulp below zero
         categories = np.clip(np.stack([pab, pa - pab, pb - pab, 1.0 - pa - pb + pab], axis=1),
                              0.0, None)
-    n = cfg.trials_per_block
-    records = []
-    for b, rng in enumerate(_block_rngs(cfg.rng_seed, 0, cfg.n_blocks)):
-        coinc, a_only, b_only, _ = rng.multinomial(n, categories[b])
-        records.append(BlockRecord(int(schedule[b]), n, int(coinc + a_only),
-                                   int(coinc + b_only), int(coinc)))
-    return records
+        coinc, a_only, b_only, _ = np.stack(
+            [rng.multinomial(n, row) for row, rng in zip(categories, rngs)], axis=1)
+        yield np.stack([settings, np.full_like(coinc, n), coinc + a_only, coinc + b_only, coinc],
+                       axis=1)
+
+
+def simulate_blocks(cfg: ExperimentConfig) -> list[BlockRecord]:
+    """Simulate the run block by block, returning per-block click counts
+    (see _block_batches)."""
+    return [BlockRecord._make(row) for rows in _block_batches(cfg) for row in rows.tolist()]
 
 
 def block_array(blocks: Sequence[BlockRecord]) -> np.ndarray:
@@ -616,10 +624,20 @@ def blocks_to_csv(blocks: Sequence[BlockRecord]) -> str:
     buf = io.StringIO()
     writer = csv.writer(buf)
     writer.writerow(_BLOCK_HEADER)
-    for rec in blocks:
-        writer.writerow([rec.setting_pair, rec.n_trials, rec.singles_a,
-                         rec.singles_b, rec.coincidences])
+    writer.writerows(blocks)
     return buf.getvalue()
+
+
+def _write_block_batches(fh, batches: Iterator[np.ndarray]) -> CountsTable:
+    """Write batches of block_array rows to a text file as blocks_to_csv
+    writes their records, and return their counts table."""
+    writer = csv.writer(fh)
+    writer.writerow(_BLOCK_HEADER)
+    tally = np.zeros((4, 4, 1), dtype=np.int64)
+    for rows in batches:
+        writer.writerows(rows.tolist())
+        tally += tally_blocks(rows, 0, 1)
+    return CountsTable(*tally[..., 0])
 
 
 def blocks_from_csv(text: str) -> list[BlockRecord]:

@@ -28,10 +28,14 @@ parity of seed[i : i+n] (reversed) AND the raw bits, which makes the map
 linear over XOR and needs n + m - 1 seed bits for m output bits.  Those
 parities are the low bits of a correlation, which is computed by FFT on
 tiles of at most _TILE_BITS output bits and 2*_TILE_BITS - rows + 1 raw
-bits for a tile of `rows` output bits, so that a full tile fills an FFT
-of length 2*_TILE_BITS.  An n-bit input and m-bit output cost
-O((n + m) log(n + m)) at a working set bounded by the tile, whatever n
-and m are (Hayashi & Tsurumaru, IEEE TIT 62, 2213 (2016)).  Every tile's correlation is checked to round cleanly
+bits for a tile of `rows` output bits, so that a full tile's correlation
+fills an FFT of length 2*_TILE_BITS = 2^21.  A partial tile, one short
+of raw bits (the last for each band of output bits), takes the smallest
+2^i 3^j 5^k length that holds its width + rows - 1 correlation values:
+270 000 points, not 2^19, for 2^18 raw and 4364 output bits.  An n-bit
+input and m-bit output cost O((n + m) log(n + m)) at a working set
+bounded by the tile, whatever n and m are (Hayashi & Tsurumaru, IEEE TIT
+62, 2213 (2016)).  Every tile's correlation is checked to round cleanly
 to integers, so the output bits are exact or the call raises.
 """
 
@@ -64,9 +68,10 @@ FINITE_SIZE_CAVEAT = (
 _BITS_MAGIC = b"BELLSIMX"
 
 # Output bits per FFT tile; a tile of `rows` output bits takes
-# 2 * _TILE_BITS - rows + 1 raw bits.  A tile's correlation values are
-# integers up to 2^21, far inside float64's exact range, and its FFT
-# length is at most 2^21.
+# 2 * _TILE_BITS - rows + 1 raw bits, so a full tile's FFT is 2^21 points
+# and that of a tile short of raw bits the smallest 2^i 3^j 5^k length
+# that holds its correlation.  A tile's correlation values are integers
+# up to 2^21, far inside float64's exact range.
 _TILE_BITS = 1 << 20
 
 # Largest distance from an integer that a correlation value may show
@@ -150,6 +155,20 @@ def _as_bits(x, name: str) -> np.ndarray:
     return arr
 
 
+def _fft_length(n: int) -> int:
+    """Smallest 2^i * 3^j * 5^k >= n, a length pocketfft transforms at full speed."""
+    best = 1 << (n - 1).bit_length()
+    p5 = 1
+    while p5 < best:
+        p35 = p5
+        while p35 < best:
+            # p35 times the smallest power of two that reaches n
+            best = min(best, p35 << (-(-n // p35) - 1).bit_length())
+            p35 *= 3
+        p5 *= 5
+    return best
+
+
 def hash_extract(raw_bits, seed_bits, out_len: int) -> np.ndarray:
     """Toeplitz-hash raw_bits down to out_len bits using the seed.
 
@@ -181,7 +200,7 @@ def hash_extract(raw_bits, seed_bits, out_len: int) -> np.ndarray:
         for j0 in range(0, n, span):
             width = min(span, n - j0)
             s0 = i0 + n - j0 - width
-            size = 1 << (width + rows - 2).bit_length()
+            size = _fft_length(width + rows - 1)
             conv = np.fft.irfft(
                 np.fft.rfft(seed[s0:s0 + width + rows - 1], size)
                 * np.fft.rfft(raw[j0:j0 + width], size),

@@ -386,6 +386,21 @@ def test_failed_dire_extraction_leaves_no_output(seed_bytes, tmp_path, reference
     assert list(out.iterdir()) == []
 
 
+@pytest.mark.parametrize("given, missing", [("--seed-file", "--extract"),
+                                            ("--extract", "--seed-file")])
+def test_dire_bit_file_without_its_pair_is_exit_2(given, missing, tmp_path, capsys,
+                                                  reference_counts):
+    # the one file given does not exist: the pair is checked before it is read
+    counts = tmp_path / "counts.json"
+    counts.write_text(reference_counts.to_json())
+    out = tmp_path / "out"
+    out.mkdir()
+    assert main(["dire", str(counts), "--seconds", "10", given, str(tmp_path / "absent.bin"),
+                 "--out", str(out), "--quiet"]) == 2
+    assert f"error: {given} requires {missing}" in capsys.readouterr().err
+    assert list(out.iterdir()) == []
+
+
 @pytest.mark.parametrize("seconds", ["nan", "inf"])
 def test_dire_non_finite_seconds_is_exit_2(seconds, tmp_path, reference_counts):
     counts = tmp_path / "counts.json"

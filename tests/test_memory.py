@@ -1,9 +1,10 @@
-"""The timetag CLI path runs in memory that does not grow with the run.
+"""The CLI's simulate and analyze steps run in memory that barely grows with the run.
 
 Each step's peak traced allocation (tracemalloc, which numpy reports its
 arrays to) is taken at N and at 4N trials, with chunks small enough that
-both runs span many of them.  Only the settings, one byte per trial, may
-grow with the run.
+both runs span many of them.  On the timetag path only the settings, one
+byte per trial, may grow with the run; in block mode only the schedule
+and the drift multipliers, 16 bytes per block.
 """
 
 import contextlib
@@ -11,12 +12,13 @@ import io
 import tracemalloc
 
 import bellsim as bs
-from bellsim import counting
+from bellsim import counting, engine
 from bellsim.cli import main
 
 TRIALS_PER_BLOCK = 1000
 N_BLOCKS = 50
 MAX_BYTES_PER_TRIAL = 3.0
+MAX_BYTES_PER_BLOCK = 32.0
 
 
 def _peaks(work, steps):
@@ -83,3 +85,26 @@ def test_adversarial_pipeline_peak_does_not_grow_with_trials(tmp_path, monkeypat
     monkeypatch.setattr(counting, "CHUNK_RECORDS", 1 << 12)
     _assert_bounded(("lhv-demo timing", "analyze event"), _adversarial_peaks,
                     tmp_path, "adversarial")
+
+
+def _block_peak(work, n_blocks):
+    """Peak traced bytes of block-mode simulate."""
+    cfg = bs.ExperimentConfig(
+        state=bs.make_eberhard_state(0.26), settings=bs.reference_settings(),
+        det=bs.DetectionModel(pair_mean=0.1, bg_a=0.01, bg_b=0.01),
+        trials_per_block=25_000, n_blocks=n_blocks, rng_seed=5,
+        drift=bs.DriftModel(final_fraction=0.5),
+    )
+    work.mkdir()
+    (work / "config.json").write_text(cfg.to_json())
+    return _peaks(work, [["simulate", str(work / "config.json")]])[0]
+
+
+def test_block_simulate_peak_grows_by_at_most_32_bytes_per_block(tmp_path, monkeypatch):
+    # blocks are drawn, written and tallied a batch at a time; from two
+    # batches on, the peak holds one batch and what the last one left
+    monkeypatch.setattr(engine, "_SEED_BATCH", 256)
+    _block_peak(tmp_path / "warm-up", 100)
+    small = _block_peak(tmp_path / "n", 1024)
+    large = _block_peak(tmp_path / "4n", 4 * 1024)
+    assert (large - small) / (3 * 1024) <= MAX_BYTES_PER_BLOCK, f"peak {small} -> {large} bytes"

@@ -1,6 +1,7 @@
 """Guessing-probability bounds, extraction sizing, and the Toeplitz extractor."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -190,10 +191,8 @@ def test_matmul_oracle_many_tiles(monkeypatch):
         assert np.array_equal(bs.hash_extract(raw, seed, m), matmul_toeplitz(raw, seed, m))
 
 
-def test_full_raw_tiles_fill_their_fft(monkeypatch):
-    # a tile of m output bits takes 2*_TILE_BITS - m + 1 raw bits, so its
-    # correlation needs exactly 2*_TILE_BITS values: one power-of-two FFT
-    monkeypatch.setattr(randomness, "_TILE_BITS", 8)
+def _fft_lengths(monkeypatch):
+    """The list that each later irfft call appends its length to."""
     irfft, sizes = np.fft.irfft, []
 
     def recording_irfft(a, n):
@@ -201,9 +200,87 @@ def test_full_raw_tiles_fill_their_fft(monkeypatch):
         return irfft(a, n)
 
     monkeypatch.setattr(np.fft, "irfft", recording_irfft)
+    return sizes
+
+
+def test_full_raw_tiles_fill_their_fft(monkeypatch):
+    # a tile of m output bits takes 2*_TILE_BITS - m + 1 raw bits, so its
+    # correlation needs exactly 2*_TILE_BITS values: one power-of-two FFT
+    monkeypatch.setattr(randomness, "_TILE_BITS", 8)
+    sizes = _fft_lengths(monkeypatch)
     raw, seed = _random_case(np.random.default_rng(37), 3 * 14 + 4, 3)
     assert np.array_equal(bs.hash_extract(raw, seed, 3), matmul_toeplitz(raw, seed, 3))
-    assert sizes == [16, 16, 16, 8]
+    # the last, partial tile's correlation of 4 + 3 - 1 values takes 6 points
+    assert sizes == [16, 16, 16, 6]
+
+
+def _smooth(n):
+    for p in (2, 3, 5):
+        while n % p == 0:
+            n //= p
+    return n == 1
+
+
+def test_fft_length_is_the_smallest_5_smooth_length():
+    expected = [next(k for k in range(n, 2 * n + 1) if _smooth(k)) for n in range(1, 5001)]
+    assert [randomness._fft_length(n) for n in range(1, 5001)] == expected
+    # the benchmark's correlation (2^18 raw and 4364 output bits), and a full tile's
+    assert randomness._fft_length(2**18 + 4364 - 1) == 270_000 == 2**4 * 3**3 * 5**4
+    assert randomness._fft_length(2**21) == 2**21
+
+
+@pytest.mark.parametrize("n, m", [
+    (1000, 999),    # 1998 -> 2000
+    (4000, 1000),   # 4999, a prime -> 5000
+    (7000, 920),    # 7919, a prime -> 8000
+    (10000, 8),     # 10007, a prime -> 10125
+    (2999, 1),      # 2999, a prime -> 3000
+    (12345, 6789),  # 19133 -> 19200
+])
+def test_matmul_oracle_lengths_that_are_not_powers_of_two(n, m):
+    assert (n + m - 1) & (n + m - 2)  # not a power of two
+    raw, seed = _random_case(np.random.default_rng(n + m), n, m, spare=1)
+    assert np.array_equal(bs.hash_extract(raw, seed, m), matmul_toeplitz(raw, seed, m))
+
+
+def test_matmul_oracle_partial_tiles_of_every_length(monkeypatch):
+    # at 8-bit tiles every correlation length 1..16 turns up, prime ones too
+    monkeypatch.setattr(randomness, "_TILE_BITS", 8)
+    sizes = _fft_lengths(monkeypatch)
+    rng = np.random.default_rng(41)
+    for n in range(1, 40):
+        for m in (1, 2, 3, 5, 8, 9, 13, 17):
+            raw, seed = _random_case(rng, n, m, spare=int(rng.integers(0, 3)))
+            assert np.array_equal(bs.hash_extract(raw, seed, m), matmul_toeplitz(raw, seed, m))
+    assert set(sizes) == {randomness._fft_length(k) for k in range(1, 17)}
+    assert {6, 9, 10, 12, 15} <= set(sizes)
+
+
+def _benchmark_shape():
+    """The paper-blocks extraction: 2^18 raw bits down to 4364."""
+    return (*_random_case(np.random.default_rng(43), 2**18, 4364), 4364)
+
+
+def test_benchmark_shape_takes_one_270000_point_transform(monkeypatch):
+    sizes = _fft_lengths(monkeypatch)
+    raw, seed, m = _benchmark_shape()
+    bs.hash_extract(raw, seed, m)
+    assert sizes == [270_000]
+
+
+def test_benchmark_shape_peak_memory():
+    # at most four transform-sized complex arrays, 2.2 MB each at 270 000
+    # points; at 524 288 points the peak was 10.5 MiB
+    raw, seed, m = _benchmark_shape()
+    bs.hash_extract(raw, seed, m)  # first-call allocations
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        bs.hash_extract(raw, seed, m)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert peak <= 4 * (270_000 // 2 + 1) * 16, f"peak {peak / 2**20:.2f} MiB"
 
 
 def test_inexact_fft_raises(monkeypatch):
