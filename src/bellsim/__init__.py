@@ -32,7 +32,6 @@ from .eberhard import (
     violation_interval,
 )
 from .engine import (
-    BlockRecord,
     ExperimentConfig,
     blocks_from_csv,
     blocks_to_counts,

@@ -223,7 +223,7 @@ def _blocks_sigma(args, blocks) -> float | None:
     """Partition sigma of a block run, or None when some setting pair has
     fewer blocks than partitions (a partition would then miss that pair)."""
     k = args.sigma_partitions
-    per_pair = np.bincount([b.setting_pair for b in blocks], minlength=4)
+    per_pair = np.bincount(blocks[:, 0], minlength=4)
     short = [f"{label} has {m}" for label, m in zip(SETTING_LABELS, per_pair) if m < k]
     if short:
         print(f"note: sigma_B not estimated: {', '.join(short)} blocks, "

@@ -94,6 +94,8 @@ class TimetagStream:
         idx = _first_regression(self.timestamps)
         if idx < self.timestamps.size:
             raise ValidationError(f"timestamps regress at record {idx}")
+        if self.timestamps.size and self.timestamps[0] < 0:  # sorted, so the least
+            raise ValidationError(f"negative timestamp {self.timestamps[0]} at record 0")
         if self.channels.size and self.channels.max() > CHANNEL_CLOCK:
             raise ValidationError("unknown channel id in stream")
 

@@ -36,13 +36,13 @@ from __future__ import annotations
 import contextlib
 import csv
 import io
-import itertools
 import json
 import math
 from dataclasses import MISSING, astuple, dataclass, field, fields, is_dataclass, replace
-from typing import Iterator, NamedTuple, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
+from numpy.typing import ArrayLike
 
 from .counting import (
     CHANNEL_ALICE,
@@ -70,16 +70,6 @@ from .quantum import (
 from .quantum import coincidence_prob, singles_prob  # noqa: F401
 
 SCHEDULE_KINDS = ("random-per-block", "cyclic", "file")
-
-
-class BlockRecord(NamedTuple):
-    """Counts for one block of trials at a fixed setting pair."""
-
-    setting_pair: int
-    n_trials: int
-    singles_a: int
-    singles_b: int
-    coincidences: int
 
 
 def _json_object(value, what: str) -> dict:
@@ -406,7 +396,7 @@ def _drift_multipliers(cfg: ExperimentConfig) -> np.ndarray:
 
 
 def _block_batches(cfg: ExperimentConfig) -> Iterator[np.ndarray]:
-    """The run's blocks as block_array rows, _SEED_BATCH blocks at a time.
+    """The run's blocks as block arrays, _SEED_BATCH blocks at a time.
 
     Each block is one multinomial draw of its (coincidence, A only,
     B only, neither) counts from the closed-form click probabilities at
@@ -432,19 +422,25 @@ def _block_batches(cfg: ExperimentConfig) -> Iterator[np.ndarray]:
                        axis=1)
 
 
-def simulate_blocks(cfg: ExperimentConfig) -> list[BlockRecord]:
-    """Simulate the run block by block, returning per-block click counts
+def simulate_blocks(cfg: ExperimentConfig) -> np.ndarray:
+    """Simulate the run block by block, returning its block array
     (see _block_batches)."""
-    return [BlockRecord._make(row) for rows in _block_batches(cfg) for row in rows.tolist()]
+    return np.concatenate(list(_block_batches(cfg)))
 
 
-def block_array(blocks: Sequence[BlockRecord]) -> np.ndarray:
-    """Block records as an (n, 5) int64 array, columns in BlockRecord order."""
+def block_array(blocks: ArrayLike) -> np.ndarray:
+    """Blocks as an (n, 5) int64 array, columns in blocks.csv order
+    (_BLOCK_HEADER), from such an array or a sequence of 5-int rows."""
     try:
-        arr = np.fromiter(itertools.chain.from_iterable(blocks), dtype=np.int64,
-                          count=5 * len(blocks)).reshape(-1, 5)
+        arr = np.asarray(blocks, dtype=np.int64)
     except OverflowError:
         raise ValidationError("block count outside the 64-bit integer range") from None
+    except (TypeError, ValueError) as exc:
+        raise ValidationError(f"blocks must be rows of 5 integers: {exc}") from None
+    if arr.shape == (0,):  # an empty sequence of rows
+        arr = arr.reshape(0, 5)
+    if arr.ndim != 2 or arr.shape[1] != 5:
+        raise ValidationError(f"blocks must be rows of 5 integers, got shape {arr.shape}")
     settings = arr[:, 0]
     bad = _first_bad_setting(settings)
     if bad < settings.size:
@@ -455,7 +451,7 @@ def block_array(blocks: Sequence[BlockRecord]) -> np.ndarray:
 def tally_blocks(arr: np.ndarray, part: np.ndarray | int, k: int) -> np.ndarray:
     """Sums of the block counts by (field, setting pair, partition).
 
-    arr is a block_array; part gives each block's partition in 0..k-1.
+    arr is a block array; part gives each block's partition in 0..k-1.
     The four fields are n_trials, singles_a, singles_b and coincidences.
     The sums stay int64, exactly as accumulating the records one by one.
     """
@@ -464,8 +460,8 @@ def tally_blocks(arr: np.ndarray, part: np.ndarray | int, k: int) -> np.ndarray:
     return tally.transpose(2, 1, 0)
 
 
-def blocks_to_counts(blocks: Sequence[BlockRecord]) -> CountsTable:
-    """Aggregate block records into a four-row counts table."""
+def blocks_to_counts(blocks: ArrayLike) -> CountsTable:
+    """Aggregate blocks (see block_array) into a four-row counts table."""
     return CountsTable(*tally_blocks(block_array(blocks), 0, 1)[..., 0])
 
 
@@ -620,17 +616,16 @@ def simulate_timetags(cfg: ExperimentConfig) -> TimetagStream:
 _BLOCK_HEADER = ["setting_index", "n_trials", "singles_a", "singles_b", "coincidences"]
 
 
-def blocks_to_csv(blocks: Sequence[BlockRecord]) -> str:
+def blocks_to_csv(blocks: ArrayLike) -> str:
+    """blocks.csv text of blocks (see block_array)."""
     buf = io.StringIO()
-    writer = csv.writer(buf)
-    writer.writerow(_BLOCK_HEADER)
-    writer.writerows(blocks)
+    _write_block_batches(buf, [block_array(blocks)])
     return buf.getvalue()
 
 
-def _write_block_batches(fh, batches: Iterator[np.ndarray]) -> CountsTable:
-    """Write batches of block_array rows to a text file as blocks_to_csv
-    writes their records, and return their counts table."""
+def _write_block_batches(fh, batches: Iterable[np.ndarray]) -> CountsTable:
+    """Write batches of block arrays to a text file as blocks.csv rows, and
+    return their counts table."""
     writer = csv.writer(fh)
     writer.writerow(_BLOCK_HEADER)
     tally = np.zeros((4, 4, 1), dtype=np.int64)
@@ -640,8 +635,9 @@ def _write_block_batches(fh, batches: Iterator[np.ndarray]) -> CountsTable:
     return CountsTable(*tally[..., 0])
 
 
-def blocks_from_csv(text: str) -> list[BlockRecord]:
-    records = []
+def blocks_from_csv(text: str) -> np.ndarray:
+    """The block array of blocks.csv text, shape (0, 5) when it has no rows."""
+    values = []
     for lineno, row in enumerate(csv.reader(io.StringIO(text)), start=1):
         if not row or row == _BLOCK_HEADER:
             continue
@@ -663,5 +659,5 @@ def blocks_from_csv(text: str) -> list[BlockRecord]:
             raise FormatError(f"coincidences exceed trials in {row!r}", lineno)
         if singles_a > n or singles_b > n:
             raise FormatError(f"singles exceed trials in {row!r}", lineno)
-        records.append(BlockRecord(setting, n, singles_a, singles_b, coinc))
-    return records
+        values += setting, n, singles_a, singles_b, coinc
+    return np.array(values, dtype=np.int64).reshape(-1, 5)

@@ -235,12 +235,22 @@ def write_extracted_bits(path: str, bits) -> None:
 
 
 def read_extracted_bits(path: str) -> np.ndarray:
+    """The bits of a write_extracted_bits file, which must hold exactly the
+    ceil(n/8) payload bytes its header's bit count n declares."""
     with open(path, "rb") as fh:
         magic = fh.read(8)
         if magic != _BITS_MAGIC:
             raise ValidationError(f"not an extracted-bits file (magic {magic!r})")
-        (n,) = struct.unpack("<Q", fh.read(8))
-        return unpack_bits(fh.read(), n)
+        count = fh.read(8)
+        if len(count) != 8:
+            raise ValidationError("extracted-bits file ends inside its 16-byte header")
+        (n,) = struct.unpack("<Q", count)
+        payload = fh.read()
+    size = -(-n // 8)
+    if len(payload) != size:
+        raise ValidationError(f"extracted-bits file declares {n} bits, {size} bytes, "
+                              f"but holds {len(payload)} payload bytes")
+    return unpack_bits(payload, n)
 
 
 # ---------------------------------------------------------------------------

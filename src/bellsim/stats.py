@@ -38,9 +38,10 @@ from fractions import Fraction
 from typing import Sequence
 
 import numpy as np
+from numpy.typing import ArrayLike
 
 from .counting import CountsTable
-from .engine import BlockRecord, block_array, tally_blocks
+from .engine import block_array, tally_blocks
 from .errors import ValidationError
 from .quantum import MeasurementSettings
 
@@ -161,7 +162,7 @@ def _partition_index(settings: np.ndarray, k: int) -> np.ndarray:
 
 
 def partition_values(
-    blocks: Sequence[BlockRecord], k: int, singles_mode: str = "pooled",
+    blocks: ArrayLike, k: int, singles_mode: str = "pooled",
 ) -> np.ndarray:
     """B evaluated on each of the k partitions; every partition covers all
     four setting pairs whenever each pair has at least k blocks."""
@@ -181,7 +182,7 @@ def partition_values(
 
 
 def partition_sigma(
-    blocks: Sequence[BlockRecord], k: int = 50, singles_mode: str = "pooled",
+    blocks: ArrayLike, k: int = 50, singles_mode: str = "pooled",
 ) -> float:
     """Standard error of B: spread of the k partition values over sqrt(k-1)."""
     values = partition_values(blocks, k, singles_mode)
@@ -189,7 +190,7 @@ def partition_sigma(
 
 
 def violations_by_partition(
-    blocks: Sequence[BlockRecord], ks: Sequence[int], singles_mode: str = "conditional",
+    blocks: ArrayLike, ks: Sequence[int], singles_mode: str = "conditional",
 ) -> list[tuple[int, int]]:
     """(k, number of partitions with B > 0) for each requested k.
 

@@ -189,7 +189,7 @@ def test_criterion_08_statistical_pipeline():
     trials = 2451
     for i in range(408):
         s = i % 4
-        blocks.append(bs.BlockRecord(
+        blocks.append((
             s, trials,
             int(rng.binomial(trials, psa[s])),
             int(rng.binomial(trials, psb[s])),

@@ -900,7 +900,7 @@ def test_analyze_short_setting_pair_gives_null_sigma(tmp_path):
     # a legal random-per-block run whose (a',b') pair has 19 blocks, fewer
     # than the 50 partitions of the default sigma
     blocks = _write_block_run(tmp_path, trials_per_block=2000, n_blocks=120, rng_seed=3)
-    per_pair = np.bincount([b.setting_pair for b in blocks], minlength=4)
+    per_pair = np.bincount(blocks[:, 0], minlength=4)
     assert per_pair.tolist() == [27, 37, 37, 19]
     code, out, err = _analyze_outcome(["analyze", str(tmp_path / "blocks.csv"),
                                        "--out", str(tmp_path), "--quiet"])

@@ -95,6 +95,8 @@ def test_stream_invariants():
         bs.TimetagStream(np.array([5, 4]), np.array([0, 0]))
     with pytest.raises(ValidationError):
         bs.TimetagStream(np.array([1]), np.array([9]))
+    with pytest.raises(ValidationError, match="negative timestamp -3 at record 0"):
+        bs.TimetagStream(np.array([-3, 4]), np.array([2, 0]))
 
 
 # ---------------------------------------------------------------------------

@@ -94,7 +94,7 @@ def test_file_schedule_reads_settings_files(tmp_path):
 
 def test_blocks_deterministic():
     cfg = quick_cfg()
-    assert bs.simulate_blocks(cfg) == bs.simulate_blocks(cfg)
+    assert np.array_equal(bs.simulate_blocks(cfg), bs.simulate_blocks(cfg))
 
 
 def test_timetags_deterministic_and_serialized_identically():
@@ -194,14 +194,14 @@ def test_chunked_timetags_equal_whole_run_writer():
 def test_seed_changes_output():
     a = bs.simulate_blocks(quick_cfg(rng_seed=1))
     b = bs.simulate_blocks(quick_cfg(rng_seed=2))
-    assert a != b
+    assert not np.array_equal(a, b)
 
 
 def test_cyclic_prefix_blocks_match_shorter_run():
     # per-block generators: block b depends on (seed, b) only
     long_run = bs.simulate_blocks(quick_cfg(schedule_kind="cyclic", n_blocks=12))
     short_run = bs.simulate_blocks(quick_cfg(schedule_kind="cyclic", n_blocks=5))
-    assert long_run[:5] == short_run
+    assert np.array_equal(long_run[:5], short_run)
 
 
 # ---------------------------------------------------------------------------
@@ -294,7 +294,7 @@ def per_trial_blocks(cfg):
         click_b = ((u >= t0) & (u < t1)) | (u >= t2)
         coinc = click_a & click_b
         records.append(
-            bs.BlockRecord(combo, n, int(click_a.sum()), int(click_b.sum()), int(coinc.sum()))
+            (combo, n, int(click_a.sum()), int(click_b.sum()), int(coinc.sum()))
         )
     return records
 
@@ -459,7 +459,7 @@ def test_vacuum_run_is_silent():
     cfg = quick_cfg(state=bs.make_eberhard_state(0.0),
                     settings=bs.MeasurementSettings(0, 0, 0, 0), det=det)
     for rec in bs.simulate_blocks(cfg):
-        assert rec.singles_a == rec.singles_b == rec.coincidences == 0
+        assert rec[2] == rec[3] == rec[4] == 0  # singles_a, singles_b, coincidences
     stream = bs.simulate_timetags(cfg)
     assert len(stream) == stream.n_trials  # clock markers only
 
@@ -608,8 +608,17 @@ def test_expected_b_positive_at_large_scale(calibrated_reference_model):
 
 
 def test_blocks_csv_round_trip():
-    blocks = bs.simulate_blocks(quick_cfg())
-    assert bs.blocks_from_csv(bs.blocks_to_csv(blocks)) == blocks
+    cfg = quick_cfg()
+    blocks = bs.blocks_from_csv(bs.blocks_to_csv(bs.simulate_blocks(cfg)))
+    assert blocks.dtype == np.int64 and blocks.shape == (cfg.n_blocks, 5)
+    assert np.array_equal(blocks, bs.simulate_blocks(cfg))
+
+
+@pytest.mark.parametrize("text", ["", ",".join(engine._BLOCK_HEADER) + "\n"],
+                         ids=["empty", "header-only"])
+def test_blocks_csv_without_rows_is_empty_array(text):
+    blocks = bs.blocks_from_csv(text)
+    assert blocks.dtype == np.int64 and blocks.shape == (0, 5)
 
 
 def test_blocks_csv_malformed():
@@ -623,9 +632,20 @@ def test_blocks_csv_malformed():
     ((0, 10**30, 1, 1, 1), "outside the 64-bit integer range"),
 ])
 def test_blocks_to_counts_rejects_bad_records(record, message):
-    blocks = [bs.BlockRecord(s, 10, 1, 1, 1) for s in range(4)] + [bs.BlockRecord(*record)]
+    blocks = [(s, 10, 1, 1, 1) for s in range(4)] + [record]
     with pytest.raises(ValidationError, match=message):
         bs.blocks_to_counts(blocks)
+
+
+@pytest.mark.parametrize("blocks", [
+    [(s, 10, 1, 1) for s in range(4)],
+    [(s, 10, 1, 1, 1) for s in range(4)] + [(0, 10, 1, 1)],
+    np.zeros((4, 6), dtype=np.int64),
+    np.zeros(5, dtype=np.int64),
+], ids=["4-fields", "ragged", "6-columns", "1-d"])
+def test_block_array_rejects_rows_not_of_5_fields(blocks):
+    with pytest.raises(ValidationError, match="rows of 5 integers"):
+        engine.block_array(blocks)
 
 
 def test_config_json_round_trip():

@@ -131,6 +131,14 @@ def test_empty_schedule_yields_clock_only_stream():
     assert len(stream) == 2
 
 
+def test_stream_before_time_zero_is_rejected():
+    # trial -2 would start at a negative time, which serialize_timetags
+    # cannot write as an unsigned timestamp
+    with pytest.raises(ValidationError, match="negative timestamp"):
+        bs.coincidence_time_stream(bs.coincidence_loophole_schedule(), [0, 1, 2], T_ns=1000,
+                                   first_trial=-2)
+
+
 def test_every_detection_present_per_side():
     rng = np.random.default_rng(5)
     settings = rng.integers(0, 4, size=1000)

@@ -325,6 +325,19 @@ def test_bit_file_round_trip(tmp_path):
     assert np.array_equal(bs.read_extracted_bits(str(path)), bits)
 
 
+@pytest.mark.parametrize("cut, message", [
+    (lambda data: data[:12], "ends inside its 16-byte header"),
+    (lambda data: data[:-1], "declares 10 bits, 2 bytes, but holds 1 payload bytes"),
+    (lambda data: data + b"\0", "declares 10 bits, 2 bytes, but holds 3 payload bytes"),
+], ids=["short-header", "short-payload", "trailing-bytes"])
+def test_malformed_bit_file_is_rejected(cut, message, tmp_path):
+    path = tmp_path / "out.bits"
+    bs.write_extracted_bits(str(path), np.ones(10, dtype=np.uint8))
+    path.write_bytes(cut(path.read_bytes()))
+    with pytest.raises(ValidationError, match=message):
+        bs.read_extracted_bits(str(path))
+
+
 # ---------------------------------------------------------------------------
 # end-to-end report
 

@@ -89,12 +89,12 @@ def synthetic_blocks(rng, n_blocks=408, trials=2451):
     blocks = []
     for i in range(n_blocks):
         s = i % 4
-        blocks.append(bs.BlockRecord(
-            setting_pair=s,
-            n_trials=trials,
-            singles_a=int(rng.binomial(trials, psa[s])),
-            singles_b=int(rng.binomial(trials, psb[s])),
-            coincidences=int(rng.binomial(trials, pc[s])),
+        blocks.append((
+            s,  # setting pair
+            trials,
+            int(rng.binomial(trials, psa[s])),  # singles_a
+            int(rng.binomial(trials, psb[s])),  # singles_b
+            int(rng.binomial(trials, pc[s])),  # coincidences
         ))
     return blocks, (psa, psb, pc)
 
@@ -128,12 +128,12 @@ def test_partition_insufficient_data():
 def test_partition_values_reject_singles_above_trials():
     # two blocks of each setting pair; the (a,b') block of partition 1 has
     # 20 singles in 10 trials, as its counts table would not accept
-    blocks = [bs.BlockRecord(s, 10, 5, 5, 2) for s in range(4) for _ in range(2)]
-    blocks[3] = bs.BlockRecord(1, 10, 20, 5, 2)
+    blocks = [(s, 10, 5, 5, 2) for s in range(4) for _ in range(2)]
+    blocks[3] = (1, 10, 20, 5, 2)
     with pytest.raises(ValidationError, match="^partition 1 has insufficient data: "
                                               "singles_a exceed trials in some row$"):
         bs.partition_values(blocks, k=2)
-    blocks[3] = bs.BlockRecord(1, 10, 10, 5, 2)
+    blocks[3] = (1, 10, 10, 5, 2)
     assert bs.partition_values(blocks, k=2).shape == (2,)
 
 
@@ -151,13 +151,13 @@ def test_violations_by_partition_counts():
 
 def _reference_blocks_to_counts(blocks):
     n_trials, singles_a, singles_b, coinc = (np.zeros(4, dtype=np.int64) for _ in range(4))
-    for rec in blocks:
-        if not 0 <= rec.setting_pair <= 3:
-            raise ValidationError(f"block setting index {rec.setting_pair} out of range")
-        n_trials[rec.setting_pair] += rec.n_trials
-        singles_a[rec.setting_pair] += rec.singles_a
-        singles_b[rec.setting_pair] += rec.singles_b
-        coinc[rec.setting_pair] += rec.coincidences
+    for setting, n, sa, sb, c in blocks:
+        if not 0 <= setting <= 3:
+            raise ValidationError(f"block setting index {setting} out of range")
+        n_trials[setting] += n
+        singles_a[setting] += sa
+        singles_b[setting] += sb
+        coinc[setting] += c
     return bs.CountsTable(n_trials, singles_a, singles_b, coinc)
 
 
@@ -189,7 +189,7 @@ def _reference_partition_values(blocks, k, singles_mode):
     if len(blocks) < k:
         raise ValidationError(f"cannot split {len(blocks)} blocks into {k} partitions")
     # grouped by setting, in run order within a setting, dealt round-robin
-    by_setting = sorted(blocks, key=lambda rec: rec.setting_pair)
+    by_setting = sorted(blocks, key=lambda rec: rec[0])
     parts = [by_setting[i::k] for i in range(k)]
     values = []
     for i, part in enumerate(parts):
@@ -212,7 +212,7 @@ def _outcome(fn, *args):
 def _small_block(values):
     setting, n, sa, sb, c = values
     m = max(n, 0) + 1
-    return bs.BlockRecord(setting, n, sa % m, sb % m, c % (m + 1))
+    return setting, n, sa % m, sb % m, c % (m + 1)
 
 
 _BLOCK = st.tuples(st.integers(0, 3), st.integers(-1, 40), st.integers(0, 40),
@@ -224,14 +224,17 @@ _BLOCKS = st.one_of(st.lists(_BLOCK, max_size=8), st.lists(_BLOCK, min_size=24, 
 @given(blocks=_BLOCKS, k=st.integers(1, 10),
        singles_mode=st.sampled_from(["pooled", "paired", "conditional"]))
 def test_partition_values_equal_list_reference(blocks, k, singles_mode):
-    got = _outcome(bs.partition_values, blocks, k, singles_mode)
     want = _outcome(_reference_partition_values, blocks, k, singles_mode)
-    assert got[0] == want[0]
-    if got[0] == "ok":
-        assert got[1].tobytes() == want[1].tobytes()  # bit for bit
-    else:
-        assert got[1] == want[1]
-    assert _outcome(bs.blocks_to_counts, blocks) == _outcome(_reference_blocks_to_counts, blocks)
+    want_counts = _outcome(_reference_blocks_to_counts, blocks)
+    # the same blocks as 5-tuples and as a block array
+    for form in (blocks, np.array(blocks, dtype=np.int64).reshape(-1, 5)):
+        got = _outcome(bs.partition_values, form, k, singles_mode)
+        assert got[0] == want[0]
+        if got[0] == "ok":
+            assert got[1].tobytes() == want[1].tobytes()  # bit for bit
+        else:
+            assert got[1] == want[1]
+        assert _outcome(bs.blocks_to_counts, form) == want_counts
 
 
 # a run order of blocks with 0-12 blocks of each setting pair
@@ -244,7 +247,7 @@ _PAIR_ORDERS = st.lists(st.integers(0, 12), min_size=4, max_size=4).flatmap(
 def test_stratified_partitions_cover_every_setting(pairs, k, singles_mode):
     # one trial per block and one coincidence-free click on each arm: a
     # partition evaluates exactly when it holds a block of every setting
-    blocks = [bs.BlockRecord(s, 1, 1, 1, 0) for s in pairs]
+    blocks = [(s, 1, 1, 1, 0) for s in pairs]
     status, result = _outcome(bs.partition_values, blocks, k, singles_mode)
     if np.bincount(pairs, minlength=4).min() >= k:
         assert status == "ok"
@@ -268,7 +271,7 @@ def paper_schedule_blocks():
 @pytest.mark.parametrize("singles_mode", ["pooled", "conditional"])
 def test_stratified_partitions_at_paper_scale(paper_schedule_blocks, singles_mode):
     blocks = paper_schedule_blocks
-    fewest = np.bincount([rec.setting_pair for rec in blocks], minlength=4).min()
+    fewest = np.bincount(blocks[:, 0], minlength=4).min()
     with pytest.raises(ValidationError, match="insufficient data"):
         bs.partition_values(blocks, int(fewest) + 1, singles_mode)
     ks = [200, 300, 445, 650, 1000]
