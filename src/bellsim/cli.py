@@ -2,11 +2,13 @@
 
 Subcommands: simulate, analyze, optimize, sweep, lhv-demo, dire.
 Structured results are JSON, plot-ready curves are CSV, and every run
-writes a manifest.json next to its outputs recording the subcommand,
-output paths, tool version and timestamp, and as its inputs every parsed
-argument but the subcommand, --out and --quiet, so the parser is the one
-list of a command's inputs; optimize and sweep also record how many
-coordinate descents ran out of sweeps (`exhausted_refinements`).
+that succeeds writes a manifest.json next to its outputs, last, recording
+the subcommand, output paths in write order, tool version and timestamp,
+and as its inputs every parsed argument but the subcommand, --out and
+--quiet, so the parser is the one list of a command's inputs; each
+command returns the manifest's diagnostics, such as how many coordinate
+descents of optimize and sweep ran out of sweeps (`exhausted_refinements`).
+A command that fails removes every output file it had named.
 
 Exit codes: 0 success, 2 validation failure, 3 I/O failure,
 4 numerical failure.
@@ -81,15 +83,15 @@ def _say(args, message: str) -> None:
         print(message)
 
 
-# parsed arguments that are not inputs of the run
-_NOT_INPUTS = ("command", "func", "out", "quiet")
+# parsed arguments that are not inputs of the run, and the run's outputs
+_NOT_INPUTS = ("command", "func", "out", "quiet", "written")
 
 
-def _write_manifest(args, outputs: list[Path], **diagnostics) -> None:
+def _write_manifest(args, **diagnostics) -> None:
     manifest = {
         "subcommand": args.command,
         "inputs": {k: v for k, v in vars(args).items() if k not in _NOT_INPUTS},
-        "outputs": [str(p) for p in outputs],
+        "outputs": [str(p) for p in args.written],
         "tool_version": __version__,
         "timestamp": datetime.datetime.now(datetime.timezone.utc).isoformat(),
         **diagnostics,
@@ -106,77 +108,54 @@ def _read_text(path) -> str:
 
 
 def _out_path(args, name: str) -> Path:
+    """The path of output file `name`.  Every output is named here, so
+    args.written lists the run's outputs in write order: main writes
+    that list into the manifest, or removes its files when the run fails."""
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
+    args.written.append(out_dir / name)
     return out_dir / name
 
 
 def _write_timetags(args, chunks, stream_name: str, settings_name: str):
     """Write timetag chunks as they come: their records to a binary file
-    and their meta["trial_settings"] to a settings file.  Returns the two
-    paths, the records written and the chunks' clamped events.  A failure
-    part way removes both files, so no partial run is left behind."""
-    paths = [_out_path(args, stream_name), _out_path(args, settings_name)]
+    and their meta["trial_settings"] to a settings file.  Returns the
+    records written and the chunks' clamped events."""
     records = clamped = 0
-    try:
-        with open(paths[0], "wb") as stream_file, open(paths[1], "wb") as settings_file:
-            for chunk in chunks:
-                stream_file.write(serialize_timetags(chunk))
-                settings_file.write(serialize_settings(chunk.meta["trial_settings"]))
-                records += len(chunk)
-                clamped += chunk.meta.get("clamped_events", 0)
-    except BaseException:
-        for path in paths:
-            path.unlink(missing_ok=True)
-        raise
-    return paths, records, clamped
-
-
-def _write_blocks(args, batches):
-    """Write batches of block rows to blocks.csv as they come.  Returns the
-    path and the blocks' counts table.  A failure part way removes the file."""
-    path = _out_path(args, "blocks.csv")
-    try:
-        with open(path, "w") as fh:
-            table = _write_block_batches(fh, batches)
-    except BaseException:
-        path.unlink(missing_ok=True)
-        raise
-    return path, table
+    with (open(_out_path(args, stream_name), "wb") as stream_file,
+          open(_out_path(args, settings_name), "wb") as settings_file):
+        for chunk in chunks:
+            stream_file.write(serialize_timetags(chunk))
+            settings_file.write(serialize_settings(chunk.meta["trial_settings"]))
+            records += len(chunk)
+            clamped += chunk.meta.get("clamped_events", 0)
+    return records, clamped
 
 
 # ---------------------------------------------------------------------------
 # simulate
 
 
-def _cmd_simulate(args) -> int:
+def _cmd_simulate(args) -> dict:
     cfg = ExperimentConfig.from_json(_read_text(args.config))
     if args.seed is not None:
         cfg = dataclasses.replace(cfg, rng_seed=args.seed)
-    outputs = []
     diagnostics = {}
 
     if args.timetags:
         # each block's records and settings are written as they are drawn
-        paths, records, clamped = _write_timetags(args, timetag_chunks(cfg), "timetags.bin",
-                                                  "trial_settings.txt")
-        outputs += paths
-        diagnostics["clamped_events"] = clamped
+        records, diagnostics["clamped_events"] = _write_timetags(
+            args, timetag_chunks(cfg), "timetags.bin", "trial_settings.txt")
         _say(args, f"wrote {records} records over {cfg.n_blocks * cfg.trials_per_block} trials")
     else:
         # each batch of blocks is written and counted as it is drawn
-        blocks_path, table = _write_blocks(args, _block_batches(cfg))
-        outputs.append(blocks_path)
-        counts_path = _out_path(args, "counts.json")
-        counts_path.write_text(table.to_json())
-        outputs.append(counts_path)
+        with open(_out_path(args, "blocks.csv"), "w") as fh:
+            table = _write_block_batches(fh, _block_batches(cfg))
+        _out_path(args, "counts.json").write_text(table.to_json())
         _say(args, f"wrote {cfg.n_blocks} blocks")
 
-    cfg_path = _out_path(args, "config.used.json")
-    cfg_path.write_text(cfg.to_json())
-    outputs.append(cfg_path)
-    _write_manifest(args, outputs, **diagnostics)
-    return EXIT_OK
+    _out_path(args, "config.used.json").write_text(cfg.to_json())
+    return diagnostics
 
 
 # ---------------------------------------------------------------------------
@@ -232,7 +211,7 @@ def _blocks_sigma(args, blocks) -> float | None:
     return partition_sigma(blocks, k=k, singles_mode=args.singles_mode)
 
 
-def _cmd_analyze(args) -> int:
+def _cmd_analyze(args) -> dict:
     path = Path(args.input)
     sigma = args.sigma
     if path.suffix.lower() == ".csv" and args.window is None and args.settings is None:
@@ -245,12 +224,9 @@ def _cmd_analyze(args) -> int:
     result = bell_result(table, sigma_b=sigma, singles_mode=args.singles_mode)
     text = result.to_json()
     print(text)
-    out_path = _out_path(args, "bell_result.json")
-    out_path.write_text(text + "\n")
+    _out_path(args, "bell_result.json").write_text(text + "\n")
     dropped = "pre_marker_detections_dropped"
-    _write_manifest(args, [out_path],
-                    **{dropped: table.meta[dropped]} if dropped in table.meta else {})
-    return EXIT_OK
+    return {dropped: table.meta[dropped]} if dropped in table.meta else {}
 
 
 # ---------------------------------------------------------------------------
@@ -266,15 +242,13 @@ def _det_from_args(args) -> DetectionModel:
     )
 
 
-def _cmd_optimize(args) -> int:
+def _cmd_optimize(args) -> dict:
     det = _det_from_args(args)
     result = optimize(det, objective=args.objective, fix_r=args.fix_r, model=args.model)
     text = json.dumps(result.to_json_dict(), indent=2)
     print(text)
-    out_path = _out_path(args, "optimization.json")
-    out_path.write_text(text + "\n")
-    _write_manifest(args, [out_path], exhausted_refinements=result.exhausted_refinements)
-    return EXIT_OK
+    _out_path(args, "optimization.json").write_text(text + "\n")
+    return {"exhausted_refinements": result.exhausted_refinements}
 
 
 def _parse_grid(spec: str) -> np.ndarray:
@@ -292,38 +266,32 @@ def _parse_grid(spec: str) -> np.ndarray:
         raise ValidationError(f"--r-grid {spec!r} cannot be built: {exc}") from None
 
 
-def _cmd_sweep(args) -> int:
+def _cmd_sweep(args) -> dict:
     det = _det_from_args(args)
     points = bprime_vs_r_sweep(det, _parse_grid(args.r_grid), model=args.model)
     csv_text = sweep_to_csv(points)
-    out_path = _out_path(args, "bprime_sweep.csv")
-    out_path.write_text(csv_text)
+    _out_path(args, "bprime_sweep.csv").write_text(csv_text)
     interval = violation_interval(points)
     if interval:
         _say(args, f"violation (B' > 1) for r in [{interval[0]:.3f}, {interval[1]:.3f}]")
     else:
         _say(args, "no violation anywhere on the grid")
-    _write_manifest(args, [out_path],
-                    exhausted_refinements=sum(p.exhausted_refinements for p in points))
-    return EXIT_OK
+    return {"exhausted_refinements": sum(p.exhausted_refinements for p in points)}
 
 
 # ---------------------------------------------------------------------------
 # lhv-demo
 
 
-def _cmd_lhv_demo(args) -> int:
+def _cmd_lhv_demo(args) -> dict:
     # the range ExperimentConfig.rng_seed takes, so --seed means one range
     if not 0 <= args.seed < 2**64:
         raise ValidationError("--seed must fit in an unsigned 64-bit integer")
-    outputs = []
     if args.what == "tables":
         for name, strat in (("instruction_ideal", demo_strategy_ideal()),
                             ("instruction_82pct", demo_strategy_82pct())):
             table = counts_from_strategy(strat, args.trials)
-            p = _out_path(args, f"{name}_counts.json")
-            p.write_text(table.to_json())
-            outputs.append(p)
+            _out_path(args, f"{name}_counts.json").write_text(table.to_json())
             _say(args, f"{name}: B = {ch_from_counts(table):.6g} (never > 0)")
     elif args.what == "timing":
         if args.trials < 0:
@@ -339,9 +307,7 @@ def _cmd_lhv_demo(args) -> int:
                 settings = rng.integers(0, 4, size=min(per_range, args.trials - first))
                 yield coincidence_time_stream(schedule, settings, T_ns=1000, first_trial=first)
 
-        paths, _, _ = _write_timetags(args, ranges(), "adversarial_timetags.bin",
-                                      "adversarial_settings.txt")
-        outputs += paths
+        _write_timetags(args, ranges(), "adversarial_timetags.bin", "adversarial_settings.txt")
         _say(
             args,
             "wrote an emission-time attack stream; analyze with "
@@ -356,24 +322,21 @@ def _cmd_lhv_demo(args) -> int:
             DriftModel(final_fraction=0.03),
             order=(0, 2, 1, 3),
         )
-        p = _out_path(args, "drift_counts.json")
-        p.write_text(table.to_json())
-        outputs.append(p)
+        _out_path(args, "drift_counts.json").write_text(table.to_json())
         _say(
             args,
             "separable state + cyclic settings + intensity decay: "
             f"B' = {chprime_from_counts(table, 'conditional'):.3f} with late-sampled "
             "singles (a fake violation; randomized settings remove it)",
         )
-    _write_manifest(args, outputs)
-    return EXIT_OK
+    return {}
 
 
 # ---------------------------------------------------------------------------
 # dire
 
 
-def _cmd_dire(args) -> int:
+def _cmd_dire(args) -> dict:
     # the two bit files come together; neither is read when one is missing
     if args.extract and not args.seed_file:
         raise ValidationError("--extract requires --seed-file")
@@ -382,7 +345,6 @@ def _cmd_dire(args) -> int:
     table = CountsTable.from_json(_read_text(args.counts))
     report = dire_report(table, acquisition_s=args.seconds, policy=args.policy,
                          epsilon=args.epsilon)
-    # extract before writing anything, so a failed extraction leaves no output
     if args.extract:
         raw = unpack_bits(Path(args.extract).read_bytes())
         seed_bits = unpack_bits(Path(args.seed_file).read_bytes())
@@ -391,17 +353,13 @@ def _cmd_dire(args) -> int:
 
     text = report.to_json()
     print(text)
-    outputs = [_out_path(args, "dire_report.json")]
-    outputs[0].write_text(text + "\n")
+    _out_path(args, "dire_report.json").write_text(text + "\n")
 
     if args.extract:
         bits_path = _out_path(args, "extracted.bits")
         write_extracted_bits(str(bits_path), bits)
-        outputs.append(bits_path)
         _say(args, f"extracted {out_len} bits -> {bits_path}")
-
-    _write_manifest(args, outputs)
-    return EXIT_OK
+    return {}
 
 
 # ---------------------------------------------------------------------------
@@ -491,8 +449,17 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    args.written = []
     try:
-        return args.func(args)
+        try:
+            _write_manifest(args, **args.func(args))
+        except BaseException:
+            # a failed run leaves none of its output files; a path that is
+            # not a file (a directory in an output's place) was not written
+            for path in args.written:
+                if path.is_file():
+                    path.unlink()
+            raise
     except (ValidationError, FormatError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
@@ -502,6 +469,7 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(f"i/o failure: {exc}", file=sys.stderr)
         return EXIT_IO
+    return EXIT_OK
 
 
 if __name__ == "__main__":

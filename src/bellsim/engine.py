@@ -36,6 +36,7 @@ from __future__ import annotations
 import contextlib
 import csv
 import io
+import itertools
 import json
 import math
 from dataclasses import MISSING, astuple, dataclass, field, fields, is_dataclass, replace
@@ -49,6 +50,7 @@ from .counting import (
     CHANNEL_BOB,
     CHANNEL_CLOCK,
     _INT64_MAX,
+    _INT64_MIN,
     CountsTable,
     TimetagStream,
     _first_bad_setting,
@@ -448,15 +450,32 @@ def block_array(blocks: ArrayLike) -> np.ndarray:
     return arr
 
 
+def _int64_totals(totals: np.ndarray) -> np.ndarray:
+    """Exact (Python int) block totals as int64, which they must fit."""
+    if ((totals > _INT64_MAX) | (totals < _INT64_MIN)).any():
+        raise ValidationError("a setting pair's block total is outside the 64-bit integer range")
+    return totals.astype(np.int64)
+
+
 def tally_blocks(arr: np.ndarray, part: np.ndarray | int, k: int) -> np.ndarray:
     """Sums of the block counts by (field, setting pair, partition).
 
     arr is a block array; part gives each block's partition in 0..k-1.
     The four fields are n_trials, singles_a, singles_b and coincidences.
-    The sums stay int64, exactly as accumulating the records one by one.
+    The sums are int64, exactly as accumulating the records one by one;
+    a sum outside the int64 range is a ValidationError.
     """
-    tally = np.zeros((k, 4, 4), dtype=np.int64)
-    np.add.at(tally, (part, arr[:, 0]), arr[:, 1:])
+    counts = arr[:, 1:]
+    # int64 sums wrap silently, so unless the largest count times the
+    # number of blocks fits, sum Python ints and check their range
+    largest = max(int(counts.max(initial=0)), -int(counts.min(initial=0)))
+    if len(arr) * largest <= _INT64_MAX:
+        tally = np.zeros((k, 4, 4), dtype=np.int64)
+        np.add.at(tally, (part, arr[:, 0]), counts)
+    else:
+        tally = np.zeros((k, 4, 4), dtype=object)
+        np.add.at(tally, (part, arr[:, 0]), counts.astype(object))
+        tally = _int64_totals(tally)
     return tally.transpose(2, 1, 0)
 
 
@@ -628,16 +647,21 @@ def _write_block_batches(fh, batches: Iterable[np.ndarray]) -> CountsTable:
     return their counts table."""
     writer = csv.writer(fh)
     writer.writerow(_BLOCK_HEADER)
-    tally = np.zeros((4, 4, 1), dtype=np.int64)
+    tally = np.zeros((4, 4, 1), dtype=object)  # Python ints: the running sums cannot wrap
     for rows in batches:
         writer.writerows(rows.tolist())
-        tally += tally_blocks(rows, 0, 1)
-    return CountsTable(*tally[..., 0])
+        tally += tally_blocks(rows, 0, 1).astype(object)
+    return CountsTable(*_int64_totals(tally)[..., 0])
 
 
 def blocks_from_csv(text: str) -> np.ndarray:
     """The block array of blocks.csv text, shape (0, 5) when it has no rows."""
-    values = []
+    values = itertools.chain.from_iterable(_checked_block_rows(text))
+    return np.fromiter(values, dtype=np.int64).reshape(-1, 5)
+
+
+def _checked_block_rows(text: str) -> Iterator[tuple[int, ...]]:
+    """The five ints of each blocks.csv row, each row checked."""
     for lineno, row in enumerate(csv.reader(io.StringIO(text)), start=1):
         if not row or row == _BLOCK_HEADER:
             continue
@@ -659,5 +683,4 @@ def blocks_from_csv(text: str) -> np.ndarray:
             raise FormatError(f"coincidences exceed trials in {row!r}", lineno)
         if singles_a > n or singles_b > n:
             raise FormatError(f"singles exceed trials in {row!r}", lineno)
-        values += setting, n, singles_a, singles_b, coinc
-    return np.array(values, dtype=np.int64).reshape(-1, 5)
+        yield setting, n, singles_a, singles_b, coinc

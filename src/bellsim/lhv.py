@@ -42,6 +42,7 @@ from .counting import (
     CHANNEL_ALICE,
     CHANNEL_BOB,
     CHANNEL_CLOCK,
+    _INT64_MAX,
     CountsTable,
     TimetagStream,
     _first_bad_setting,
@@ -56,9 +57,6 @@ from .quantum import (
     click_probabilities,
     pair_probs,
 )
-
-_INT64_MAX = np.iinfo(np.int64).max
-
 
 # Singles A, singles B and coincidences (layers) of deterministic strategy s
 # (columns) at each setting pair c (rows, primed flags c >> 1 and c & 1).

@@ -41,13 +41,13 @@ from typing import Literal
 
 import numpy as np
 
+from .counting import _INT64_MAX
 from .errors import ValidationError
 
 Arm = Literal["A", "B"]
 
 _HERMITICITY_TOL = 1e-10
 _NORM_TOL = 1e-12
-_INT64_MAX = int(np.iinfo(np.int64).max)
 
 
 def _canonical_angle(angle_deg: float) -> float:

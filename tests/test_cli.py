@@ -875,6 +875,94 @@ def test_free_r_optimize_counts_exhausted_refinements(tmp_path):
     assert manifest["exhausted_refinements"] == 1
 
 
+# ---------------------------------------------------------------------------
+# run records: the manifest lists what a command wrote; a failure leaves none of it
+
+
+def _run_inputs(tmp_path, config_path, reference_counts):
+    """Input files of every command, keyed as in RUN_OUTPUTS' argvs."""
+    inputs = tmp_path / "inputs"
+    inputs.mkdir()
+    files = {"CONFIG": config_path, "COUNTS": inputs / "counts.json",
+             "BLOCKS": inputs / "blocks.csv", "TIMETAGS": inputs / "timetags.bin",
+             "SETTINGS": inputs / "settings.txt", "RAW": inputs / "raw.bin",
+             "SEED": inputs / "seed.bin"}
+    files["COUNTS"].write_text(reference_counts.to_json())
+    files["BLOCKS"].write_text(bs.blocks_to_csv([(s, 100, 20, 20, 5) for s in range(4)] * 2))
+    files["TIMETAGS"].write_bytes(bs.serialize_timetags(
+        bs.TimetagStream([0, 5, 6, 10, 15, 20, 21], [0, 2, 1, 2, 2, 2, 0])))
+    files["SETTINGS"].write_bytes(b"0\n1\n2\n3\n")
+    files["RAW"].write_bytes(bytes(range(256)) * 8)
+    files["SEED"].write_bytes(b"\xa5" * 2600)
+    return files
+
+
+# command and mode -> (argv, its output files in write order)
+RUN_OUTPUTS = {
+    "simulate-blocks": (["simulate", "CONFIG"],
+                        ["blocks.csv", "counts.json", "config.used.json"]),
+    "simulate-timetags": (["simulate", "CONFIG", "--timetags"],
+                          ["timetags.bin", "trial_settings.txt", "config.used.json"]),
+    "analyze-counts": (["analyze", "COUNTS"], ["bell_result.json"]),
+    "analyze-blocks": (["analyze", "BLOCKS", "--sigma-partitions", "2"], ["bell_result.json"]),
+    "analyze-timetags": (["analyze", "TIMETAGS", "--settings", "SETTINGS"],
+                         ["bell_result.json"]),
+    "optimize": (["optimize", "--eta", "0.8", "--fix-r", "0.4"], ["optimization.json"]),
+    "sweep": (["sweep", "--eta", "0.75", "--r-grid", "0.2:0.3:0.05"], ["bprime_sweep.csv"]),
+    "lhv-demo-tables": (["lhv-demo", "--what", "tables"],
+                        ["instruction_ideal_counts.json", "instruction_82pct_counts.json"]),
+    "lhv-demo-timing": (["lhv-demo", "--what", "timing", "--trials", "100"],
+                        ["adversarial_timetags.bin", "adversarial_settings.txt"]),
+    "lhv-demo-drift": (["lhv-demo", "--what", "drift"], ["drift_counts.json"]),
+    "dire": (["dire", "COUNTS", "--seconds", "10800"], ["dire_report.json"]),
+    "dire-extract": (["dire", "COUNTS", "--seconds", "10800", "--extract", "RAW",
+                      "--seed-file", "SEED"], ["dire_report.json", "extracted.bits"]),
+}
+
+
+@pytest.mark.parametrize("case", sorted(RUN_OUTPUTS))
+def test_manifest_lists_the_files_written_and_its_failure_leaves_none(
+        case, config_path, tmp_path, reference_counts):
+    files = _run_inputs(tmp_path, config_path, reference_counts)
+    argv, names = RUN_OUTPUTS[case]
+    argv = [str(files.get(a, a)) for a in argv]
+    out = tmp_path / "out"
+    assert main([*argv, "--out", str(out), "--quiet"]) == 0
+    assert sorted(p.name for p in out.iterdir()) == sorted([*names, "manifest.json"])
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["outputs"] == [str(out / name) for name in names]
+    # the manifest is written last: when it cannot be, the run leaves nothing
+    failed = tmp_path / "failed"
+    (failed / "manifest.json").mkdir(parents=True)
+    assert main([*argv, "--out", str(failed), "--quiet"]) == 3
+    assert [p.name for p in failed.iterdir()] == ["manifest.json"]
+
+
+# command -> (argv, the output made a directory so that writing it fails)
+BLOCKED_OUTPUTS = {
+    "simulate": (["simulate", "CONFIG"], "counts.json"),
+    "analyze": (["analyze", "COUNTS"], "manifest.json"),
+    "lhv-demo": (["lhv-demo", "--what", "tables"], "instruction_82pct_counts.json"),
+    "dire": (["dire", "COUNTS", "--seconds", "10800", "--extract", "RAW",
+              "--seed-file", "SEED"], "extracted.bits"),
+}
+
+
+@pytest.mark.parametrize("command", sorted(BLOCKED_OUTPUTS))
+def test_failed_write_removes_the_files_the_command_named(command, config_path, tmp_path,
+                                                         reference_counts, capsys):
+    files = _run_inputs(tmp_path, config_path, reference_counts)
+    argv, blocked = BLOCKED_OUTPUTS[command]
+    out = tmp_path / "out"
+    (out / blocked).mkdir(parents=True)
+    # a file of an earlier run that this command does not name stays
+    (out / "timetags.bin").write_bytes(b"older run")
+    assert main([*(str(files.get(a, a)) for a in argv), "--out", str(out), "--quiet"]) == 3
+    assert capsys.readouterr().err.startswith("i/o failure: ")
+    assert sorted(p.name for p in out.iterdir()) == sorted([blocked, "timetags.bin"])
+    assert (out / "timetags.bin").read_bytes() == b"older run"
+
+
 def test_python_dash_m_bellsim(monkeypatch, capsys):
     monkeypatch.setattr("sys.argv", ["bellsim", "--help"])
     with pytest.raises(SystemExit) as exc:
@@ -935,6 +1023,27 @@ def test_analyze_oversized_block_count_is_exit_2(tmp_path, capsys):
     path.write_text("".join(f"{s},10,1,1,1\n" for s in range(4)) + f"0,{10**30},1,1,1\n")
     assert main(["analyze", str(path), "--out", str(tmp_path), "--quiet"]) == 2
     assert "64-bit" in capsys.readouterr().err
+
+
+def test_analyze_block_totals_beyond_64_bits_is_exit_2(tmp_path, capsys):
+    # each row fits, but three of them per setting pair would wrap to 2^63-3
+    rows = [f"{s},{2**63 - 1},1000,1000,100\n" for s in range(4) for _ in range(3)]
+    path = tmp_path / "blocks.csv"
+    path.write_text("".join(rows))
+    assert main(["analyze", str(path), "--out", str(tmp_path / "out"), "--quiet"]) == 2
+    assert "64-bit integer range" in capsys.readouterr().err
+    assert not (tmp_path / "out" / "bell_result.json").exists()
+
+
+def test_simulate_block_totals_beyond_64_bits_is_exit_2(tmp_path, capsys):
+    # two cyclic blocks of 2^62 trials per setting pair total 2^63
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({**_valid_config(), "schedule_kind": "cyclic",
+                                  "trials_per_block": 2**62, "n_blocks": 8}))
+    out = tmp_path / "out"
+    assert main(["simulate", str(config), "--out", str(out), "--quiet"]) == 2
+    assert "64-bit integer range" in capsys.readouterr().err
+    assert list(out.iterdir()) == []
 
 
 @pytest.mark.parametrize("row, message", [

@@ -2,6 +2,7 @@
 
 import dataclasses
 import hashlib
+import io
 import os
 import subprocess
 import sys
@@ -635,6 +636,24 @@ def test_blocks_to_counts_rejects_bad_records(record, message):
     blocks = [(s, 10, 1, 1, 1) for s in range(4)] + [record]
     with pytest.raises(ValidationError, match=message):
         bs.blocks_to_counts(blocks)
+
+
+# three blocks of 2^63-1 trials per setting pair: each pair's int64 total
+# would wrap to 2^63-3
+_INT64_MAX_BLOCKS = np.array([(s, 2**63 - 1, 0, 0, 0) for s in range(4) for _ in range(3)])
+
+
+@pytest.mark.parametrize("tally", [
+    bs.blocks_to_counts,
+    lambda blocks: bs.partition_values(blocks, k=2),
+    lambda blocks: engine._write_block_batches(io.StringIO(), [blocks]),
+    # one block per pair in each batch, so only the running tally passes 2^63-1
+    lambda blocks: engine._write_block_batches(io.StringIO(),
+                                               [blocks[i::3] for i in range(3)]),
+], ids=["counts", "partitions", "csv-one-batch", "csv-running-tally"])
+def test_block_totals_beyond_64_bits_are_rejected(tally):
+    with pytest.raises(ValidationError, match="64-bit integer range"):
+        tally(_INT64_MAX_BLOCKS)
 
 
 @pytest.mark.parametrize("blocks", [
