@@ -17,6 +17,7 @@ Exit codes: 0 success, 2 validation failure, 3 I/O failure,
 from __future__ import annotations
 
 import argparse
+import csv
 import dataclasses
 import datetime
 import functools
@@ -42,10 +43,12 @@ from .counting import (
 from .engine import (
     ExperimentConfig,
     _block_batches,
+    _int64_totals,
+    _read_block_batches,
     _write_block_batches,
-    blocks_from_csv,
-    blocks_to_counts,
     # bound here for the traced benchmark (perfbench/spans.py)
+    blocks_from_csv,  # noqa: F401
+    blocks_to_counts,  # noqa: F401
     blocks_to_csv,  # noqa: F401
     simulate_blocks,  # noqa: F401
     simulate_timetags,  # noqa: F401
@@ -70,7 +73,16 @@ from .randomness import (
     unpack_bits,
     write_extracted_bits,
 )
-from .stats import SINGLES_MODES, bell_result, ch_from_counts, chprime_from_counts, partition_sigma
+from .stats import (
+    SINGLES_MODES,
+    _partition_values,
+    _sigma_of,
+    _stratified_sums,
+    bell_result,
+    ch_from_counts,
+    chprime_from_counts,
+    partition_sigma,  # noqa: F401  (bound for the traced benchmark)
+)
 
 EXIT_OK = 0
 EXIT_VALIDATION = 2
@@ -97,6 +109,18 @@ def _write_manifest(args, **diagnostics) -> None:
         **diagnostics,
     }
     _out_path(args, "manifest.json").write_text(json.dumps(manifest, indent=2))
+
+
+def _remove_stale_manifest(args) -> None:
+    """Remove an earlier run's manifest.json in --out when it lists a file
+    that this failed run named, and so overwrote or removed."""
+    path = Path(args.out) / "manifest.json"
+    try:
+        listed = {Path(p).name for p in json.loads(path.read_text())["outputs"]}
+    except (OSError, ValueError, KeyError, TypeError):
+        return  # none there, or not a manifest of this tool
+    if listed & {p.name for p in args.written}:
+        path.unlink()
 
 
 def _read_text(path) -> str:
@@ -198,27 +222,41 @@ def _load_counts_for_analysis(args) -> CountsTable:
     return table
 
 
-def _blocks_sigma(args, blocks) -> float | None:
-    """Partition sigma of a block run, or None when some setting pair has
-    fewer blocks than partitions (a partition would then miss that pair)."""
+def _block_file_batches(path):
+    """The block array of a blocks.csv file, a batch at a time, in one
+    pass over its text.  A file with bytes that are not UTF-8 anywhere
+    fails as _read_text fails, before any format error of its rows."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            yield from _read_block_batches(fh)
+    except (ValueError, csv.Error):
+        _read_text(path)
+        raise
+
+
+def _blocks_sigma(args, sums, per_pair) -> float | None:
+    """Partition sigma of a block run from its _stratified_sums, or None
+    when some setting pair has fewer blocks than partitions (a partition
+    would then miss that pair)."""
     k = args.sigma_partitions
-    per_pair = np.bincount(blocks[:, 0], minlength=4)
     short = [f"{label} has {m}" for label, m in zip(SETTING_LABELS, per_pair) if m < k]
     if short:
         print(f"note: sigma_B not estimated: {', '.join(short)} blocks, "
               f"fewer than --sigma-partitions {k}", file=sys.stderr)
         return None
-    return partition_sigma(blocks, k=k, singles_mode=args.singles_mode)
+    return _sigma_of(_partition_values(sums, per_pair, k, args.singles_mode))
 
 
 def _cmd_analyze(args) -> dict:
     path = Path(args.input)
     sigma = args.sigma
     if path.suffix.lower() == ".csv" and args.window is None and args.settings is None:
-        blocks = blocks_from_csv(_read_text(path))
-        table = blocks_to_counts(blocks)
+        # one pass gives the counts, each pair's blocks and the partition sums
+        slots = max(args.sigma_partitions, 1) if sigma is None else 1
+        sums, per_pair = _stratified_sums(_block_file_batches(path), slots)
+        table = CountsTable(*_int64_totals(sums.sum(axis=1)))
         if sigma is None:
-            sigma = _blocks_sigma(args, blocks)
+            sigma = _blocks_sigma(args, sums, per_pair)
     else:
         table = _load_counts_for_analysis(args)
     result = bell_result(table, sigma_b=sigma, singles_mode=args.singles_mode)
@@ -459,6 +497,7 @@ def main(argv=None) -> int:
             for path in args.written:
                 if path.is_file():
                     path.unlink()
+            _remove_stale_manifest(args)
             raise
     except (ValidationError, FormatError) as exc:
         print(f"error: {exc}", file=sys.stderr)

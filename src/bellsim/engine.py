@@ -29,6 +29,15 @@ checks its first generator against numpy's own.
 
 The burst is centered inside the trial period so that realistic jitter
 cannot push a detection across a trial boundary.
+
+A blocks.csv file is read a batch of lines at a time
+(`_read_block_batches`).  np.loadtxt parses a batch of ASCII digits and
+commas, whose rows are then checked as arrays; the first batch that
+holds anything else goes, with the rest of the file, to the csv row
+reader (`_checked_block_rows`), which defines what the format accepts.
+Block counts are summed with one 1-D `np.add.at` per count field, in
+int64 while the sums cannot wrap and in Python ints otherwise
+(`_block_sums`).
 """
 
 from __future__ import annotations
@@ -39,6 +48,7 @@ import io
 import itertools
 import json
 import math
+import warnings
 from dataclasses import MISSING, astuple, dataclass, field, fields, is_dataclass, replace
 from typing import Iterable, Iterator, Sequence
 
@@ -451,10 +461,26 @@ def block_array(blocks: ArrayLike) -> np.ndarray:
 
 
 def _int64_totals(totals: np.ndarray) -> np.ndarray:
-    """Exact (Python int) block totals as int64, which they must fit."""
-    if ((totals > _INT64_MAX) | (totals < _INT64_MIN)).any():
+    """Exact block totals (see _block_sums) as int64, which they must fit."""
+    if totals.dtype == object and ((totals > _INT64_MAX) | (totals < _INT64_MIN)).any():
         raise ValidationError("a setting pair's block total is outside the 64-bit integer range")
-    return totals.astype(np.int64)
+    return totals.astype(np.int64, copy=False)
+
+
+def _block_sums(arr: np.ndarray, key: np.ndarray, size: int, bound: int = 0):
+    """Sums of a block array's four count fields by key in 0..size-1,
+    shape (4, size), and the largest magnitude a running sum can then have:
+    bound plus the number of blocks times their largest count.  The sums
+    are int64 while that fits, so that they cannot wrap, and Python ints
+    otherwise; their range is not checked.
+    """
+    counts = arr[:, 1:]
+    bound += len(arr) * max(int(counts.max(initial=0)), -int(counts.min(initial=0)))
+    dtype = np.int64 if bound <= _INT64_MAX else object
+    sums = np.zeros((4, size), dtype=dtype)
+    for field_sums, column in zip(sums, counts.T):
+        np.add.at(field_sums, key, column.astype(dtype, copy=False))
+    return sums, bound
 
 
 def tally_blocks(arr: np.ndarray, part: np.ndarray | int, k: int) -> np.ndarray:
@@ -465,18 +491,8 @@ def tally_blocks(arr: np.ndarray, part: np.ndarray | int, k: int) -> np.ndarray:
     The sums are int64, exactly as accumulating the records one by one;
     a sum outside the int64 range is a ValidationError.
     """
-    counts = arr[:, 1:]
-    # int64 sums wrap silently, so unless the largest count times the
-    # number of blocks fits, sum Python ints and check their range
-    largest = max(int(counts.max(initial=0)), -int(counts.min(initial=0)))
-    if len(arr) * largest <= _INT64_MAX:
-        tally = np.zeros((k, 4, 4), dtype=np.int64)
-        np.add.at(tally, (part, arr[:, 0]), counts)
-    else:
-        tally = np.zeros((k, 4, 4), dtype=object)
-        np.add.at(tally, (part, arr[:, 0]), counts.astype(object))
-        tally = _int64_totals(tally)
-    return tally.transpose(2, 1, 0)
+    sums, _ = _block_sums(arr, np.asarray(part) * 4 + arr[:, 0], 4 * k)
+    return _int64_totals(sums).reshape(4, k, 4).transpose(0, 2, 1)
 
 
 def blocks_to_counts(blocks: ArrayLike) -> CountsTable:
@@ -656,13 +672,77 @@ def _write_block_batches(fh, batches: Iterable[np.ndarray]) -> CountsTable:
 
 def blocks_from_csv(text: str) -> np.ndarray:
     """The block array of blocks.csv text, shape (0, 5) when it has no rows."""
-    values = itertools.chain.from_iterable(_checked_block_rows(text))
-    return np.fromiter(values, dtype=np.int64).reshape(-1, 5)
+    return np.concatenate([np.empty((0, 5), dtype=np.int64),
+                           *_read_block_batches(io.StringIO(text))])
 
 
-def _checked_block_rows(text: str) -> Iterator[tuple[int, ...]]:
-    """The five ints of each blocks.csv row, each row checked."""
-    for lineno, row in enumerate(csv.reader(io.StringIO(text)), start=1):
+# lines of blocks.csv per parsed batch, and the longest line np.loadtxt is
+# given: Python's int() reads no more digits than sys.get_int_max_str_digits(),
+# which is at least 640 when it is set at all
+_PARSE_LINES = 1 << 14
+_PARSE_LINE_CHARS = 640
+_HEADER_LINE = ",".join(_BLOCK_HEADER)
+
+
+def _read_block_batches(lines: Iterable[str]) -> Iterator[np.ndarray]:
+    """The block array of blocks.csv lines, one batch of up to _PARSE_LINES
+    lines at a time.
+
+    numpy's C parser reads each batch (_parsed_batch) unless it could
+    differ from the row-by-row reader.  From the first batch that could,
+    _checked_block_rows reads to the end, so every accepted file, every
+    FormatError and every line number is that reader's.
+    """
+    lines = iter(lines)
+    lineno = 1
+    while batch := list(itertools.islice(lines, _PARSE_LINES)):
+        arr = _parsed_batch(batch)
+        if arr is None:
+            rows = _checked_block_rows(itertools.chain(batch, lines), lineno)
+            values = itertools.chain.from_iterable(rows)
+            while (arr := np.fromiter(itertools.islice(values, 5 * _PARSE_LINES),
+                                      dtype=np.int64)).size:
+                yield arr.reshape(-1, 5)
+            return
+        yield arr
+        lineno += len(batch)
+
+
+def _parsed_batch(lines: list[str]) -> np.ndarray | None:
+    """The block array of blocks.csv lines by np.loadtxt, or None unless
+    _checked_block_rows is sure to read the same.
+
+    That holds for lines of ASCII digits and commas (after a header line
+    that leads the batch), none longer than _PARSE_LINE_CHARS, each one
+    row of five fields that keeps the range rules.  np.loadtxt also reads
+    signs, spaces and some characters that int() reads otherwise or not
+    at all, and it skips blank lines; such a batch goes to
+    _checked_block_rows.
+    """
+    if lines[0].rstrip("\n") == _HEADER_LINE:
+        lines = lines[1:]
+    text = "".join(lines)
+    if (not text.isascii() or text.encode().translate(None, b"0123456789,\n")
+            or max(map(len, lines), default=0) > _PARSE_LINE_CHARS):
+        return None
+    if not lines:
+        return np.empty((0, 5), dtype=np.int64)
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            arr = np.loadtxt(lines, delimiter=",", dtype=np.int64, comments=None, ndmin=2)
+    except (ValueError, Warning):
+        return None
+    if (arr.shape != (len(lines), 5) or arr[:, 0].max() > 3
+            or (arr[:, 2:] > arr[:, 1:2]).any()):
+        return None
+    return arr
+
+
+def _checked_block_rows(lines: Iterable[str], start: int = 1) -> Iterator[tuple[int, ...]]:
+    """The five ints of each blocks.csv row in lines, each row checked;
+    line numbers count rows from `start`."""
+    for lineno, row in enumerate(csv.reader(lines), start=start):
         if not row or row == _BLOCK_HEADER:
             continue
         if len(row) != 5:

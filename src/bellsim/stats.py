@@ -24,6 +24,10 @@ Uncertainty follows the partition method: split the run into k
 partitions, compute B on each, and scale the spread of the k values down
 to the full data set.  Each setting pair's blocks are dealt round-robin
 over the partitions, so that every partition sees all four pairs.  The
+partition sums are made in one pass over batches of blocks: a block is
+tallied by its setting pair and its rank within that pair mod k, and
+each pair's sums are then rotated by the number of blocks of the pairs
+below it, which is where that pair's round-robin starts.  The
 hacker bound is the exact binomial tail probability that a
 settings-guessing adversary produces at least the observed number of
 per-partition violations.
@@ -35,13 +39,13 @@ import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 from numpy.typing import ArrayLike
 
 from .counting import CountsTable
-from .engine import block_array, tally_blocks
+from .engine import _block_sums, _int64_totals, block_array
 from .errors import ValidationError
 from .quantum import MeasurementSettings
 
@@ -144,30 +148,59 @@ def bell_result(
 # partition-based error estimation
 
 
-def _partition_index(settings: np.ndarray, k: int) -> np.ndarray:
-    """Each block's partition in 0..k-1, given the blocks' setting indices.
+def _stratified_sums(batches: Iterable[np.ndarray], k: int):
+    """Exact sums of the block counts by (field, slot, setting pair), and
+    each pair's number of blocks, in one pass over batches of block arrays
+    in run order.
 
-    The blocks, grouped by setting and in run order within a setting, are
-    dealt round-robin: a setting with m blocks puts floor(m/k) or ceil(m/k)
-    of them in every partition.
+    A block's slot is its rank within its setting pair mod k; the sums
+    have shape (4, slots, 4), with as many slots as the ranks reached,
+    at most k.  They are int64 where they cannot have wrapped and Python
+    ints otherwise (see engine._block_sums); their range is not checked.
     """
-    n = settings.size
+    per_pair = np.zeros(4, dtype=np.int64)
+    sums, bound = np.zeros((4, 4), dtype=np.int64), 0
+    for arr in batches:
+        settings = arr[:, 0]
+        rank = np.empty(len(arr), dtype=np.int64)
+        for s in range(4):
+            mine = np.flatnonzero(settings == s)
+            rank[mine] = np.arange(per_pair[s], per_pair[s] + mine.size)
+            per_pair[s] += mine.size
+        grow = 4 * int(min(k, per_pair.max())) - sums.shape[1]
+        if grow > 0:
+            sums = np.concatenate([sums, np.zeros((4, grow), dtype=sums.dtype)], axis=1)
+        batch_sums, bound = _block_sums(arr, rank % k * 4 + settings, sums.shape[1], bound)
+        sums = sums + batch_sums
+    return sums.reshape(4, -1, 4), per_pair
+
+
+def _partition_tally(sums: np.ndarray, per_pair: np.ndarray, k: int) -> np.ndarray:
+    """int64 sums of the block counts by (field, setting pair, partition),
+    from _stratified_sums(..., k).
+
+    The blocks, grouped by setting pair and in run order within a pair,
+    are dealt round-robin: with b blocks in the pairs below pair s, the
+    block of rank r in pair s goes to partition (b + r) mod k, so a pair
+    with m blocks puts floor(m/k) or ceil(m/k) of them in every
+    partition.  Pair s's slots, rolled by b, are its partitions.
+    """
+    slots = np.zeros((4, k, 4), dtype=sums.dtype)
+    slots[:, :sums.shape[1]] = sums
+    below = np.cumsum(per_pair) - per_pair
+    return _int64_totals(np.stack([np.roll(slots[:, :, s], below[s], axis=1)
+                                   for s in range(4)], axis=1))
+
+
+def _partition_values(sums: np.ndarray, per_pair: np.ndarray, k: int,
+                      singles_mode: str) -> np.ndarray:
+    """B of each of the k partitions, from _stratified_sums(..., k)."""
+    n_blocks = int(per_pair.sum())
     if k < 2:
         raise ValidationError("need at least 2 partitions")
-    if n < k:
-        raise ValidationError(f"cannot split {n} blocks into {k} partitions")
-    part = np.empty(n, dtype=np.int64)
-    part[np.argsort(settings, kind="stable")] = np.arange(n) % k
-    return part
-
-
-def partition_values(
-    blocks: ArrayLike, k: int, singles_mode: str = "pooled",
-) -> np.ndarray:
-    """B evaluated on each of the k partitions; every partition covers all
-    four setting pairs whenever each pair has at least k blocks."""
-    arr = block_array(blocks)
-    tally = tally_blocks(arr, _partition_index(arr[:, 0], k), k)
+    if n_blocks < k:
+        raise ValidationError(f"cannot split {n_blocks} blocks into {k} partitions")
+    tally = _partition_tally(sums, per_pair, k)
     n = tally[0]
     unusable = ((tally < 0).any(axis=(0, 1)) | (tally[1:] > n).any(axis=(0, 1))
                 | (n <= 0).any(axis=0))
@@ -181,12 +214,25 @@ def partition_values(
     return _ch(*tally.astype(float), singles_mode)
 
 
+def _sigma_of(values: np.ndarray) -> float:
+    """Standard error of B: spread of the partition values over sqrt(k-1)."""
+    return float(np.std(values, ddof=1) / math.sqrt(values.size - 1))
+
+
+def partition_values(
+    blocks: ArrayLike, k: int, singles_mode: str = "pooled",
+) -> np.ndarray:
+    """B evaluated on each of the k partitions; every partition covers all
+    four setting pairs whenever each pair has at least k blocks."""
+    sums, per_pair = _stratified_sums([block_array(blocks)], max(k, 1))
+    return _partition_values(sums, per_pair, k, singles_mode)
+
+
 def partition_sigma(
     blocks: ArrayLike, k: int = 50, singles_mode: str = "pooled",
 ) -> float:
     """Standard error of B: spread of the k partition values over sqrt(k-1)."""
-    values = partition_values(blocks, k, singles_mode)
-    return float(np.std(values, ddof=1) / math.sqrt(k - 1))
+    return _sigma_of(partition_values(blocks, k, singles_mode))
 
 
 def violations_by_partition(

@@ -1007,8 +1007,11 @@ def test_analyze_short_setting_pair_gives_null_sigma(tmp_path):
 def test_analyze_parses_blocks_once(tmp_path, monkeypatch):
     blocks = _write_block_run(tmp_path, trials_per_block=500, n_blocks=16, rng_seed=2,
                               schedule_kind="cyclic")
-    parse = mock.Mock(wraps=cli.blocks_from_csv)
-    monkeypatch.setattr(cli, "blocks_from_csv", parse)
+    # one streaming read of the file gives the counts, the per-pair block
+    # counts and the partition sums; the whole text is never parsed
+    parse = mock.Mock(wraps=cli._read_block_batches)
+    monkeypatch.setattr(cli, "_read_block_batches", parse)
+    monkeypatch.setattr(cli, "blocks_from_csv", mock.Mock(side_effect=AssertionError))
     code, out, _ = _analyze_outcome(["analyze", str(tmp_path / "blocks.csv"),
                                      "--sigma-partitions", "4", "--out", str(tmp_path),
                                      "--quiet"])
@@ -1044,6 +1047,28 @@ def test_simulate_block_totals_beyond_64_bits_is_exit_2(tmp_path, capsys):
     assert main(["simulate", str(config), "--out", str(out), "--quiet"]) == 2
     assert "64-bit integer range" in capsys.readouterr().err
     assert list(out.iterdir()) == []
+
+
+def test_failed_run_removes_the_earlier_manifest_listing_its_files(tmp_path, capsys):
+    config = tmp_path / "config.json"
+    valid = {**_valid_config(), "schedule_kind": "cyclic", "n_blocks": 8}
+    config.write_text(json.dumps(valid))
+    out = tmp_path / "out"
+    assert main(["simulate", str(config), "--out", str(out), "--quiet"]) == 0
+    outputs = ["blocks.csv", "counts.json", "config.used.json"]
+    assert json.loads((out / "manifest.json").read_text())["outputs"] == \
+        [str(out / name) for name in outputs]
+    # a failure that names none of the listed files keeps the manifest
+    (out / "instruction_82pct_counts.json").mkdir()
+    assert main(["lhv-demo", "--what", "tables", "--out", str(out), "--quiet"]) == 3
+    assert sorted(p.name for p in out.iterdir()) == sorted(
+        [*outputs, "instruction_82pct_counts.json", "manifest.json"])
+    # this one overwrites blocks.csv and removes it: the manifest listing it goes
+    config.write_text(json.dumps({**valid, "trials_per_block": 2**62}))
+    assert main(["simulate", str(config), "--out", str(out), "--quiet"]) == 2
+    assert "64-bit integer range" in capsys.readouterr().err
+    assert sorted(p.name for p in out.iterdir()) == [
+        "config.used.json", "counts.json", "instruction_82pct_counts.json"]
 
 
 @pytest.mark.parametrize("row, message", [

@@ -3,13 +3,17 @@
 import dataclasses
 import hashlib
 import io
+import itertools
 import os
 import subprocess
 import sys
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import bellsim as bs
 from bellsim import engine
@@ -625,6 +629,120 @@ def test_blocks_csv_without_rows_is_empty_array(text):
 def test_blocks_csv_malformed():
     with pytest.raises(FormatError):
         bs.blocks_from_csv("1,2,3\n")
+
+
+# ---------------------------------------------------------------------------
+# blocks.csv: the batch parser reads exactly what the row-by-row reader reads
+
+
+def _row_by_row(text):
+    rows = engine._checked_block_rows(io.StringIO(text))
+    return np.fromiter(itertools.chain.from_iterable(rows), dtype=np.int64).reshape(-1, 5)
+
+
+def _read_outcome(read, text):
+    """The rows read, or the error's type and message (line included)."""
+    try:
+        blocks = read(text)
+    except Exception as exc:
+        return type(exc), str(exc)
+    assert blocks.dtype == np.int64 and blocks.shape[1:] == (5,)
+    return blocks.tolist()
+
+
+# lines that np.loadtxt and the csv module plus int() may read differently
+PARSER_CASES = {
+    "spaces": " 1, 2 ,1,1,1",
+    "tab": "1,\t2,1,1,1",
+    "plus": "+1,2,1,1,1",
+    "minus-zero": "-0,2,1,1,1",
+    "decimal": "1,5.0,1,1,1",
+    "exponent": "1,1e3,1,1,1",
+    "underscore": "1,1_0,1,1,1",
+    "comment-line": "# a comment",
+    "trailing-comment": "1,2,1,1,1 #",
+    "empty-field": "1,,1,1,1",
+    "trailing-comma": "1,2,1,1,1,",
+    "quoted": '"1",2,1,1,1',
+    "quoted-two-lines": '"1\n",2,1,1,1',
+    "whitespace-line": "  \t ",
+    "blank-line": "",
+    "crlf": "1,2,1,1,1\r",
+    "bare-cr": "1,2,1,1,1\r2,2,1,1,1",
+    "blank-and-bare-cr": "\n1,2,1,1,1\r2,2,1,1,1",
+    "second-header": ",".join(engine._BLOCK_HEADER),
+    "arabic-indic-digit": "\u0661,2,1,1,1",
+    "2^63": f"1,{2**63},1,1,1",
+    "2^63-singles": f"1,5,{2**63},1,1",
+    # np.loadtxt reads the first as 2 and the second as a digit; int() reads neither
+    "file-separator": "1,\x1c2,1,1,1",
+    "latin-letter": "1,\u01fe,1,1,1",
+    "5000-leading-zeros": "1," + "0" * 5000 + "2,1,1,1",
+    "setting-4": "4,2,1,1,1",
+    "coincidences-over-trials": "1,2,1,1,3",
+}
+_GOOD_ROWS = ["0,10,1,2,0", "1,10,3,1,1", "2,10,0,0,0", "3,10,2,2,2"]
+_HEADER = ",".join(engine._BLOCK_HEADER)
+# with 4 lines a batch: the case alone, on line 2 (first batch), on line 8
+# (last of the second batch, before the third) and on line 10 (third batch)
+_PLACES = {"alone": (0, 1), "first-batch": (2, 1), "batch-edge": (8, 5), "third-batch": (10, 9)}
+
+
+def _recorded_starts(monkeypatch):
+    """The first line of each batch the row-by-row reader is given."""
+    starts = []
+    checked = engine._checked_block_rows
+
+    def spy(lines, start=1):
+        starts.append(start)
+        return checked(lines, start)
+
+    monkeypatch.setattr(engine, "_checked_block_rows", spy)
+    return starts
+
+
+@pytest.mark.parametrize("place", sorted(_PLACES))
+@pytest.mark.parametrize("line", PARSER_CASES.values(), ids=PARSER_CASES)
+def test_batch_parser_reads_what_the_row_reader_reads(line, place, monkeypatch):
+    lineno, batch_start = _PLACES[place]
+    lines = [_HEADER, *_GOOD_ROWS * 3][:lineno - 1] + [line] + _GOOD_ROWS if lineno else [line]
+    text = "\n".join(lines) + "\n"
+    want = _read_outcome(_row_by_row, text)
+    monkeypatch.setattr(engine, "_PARSE_LINES", 4)
+    starts = _recorded_starts(monkeypatch)
+    assert _read_outcome(bs.blocks_from_csv, text) == want
+    # every batch before the case's went through np.loadtxt, and a file of
+    # only a header needs no row reader
+    assert starts == ([] if lines == [_HEADER] else [batch_start])
+
+
+def test_batch_parser_reads_clean_batches_without_the_row_reader(monkeypatch):
+    # the second header leads the sixth batch of 4 lines
+    text = "\n".join([_HEADER, *(_GOOD_ROWS * 5)[:19], _HEADER, *_GOOD_ROWS]) + "\n"
+    want = _row_by_row(text).tolist()
+    monkeypatch.setattr(engine, "_PARSE_LINES", 4)
+    starts = _recorded_starts(monkeypatch)
+    # a header leading a batch is skipped, as the row reader skips it anywhere
+    assert bs.blocks_from_csv(text).tolist() == want
+    assert len(want) == 23 and starts == []
+
+
+_FIELD = st.one_of(st.integers(0, 12).map(str),
+                   st.text(alphabet="0123456789+-_.e \t\x1c\u0661\u01fe\"#", max_size=4))
+_VALID_ROW = st.tuples(st.integers(0, 3), st.integers(0, 9)).flatmap(
+    lambda sn: st.lists(st.integers(0, sn[1]), min_size=3, max_size=3).map(
+        lambda counts: ",".join(map(str, (*sn, *counts)))))
+_LINE = st.one_of(_VALID_ROW, st.lists(_FIELD, min_size=4, max_size=6).map(",".join),
+                  st.text(alphabet="0123456789,\r\n\" ", max_size=12), st.just(_HEADER))
+
+
+@settings(max_examples=300, deadline=None)
+@given(lines=st.lists(_LINE, max_size=12), batch=st.integers(1, 5),
+       end=st.sampled_from(["", "\n", "\r\n"]))
+def test_batch_parser_agrees_with_the_row_reader_on_fuzzed_text(lines, batch, end):
+    text = "\n".join(lines) + end
+    with mock.patch.object(engine, "_PARSE_LINES", batch):
+        assert _read_outcome(bs.blocks_from_csv, text) == _read_outcome(_row_by_row, text)
 
 
 @pytest.mark.parametrize("record, message", [

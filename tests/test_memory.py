@@ -3,8 +3,9 @@
 Each step's peak traced allocation (tracemalloc, which numpy reports its
 arrays to) is taken at N and at 4N trials, with chunks small enough that
 both runs span many of them.  On the timetag path only the settings, one
-byte per trial, may grow with the run; in block mode only the schedule
-and the drift multipliers, 16 bytes per block.
+byte per trial, may grow with the run; in block mode only simulate's
+schedule and drift multipliers, 16 bytes per block, and analyze holds
+nothing per block.
 """
 
 import contextlib
@@ -107,4 +108,27 @@ def test_block_simulate_peak_grows_by_at_most_32_bytes_per_block(tmp_path, monke
     _block_peak(tmp_path / "warm-up", 100)
     small = _block_peak(tmp_path / "n", 1024)
     large = _block_peak(tmp_path / "4n", 4 * 1024)
+    assert (large - small) / (3 * 1024) <= MAX_BYTES_PER_BLOCK, f"peak {small} -> {large} bytes"
+
+
+def _block_analyze_peak(work, n_blocks):
+    """Peak traced bytes of analyze, partition sigma included, on the
+    blocks.csv of a cyclic block run."""
+    cfg = bs.ExperimentConfig(
+        state=bs.make_eberhard_state(0.26), settings=bs.reference_settings(),
+        det=bs.DetectionModel(pair_mean=0.1, bg_a=0.01, bg_b=0.01),
+        trials_per_block=25_000, n_blocks=n_blocks, rng_seed=5, schedule_kind="cyclic",
+    )
+    work.mkdir()
+    (work / "config.json").write_text(cfg.to_json())
+    assert main(["simulate", str(work / "config.json"), "--out", str(work), "--quiet"]) == 0
+    return _peaks(work, [["analyze", str(work / "blocks.csv")]])[0]
+
+
+def test_block_analyze_peak_grows_by_at_most_32_bytes_per_block(tmp_path, monkeypatch):
+    # blocks.csv is read, parsed and tallied a batch of lines at a time
+    monkeypatch.setattr(engine, "_PARSE_LINES", 256)
+    _block_analyze_peak(tmp_path / "warm-up", 400)
+    small = _block_analyze_peak(tmp_path / "n", 1024)
+    large = _block_analyze_peak(tmp_path / "4n", 4 * 1024)
     assert (large - small) / (3 * 1024) <= MAX_BYTES_PER_BLOCK, f"peak {small} -> {large} bytes"

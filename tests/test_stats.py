@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import bellsim as bs
+from bellsim import stats
 from bellsim.errors import ValidationError
 
 from conftest import random_strategies
@@ -254,6 +255,43 @@ def test_stratified_partitions_cover_every_setting(pairs, k, singles_mode):
         assert np.array_equal(result, np.full(k, -2.0))
     elif len(blocks) >= k:
         assert status == "error" and "insufficient data" in result
+
+
+def _argsort_partition_tally(blocks, k):
+    """The partition rule as an argsort: every block, stably sorted by
+    setting pair, dealt round-robin; exact sums as Python ints, shaped
+    (field, setting pair, partition)."""
+    part = np.empty(len(blocks), dtype=np.int64)
+    part[np.argsort(blocks[:, 0], kind="stable")] = np.arange(len(blocks)) % k
+    tally = np.zeros((4, 4, k), dtype=object)
+    for (setting, *counts), p in zip(blocks.tolist(), part.tolist()):
+        tally[:, setting, p] += counts
+    return tally
+
+
+# counts either small or near 2^62, so that some runs' sums pass 2^63-1 and
+# the streamed sums switch to Python ints part way through
+_COUNT = st.one_of(st.integers(0, 50), st.integers(2**62 - 50, 2**62))
+
+
+@settings(max_examples=200)
+@given(blocks=st.lists(st.tuples(st.integers(0, 3), _COUNT, _COUNT, _COUNT, _COUNT),
+                       min_size=1, max_size=60),
+       k=st.integers(1, 70), cuts=st.lists(st.integers(0, 60), max_size=5))
+def test_streamed_partition_tally_equals_argsort_rule(blocks, k, cuts):
+    arr = np.array(blocks, dtype=np.int64)
+    batches = np.split(arr, sorted(c % (len(arr) + 1) for c in cuts))
+    sums, per_pair = stats._stratified_sums(batches, k)
+    assert per_pair.tolist() == np.bincount(arr[:, 0], minlength=4).tolist()
+    want = _argsort_partition_tally(arr, k)
+    if all(-2**63 <= v < 2**63 for v in want.flat):
+        tally = stats._partition_tally(sums, per_pair, k)
+        assert tally.dtype == np.int64 and tally.tolist() == want.tolist()
+    else:
+        with pytest.raises(ValidationError, match="64-bit integer range"):
+            stats._partition_tally(sums, per_pair, k)
+    # the slots summed are the run's totals, exactly
+    assert sums.sum(axis=1).tolist() == want.sum(axis=2).tolist()
 
 
 @pytest.fixture(scope="module")
