@@ -17,7 +17,6 @@ Exit codes: 0 success, 2 validation failure, 3 I/O failure,
 from __future__ import annotations
 
 import argparse
-import csv
 import dataclasses
 import datetime
 import functools
@@ -229,7 +228,7 @@ def _block_file_batches(path):
     try:
         with open(path, encoding="utf-8") as fh:
             yield from _read_block_batches(fh)
-    except (ValueError, csv.Error):
+    except ValueError:
         _read_text(path)
         raise
 

@@ -24,13 +24,20 @@ column and as a row.  Every singles probability is a vector over the
 axis.  These broadcast through `quantum.ch_terms` to the same values,
 bit for bit, as evaluating `pair_probs` at every grid point.
 
-Each descent keeps the click probabilities of every setting pair it
-computes, keyed by the pair's (x, y) angles, for that descent only.  A
-move changes one angle and so two of the four pairs, and a descent
-revisits its points, so most lookups are hits.  A miss makes the same
-scalar calls as `pair_probs` and `ch_terms`, and the pairs combine
-through `quantum.ch_from_clicks` as `ch_terms` does on the grid, so each
-value equals the unmemoized objective bit for bit.
+Each descent keeps two memos, for that descent only: the per-angle
+terms of every angle it visits (cos, sin and the singles probability,
+as Python floats) and the click probabilities of every setting pair it
+computes, keyed by the pair's (x, y) angles.  A move changes one angle
+and so two of the four pairs, and a descent revisits its points, so
+most lookups are hits, and the computed pairs share their angles (about
+three pairs to an angle).  A miss evaluates the closed forms of
+`quantum` that `singles_prob` and `coincidence_prob` evaluate: `_trig`
+and `_pure_singles` per angle, `_pure_coincidence` and
+`click_probabilities` per pair.  On Python floats these make the same
+IEEE operations as on the numpy scalars of `pair_probs` (cos, sin and
+exp stay numpy's, and Python's `**` equals numpy's scalar one), and the
+pairs combine through `quantum.ch_from_clicks` as `ch_terms` does on
+the grid, so each value equals the unmemoized objective bit for bit.
 
 The objective takes either forward model of `quantum.click_probabilities`:
 
@@ -148,7 +155,7 @@ def _score(terms, linear, objective: str):
     # rates at the trial budget
 
     def binomial_var(p, n):
-        p = np.clip(p, 0.0, 1.0)
+        p = quantum._clamp(p, 0.0, 1.0)
         return p * (1.0 - p) / n
 
     pA, pB, _ = linear[0]
@@ -158,22 +165,31 @@ def _score(terms, linear, objective: str):
 
 
 def _descent_objective(state, det: DetectionModel, model: str, score, linear: bool):
-    """The f(x) of one `_refine` descent, equal bit for bit to score at
-    `pair_probs(state, *x)` as a float, with each setting pair's clicks
-    memoized by its angles (module docstring).
+    """The f(x) of one `_refine` descent over a pure state, equal bit for
+    bit to score at `pair_probs(state, *x)` as a float, with each angle's
+    `quantum._trig` and `quantum._pure_singles` and each setting pair's
+    clicks memoized (module docstring).
 
     A miss looks the forward model up in `quantum`, as `pair_probs` does:
     the traced benchmark (perfbench/spans.py) wraps this module's imported
     names to time the grid's table calls, and a span per pair would swamp
     it.
     """
+    angle_memo = {}
     memo = {}
+
+    def angle(x):
+        terms = angle_memo.get(x)
+        if terms is None:
+            trig = tuple(map(float, quantum._trig(x)))
+            terms = angle_memo[x] = trig, quantum._pure_singles(state, trig[0])
+        return terms
 
     def pair(x, y):
         clicks = memo.get((x, y))
         if clicks is None:
-            probs = (quantum.singles_prob(state, x, "A"), quantum.singles_prob(state, y, "B"),
-                     quantum.coincidence_prob(state, x, y))
+            (trig_x, p1), (trig_y, p2) = angle(x), angle(y)
+            probs = p1, p2, quantum._pure_coincidence(state, trig_x, trig_y)
             clicks = memo[x, y] = (
                 quantum.click_probabilities(*probs, det, model),
                 quantum.click_probabilities(*probs, det, "linear") if linear else None)

@@ -739,10 +739,22 @@ def _parsed_batch(lines: list[str]) -> np.ndarray | None:
     return arr
 
 
+def _csv_rows(lines: Iterable[str], start: int) -> Iterator[tuple[int, list[str]]]:
+    """The csv rows of lines, numbered from `start`; a row the csv module
+    cannot read (a field over its size limit, a bare CR inside a line) is
+    a FormatError naming that row."""
+    lineno = start - 1
+    try:
+        for lineno, row in enumerate(csv.reader(lines), start=start):
+            yield lineno, row
+    except csv.Error as exc:
+        raise FormatError(f"unreadable row ({exc})", lineno + 1) from None
+
+
 def _checked_block_rows(lines: Iterable[str], start: int = 1) -> Iterator[tuple[int, ...]]:
     """The five ints of each blocks.csv row in lines, each row checked;
     line numbers count rows from `start`."""
-    for lineno, row in enumerate(csv.reader(lines), start=start):
+    for lineno, row in _csv_rows(lines, start):
         if not row or row == _BLOCK_HEADER:
             continue
         if len(row) != 5:

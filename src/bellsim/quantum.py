@@ -20,7 +20,12 @@ For the pure state with phase 0 the closed forms are
 
 and the general density-matrix path evaluates the same quantities as
 Tr[rho (P_x (x) P_y)].  Both routes are exposed so they can be checked
-against each other.
+against each other.  The pure forms are written once, per analyzer
+angle: `_trig` gives an angle's (cos x, sin x), `_pure_singles` the
+singles from cos x and `_pure_coincidence` the coincidence from two such
+pairs.  `singles_prob` and `coincidence_prob` evaluate them on scalars
+and arrays, and each descent of the optimizer evaluates them on Python
+floats, once per distinct angle and pair.
 
 Both detection models turning these into per-trial click probabilities
 live here too (`click_probabilities`): the single-pair linearization
@@ -30,7 +35,10 @@ only) and the exact Poisson-compounded model, in which multi-pair pileup
 and background-signal coincidences count.  Every consumer, from the CH
 values below to the optimizer, the Monte-Carlo engine and the drift
 adversary, calls `pair_probs` (or, per setting pair, `singles_prob` and
-`coincidence_prob`) and `click_probabilities`.
+`coincidence_prob`, or per angle the pure forms above) and
+`click_probabilities`.  The compound model saturates a background at 1
+with `_clamp`, which costs builtin comparisons on a Python float and
+stays elementwise on the drift multipliers' arrays.
 """
 
 from __future__ import annotations
@@ -200,6 +208,27 @@ def _projector(angle_rad: float) -> np.ndarray:
     return np.array([[c * c, c * s], [c * s, s * s]])
 
 
+def _trig(angle_deg):
+    """(cos x, sin x) of the analyzer angle x, given in degrees; broadcasts."""
+    x = np.deg2rad(angle_deg)
+    return np.cos(x), np.sin(x)
+
+
+def _pure_singles(state: PolarizationState, cos_x):
+    """The pure kind's singles probability from its analyzer's cos x."""
+    c2 = cos_x ** 2
+    return (state.r**2 * c2 + (1.0 - c2)) / (1.0 + state.r**2)
+
+
+def _pure_coincidence(state: PolarizationState, trig_a, trig_b):
+    """The pure kind's coincidence probability from the `_trig` pairs of
+    the two analyzers."""
+    (ca, sa), (cb, sb) = trig_a, trig_b
+    r = state.r
+    cross = 2.0 * r * math.cos(state.phase) * ca * cb * sa * sb
+    return (r * r * ca * ca * cb * cb + sa * sa * sb * sb + cross) / (1.0 + r * r)
+
+
 def singles_prob(state: PolarizationState, angle_deg, arm: Arm = "A"):
     """Transmission probability at one arm's analyzer.
 
@@ -209,9 +238,7 @@ def singles_prob(state: PolarizationState, angle_deg, arm: Arm = "A"):
     if arm not in ("A", "B"):
         raise ValidationError(f"arm must be 'A' or 'B', got {arm!r}")
     if state.kind == "eberhard-pure":
-        x = np.deg2rad(angle_deg)
-        c2 = np.cos(x) ** 2
-        return (state.r**2 * c2 + (1.0 - c2)) / (1.0 + state.r**2)
+        return _pure_singles(state, np.cos(np.deg2rad(angle_deg)))
     p = _projector(math.radians(float(angle_deg)))
     op = np.kron(p, np.eye(2)) if arm == "A" else np.kron(np.eye(2), p)
     return float(np.trace(state.rho @ op).real)
@@ -220,12 +247,7 @@ def singles_prob(state: PolarizationState, angle_deg, arm: Arm = "A"):
 def coincidence_prob(state: PolarizationState, alpha_deg, beta_deg):
     """Joint transmission probability with analyzers at alpha (A) and beta (B)."""
     if state.kind == "eberhard-pure":
-        a = np.deg2rad(alpha_deg)
-        b = np.deg2rad(beta_deg)
-        r = state.r
-        ca, sa, cb, sb = np.cos(a), np.sin(a), np.cos(b), np.sin(b)
-        cross = 2.0 * r * math.cos(state.phase) * ca * cb * sa * sb
-        return (r * r * ca * ca * cb * cb + sa * sa * sb * sb + cross) / (1.0 + r * r)
+        return _pure_coincidence(state, _trig(alpha_deg), _trig(beta_deg))
     op = np.kron(_projector(math.radians(float(alpha_deg))),
                  _projector(math.radians(float(beta_deg))))
     return float(np.trace(state.rho @ op).real)
@@ -257,6 +279,14 @@ def chsh_value(state: PolarizationState, settings: MeasurementSettings) -> float
 # forward model: transmission probabilities -> per-trial click probabilities
 
 MODELS = ("linear", "compound")
+
+
+def _clamp(v, lo: float = -math.inf, hi: float = math.inf):
+    """np.clip(v, lo, hi) at builtin cost on a Python float, NaN passed
+    through; elementwise on arrays."""
+    if isinstance(v, float):
+        return lo if v < lo else hi if v > hi else v
+    return np.clip(v, lo, hi)
 
 
 def pair_probs(state: PolarizationState, a, a_prime, b, b_prime):
@@ -298,8 +328,8 @@ def click_probabilities(p1, p2, p12, det: DetectionModel, model: str = "compound
     if model != "compound":
         raise ValidationError(f"model must be one of {MODELS}, got {model!r}")
     # a background probability saturates at 1
-    dark_a = 1.0 - np.minimum(bg_a, 1.0)
-    dark_b = 1.0 - np.minimum(bg_b, 1.0)
+    dark_a = 1.0 - _clamp(bg_a, hi=1.0)
+    dark_b = 1.0 - _clamp(bg_b, hi=1.0)
     s1 = det.eta_a * p1
     s2 = det.eta_b * p2
     both = det.eta_a * det.eta_b * p12

@@ -1077,8 +1077,11 @@ def test_failed_run_removes_the_earlier_manifest_listing_its_files(tmp_path, cap
     ("0,10,20,8,9", "singles exceed trials"),
     ("7,10,1,1,1", "block setting index 7 out of range"),
     ("1,99999999999999999999,1,1,1", "block count outside the 64-bit integer range"),
+    ("1," + " " * 200_000 + "2,1,1,1", "field larger than field limit"),
+    # a file is read with universal newlines, so a bare CR ends the line
+    ("1,5\r2,1,1,1", "expected 5 fields"),
 ], ids=["negative-singles", "coincidences-over-trials", "singles-over-trials",
-        "setting-index", "count-over-64-bit"])
+        "setting-index", "count-over-64-bit", "field-over-csv-limit", "cr-inside-row"])
 def test_analyze_malformed_block_row_is_exit_2(row, message, tmp_path, capsys):
     # a given sigma skips the partitions, so only the reader can catch it
     path = tmp_path / "blocks.csv"

@@ -155,6 +155,38 @@ def test_descent_objective_equals_unmemoized_objective_bitwise(objective, model,
         assert _bits(v) == oracle(x), x
 
 
+@pytest.mark.parametrize("objective", eberhard.OBJECTIVES)
+def test_descent_computes_each_angle_once_without_array_clamps(objective, monkeypatch):
+    """Over one descent at r = 0.26 each distinct angle's trig runs once,
+    and no compound click or score clamps a Python float through numpy."""
+    args = search_args(objective, bs.make_eberhard_state(0.26), DETECTORS["symmetric"],
+                       "compound")
+    starts = []
+    with monkeypatch.context() as m:
+        m.setattr(eberhard, "_refine", lambda f, x0: starts.append(x0) or (f(x0), x0, False))
+        eberhard._search(*args)
+
+    trig_calls, clamp_calls = [], []
+    trig = quantum._trig
+    monkeypatch.setattr(quantum, "_trig", lambda x: trig_calls.append(x) or trig(x))
+    for name in ("minimum", "clip"):
+        ufunc = getattr(np, name)
+        monkeypatch.setattr(np, name, lambda *a, ufunc=ufunc, **k: clamp_calls.append(a)
+                            or ufunc(*a, **k))
+    f = eberhard._descent_objective(*args)
+    visited = set()
+
+    def recorded(x):
+        visited.update(x.tolist())  # 0.0 and -0.0 are one angle
+        return f(x)
+
+    eberhard._refine(recorded, starts[0])
+    assert len(visited) > 20
+    assert len(trig_calls) == len(visited) and set(trig_calls) == visited
+    quantum.click_probabilities(0.3, 0.4, 0.1, DETECTORS["asymmetric"], "compound")
+    assert clamp_calls == []
+
+
 def test_frozen_sweep_exhausts_only_its_two_smallest_r():
     det = bs.DetectionModel(eta_a=0.75, eta_b=0.75, pair_mean=0.033, bg_a=6.55e-5, bg_b=6.55e-5)
     points = bs.bprime_vs_r_sweep(det, np.arange(0.04, 1.0 + 1e-9, 0.02))

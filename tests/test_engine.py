@@ -680,6 +680,9 @@ PARSER_CASES = {
     "5000-leading-zeros": "1," + "0" * 5000 + "2,1,1,1",
     "setting-4": "4,2,1,1,1",
     "coincidences-over-trials": "1,2,1,1,3",
+    # rows the csv module itself rejects
+    "field-over-csv-limit": "1," + " " * 200_000 + "2,1,1,1",
+    "cr-inside-row": "1,5\r2,1,1,1",
 }
 _GOOD_ROWS = ["0,10,1,2,0", "1,10,3,1,1", "2,10,0,0,0", "3,10,2,2,2"]
 _HEADER = ",".join(engine._BLOCK_HEADER)
@@ -708,6 +711,8 @@ def test_batch_parser_reads_what_the_row_reader_reads(line, place, monkeypatch):
     lines = [_HEADER, *_GOOD_ROWS * 3][:lineno - 1] + [line] + _GOOD_ROWS if lineno else [line]
     text = "\n".join(lines) + "\n"
     want = _read_outcome(_row_by_row, text)
+    # a line the format rejects is a FormatError that names it
+    assert isinstance(want, list) or (want[0] is FormatError and "line" in want[1]), want
     monkeypatch.setattr(engine, "_PARSE_LINES", 4)
     starts = _recorded_starts(monkeypatch)
     assert _read_outcome(bs.blocks_from_csv, text) == want
