@@ -71,11 +71,16 @@ CHANNEL_CLOCK = 2
 SETTING_LABELS = ("ab", "ab'", "a'b", "a'b'")
 
 _BINARY_DTYPE = np.dtype([("t", "<u8"), ("ch", "u1")])
+# the same records with signed timestamps: those beyond the signed range read negative
+_SIGNED_DTYPE = np.dtype([("t", "<i8"), ("ch", "u1")])
 
 _INT64_MIN, _INT64_MAX = int(np.iinfo(np.int64).min), int(np.iinfo(np.int64).max)
 
 # records per chunk when binary timetags and settings files are read and counted
 CHUNK_RECORDS = 1 << 18
+
+# a settings line "0\n" read as one little-endian 16-bit word; "k\n" is k more
+_DIGIT_LINE = ord("0") | ord("\n") << 8
 
 
 @dataclass(eq=False)
@@ -87,8 +92,12 @@ class TimetagStream:
     meta: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        self.timestamps = np.asarray(self.timestamps, dtype=np.int64)
-        self.channels = np.asarray(self.channels, dtype=np.uint8)
+        try:
+            self.timestamps = np.asarray(self.timestamps, dtype=np.int64)
+            self.channels = np.asarray(self.channels, dtype=np.uint8)
+        except OverflowError:
+            raise ValidationError("timestamps must fit in signed 64-bit integers "
+                                  "and channels in unsigned 8-bit ones") from None
         if self.timestamps.shape != self.channels.shape or self.timestamps.ndim != 1:
             raise ValidationError("timestamps and channels must be 1-D and equal length")
         idx = _first_regression(self.timestamps)
@@ -158,28 +167,31 @@ def _first_regression(t: np.ndarray, prev=None) -> int:
     return min(t.size, 1 + _first(t[1:] < t[:-1]))
 
 
-def _checked_records(rec: np.ndarray, start: int = 0, prev=None) -> tuple:
-    """(timestamps, channels) of binary records whose first one is record
-    `start` of its stream and follows a record at time `prev`.
+def _first_bad_record(t: np.ndarray, ch: np.ndarray, start: int, prev) -> FormatError:
+    """The error naming the first bad one of records (t, ch), the first
+    of which is record `start` of its stream and follows a record at time
+    `prev`; t is the signed view of the timestamps, so one beyond the
+    signed 64-bit range reads as negative.
 
-    Raises a FormatError naming the first bad record: a timestamp beyond
-    the signed 64-bit range, an unknown channel, or a time regression,
-    in that order of precedence within one record.  The checks run on
-    contiguous copies of the two columns, and the range check makes the
-    signed view of the timestamps exact.
+    A record is bad for a timestamp beyond that range, an unknown channel
+    or a time regression, in that order of precedence.
     """
-    t, ch = np.ascontiguousarray(rec["t"]), np.ascontiguousarray(rec["ch"])
     faults = (
-        (_first(t > _INT64_MAX), "timestamp exceeds signed 64-bit range"),
+        (_first(t < 0), "timestamp exceeds signed 64-bit range"),
         (_first(ch > CHANNEL_CLOCK), "unknown channel"),
         (_first_regression(t, prev), "timestamp regression"),
     )
     idx, what = min(faults, key=lambda fault: fault[0])
-    if idx < t.size:
-        if what == "unknown channel":
-            what = f"unknown channel {int(ch[idx])}"
-        raise FormatError(what, start + idx)
-    return t.view(np.int64), ch
+    if what == "unknown channel":
+        what = f"unknown channel {int(ch[idx])}"
+    return FormatError(what, start + idx)
+
+
+def _records_ok(t: np.ndarray, ch: np.ndarray, prev) -> bool:
+    """Whether binary records, their timestamps in the signed view, hold no
+    bad record (see _first_bad_record), in three passes that locate nothing."""
+    return (t.min() >= 0 and ch.max() <= CHANNEL_CLOCK
+            and (prev is None or prev <= t[0]) and not (t[1:] < t[:-1]).any())
 
 
 class TimetagFile:
@@ -214,15 +226,22 @@ class TimetagFile:
 
     def chunks(self):
         """The file as ordered chunks; none splits a timestamp, since each
-        read but the last holds back its trailing run of equal times for the next."""
+        read but the last holds back its trailing run of equal times for the next.
+
+        Each read's columns are copied once, behind the records held back,
+        and checked there (see _first_bad_record)."""
         prev = None
         held_t, held_c = np.empty(0, dtype=np.int64), np.empty(0, dtype=np.uint8)
         with open(self.path, "rb") as fh:
             for start in range(0, self._n_records, CHUNK_RECORDS):
-                rec = np.fromfile(fh, dtype=_BINARY_DTYPE, count=CHUNK_RECORDS)
-                t, c = _checked_records(rec, start, prev)
-                prev = rec["t"][-1]
-                t, c = np.concatenate([held_t, t]), np.concatenate([held_c, c])
+                rec = np.fromfile(fh, dtype=_SIGNED_DTYPE, count=CHUNK_RECORDS)
+                h = held_t.size
+                t, c = np.empty(h + rec.size, dtype=np.int64), np.empty(h + rec.size, np.uint8)
+                t[:h], c[:h] = held_t, held_c
+                t[h:], c[h:] = rec["t"], rec["ch"]
+                if not _records_ok(t[h:], c[h:], prev):
+                    raise _first_bad_record(t[h:], c[h:], start, prev)
+                prev = t[-1]
                 last = start + CHUNK_RECORDS >= self._n_records
                 cut = t.size if last else int(np.searchsorted(t, t[-1]))
                 held_t, held_c = t[cut:], c[cut:]
@@ -271,7 +290,7 @@ def parse_timetags(data: bytes | str) -> TimetagStream:
 def serialize_timetags(stream: TimetagStream) -> bytes:
     """The stream as binary records."""
     rec = np.empty(len(stream), dtype=_BINARY_DTYPE)
-    rec["t"] = stream.timestamps.astype(np.uint64)
+    rec["t"] = stream.timestamps  # non-negative, so the same in unsigned bits
     rec["ch"] = stream.channels
     return rec.tobytes()
 
@@ -283,21 +302,10 @@ def serialize_settings(settings) -> bytes:
         return b"\n"
     if _first_bad_setting(idx) < idx.size:
         raise ValidationError("setting indices must be in 0..3")
-    lines = np.empty((idx.size, 2), dtype=np.uint8)
-    lines[:, 0] = idx
-    lines[:, 0] += ord("0")
-    lines[:, 1] = ord("\n")
+    # each line, a digit and then a newline, is one little-endian word
+    lines = idx.astype("<u2")
+    lines += _DIGIT_LINE
     return lines.tobytes()
-
-
-def _digit_lines(raw: np.ndarray) -> np.ndarray | None:
-    """The digits of bytes in the format serialize_settings writes, one
-    digit and a newline per line, or None for any other bytes."""
-    if raw.size and raw.size % 2 == 0:
-        digits = raw[0::2] - np.uint8(ord("0"))  # non-digits wrap above 9
-        if np.all(raw[1::2] == ord("\n")) and np.all(digits <= 9):
-            return digits
-    return None
 
 
 def parse_settings(data: bytes) -> np.ndarray:
@@ -324,8 +332,9 @@ def read_settings(path) -> np.ndarray:
         settings = np.empty(size // 2, dtype=np.uint8)
         with open(path, "rb") as fh:
             for start in range(0, settings.size, CHUNK_RECORDS):
-                digits = _digit_lines(np.fromfile(fh, dtype=np.uint8, count=2 * CHUNK_RECORDS))
-                if digits is None:
+                digits = np.fromfile(fh, dtype="<u2", count=CHUNK_RECORDS)
+                digits -= _DIGIT_LINE  # any word but a digit and a newline wraps above 9
+                if digits.max() > 9:
                     break
                 settings[start:start + digits.size] = digits
             else:

@@ -580,12 +580,19 @@ def _timetag_blocks(cfg: ExperimentConfig) -> Iterator[tuple]:
         times = np.clip(times, lo, hi)
 
         order = np.argsort(times, kind="stable")
+        times = times[order]
         trial_start = (np.arange(n, dtype=np.int64) + b * n) * period
-        # each detection goes after the clock marks at or before its time
-        at = np.searchsorted(trial_start, times[order], side="right")
-        t = np.insert(trial_start, at, times[order])
-        c = np.insert(np.full(n, CHANNEL_CLOCK, dtype=np.uint8), at,
-                      np.where(order < n_a, CHANNEL_ALICE, CHANNEL_BOB))
+        # each detection goes after the clock marks at or before its time,
+        # so its record position is those marks plus the detections ahead of it
+        pos = np.searchsorted(trial_start, times, side="right")
+        pos += np.arange(pos.size)
+        clock = np.ones(n + pos.size, dtype=bool)
+        clock[pos] = False
+        t = np.empty(clock.size, dtype=np.int64)
+        t[clock] = trial_start
+        t[pos] = times
+        c = np.full(clock.size, CHANNEL_CLOCK, dtype=np.uint8)
+        c[pos] = np.where(order < n_a, CHANNEL_ALICE, CHANNEL_BOB)
         yield combo, t, c, clamped
 
 
@@ -740,20 +747,23 @@ def _parsed_batch(lines: list[str]) -> np.ndarray | None:
 
 
 def _csv_rows(lines: Iterable[str], start: int) -> Iterator[tuple[int, list[str]]]:
-    """The csv rows of lines, numbered from `start`; a row the csv module
-    cannot read (a field over its size limit, a bare CR inside a line) is
-    a FormatError naming that row."""
-    lineno = start - 1
+    """The csv rows of lines, each numbered by its first line, the first
+    of lines being line `start` (a quoted field may span lines); a row the
+    csv module cannot read (a field over its size limit, a bare CR inside
+    a line) is a FormatError naming its first line."""
+    reader = csv.reader(lines)
+    lineno = start
     try:
-        for lineno, row in enumerate(csv.reader(lines), start=start):
+        for row in reader:
             yield lineno, row
+            lineno = start + reader.line_num
     except csv.Error as exc:
-        raise FormatError(f"unreadable row ({exc})", lineno + 1) from None
+        raise FormatError(f"unreadable row ({exc})", lineno) from None
 
 
 def _checked_block_rows(lines: Iterable[str], start: int = 1) -> Iterator[tuple[int, ...]]:
     """The five ints of each blocks.csv row in lines, each row checked;
-    line numbers count rows from `start`."""
+    a row's error names its first line, the first of lines being line `start`."""
     for lineno, row in _csv_rows(lines, start):
         if not row or row == _BLOCK_HEADER:
             continue

@@ -171,14 +171,27 @@ def coincidence_time_stream(
     of 4 T after the last emission slot so that legal event windows
     (radius < 3T) can never pair detections across trials; so the streams
     of consecutive trial ranges, each starting at its `first_trial`,
-    concatenate to the stream of the whole run.
+    concatenate to the stream of the whole run.  A range whose timestamps
+    would fall below 0 or beyond the signed 64-bit range raises
+    ValidationError.
     """
     if T_ns <= 0:
         raise ValidationError("T_ns must be positive")
     settings = np.asarray(settings_per_trial, dtype=np.int64)
     if _first_bad_setting(settings) < settings.size:
         raise ValidationError("setting indices must be in 0..3")
-    period = (max((offset for offset, _, _ in schedule), default=0) + 4) * T_ns
+    last_offset = max((offset for offset, _, _ in schedule), default=0)
+    period = (last_offset + 4) * T_ns
+    if settings.size:
+        # the first trial's clock mark and the last trial's last emission, in
+        # Python ints, so that no timestamp wraps in int64
+        first_t = first_trial * period
+        last_t = (first_trial + settings.size - 1) * period + last_offset * T_ns
+        if first_t < 0:
+            raise ValidationError(f"negative timestamp {first_t} at record 0")
+        if last_t > _INT64_MAX:
+            raise ValidationError(f"trial {first_trial + settings.size - 1} emits at "
+                                  f"{last_t} ns, beyond the 64-bit timestamp range")
 
     trial_start = np.arange(first_trial, first_trial + settings.size, dtype=np.int64) * int(period)
     times = [trial_start]

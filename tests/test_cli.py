@@ -708,6 +708,15 @@ def test_csv_without_window_or_settings_is_blocks(tmp_path, capsys):
     assert "expected 5 fields" in capsys.readouterr().err
 
 
+def test_blocks_csv_error_names_the_physical_line(tmp_path, capsys):
+    # the quoted field of the second row spans lines 2 and 3; the short row is line 4
+    path = tmp_path / "blocks.csv"
+    path.write_text('0,10,1,1,1\n"1\n",2,1,1,1\n1,2,3\n')
+    assert main(["analyze", str(path), "--out", str(tmp_path), "--quiet"]) == 2
+    err = capsys.readouterr().err
+    assert "expected 5 fields" in err and "line 4)" in err
+
+
 def test_counts_analyze_manifest_has_no_timetag_diagnostics(tmp_path, reference_counts):
     (tmp_path / "counts.json").write_text(reference_counts.to_json())
     assert main(["analyze", str(tmp_path / "counts.json"), "--out", str(tmp_path),

@@ -99,6 +99,14 @@ def test_stream_invariants():
         bs.TimetagStream(np.array([-3, 4]), np.array([2, 0]))
 
 
+@pytest.mark.parametrize("timestamps, channels", [
+    ([0, 2**63], [2, 0]), ([0, 5], [2, 256]), ([0, 5], [2, -1]),
+])
+def test_stream_rejects_values_its_arrays_cannot_hold(timestamps, channels):
+    with pytest.raises(ValidationError, match="64-bit|8-bit"):
+        bs.TimetagStream(timestamps, channels)
+
+
 # ---------------------------------------------------------------------------
 # settings files
 
@@ -108,6 +116,17 @@ def test_settings_round_trip(settings):
     data = serialize_settings(np.array(settings, dtype=np.int64))
     assert data == ("\n".join(str(i) for i in settings) + "\n").encode()
     assert parse_settings(data).tolist() == settings
+
+
+@pytest.mark.parametrize("dtype", [np.int8, np.uint8, np.int64])
+def test_serialize_settings_writes_a_digit_and_a_newline_per_line(dtype):
+    settings = [3, 0, 2, 1, 1, 0, 3]
+    assert serialize_settings(np.array(settings, dtype=dtype)) == b"3\n0\n2\n1\n1\n0\n3\n"
+    if dtype != np.uint8:
+        with pytest.raises(ValidationError):
+            serialize_settings(np.array([0, -1], dtype=dtype))
+    with pytest.raises(ValidationError):
+        serialize_settings(np.array([4, 0], dtype=dtype))
 
 
 @pytest.mark.parametrize("settings", [[0, 4], [-1]])
@@ -796,6 +815,29 @@ def test_reader_errors_equal_one_chunk(faults, chunk, tmp_path, monkeypatch):
     assert _error(lambda: clock_counts(TimetagFile(path), np.zeros(300))) == expected
 
 
+@pytest.mark.parametrize("chunk", [1, 2, 3])
+@pytest.mark.parametrize("fault", [("channel", 5), ("range", 6), ("channel", 3),
+                                   ("early", 8), ("early", 4)])
+def test_reader_errors_inside_a_held_back_run_equal_one_chunk(fault, chunk, tmp_path,
+                                                             monkeypatch):
+    # records 1..7 share one time, a run held back over more than two reads
+    rec = np.array([(0, 2)] + [(5, k % 3) for k in range(7)] + [(9, 2)],
+                   dtype=counting._BINARY_DTYPE)
+    kind, k = fault
+    if kind == "channel":
+        rec["ch"][k] = 7
+    elif kind == "range":
+        rec["t"][k] = 2**63 + 5
+    else:  # a record earlier than the run
+        rec["t"][k] = 4
+    path = tmp_path / "stream.bin"
+    path.write_bytes(rec.tobytes())
+    expected = _error(lambda: list(TimetagFile(path).chunks()))  # one chunk
+    assert expected is not None and expected[1] == k
+    monkeypatch.setattr(counting, "CHUNK_RECORDS", chunk)
+    assert _error(lambda: list(TimetagFile(path).chunks())) == expected
+
+
 def test_reader_rejects_a_partial_record(tmp_path):
     path = tmp_path / "stream.bin"
     path.write_bytes(b"\x00" * 20)
@@ -842,3 +884,24 @@ def test_read_settings_equals_parse_settings(data, chunk, tmp_path, monkeypatch)
         assert settings.tolist() == expected
         if data.endswith(b"3\n1\n2\n"):  # the format serialize_settings writes
             assert settings.dtype == np.uint8
+
+
+@pytest.mark.parametrize("data, chunk", [
+    (b"\n0", None), (b"0\x0b", None), (b"0\n:\n", None), (b"0\n/\n", None),
+    # the first read is in the format serialize_settings writes, the second is not
+    (b"0\n1\n2 3\n", 2), (b"0\n1\n2\nx\n", 2), (b"0\n1\n2\n3\n1\n2\r\n", 2),
+])
+def test_read_settings_falls_back_to_parse_settings(data, chunk, tmp_path, monkeypatch):
+    path = tmp_path / "settings.txt"
+    path.write_bytes(data)
+    if chunk:
+        monkeypatch.setattr(counting, "CHUNK_RECORDS", chunk)
+    try:
+        expected = parse_settings(data)
+    except FormatError as exc:
+        assert _error(lambda: read_settings(path)) == (str(exc), exc.position)
+    else:
+        # parse_settings reads int64, the digit-line reader one byte per trial
+        settings = read_settings(path)
+        assert settings.dtype == expected.dtype == np.int64
+        assert settings.tolist() == expected.tolist()

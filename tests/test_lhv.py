@@ -139,6 +139,26 @@ def test_stream_before_time_zero_is_rejected():
                                    first_trial=-2)
 
 
+@pytest.mark.parametrize("first_trial", [2**62, -(2**62)])
+def test_stream_beyond_64_bit_timestamps_is_rejected(first_trial):
+    # 2^62 trials of 8000 ns wrap int64; the stream must not wrap silently
+    with pytest.raises(ValidationError, match="64-bit timestamp range|negative timestamp"):
+        bs.coincidence_time_stream(bs.coincidence_loophole_schedule(), [0, 1, 2], T_ns=1000,
+                                   first_trial=first_trial)
+
+
+def test_stream_reaches_the_last_64_bit_timestamp():
+    # the last trial's last emission, at offset 4T, lands on 2^63 - 1
+    period, last = 8000, 4000
+    first_trial = (2**63 - 1 - last) // period
+    stream = bs.coincidence_time_stream(bs.coincidence_loophole_schedule(), [1], T_ns=1000,
+                                        first_trial=first_trial)
+    assert int(stream.timestamps[-1]) == first_trial * period + last <= 2**63 - 1
+    with pytest.raises(ValidationError, match="64-bit timestamp range"):
+        bs.coincidence_time_stream(bs.coincidence_loophole_schedule(), [1], T_ns=1000,
+                                   first_trial=first_trial + 1)
+
+
 def test_every_detection_present_per_side():
     rng = np.random.default_rng(5)
     settings = rng.integers(0, 4, size=1000)
