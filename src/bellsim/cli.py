@@ -172,7 +172,8 @@ def _cmd_simulate(args) -> dict:
         _say(args, f"wrote {records} records over {cfg.n_blocks * cfg.trials_per_block} trials")
     else:
         # each batch of blocks is written and counted as it is drawn
-        with open(_out_path(args, "blocks.csv"), "w") as fh:
+        # untranslated, so that every line ends in the CRLF the csv writer puts
+        with open(_out_path(args, "blocks.csv"), "w", newline="") as fh:
             table = _write_block_batches(fh, _block_batches(cfg))
         _out_path(args, "counts.json").write_text(table.to_json())
         _say(args, f"wrote {cfg.n_blocks} blocks")
@@ -223,10 +224,11 @@ def _load_counts_for_analysis(args) -> CountsTable:
 
 def _block_file_batches(path):
     """The block array of a blocks.csv file, a batch at a time, in one
-    pass over its text.  A file with bytes that are not UTF-8 anywhere
-    fails as _read_text fails, before any format error of its rows."""
+    pass over its text, whose lines end at LF only, as in blocks_from_csv.
+    A file with bytes that are not UTF-8 anywhere fails as _read_text
+    fails, before any format error of its rows."""
     try:
-        with open(path, encoding="utf-8") as fh:
+        with open(path, encoding="utf-8", newline="\n") as fh:
             yield from _read_block_batches(fh)
     except ValueError:
         _read_text(path)

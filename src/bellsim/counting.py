@@ -92,12 +92,8 @@ class TimetagStream:
     meta: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        try:
-            self.timestamps = np.asarray(self.timestamps, dtype=np.int64)
-            self.channels = np.asarray(self.channels, dtype=np.uint8)
-        except OverflowError:
-            raise ValidationError("timestamps must fit in signed 64-bit integers "
-                                  "and channels in unsigned 8-bit ones") from None
+        self.timestamps = _integer_array(self.timestamps, np.int64)
+        self.channels = _integer_array(self.channels, np.uint8)
         if self.timestamps.shape != self.channels.shape or self.timestamps.ndim != 1:
             raise ValidationError("timestamps and channels must be 1-D and equal length")
         idx = _first_regression(self.timestamps)
@@ -129,6 +125,16 @@ class TimetagStream:
     def chunks(self):
         """The stream as ordered chunks of records: here the whole stream."""
         yield self
+
+
+def _integer_array(values, dtype) -> np.ndarray:
+    """values as a dtype array; a ValidationError when the cast would change them."""
+    arr, info = np.asarray(values), np.iinfo(dtype)
+    if arr.dtype != dtype and arr.size and (arr.dtype.kind not in "iu" or not (
+            info.min <= int(arr.min()) and int(arr.max()) <= info.max)):
+        raise ValidationError("timestamps must be integers in the signed 64-bit range "
+                              "and channels in the unsigned 8-bit range")
+    return arr.astype(dtype, copy=False)
 
 
 def _records(timestamps: np.ndarray, channels: np.ndarray) -> TimetagStream:
@@ -369,10 +375,12 @@ class CountsTable:
 
     Rows follow SETTING_LABELS order: (a,b), (a,b'), (a',b), (a',b').
     Counts are integers for measured data; tables of expected values
-    (drift predictions) may carry floats.  Singles and coincidences may
-    exceed trials only in an event-windowed table (meta["window"]
-    "event:..."), which counts detections and detection pairs, several of
-    which can fall in one trial.
+    (drift predictions) may carry floats.  A row counts trials, so its
+    singles and coincidences are at most its trials, its coincidences at
+    most either singles, and singles_a + singles_b - coincidences, the
+    trials with a click, at most its trials; only an event-windowed table
+    (meta["window"] "event:...") is exempt, since it counts detections and
+    detection pairs, several of which can fall in one trial.
     """
 
     n_trials: np.ndarray
@@ -399,6 +407,11 @@ class CountsTable:
             for name in ("coincidences", "singles_a", "singles_b"):
                 if np.any(getattr(self, name) > self.n_trials + 1e-9):
                     raise ValidationError(f"{name} exceed trials in some row")
+            if np.any(self.coincidences > np.minimum(self.singles_a, self.singles_b) + 1e-9):
+                raise ValidationError("coincidences exceed singles in some row")
+            # neither difference can wrap: every count is in 0..n_trials
+            if np.any(self.singles_a - self.coincidences > self.n_trials - self.singles_b + 1e-9):
+                raise ValidationError("trials with a click exceed trials in some row")
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, CountsTable):

@@ -31,10 +31,10 @@ The burst is centered inside the trial period so that realistic jitter
 cannot push a detection across a trial boundary.
 
 A blocks.csv file is read a batch of lines at a time
-(`_read_block_batches`).  np.loadtxt parses a batch of ASCII digits and
-commas, whose rows are then checked as arrays; the first batch that
-holds anything else goes, with the rest of the file, to the csv row
-reader (`_checked_block_rows`), which defines what the format accepts.
+(`_read_block_batches`).  Its grammar is strict: ASCII digits, commas and
+LF or CRLF line ends.  np.loadtxt parses each batch, whose rows are then
+checked as arrays; a batch that fails is read line by line to name its
+first bad line (`_located_batch`).
 Block counts are summed with one 1-D `np.add.at` per count field, in
 int64 while the sums cannot wrap and in Python ints otherwise
 (`_block_sums`).
@@ -48,6 +48,7 @@ import io
 import itertools
 import json
 import math
+import reprlib
 import warnings
 from dataclasses import MISSING, astuple, dataclass, field, fields, is_dataclass, replace
 from typing import Iterable, Iterator, Sequence
@@ -683,106 +684,87 @@ def blocks_from_csv(text: str) -> np.ndarray:
                            *_read_block_batches(io.StringIO(text))])
 
 
-# lines of blocks.csv per parsed batch, and the longest line np.loadtxt is
-# given: Python's int() reads no more digits than sys.get_int_max_str_digits(),
-# which is at least 640 when it is set at all
+# lines of blocks.csv per parsed batch
 _PARSE_LINES = 1 << 14
-_PARSE_LINE_CHARS = 640
 _HEADER_LINE = ",".join(_BLOCK_HEADER)
+# a block row's rules, each a message over its five values and a test of
+# them (a block array's columns or one row's ints) that is true where the
+# row breaks it; every count is a count of the row's trials
+_BLOCK_RULES = (
+    ("block setting index {0} out of range", lambda s, n, a, b, c: s > 3),
+    ("coincidences exceed trials: {4} > {1}", lambda s, n, a, b, c: c > n),
+    ("singles exceed trials: {2} or {3} > {1}", lambda s, n, a, b, c: (a > n) | (b > n)),
+    ("coincidences exceed singles: {4} > min({2}, {3})",
+     lambda s, n, a, b, c: (c > a) | (c > b)),
+    # a - c and n - b cannot wrap: every value is in 0..2^63-1
+    ("trials with a click exceed trials: {2} + {3} - {4} > {1}",
+     lambda s, n, a, b, c: a - c > n - b),
+)
 
 
 def _read_block_batches(lines: Iterable[str]) -> Iterator[np.ndarray]:
     """The block array of blocks.csv lines, one batch of up to _PARSE_LINES
     lines at a time.
 
-    numpy's C parser reads each batch (_parsed_batch) unless it could
-    differ from the row-by-row reader.  From the first batch that could,
-    _checked_block_rows reads to the end, so every accepted file, every
-    FormatError and every line number is that reader's.
+    The format is an optional header line (_HEADER_LINE), then one row per
+    line of five fields of ASCII digits and commas, each line ending in LF
+    or CRLF (the last may end the text instead) and keeping _BLOCK_RULES.
+    np.loadtxt reads a batch (_parsed_batch); a batch it cannot is read
+    line by line, to name its first bad line (_located_batch).
     """
-    lines = iter(lines)
-    lineno = 1
+    lines, lineno = iter(lines), 1
     while batch := list(itertools.islice(lines, _PARSE_LINES)):
+        start, lineno = lineno, lineno + len(batch)
+        if start == 1 and _line_body(batch[0]) == _HEADER_LINE:
+            batch, start = batch[1:], 2
         arr = _parsed_batch(batch)
-        if arr is None:
-            rows = _checked_block_rows(itertools.chain(batch, lines), lineno)
-            values = itertools.chain.from_iterable(rows)
-            while (arr := np.fromiter(itertools.islice(values, 5 * _PARSE_LINES),
-                                      dtype=np.int64)).size:
-                yield arr.reshape(-1, 5)
-            return
-        yield arr
-        lineno += len(batch)
+        yield _located_batch(batch, start) if arr is None else arr
+
+
+def _line_body(line: str) -> str:
+    """A line without its LF or CRLF ending; a bare CR stays."""
+    return line[:-2] if line.endswith("\r\n") else line.removesuffix("\n")
 
 
 def _parsed_batch(lines: list[str]) -> np.ndarray | None:
-    """The block array of blocks.csv lines by np.loadtxt, or None unless
-    _checked_block_rows is sure to read the same.
-
-    That holds for lines of ASCII digits and commas (after a header line
-    that leads the batch), none longer than _PARSE_LINE_CHARS, each one
-    row of five fields that keeps the range rules.  np.loadtxt also reads
-    signs, spaces and some characters that int() reads otherwise or not
-    at all, and it skips blank lines; such a batch goes to
-    _checked_block_rows.
-    """
-    if lines[0].rstrip("\n") == _HEADER_LINE:
-        lines = lines[1:]
-    text = "".join(lines)
-    if (not text.isascii() or text.encode().translate(None, b"0123456789,\n")
-            or max(map(len, lines), default=0) > _PARSE_LINE_CHARS):
-        return None
+    """The block array of blocks.csv rows by np.loadtxt, or None unless
+    they keep the format.  np.loadtxt skips a blank line, which leaves a
+    row fewer than lines."""
     if not lines:
         return np.empty((0, 5), dtype=np.int64)
+    text = "".join(lines)
+    if (not text.isascii() or text.encode().translate(None, b"0123456789,\r\n")
+            or text.count("\r") != text.count("\r\n")):
+        return None
     try:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             arr = np.loadtxt(lines, delimiter=",", dtype=np.int64, comments=None, ndmin=2)
-    except (ValueError, Warning):
+    except (ValueError, OverflowError, Warning):  # a Warning: only blank lines
         return None
-    if (arr.shape != (len(lines), 5) or arr[:, 0].max() > 3
-            or (arr[:, 2:] > arr[:, 1:2]).any()):
+    if arr.shape != (len(lines), 5) or any(broken(*arr.T).any() for _, broken in _BLOCK_RULES):
         return None
     return arr
 
 
-def _csv_rows(lines: Iterable[str], start: int) -> Iterator[tuple[int, list[str]]]:
-    """The csv rows of lines, each numbered by its first line, the first
-    of lines being line `start` (a quoted field may span lines); a row the
-    csv module cannot read (a field over its size limit, a bare CR inside
-    a line) is a FormatError naming its first line."""
-    reader = csv.reader(lines)
-    lineno = start
-    try:
-        for row in reader:
-            yield lineno, row
-            lineno = start + reader.line_num
-    except csv.Error as exc:
-        raise FormatError(f"unreadable row ({exc})", lineno) from None
-
-
-def _checked_block_rows(lines: Iterable[str], start: int = 1) -> Iterator[tuple[int, ...]]:
-    """The five ints of each blocks.csv row in lines, each row checked;
-    a row's error names its first line, the first of lines being line `start`."""
-    for lineno, row in _csv_rows(lines, start):
-        if not row or row == _BLOCK_HEADER:
-            continue
-        if len(row) != 5:
-            raise FormatError(f"expected 5 fields, got {row!r}", lineno)
-        try:
-            setting, n, singles_a, singles_b, coinc = map(int, row)
-        except ValueError:
-            raise FormatError(f"non-integer field in {row!r}", lineno) from None
-        if not 0 <= setting <= 3:
-            raise FormatError(f"block setting index {setting} out of range", lineno)
-        # the rules CountsTable applies to a row, in 64-bit integers; a count
-        # above n fails below, so n bounds every count
-        if n < 0 or singles_a < 0 or singles_b < 0 or coinc < 0:
-            raise FormatError(f"negative count in {row!r}", lineno)
-        if n > _INT64_MAX:
+def _located_batch(lines: list[str], start: int) -> np.ndarray:
+    """The block array of blocks.csv rows read line by line, the first of
+    lines being line `start`; the first line that breaks the format is a
+    FormatError naming it and why."""
+    rows = []
+    for lineno, line in enumerate(lines, start):
+        fields = _line_body(line).split(",")
+        if len(fields) != 5:
+            raise FormatError(f"expected 5 fields, got {reprlib.repr(_line_body(line))}", lineno)
+        for f in fields:
+            if not (f.isascii() and f.isdigit()):
+                raise FormatError(f"field {reprlib.repr(f)} is not ASCII digits", lineno)
+        # 20 significant digits already exceed 2^63 - 1, so int() reads no more
+        values = [int(f.lstrip("0")[:20] or 0) for f in fields]
+        if max(values) > _INT64_MAX:
             raise FormatError("block count outside the 64-bit integer range", lineno)
-        if coinc > n:
-            raise FormatError(f"coincidences exceed trials in {row!r}", lineno)
-        if singles_a > n or singles_b > n:
-            raise FormatError(f"singles exceed trials in {row!r}", lineno)
-        yield setting, n, singles_a, singles_b, coinc
+        for message, broken in _BLOCK_RULES:
+            if broken(*values):
+                raise FormatError(message.format(*values), lineno)
+        rows.append(values)
+    return np.array(rows, dtype=np.int64).reshape(-1, 5)

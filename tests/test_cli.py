@@ -709,12 +709,12 @@ def test_csv_without_window_or_settings_is_blocks(tmp_path, capsys):
 
 
 def test_blocks_csv_error_names_the_physical_line(tmp_path, capsys):
-    # the quoted field of the second row spans lines 2 and 3; the short row is line 4
+    # a quote does not join lines: line 2 is the one field '"1', and it is named
     path = tmp_path / "blocks.csv"
     path.write_text('0,10,1,1,1\n"1\n",2,1,1,1\n1,2,3\n')
     assert main(["analyze", str(path), "--out", str(tmp_path), "--quiet"]) == 2
     err = capsys.readouterr().err
-    assert "expected 5 fields" in err and "line 4)" in err
+    assert "expected 5 fields, got '\"1'" in err and "line 2)" in err
 
 
 def test_counts_analyze_manifest_has_no_timetag_diagnostics(tmp_path, reference_counts):
@@ -1081,24 +1081,80 @@ def test_failed_run_removes_the_earlier_manifest_listing_its_files(tmp_path, cap
 
 
 @pytest.mark.parametrize("row, message", [
-    ("0,10,-5,1,1", "negative count"),
+    ("0,10,-5,1,1", "field '-5' is not ASCII digits"),
     ("0,5,10,10,10", "coincidences exceed trials"),
     ("0,10,20,8,9", "singles exceed trials"),
     ("7,10,1,1,1", "block setting index 7 out of range"),
     ("1,99999999999999999999,1,1,1", "block count outside the 64-bit integer range"),
-    ("1," + " " * 200_000 + "2,1,1,1", "field larger than field limit"),
-    # a file is read with universal newlines, so a bare CR ends the line
-    ("1,5\r2,1,1,1", "expected 5 fields"),
+    ("1," + " " * 200_000 + "2,1,1,1", "is not ASCII digits"),
+    # a file's lines end at LF only, so a bare CR stays inside its field
+    ("1,5\r2,1,1,1", "field '5\\r2' is not ASCII digits"),
 ], ids=["negative-singles", "coincidences-over-trials", "singles-over-trials",
         "setting-index", "count-over-64-bit", "field-over-csv-limit", "cr-inside-row"])
 def test_analyze_malformed_block_row_is_exit_2(row, message, tmp_path, capsys):
     # a given sigma skips the partitions, so only the reader can catch it
     path = tmp_path / "blocks.csv"
-    path.write_text("".join(f"{s},10,8,8,1\n" for s in range(4)) + row + "\n")
+    path.write_text("".join(f"{s},10,4,4,1\n" for s in range(4)) + row + "\n")
     assert main(["analyze", str(path), "--sigma", "1e-5", "--out", str(tmp_path),
                  "--quiet"]) == 2
     err = capsys.readouterr().err
     assert message in err and "line 5" in err
+
+
+# lines the format refuses, each named by its own line
+REJECTED_BLOCK_LINES = {
+    "space": "1, 10,1,1,1",
+    "sign": "+1,10,1,1,1",
+    "quote": '"1",10,1,1,1',
+    "empty-field": "1,,1,1,1",
+    "sixth-field": "1,10,1,1,1,1",
+    "blank-line": "",
+    "bare-cr-inside-row": "1,10,1,1,1\r2,10,1,1,1",
+    "2^63": f"1,{2**63},1,1,1",
+    "setting-4": "4,10,1,1,1",
+    "coincidences-over-trials": "1,2,1,1,3",
+    "coincidences-over-singles": "1,10,1,3,2",
+    "clicked-trials-over-trials": "1,10,6,6,1",
+}
+
+
+@pytest.mark.parametrize("lineno", [2, 5], ids=["first-batch", "after-batch-edge"])
+@pytest.mark.parametrize("line", REJECTED_BLOCK_LINES.values(), ids=REJECTED_BLOCK_LINES)
+def test_analyze_block_line_the_format_refuses_is_exit_2(line, lineno, tmp_path, capsys,
+                                                         monkeypatch):
+    # with 4 lines a batch, line 5 opens the second batch after a clean first
+    monkeypatch.setattr(engine, "_PARSE_LINES", 4)
+    rows = ["0,10,1,2,0", "1,10,3,1,1", "2,10,0,0,0", "3,10,2,2,2"]
+    lines = [",".join(engine._BLOCK_HEADER), *rows[:lineno - 2], line, *rows]
+    path = tmp_path / "blocks.csv"
+    path.write_bytes(("\r\n".join(lines) + "\r\n").encode())
+    assert main(["analyze", str(path), "--sigma", "1e-5", "--out", str(tmp_path / "out"),
+                 "--quiet"]) == 2
+    assert capsys.readouterr().err.rstrip().endswith(f"(at record/line {lineno})")
+    assert not (tmp_path / "out" / "bell_result.json").exists()
+
+
+# the four rows of a run whose (a,b) row holds 5 coincidences from 1 single
+# per arm: B would be 0.3, above the quantum maximum
+IMPOSSIBLE_ROWS = [(0, 10, 1, 1, 5), (1, 10, 1, 1, 0), (2, 10, 1, 1, 0), (3, 10, 1, 1, 0)]
+
+
+@pytest.mark.parametrize("name", ["blocks.csv", "counts.json"])
+def test_analyze_impossible_counts_is_exit_2(name, tmp_path, capsys):
+    path = tmp_path / name
+    if name == "blocks.csv":
+        path.write_text(",".join(engine._BLOCK_HEADER) + "\n"
+                        + "".join(",".join(map(str, row)) + "\n" for row in IMPOSSIBLE_ROWS))
+        message = "coincidences exceed singles: 5 > min(1, 1) (at record/line 2)"
+    else:
+        fields = ["n_trials", "singles_a", "singles_b", "coincidences"]
+        path.write_text(json.dumps({label: dict(zip(fields, row[1:]))
+                                    for label, row in zip(counting.SETTING_LABELS,
+                                                          IMPOSSIBLE_ROWS)}))
+        message = "coincidences exceed singles in some row"
+    assert main(["analyze", str(path), "--out", str(tmp_path / "out"), "--quiet"]) == 2
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "out" / "bell_result.json").exists()
 
 
 # ---------------------------------------------------------------------------

@@ -107,6 +107,16 @@ def test_stream_rejects_values_its_arrays_cannot_hold(timestamps, channels):
         bs.TimetagStream(timestamps, channels)
 
 
+@pytest.mark.parametrize("timestamps, channels", [
+    (np.array([0, 5]), np.array([2, 256])),  # would wrap to an alice detection
+    (np.array([0, 5]), np.array([2, 258])),  # would wrap to a clock mark
+    (np.array([0, 5.7]), np.array([2, 0])),  # would truncate to 5
+], ids=["channel-256", "channel-258", "float-timestamps"])
+def test_stream_rejects_arrays_a_cast_would_change(timestamps, channels):
+    with pytest.raises(ValidationError, match="64-bit|8-bit"):
+        bs.TimetagStream(timestamps, channels)
+
+
 # ---------------------------------------------------------------------------
 # settings files
 
@@ -521,6 +531,20 @@ def test_only_event_tables_may_hold_more_pairs_than_trials():
         bs.CountsTable(**rows, meta={"window": "clock"})
     with pytest.raises(ValidationError):
         bs.CountsTable.from_json(table.to_json())
+
+
+@pytest.mark.parametrize("row, message", [
+    ((10, 1, 1, 5), "coincidences exceed singles"),
+    ((10, 6, 6, 1), "trials with a click exceed trials"),
+], ids=["coincidences-over-singles", "clicked-trials-over-trials"])
+def test_only_event_tables_may_hold_rows_no_trials_can(row, message):
+    # in an event window a pair counts in its earlier member's trial, so
+    # such a row is legal there; in any other table it comes from no run
+    rows = dict(zip(["n_trials", "singles_a", "singles_b", "coincidences"],
+                    np.array([row, (10, 1, 1, 0), (10, 1, 1, 0), (10, 1, 1, 0)]).T))
+    assert bs.CountsTable(**rows, meta={"window": "event:25"}).coincidences[0] == row[3]
+    with pytest.raises(ValidationError, match=message):
+        bs.CountsTable(**rows, meta={"window": "clock"})
 
 
 def test_only_event_tables_may_hold_more_singles_than_trials():

@@ -3,7 +3,6 @@
 import dataclasses
 import hashlib
 import io
-import itertools
 import os
 import subprocess
 import sys
@@ -612,8 +611,10 @@ def test_expected_b_positive_at_large_scale(calibrated_reference_model):
 # serialization
 
 
-def test_blocks_csv_round_trip():
+def test_blocks_csv_round_trip(monkeypatch):
     cfg = quick_cfg()
+    # blocks_to_csv ends its lines in CRLF, which np.loadtxt reads whole
+    monkeypatch.setattr(engine, "_located_batch", mock.Mock(side_effect=AssertionError))
     blocks = bs.blocks_from_csv(bs.blocks_to_csv(bs.simulate_blocks(cfg)))
     assert blocks.dtype == np.int64 and blocks.shape == (cfg.n_blocks, 5)
     assert np.array_equal(blocks, bs.simulate_blocks(cfg))
@@ -629,28 +630,49 @@ def test_blocks_csv_without_rows_is_empty_array(text):
 def test_blocks_csv_malformed():
     with pytest.raises(FormatError):
         bs.blocks_from_csv("1,2,3\n")
+    # a CR ends a line only before an LF, on the text's last line too
+    with pytest.raises(FormatError, match=r"'0\\r' is not ASCII digits \(at record/line 2\)"):
+        bs.blocks_from_csv("0,1,0,0,0\r\n0,1,0,0,0\r")
 
 
 # ---------------------------------------------------------------------------
-# blocks.csv: the batch parser reads exactly what the row-by-row reader reads
+# blocks.csv: the batch parser reads exactly what a row-by-row reader of
+# the format reads
+
+_HEADER = ",".join(engine._BLOCK_HEADER)
 
 
 def _row_by_row(text):
-    rows = engine._checked_block_rows(io.StringIO(text))
-    return np.fromiter(itertools.chain.from_iterable(rows), dtype=np.int64).reshape(-1, 5)
+    """The rows of blocks.csv text by the format's rules, read a line at a
+    time, or the number of its first line that breaks them."""
+    *ended, last = text.split("\n")
+    lines = [line.removesuffix("\r") for line in ended] + ([last] if last else [])
+    rows = []
+    for lineno, line in enumerate(lines, 1):
+        fields = line.split(",")
+        if lineno == 1 and line == _HEADER:
+            continue
+        if len(fields) != 5 or not all(f.isascii() and f.isdigit() for f in fields):
+            return lineno
+        s, n, a, b, c = row = [int(f.lstrip("0") or 0) for f in fields]
+        if max(row) >= 2**63 or s > 3 or max(a, b, c) > n or c > min(a, b) or a + b - c > n:
+            return lineno
+        rows.append(row)
+    return rows
 
 
-def _read_outcome(read, text):
-    """The rows read, or the error's type and message (line included)."""
+def _read_outcome(text):
+    """blocks_from_csv's rows, or the line its FormatError names."""
     try:
-        blocks = read(text)
-    except Exception as exc:
-        return type(exc), str(exc)
+        blocks = bs.blocks_from_csv(text)
+    except FormatError as exc:
+        return exc.position
     assert blocks.dtype == np.int64 and blocks.shape[1:] == (5,)
     return blocks.tolist()
 
 
-# lines that np.loadtxt and the csv module plus int() may read differently
+# lines that a looser reader (np.loadtxt, or the csv module and int())
+# would read as a row; of these, the format reads only CRLF and leading zeros
 PARSER_CASES = {
     "spaces": " 1, 2 ,1,1,1",
     "tab": "1,\t2,1,1,1",
@@ -671,39 +693,37 @@ PARSER_CASES = {
     "crlf": "1,2,1,1,1\r",
     "bare-cr": "1,2,1,1,1\r2,2,1,1,1",
     "blank-and-bare-cr": "\n1,2,1,1,1\r2,2,1,1,1",
-    "second-header": ",".join(engine._BLOCK_HEADER),
+    "second-header": _HEADER,
     "arabic-indic-digit": "\u0661,2,1,1,1",
     "2^63": f"1,{2**63},1,1,1",
     "2^63-singles": f"1,5,{2**63},1,1",
-    # np.loadtxt reads the first as 2 and the second as a digit; int() reads neither
     "file-separator": "1,\x1c2,1,1,1",
     "latin-letter": "1,\u01fe,1,1,1",
     "5000-leading-zeros": "1," + "0" * 5000 + "2,1,1,1",
     "setting-4": "4,2,1,1,1",
     "coincidences-over-trials": "1,2,1,1,3",
-    # rows the csv module itself rejects
+    "coincidences-over-singles": "1,10,1,3,2",
+    "clicked-trials-over-trials": "1,10,6,6,1",
     "field-over-csv-limit": "1," + " " * 200_000 + "2,1,1,1",
     "cr-inside-row": "1,5\r2,1,1,1",
 }
 _GOOD_ROWS = ["0,10,1,2,0", "1,10,3,1,1", "2,10,0,0,0", "3,10,2,2,2"]
-# a rejected case's error names its first line, or the line this many lines below it
-_FAULT_LINE_OFFSETS = {"\n1,2,1,1,1\r2,2,1,1,1": 1, '"1\n",2,1,1,1\n1,2,3': 2}
-_HEADER = ",".join(engine._BLOCK_HEADER)
-# with 4 lines a batch: the case alone, on line 2 (first batch), on line 8
-# (last of the second batch, before the third) and on line 10 (third batch)
-_PLACES = {"alone": (0, 1), "first-batch": (2, 1), "batch-edge": (8, 5), "third-batch": (10, 9)}
+# with 4 lines a batch: the case alone, on line 2 (first batch, after the
+# header), on line 8 (last of the second batch, before the third) and on
+# line 10 (third batch); and the first line of the case's batch
+_PLACES = {"alone": (0, 1), "first-batch": (2, 2), "batch-edge": (8, 5), "third-batch": (10, 9)}
 
 
 def _recorded_starts(monkeypatch):
-    """The first line of each batch the row-by-row reader is given."""
+    """The first line of each batch that is read line by line."""
     starts = []
-    checked = engine._checked_block_rows
+    located = engine._located_batch
 
-    def spy(lines, start=1):
+    def spy(lines, start):
         starts.append(start)
-        return checked(lines, start)
+        return located(lines, start)
 
-    monkeypatch.setattr(engine, "_checked_block_rows", spy)
+    monkeypatch.setattr(engine, "_located_batch", spy)
     return starts
 
 
@@ -713,47 +733,50 @@ def test_batch_parser_reads_what_the_row_reader_reads(line, place, monkeypatch):
     lineno, batch_start = _PLACES[place]
     lines = [_HEADER, *_GOOD_ROWS * 3][:lineno - 1] + [line] + _GOOD_ROWS if lineno else [line]
     text = "\n".join(lines) + "\n"
-    want = _read_outcome(_row_by_row, text)
-    # a line the format rejects is a FormatError that names it, by its
-    # physical line when a quoted field spans lines
-    if not isinstance(want, list):
-        fault_line = max(lineno, 1) + _FAULT_LINE_OFFSETS.get(line, 0)
-        assert want[0] is FormatError and want[1].endswith(f"line {fault_line})"), want
+    want = _row_by_row(text)
+    # a line the format refuses is named, a quoted field's first line included
+    assert isinstance(want, list) or want == max(lineno, 1)
     monkeypatch.setattr(engine, "_PARSE_LINES", 4)
     starts = _recorded_starts(monkeypatch)
-    assert _read_outcome(bs.blocks_from_csv, text) == want
-    # every batch before the case's went through np.loadtxt, and a file of
-    # only a header needs no row reader
-    assert starts == ([] if lines == [_HEADER] else [batch_start])
+    assert _read_outcome(text) == want
+    # every batch before the case's, and each batch the format reads, went
+    # through np.loadtxt alone
+    assert starts == ([] if isinstance(want, list) else [batch_start])
 
 
 def test_batch_parser_reads_clean_batches_without_the_row_reader(monkeypatch):
-    # the second header leads the sixth batch of 4 lines
-    text = "\n".join([_HEADER, *(_GOOD_ROWS * 5)[:19], _HEADER, *_GOOD_ROWS]) + "\n"
-    want = _row_by_row(text).tolist()
+    # the header and 23 rows, LF and CRLF ends mixed, in six batches of 4 lines
+    lines = [_HEADER, *(_GOOD_ROWS * 6)[:23]]
+    text = "".join(line + ("\r\n" if i % 3 else "\n") for i, line in enumerate(lines))
     monkeypatch.setattr(engine, "_PARSE_LINES", 4)
     starts = _recorded_starts(monkeypatch)
-    # a header leading a batch is skipped, as the row reader skips it anywhere
-    assert bs.blocks_from_csv(text).tolist() == want
-    assert len(want) == 23 and starts == []
+    assert bs.blocks_from_csv(text).tolist() == _row_by_row(text)
+    assert len(_row_by_row(text)) == 23 and starts == []
 
 
-_FIELD = st.one_of(st.integers(0, 12).map(str),
-                   st.text(alphabet="0123456789+-_.e \t\x1c\u0661\u01fe\"#", max_size=4))
-_VALID_ROW = st.tuples(st.integers(0, 3), st.integers(0, 9)).flatmap(
-    lambda sn: st.lists(st.integers(0, sn[1]), min_size=3, max_size=3).map(
-        lambda counts: ",".join(map(str, (*sn, *counts)))))
-_LINE = st.one_of(_VALID_ROW, st.lists(_FIELD, min_size=4, max_size=6).map(",".join),
-                  st.text(alphabet="0123456789,\r\n\" ", max_size=12), st.just(_HEADER))
+# rows of counts up to their trials, some of which break the count rules
+_ROW = st.tuples(st.integers(0, 3), st.integers(0, 9), st.integers(0, 9),
+                       st.integers(0, 9), st.integers(0, 9)).map(
+    lambda r: f"{r[0]},{r[1]},{r[2] % (r[1] + 1)},{r[3] % (r[1] + 1)},{r[4] % (r[1] + 1)}")
+_LINE = st.one_of(_ROW, st.text(alphabet="0123456789,\r\n", max_size=14),
+                  st.just(_HEADER))
 
 
 @settings(max_examples=300, deadline=None)
 @given(lines=st.lists(_LINE, max_size=12), batch=st.integers(1, 5),
-       end=st.sampled_from(["", "\n", "\r\n"]))
+       end=st.sampled_from(["", "\n", "\r\n", "\r"]))
 def test_batch_parser_agrees_with_the_row_reader_on_fuzzed_text(lines, batch, end):
     text = "\n".join(lines) + end
-    with mock.patch.object(engine, "_PARSE_LINES", batch):
-        assert _read_outcome(bs.blocks_from_csv, text) == _read_outcome(_row_by_row, text)
+    starts = []
+    located = engine._located_batch
+    with mock.patch.object(engine, "_PARSE_LINES", batch), \
+            mock.patch.object(engine, "_located_batch",
+                              lambda lines, start: starts.append(start) or located(lines, start)):
+        got = _read_outcome(text)
+    want = _row_by_row(text)
+    assert got == want
+    # only a batch with a line the format refuses is read line by line
+    assert len(starts) == (not isinstance(want, list))
 
 
 @pytest.mark.parametrize("record, message", [

@@ -208,12 +208,19 @@ def _outcome(fn, *args):
         return "error", str(exc)
 
 
-# blocks with few trials, so that partitions miss settings, rows stay
-# empty, and now and then a table has negative or too many counts
+# blocks with few trials, so that partitions miss settings and rows stay
+# empty.  Each is a block a run can hold, its (coincidence, A only, B only)
+# counts at most its trials, or else (setting, -1, -1, -1, -1), so that now
+# and then a table has negative counts; sums of such blocks keep a counts
+# table's rules except for their signs
 def _small_block(values):
-    setting, n, sa, sb, c = values
-    m = max(n, 0) + 1
-    return setting, n, sa % m, sb % m, c % (m + 1)
+    setting, n, a_only, b_only, both = values
+    if n < 0:
+        return setting, -1, -1, -1, -1
+    both %= n + 1
+    a_only %= n - both + 1
+    b_only %= n - both - a_only + 1
+    return setting, n, both + a_only, both + b_only, both
 
 
 _BLOCK = st.tuples(st.integers(0, 3), st.integers(-1, 40), st.integers(0, 40),
