@@ -299,8 +299,11 @@ def _parse_grid(spec: str) -> np.ndarray:
         raise ValidationError(f"--r-grid needs finite numbers, got {spec!r}")
     if step <= 0 or stop < start:
         raise ValidationError("--r-grid needs step > 0 and stop >= start")
+    # a stop on the grid stays on it: pad it by a tolerance on the grid's
+    # scale, since an absolute 1e-12 is below float spacing above about 1e4
+    pad = 1e-12 * max(1.0, abs(start), abs(stop))
     try:
-        return np.arange(start, stop + 1e-12, step)
+        return np.arange(start, stop + pad, step)
     except (MemoryError, ValueError) as exc:  # too many points to hold
         raise ValidationError(f"--r-grid {spec!r} cannot be built: {exc}") from None
 

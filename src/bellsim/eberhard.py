@@ -24,20 +24,23 @@ column and as a row.  Every singles probability is a vector over the
 axis.  These broadcast through `quantum.ch_terms` to the same values,
 bit for bit, as evaluating `pair_probs` at every grid point.
 
-Each descent keeps two memos, for that descent only: the per-angle
+Each descent keeps three memos, for that descent only: the per-angle
 terms of every angle it visits (cos, sin and the singles probability,
-as Python floats) and the click probabilities of every setting pair it
-computes, keyed by the pair's (x, y) angles.  A move changes one angle
-and so two of the four pairs, and a descent revisits its points, so
-most lookups are hits, and the computed pairs share their angles (about
-three pairs to an angle).  A miss evaluates the closed forms of
-`quantum` that `singles_prob` and `coincidence_prob` evaluate: `_trig`
-and `_pure_singles` per angle, `_pure_coincidence` and
-`click_probabilities` per pair.  On Python floats these make the same
-IEEE operations as on the numpy scalars of `pair_probs` (cos, sin and
-exp stay numpy's, and Python's `**` equals numpy's scalar one), and the
-pairs combine through `quantum.ch_from_clicks` as `ch_terms` does on
-the grid, so each value equals the unmemoized objective bit for bit.
+as Python floats), each angle's click terms at each arm it is visited
+on, and the click probabilities of every setting pair it computes,
+keyed by the pair's (x, y) angles.  A move changes one angle and so two
+of the four pairs, and a descent revisits its points, so most lookups
+are hits, and the computed pairs share their angles (about three pairs
+to an angle).  A miss evaluates the closed forms of `quantum` that
+`singles_prob`, `coincidence_prob` and `click_probabilities` evaluate:
+`_trig` and `_pure_singles` per angle, `_arm_clicks` per angle and arm,
+and `_pure_coincidence` and `_pair_clicks` per pair.  On Python floats
+these make the same IEEE operations as on the numpy scalars of
+`pair_probs` (cos, sin and exp stay numpy's, and Python's `**` equals
+numpy's scalar one), and the pairs combine through
+`quantum.ch_from_clicks` as `ch_terms` does on the grid, so each value
+equals the unmemoized objective bit for bit.  The descent itself,
+`_refine`, steps the four angles as a list of Python floats.
 
 The objective takes either forward model of `quantum.click_probabilities`:
 
@@ -167,8 +170,9 @@ def _score(terms, linear, objective: str):
 def _descent_objective(state, det: DetectionModel, model: str, score, linear: bool):
     """The f(x) of one `_refine` descent over a pure state, equal bit for
     bit to score at `pair_probs(state, *x)` as a float, with each angle's
-    `quantum._trig` and `quantum._pure_singles` and each setting pair's
-    clicks memoized (module docstring).
+    `quantum._trig` and `quantum._pure_singles`, each angle's
+    `quantum._arm_clicks` at each arm and each setting pair's clicks
+    memoized (module docstring).
 
     A miss looks the forward model up in `quantum`, as `pair_probs` does:
     the traced benchmark (perfbench/spans.py) wraps this module's imported
@@ -176,6 +180,7 @@ def _descent_objective(state, det: DetectionModel, model: str, score, linear: bo
     it.
     """
     angle_memo = {}
+    arm_memos = {"A": {}, "B": {}}
     memo = {}
 
     def angle(x):
@@ -185,18 +190,28 @@ def _descent_objective(state, det: DetectionModel, model: str, score, linear: bo
             terms = angle_memo[x] = trig, quantum._pure_singles(state, trig[0])
         return terms
 
+    def arm(x, side):
+        terms = arm_memos[side].get(x)
+        if terms is None:
+            trig, p = angle(x)
+            terms = arm_memos[side][x] = (
+                trig, quantum._arm_clicks(p, side, det, model),
+                quantum._arm_clicks(p, side, det, "linear") if linear else None)
+        return terms
+
     def pair(x, y):
         clicks = memo.get((x, y))
         if clicks is None:
-            (trig_x, p1), (trig_y, p2) = angle(x), angle(y)
-            probs = p1, p2, quantum._pure_coincidence(state, trig_x, trig_y)
+            (trig_x, arm_x, linear_x), (trig_y, arm_y, linear_y) = arm(x, "A"), arm(y, "B")
+            p12 = quantum._pure_coincidence(state, trig_x, trig_y)
             clicks = memo[x, y] = (
-                quantum.click_probabilities(*probs, det, model),
-                quantum.click_probabilities(*probs, det, "linear") if linear else None)
+                quantum._pair_clicks(arm_x, arm_y, p12, det, model),
+                quantum._pair_clicks(linear_x, linear_y, p12, det, "linear") if linear
+                else None)
         return clicks
 
     def f(angles):
-        a, a_prime, b, b_prime = angles.tolist()
+        a, a_prime, b, b_prime = angles
         clicks, linear_clicks = zip(pair(a, b), pair(a, b_prime), pair(a_prime, b),
                                     pair(a_prime, b_prime))
         return float(score(quantum.ch_from_clicks(clicks), linear_clicks))
@@ -210,10 +225,11 @@ _REFINE_MAX_SWEEPS = 240
 def _refine(f, x0: np.ndarray) -> tuple[float, np.ndarray, bool]:
     """Coordinate ascent of f over the four angles, starting at x0.
 
-    Returns the best value, its angles, and whether the sweep budget ran
-    out before the step shrank to its floor.
+    f takes the angles as a list of Python floats.  Returns the best
+    value, its angles, and whether the sweep budget ran out before the
+    step shrank to its floor.
     """
-    x = x0.copy()
+    x = [float(v) for v in x0]
     best = f(x)
     step = _REFINE_START_DEG
     # the sweep budget bounds plateau walks; a genuine sub-pitch refinement
@@ -231,7 +247,7 @@ def _refine(f, x0: np.ndarray) -> tuple[float, np.ndarray, bool]:
                     best, x, improved = v, y, True
         if not improved:
             step *= 0.5
-    return best, x, step > _REFINE_STOP_DEG
+    return best, np.array(x), step > _REFINE_STOP_DEG
 
 
 def _search(state, det: DetectionModel, model: str, score, linear: bool,

@@ -36,9 +36,15 @@ and background-signal coincidences count.  Every consumer, from the CH
 values below to the optimizer, the Monte-Carlo engine and the drift
 adversary, calls `pair_probs` (or, per setting pair, `singles_prob` and
 `coincidence_prob`, or per angle the pure forms above) and
-`click_probabilities`.  The compound model saturates a background at 1
-with `_clamp`, which costs builtin comparisons on a Python float and
-stays elementwise on the drift multipliers' arrays.
+`click_probabilities`.  That is the composition of a per-arm part,
+`_arm_clicks` (eta*mu*p + bg for the linear model; for the compound
+model eta*p and the no-click probability dark*exp(-mu*eta*p), with dark
+the background's complement), and a per-pair part, `_pair_clicks`,
+which combines two arms' terms with p12.  So the optimizer's descent
+computes each angle's arm terms once and every caller gets the same
+bits from the one set of formulas.  The compound model saturates a
+background at 1 with `_clamp`, which costs builtin comparisons on a
+Python float and stays elementwise on the drift multipliers' arrays.
 """
 
 from __future__ import annotations
@@ -317,26 +323,44 @@ def click_probabilities(p1, p2, p12, det: DetectionModel, model: str = "compound
     is the single-pair linearization: singles mu*eta*p + bg, coincidences
     mu*eta_a*eta_b*p12, background in the singles only.  `multiplier`
     scales the pair rate and the backgrounds in both models (drift
-    support).  Broadcasts over ndarray inputs.
+    support).  Broadcasts over ndarray inputs.  The composition of
+    `_arm_clicks` at each arm and `_pair_clicks`.
     """
+    return _pair_clicks(_arm_clicks(p1, "A", det, model, multiplier),
+                        _arm_clicks(p2, "B", det, model, multiplier), p12, det, model, multiplier)
+
+
+def _arm_clicks(p, arm: Arm, det: DetectionModel, model: str = "compound", multiplier=1.0):
+    """One arm's part of `click_probabilities` from its singles probability
+    p: a tuple led by the arm's click probability.  For "compound" the
+    tuple goes on with eta*p, the background's complement dark and the
+    no-click probability dark*exp(-mu*eta*p), which `_pair_clicks` takes."""
+    eta, bg = (det.eta_a, det.bg_a) if arm == "A" else (det.eta_b, det.bg_b)
     mu = det.pair_mean * multiplier
-    bg_a = det.bg_a * multiplier
-    bg_b = det.bg_b * multiplier
+    bg = bg * multiplier
     if model == "linear":
-        return (det.eta_a * mu * p1 + bg_a, det.eta_b * mu * p2 + bg_b,
-                det.eta_a * det.eta_b * mu * p12)
+        return (eta * mu * p + bg,)
     if model != "compound":
         raise ValidationError(f"model must be one of {MODELS}, got {model!r}")
     # a background probability saturates at 1
-    dark_a = 1.0 - _clamp(bg_a, hi=1.0)
-    dark_b = 1.0 - _clamp(bg_b, hi=1.0)
-    s1 = det.eta_a * p1
-    s2 = det.eta_b * p2
+    dark = 1.0 - _clamp(bg, hi=1.0)
+    s = eta * p
+    no_click = dark * np.exp(-mu * s)
+    return 1.0 - no_click, s, dark, no_click
+
+
+def _pair_clicks(arm_a, arm_b, p12, det: DetectionModel, model: str = "compound",
+                 multiplier=1.0):
+    """(pA, pB, pAB) from the `_arm_clicks` of arms A and B and the joint
+    transmission probability p12."""
+    mu = det.pair_mean * multiplier
+    if model == "linear":
+        return arm_a[0], arm_b[0], det.eta_a * det.eta_b * mu * p12
+    click_a, s1, dark_a, pA0 = arm_a
+    click_b, s2, dark_b, pB0 = arm_b
     both = det.eta_a * det.eta_b * p12
-    pA0 = dark_a * np.exp(-mu * s1)
-    pB0 = dark_b * np.exp(-mu * s2)
     pAB0 = dark_a * dark_b * np.exp(-mu * (s1 + s2 - both))
-    return 1.0 - pA0, 1.0 - pB0, 1.0 - pA0 - pB0 + pAB0
+    return click_a, click_b, 1.0 - pA0 - pB0 + pAB0
 
 
 def ch_terms(p1, p2, p12, det: DetectionModel, model: str = "compound"):

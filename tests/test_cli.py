@@ -159,6 +159,16 @@ def test_sweep_through_the_product_state(tmp_path):
     assert rows[0].startswith("0,0.75384332,")
 
 
+@pytest.mark.parametrize("grid, rs", [("1:20000:19999", ["1", "20000"]),
+                                      ("20000:20000:1", ["20000"])])
+def test_sweep_grid_keeps_its_stop_above_1e4(grid, rs, tmp_path):
+    # the stop's padding must not vanish below the float spacing at 2e4
+    assert main(["sweep", "--eta", "0.75", "--r-grid", grid,
+                 "--out", str(tmp_path), "--quiet"]) == 0
+    rows = (tmp_path / "bprime_sweep.csv").read_text().strip().splitlines()[1:]
+    assert [row.split(",")[0] for row in rows] == rs
+
+
 def _reject_constant(name):
     raise ValueError(f"not JSON: {name}")
 

@@ -6,7 +6,9 @@ with a bisection over the optimizer, and the design-path outputs are
 pinned to the bytes the meshgrid-and-bisection code wrote.
 """
 
+import collections
 import hashlib
+import itertools
 import math
 
 import numpy as np
@@ -158,31 +160,49 @@ def test_descent_objective_equals_unmemoized_objective_bitwise(objective, model,
 @pytest.mark.parametrize("objective", eberhard.OBJECTIVES)
 def test_descent_computes_each_angle_once_without_array_clamps(objective, monkeypatch):
     """Over one descent at r = 0.26 each distinct angle's trig runs once,
-    and no compound click or score clamps a Python float through numpy."""
-    args = search_args(objective, bs.make_eberhard_state(0.26), DETECTORS["symmetric"],
-                       "compound")
+    each (angle, arm) pair's arm clicks once per model and each setting
+    pair's combination once per model, and no arm, pair or score clamps
+    a Python float through numpy."""
+    state = bs.make_eberhard_state(0.26)
+    args = search_args(objective, state, DETECTORS["symmetric"], "compound")
     starts = []
     with monkeypatch.context() as m:
         m.setattr(eberhard, "_refine", lambda f, x0: starts.append(x0) or (f(x0), x0, False))
         eberhard._search(*args)
 
-    trig_calls, clamp_calls = [], []
-    trig = quantum._trig
+    trig_calls, clamp_calls, arm_calls, pair_calls = [], [], [], []
+    trig, arm_clicks, pair_clicks = quantum._trig, quantum._arm_clicks, quantum._pair_clicks
     monkeypatch.setattr(quantum, "_trig", lambda x: trig_calls.append(x) or trig(x))
+    monkeypatch.setattr(quantum, "_arm_clicks", lambda p, arm, det, model, *rest:
+                        arm_calls.append((arm, model, p)) or arm_clicks(p, arm, det, model, *rest))
+    monkeypatch.setattr(quantum, "_pair_clicks", lambda *a: pair_calls.append(a[4])
+                        or pair_clicks(*a))
     for name in ("minimum", "clip"):
         ufunc = getattr(np, name)
         monkeypatch.setattr(np, name, lambda *a, ufunc=ufunc, **k: clamp_calls.append(a)
                             or ufunc(*a, **k))
     f = eberhard._descent_objective(*args)
     visited = set()
+    arm_angles = {"A": set(), "B": set()}
+    pairs = set()
 
     def recorded(x):
-        visited.update(x.tolist())  # 0.0 and -0.0 are one angle
+        visited.update(x)  # 0.0 and -0.0 are one angle
+        a, a_prime, b, b_prime = x
+        arm_angles["A"].update((a, a_prime))
+        arm_angles["B"].update((b, b_prime))
+        pairs.update(itertools.product((a, a_prime), (b, b_prime)))
         return f(x)
 
     eberhard._refine(recorded, starts[0])
     assert len(visited) > 20
     assert len(trig_calls) == len(visited) and set(trig_calls) == visited
+    models = ["compound", "linear"] if objective == "b-over-sigma" else ["compound"]
+    # x and -x share a singles probability, so the angles are matched as a multiset
+    assert collections.Counter(arm_calls) == collections.Counter(
+        (arm, model, quantum._pure_singles(state, float(trig(x)[0])))
+        for arm, angles in arm_angles.items() for x in angles for model in models)
+    assert collections.Counter(pair_calls) == {model: len(pairs) for model in models}
     quantum.click_probabilities(0.3, 0.4, 0.1, DETECTORS["asymmetric"], "compound")
     assert clamp_calls == []
 
@@ -264,7 +284,7 @@ def test_refine_reports_an_exhausted_sweep_budget():
     best, x, exhausted = eberhard._refine(lambda y: float(y[0]), np.zeros(4))
     assert exhausted
     assert best == x[0] > 0.0
-    best, x, exhausted = eberhard._refine(lambda y: -float(np.sum((y - 1.0) ** 2)),
+    best, x, exhausted = eberhard._refine(lambda y: -float(np.sum((np.array(y) - 1.0) ** 2)),
                                           np.zeros(4))
     assert not exhausted
     assert np.allclose(x, 1.0)

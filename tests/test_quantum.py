@@ -10,6 +10,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import bellsim as bs
+from bellsim import quantum
 from bellsim.errors import ValidationError
 from bellsim.quantum import pair_probs
 
@@ -324,6 +325,53 @@ def test_compound_model_tends_to_linear_at_low_rates():
     assert 0.1 < scaled[2] < 10.0
     assert scaled[0] == pytest.approx(scaled[2], rel=0.01)
     assert scaled[1] == pytest.approx(scaled[2], rel=0.001)
+
+
+def monolithic_clicks(p1, p2, p12, det, model, multiplier):
+    """Reference: the forward model as one function of both arms, the
+    order of IEEE operations that its arm and pair parts must keep."""
+    mu = det.pair_mean * multiplier
+    bg_a, bg_b = det.bg_a * multiplier, det.bg_b * multiplier
+    if model == "linear":
+        return (det.eta_a * mu * p1 + bg_a, det.eta_b * mu * p2 + bg_b,
+                det.eta_a * det.eta_b * mu * p12)
+    dark_a, dark_b = 1.0 - np.minimum(bg_a, 1.0), 1.0 - np.minimum(bg_b, 1.0)
+    s1, s2, both = det.eta_a * p1, det.eta_b * p2, det.eta_a * det.eta_b * p12
+    pA0, pB0 = dark_a * np.exp(-mu * s1), dark_b * np.exp(-mu * s2)
+    pAB0 = dark_a * dark_b * np.exp(-mu * (s1 + s2 - both))
+    return 1.0 - pA0, 1.0 - pB0, 1.0 - pA0 - pB0 + pAB0
+
+
+# (p1, p2, p12) as Python floats, as 1-D arrays over five setting pairs,
+# and as the column, row and square tables of the design grid
+_STATE = bs.make_eberhard_state(0.26)
+_AXIS = np.linspace(-40.0, 40.0, 5)
+CLICK_INPUTS = {
+    "floats": (0.31, 0.47, 0.12),
+    "arrays": tuple(p[1] for p in pair_probs(_STATE, _AXIS, 0.7 * _AXIS, -_AXIS,
+                                             0.5 * _AXIS + 3.0)),
+    "tables": (bs.singles_prob(_STATE, _AXIS[:, None], "A"),
+               bs.singles_prob(_STATE, -_AXIS[None, :], "B"),
+               bs.coincidence_prob(_STATE, _AXIS[:, None], -_AXIS[None, :])),
+}
+
+
+@pytest.mark.parametrize("multiplier", [1.0, np.linspace(0.8, 1.3, 5)], ids=["one", "drift"])
+@pytest.mark.parametrize("shape", sorted(CLICK_INPUTS))
+@pytest.mark.parametrize("model", quantum.MODELS)
+def test_click_probabilities_compose_arm_and_pair_parts_bitwise(model, shape, multiplier):
+    det = bs.DetectionModel(eta_a=0.8, eta_b=0.7, pair_mean=0.2, bg_a=1e-4, bg_b=3e-4)
+    p1, p2, p12 = CLICK_INPUTS[shape]
+    composed = quantum._pair_clicks(quantum._arm_clicks(p1, "A", det, model, multiplier),
+                                    quantum._arm_clicks(p2, "B", det, model, multiplier),
+                                    p12, det, model, multiplier)
+    clicks = bs.click_probabilities(p1, p2, p12, det, model, multiplier)
+    reference = monolithic_clicks(p1, p2, p12, det, model, multiplier)
+    assert len(clicks) == len(composed) == 3
+    for got, part, ref in zip(clicks, composed, reference):
+        assert np.shape(got) == np.shape(part) == np.shape(ref)
+        assert (np.asarray(got).tobytes() == np.asarray(part).tobytes()
+                == np.asarray(ref, dtype=float).tobytes())
 
 
 def test_click_probabilities_rejects_unknown_model():
