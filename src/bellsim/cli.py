@@ -35,7 +35,6 @@ from .counting import (
     WindowPolicy,
     parse_timetags,
     read_settings,
-    serialize_settings,
     serialize_timetags,
     windowed_counts,
 )
@@ -149,7 +148,7 @@ def _write_timetags(args, chunks, stream_name: str, settings_name: str):
           open(_out_path(args, settings_name), "wb") as settings_file):
         for chunk in chunks:
             stream_file.write(serialize_timetags(chunk))
-            settings_file.write(serialize_settings(chunk.meta["trial_settings"]))
+            settings_file.write(counting._setting_lines(chunk.meta["trial_settings"]))
             records += len(chunk)
             clamped += chunk.meta.get("clamped_events", 0)
     return records, clamped
@@ -408,7 +407,10 @@ def _cmd_dire(args) -> dict:
 # parser
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process: parsing leaves it
+    as it was, so every call of main can share it."""
     parser = argparse.ArgumentParser(
         prog="bellsim",
         description="Simulate and analyze detection-probability Bell tests",

@@ -303,15 +303,22 @@ def serialize_timetags(stream: TimetagStream) -> bytes:
 
 def serialize_settings(settings) -> bytes:
     """Settings-file bytes: each trial's index 0..3 as one ASCII digit per line."""
+    return _setting_lines(settings).tobytes()
+
+
+def _setting_lines(settings) -> np.ndarray:
+    """serialize_settings' bytes as an array, for a file to write through
+    the buffer protocol: one little-endian word per line, or one newline
+    byte for no trials."""
     idx = np.asarray(settings)
     if idx.size == 0:
-        return b"\n"
+        return np.frombuffer(b"\n", dtype=np.uint8)
     if _first_bad_setting(idx) < idx.size:
         raise ValidationError("setting indices must be in 0..3")
     # each line, a digit and then a newline, is one little-endian word
     lines = idx.astype("<u2")
     lines += _DIGIT_LINE
-    return lines.tobytes()
+    return lines
 
 
 def parse_settings(data: bytes) -> np.ndarray:
@@ -572,7 +579,9 @@ def _median_spacing(spacings: Counter) -> float:
 def _add_spacings(spacings: Counter, clocks: np.ndarray, before: np.ndarray) -> None:
     """Add to spacings the gaps between consecutive clock times, the first
     one from `before`, the mark ahead of them if any."""
-    gaps = np.diff(clocks, prepend=before)
+    if before.size:
+        spacings[int(clocks[0] - before[0])] += 1
+    gaps = clocks[1:] - clocks[:-1]
     if gaps.size and gaps.min() == gaps.max():
         spacings[int(gaps[0])] += gaps.size
     else:

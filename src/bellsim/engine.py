@@ -536,6 +536,8 @@ def _timetag_blocks(cfg: ExperimentConfig) -> Iterator[tuple]:
                               "fit whole-nanosecond 64-bit timestamps")
     burst_ns = det.pulses_per_trial * det.pulse_period_ns
     burst_offset = (det.trial_period_ns - burst_ns) / 2.0
+    # each block's clock marks are this grid shifted by its first trial's start
+    grid = np.arange(n, dtype=np.int64) * period
 
     for b, rng in enumerate(_block_rngs(cfg.rng_seed, 0, cfg.n_blocks)):
         combo = int(schedule[b])
@@ -582,7 +584,7 @@ def _timetag_blocks(cfg: ExperimentConfig) -> Iterator[tuple]:
 
         order = np.argsort(times, kind="stable")
         times = times[order]
-        trial_start = (np.arange(n, dtype=np.int64) + b * n) * period
+        trial_start = grid + b * n * period
         # each detection goes after the clock marks at or before its time,
         # so its record position is those marks plus the detections ahead of it
         pos = np.searchsorted(trial_start, times, side="right")
@@ -609,11 +611,15 @@ def timetag_chunks(cfg: ExperimentConfig) -> Iterator[TimetagStream]:
     meta["clamped_events"].  A block of more than MAX_BLOCK_SIZE
     trials, or that would draw more pairs, raises ValidationError.
 
-    Each block is sorted on its own.  Records of a block at or after the
-    next block's lowest possible time, one period before its first
+    Each block is sorted on its own.  Records of a block after the next
+    block's floor, its lowest possible time one period before its first
     trial, wait and are merged into the next chunk, ahead of that
-    block's records at equal keys; so the chunks concatenate to the one
-    stable sort of the whole run by (time, clock marks first).
+    block's records at equal keys.  A record at the floor stays: it is
+    the block's last clock mark or a detection, and the next block holds
+    only detections there, which the whole run sorts after it.  So the
+    chunks concatenate to the one stable sort of the whole run by (time,
+    clock marks first), and a block is copied into a merged chunk only
+    when a record waits for it.
     """
     n = cfg.trials_per_block
     period = int(round(cfg.det.trial_period_ns))
@@ -628,7 +634,8 @@ def timetag_chunks(cfg: ExperimentConfig) -> Iterator[TimetagStream]:
             t = np.concatenate([head_t, t[head:]])
             c = np.concatenate([head_c, c[head:]])
         last = b == cfg.n_blocks - 1
-        cut = t.size if last else int(np.searchsorted(t, (b + 1) * n * period - period))
+        cut = t.size if last else int(np.searchsorted(t, (b + 1) * n * period - period,
+                                                      side="right"))
         carry_t, carry_c = t[cut:], c[cut:]
         yield TimetagStream(
             t[:cut], c[:cut],

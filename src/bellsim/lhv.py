@@ -171,12 +171,17 @@ def coincidence_time_stream(
     of 4 T after the last emission slot so that legal event windows
     (radius < 3T) can never pair detections across trials; so the streams
     of consecutive trial ranges, each starting at its `first_trial`,
-    concatenate to the stream of the whole run.  A range whose timestamps
-    would fall below 0 or beyond the signed 64-bit range raises
-    ValidationError.
+    concatenate to the stream of the whole run.  A negative offset, which
+    would put an emission before its own trial's clock mark, and a range
+    whose timestamps would fall below 0 or beyond the signed 64-bit range
+    raise ValidationError.
     """
     if T_ns <= 0:
         raise ValidationError("T_ns must be positive")
+    for row, (offset, _, _) in enumerate(schedule):
+        if offset < 0:
+            raise ValidationError(f"schedule row {row} has negative offset {offset}: "
+                                  "an emission would precede its trial's clock mark")
     settings = np.asarray(settings_per_trial, dtype=np.int64)
     if _first_bad_setting(settings) < settings.size:
         raise ValidationError("setting indices must be in 0..3")

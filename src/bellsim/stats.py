@@ -201,9 +201,13 @@ def _partition_values(sums: np.ndarray, per_pair: np.ndarray, k: int,
     if n_blocks < k:
         raise ValidationError(f"cannot split {n_blocks} blocks into {k} partitions")
     tally = _partition_tally(sums, per_pair, k)
-    n = tally[0]
+    n, singles_a, singles_b, coincidences = tally
+    # CountsTable's rules; neither difference wraps in a partition whose
+    # counts are all in 0..n, and any other partition is unusable already
     unusable = ((tally < 0).any(axis=(0, 1)) | (tally[1:] > n).any(axis=(0, 1))
-                | (n <= 0).any(axis=0))
+                | (n <= 0).any(axis=0)
+                | (coincidences > np.minimum(singles_a, singles_b)).any(axis=0)
+                | (singles_a - coincidences > n - singles_b).any(axis=0))
     if unusable.any():
         # the first unusable partition raises exactly what its counts table does
         i = int(np.argmax(unusable))

@@ -180,7 +180,9 @@ def test_criterion_08_statistical_pipeline():
     assert sq.s_upper == pytest.approx(2.861, abs=1e-3)
     assert sq.on_fraction == pytest.approx(0.028, abs=2e-3)
 
-    # partition error vs the independent binomial oracle at 1e6 trials
+    # partition error vs the independent-trial oracle at 1e6 trials: each
+    # trial is one multinomial draw of (both click, A only, B only, neither),
+    # so a block keeps coincidences <= min(singles) like a measured one
     rng = np.random.default_rng(1234)
     psa = np.array([1.7e-3, 1.7e-3, 5.4e-3, 5.4e-3])
     psb = np.array([1.7e-3, 5.2e-3, 1.7e-3, 5.2e-3])
@@ -189,17 +191,18 @@ def test_criterion_08_statistical_pipeline():
     trials = 2451
     for i in range(408):
         s = i % 4
-        blocks.append((
-            s, trials,
-            int(rng.binomial(trials, psa[s])),
-            int(rng.binomial(trials, psb[s])),
-            int(rng.binomial(trials, pc[s])),
-        ))
+        both, a_only, b_only, _ = rng.multinomial(
+            trials, [pc[s], psa[s] - pc[s], psb[s] - pc[s], 1 - psa[s] - psb[s] + pc[s]])
+        blocks.append((s, trials, int(both + a_only), int(both + b_only), int(both)))
+    # B is linear in the counts: per trial, w_c on a coincidence and w_a,
+    # w_b on each arm's click, with the singles pooled over two rows
     n = 102.0 * trials
-    var = float(sum(c * (1 - c) / n for c in pc))
-    var += (psa[0] * (1 - psa[0]) + psa[1] * (1 - psa[1])) / (4 * n)
-    var += (psb[0] * (1 - psb[0]) + psb[2] * (1 - psb[2])) / (4 * n)
-    oracle = math.sqrt(var)
+    w_c = np.array([1.0, 1.0, 1.0, -1.0]) / n
+    w_a = -np.array([1.0, 1.0, 0.0, 0.0]) / (2 * n)
+    w_b = -np.array([1.0, 0.0, 1.0, 0.0]) / (2 * n)
+    mean = w_c * pc + w_a * psa + w_b * psb
+    square = pc * (w_c + w_a + w_b) ** 2 + (psa - pc) * w_a**2 + (psb - pc) * w_b**2
+    oracle = math.sqrt(float(np.sum(n * (square - mean**2))))
     got = bs.partition_sigma(blocks, k=51)
     assert got == pytest.approx(oracle, rel=0.2)
     report(8, f"hacker p={p_hack:.2e}, floor(5)=0.03125, "

@@ -760,6 +760,46 @@ def test_lhv_demo_timing_without_trials(tmp_path):
                  "--out", str(tmp_path), "--quiet"]) == 2
 
 
+def test_settings_files_hold_the_serialized_settings(config_path, tmp_path):
+    # the writer hands each chunk's setting lines to the file as an array;
+    # the file holds serialize_settings' bytes, one newline for no trials
+    assert main(["simulate", str(config_path), "--timetags", "--out", str(tmp_path),
+                 "--quiet"]) == 0
+    cfg = bs.ExperimentConfig.from_json(config_path.read_text())
+    assert (tmp_path / "trial_settings.txt").read_bytes() == b"".join(
+        counting.serialize_settings(chunk.meta["trial_settings"])
+        for chunk in engine.timetag_chunks(cfg))
+    assert main(["lhv-demo", "--what", "timing", "--trials", "0",
+                 "--out", str(tmp_path), "--quiet"]) == 0
+    assert (tmp_path / "adversarial_settings.txt").read_bytes() == \
+        counting.serialize_settings([]) == b"\n"
+
+
+def test_main_shares_one_parser_across_calls(tmp_path, monkeypatch):
+    # the parser is built once per process, and a call that exits 2 on a bad
+    # argument leaves it as a fresh one: the same calls on a parser built
+    # per call write the same files and record the same inputs
+    assert cli.build_parser() is cli.build_parser()
+
+    def run(out):
+        with pytest.raises(SystemExit) as exc:
+            main(["lhv-demo", "--trials", "many", "--out", str(out)])
+        assert exc.value.code == 2
+        for argv in (["lhv-demo", "--what", "timing", "--trials", "30", "--seed", "3"],
+                     ["optimize", "--eta", "0.8", "--fix-r", "0.3"]):
+            assert main([*argv, "--out", str(out / argv[0]), "--quiet"]) == 0
+        inputs = {argv: json.loads((out / argv / "manifest.json").read_text())["inputs"]
+                  for argv in ("lhv-demo", "optimize")}
+        files = {path.relative_to(out): path.read_bytes() for path in sorted(out.rglob("*"))
+                 if path.name != "manifest.json" and path.is_file()}
+        return inputs, files
+
+    shared = run(tmp_path / "shared")
+    monkeypatch.setattr(cli, "build_parser", cli.build_parser.__wrapped__)
+    assert cli.build_parser() is not cli.build_parser()
+    assert run(tmp_path / "fresh") == shared
+
+
 # Digest of the drift demo's expected counts written under version 0.3.0.
 FROZEN_DRIFT = "46ea023837c8f6602dc3f1ba0f6967e98fbf13109a93d769be364bdd929a7fa2"
 

@@ -170,17 +170,22 @@ FROZEN_CROSSING = {
 }
 
 
-@pytest.mark.parametrize("trials_per_block", sorted(FROZEN_CROSSING))
+@pytest.mark.parametrize("trials_per_block", [1, 2, 3, 7])
 def test_chunks_merge_records_that_cross_block_edges(trials_per_block):
     cfg = crossing_cfg(trials_per_block)
     whole, blockwise = whole_run_timetags(cfg)
     # some records sort into a neighbouring block's time range
     assert not np.array_equal(blockwise, whole.timestamps)
+    # and some detections sit exactly on a block's floor, one period before
+    # its first trial, where the previous block's last clock mark is
+    floors = (np.arange(1, cfg.n_blocks) * trials_per_block - 1) * int(cfg.det.trial_period_ns)
+    assert np.isin(whole.timestamps[whole.channels != bs.CHANNEL_CLOCK], floors).any()
     chunks = list(timetag_chunks(cfg))
     stream = bs.simulate_timetags(cfg)
     assert stream == whole
-    assert hashlib.sha256(bs.serialize_timetags(stream)).hexdigest() == \
-        FROZEN_CROSSING[trials_per_block]
+    if trials_per_block in FROZEN_CROSSING:
+        assert hashlib.sha256(bs.serialize_timetags(stream)).hexdigest() == \
+            FROZEN_CROSSING[trials_per_block]
     assert b"".join(bs.serialize_timetags(chunk) for chunk in chunks) == \
         bs.serialize_timetags(whole)
     assert [chunk.meta["trial_settings"].tolist() for chunk in chunks] == \
@@ -193,6 +198,34 @@ def test_chunked_timetags_equal_whole_run_writer():
     cfg = quick_cfg(det=bs.DetectionModel(pair_mean=0.2, bg_a=0.002, bg_b=0.001), n_blocks=4,
                     trials_per_block=500, rng_seed=8)
     assert bs.simulate_timetags(cfg) == whole_run_timetags(cfg)[0]
+
+
+def test_chunks_copy_only_the_blocks_a_record_waits_for(calibrated_reference_model,
+                                                       monkeypatch):
+    # a chunk is its block's own records, uncopied, unless an earlier block
+    # left a record after this block's floor
+    state, sett, det = calibrated_reference_model
+    cfg = bs.ExperimentConfig(state=state, settings=sett, det=det,
+                              schedule_kind="random-per-block", trials_per_block=5,
+                              n_blocks=2000, rng_seed=6)
+    blocks = []
+
+    def recorded(cfg):
+        for block in _timetag_blocks(cfg):
+            blocks.append(block[1])
+            yield block
+
+    monkeypatch.setattr(engine, "_timetag_blocks", recorded)
+    chunks = list(timetag_chunks(cfg))
+    period, n = int(round(det.trial_period_ns)), cfg.trials_per_block
+    floors = (np.arange(1, cfg.n_blocks) * n - 1) * period
+    waited = np.maximum.accumulate([t[-1] for t in blocks])[:-1] > floors
+    copied = [not np.shares_memory(chunk.timestamps, t) for chunk, t in zip(chunks, blocks)]
+    assert copied == [False, *waited.tolist()]
+    assert 0 < sum(copied) < cfg.n_blocks / 50
+    assert bs.TimetagStream(np.concatenate([c.timestamps for c in chunks]),
+                            np.concatenate([c.channels for c in chunks])) == \
+        whole_run_timetags(cfg)[0]
 
 
 def test_seed_changes_output():

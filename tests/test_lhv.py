@@ -159,6 +159,19 @@ def test_stream_reaches_the_last_64_bit_timestamp():
                                    first_trial=first_trial + 1)
 
 
+@pytest.mark.parametrize("offset", [-1, -2, -4])
+def test_negative_schedule_offset_is_rejected(offset):
+    # an emission before its own trial's clock mark would be counted in the
+    # trial before it, and trial ranges would no longer concatenate in order
+    schedule = (*bs.coincidence_loophole_schedule()[:2], (offset, bs.CHANNEL_ALICE, (True, True)))
+    with pytest.raises(ValidationError, match=f"schedule row 2 has negative offset {offset}"):
+        bs.coincidence_time_stream(schedule, [0, 1, 2], T_ns=1000, first_trial=1)
+    stream = bs.coincidence_time_stream(schedule[:2] + ((0, bs.CHANNEL_ALICE, (True, True)),),
+                                        [0], T_ns=1000, first_trial=1)
+    assert stream.timestamps[:2].tolist() == [6000, 6000]  # the mark, then its detection
+    assert stream.channels[:2].tolist() == [bs.CHANNEL_CLOCK, bs.CHANNEL_ALICE]
+
+
 def test_every_detection_present_per_side():
     rng = np.random.default_rng(5)
     settings = rng.integers(0, 4, size=1000)

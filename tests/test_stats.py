@@ -83,31 +83,31 @@ def test_lhv_strategy_tables_never_violate_either_form():
 
 
 def synthetic_blocks(rng, n_blocks=408, trials=2451):
-    """Independent-binomial counts so the estimator variance is known exactly."""
+    """Counts of independent trials, so the estimator variance is known
+    exactly: each trial is one multinomial draw of (both arms click, A
+    only, B only, neither), so a block keeps coincidences <= min(singles)."""
     psa = np.array([1.7e-3, 1.7e-3, 5.4e-3, 5.4e-3])
     psb = np.array([1.7e-3, 5.2e-3, 1.7e-3, 5.2e-3])
     pc = np.array([1.07e-3, 1.20e-3, 1.24e-3, 6.7e-5])
     blocks = []
     for i in range(n_blocks):
         s = i % 4
-        blocks.append((
-            s,  # setting pair
-            trials,
-            int(rng.binomial(trials, psa[s])),  # singles_a
-            int(rng.binomial(trials, psb[s])),  # singles_b
-            int(rng.binomial(trials, pc[s])),  # coincidences
-        ))
+        both, a_only, b_only, _ = rng.multinomial(
+            trials, [pc[s], psa[s] - pc[s], psb[s] - pc[s], 1 - psa[s] - psb[s] + pc[s]])
+        blocks.append((s, trials, int(both + a_only), int(both + b_only), int(both)))
     return blocks, (psa, psb, pc)
 
 
 def oracle_sigma(psa, psb, pc, trials_per_setting):
+    """sd of pooled B over independent trials: per trial, w_c on a
+    coincidence and w_a, w_b on each arm's click."""
     n = float(trials_per_setting)
-    var = 0.0
-    for c in pc:
-        var += c * (1 - c) / n
-    var += (psa[0] * (1 - psa[0]) + psa[1] * (1 - psa[1])) / (2 * n) / 2
-    var += (psb[0] * (1 - psb[0]) + psb[2] * (1 - psb[2])) / (2 * n) / 2
-    return math.sqrt(var)
+    w_c = np.array([1.0, 1.0, 1.0, -1.0]) / n
+    w_a = -np.array([1.0, 1.0, 0.0, 0.0]) / (2 * n)
+    w_b = -np.array([1.0, 0.0, 1.0, 0.0]) / (2 * n)
+    mean = w_c * pc + w_a * psa + w_b * psb
+    square = pc * (w_c + w_a + w_b) ** 2 + (psa - pc) * w_a**2 + (psb - pc) * w_b**2
+    return math.sqrt(float(np.sum(n * (square - mean**2))))
 
 
 def test_partition_sigma_matches_binomial_oracle():
@@ -134,7 +134,7 @@ def test_partition_values_reject_singles_above_trials():
     with pytest.raises(ValidationError, match="^partition 1 has insufficient data: "
                                               "singles_a exceed trials in some row$"):
         bs.partition_values(blocks, k=2)
-    blocks[3] = (1, 10, 10, 5, 2)
+    blocks[3] = (1, 10, 10, 5, 5)
     assert bs.partition_values(blocks, k=2).shape == (2,)
 
 
@@ -253,13 +253,13 @@ _PAIR_ORDERS = st.lists(st.integers(0, 12), min_size=4, max_size=4).flatmap(
 @given(pairs=_PAIR_ORDERS, k=st.integers(2, 8),
        singles_mode=st.sampled_from(["pooled", "paired", "conditional"]))
 def test_stratified_partitions_cover_every_setting(pairs, k, singles_mode):
-    # one trial per block and one coincidence-free click on each arm: a
+    # two trials per block and one coincidence-free click on each arm: a
     # partition evaluates exactly when it holds a block of every setting
-    blocks = [(s, 1, 1, 1, 0) for s in pairs]
+    blocks = [(s, 2, 1, 1, 0) for s in pairs]
     status, result = _outcome(bs.partition_values, blocks, k, singles_mode)
     if np.bincount(pairs, minlength=4).min() >= k:
         assert status == "ok"
-        assert np.array_equal(result, np.full(k, -2.0))
+        assert np.array_equal(result, np.full(k, -1.0))
     elif len(blocks) >= k:
         assert status == "error" and "insufficient data" in result
 
