@@ -289,6 +289,11 @@ def _cmd_optimize(args) -> dict:
     return {"exhausted_refinements": result.exhausted_refinements}
 
 
+# a sweep runs one optimization per grid point and holds every result
+# until its CSV is written; a finer grid is refused before it is built
+_MAX_GRID_POINTS = 10_000
+
+
 def _parse_grid(spec: str) -> np.ndarray:
     try:
         start, stop, step = (float(v) for v in spec.split(":"))
@@ -301,10 +306,13 @@ def _parse_grid(spec: str) -> np.ndarray:
     # a stop on the grid stays on it: pad it by a tolerance on the grid's
     # scale, since an absolute 1e-12 is below float spacing above about 1e4
     pad = 1e-12 * max(1.0, abs(start), abs(stop))
-    try:
-        return np.arange(start, stop + pad, step)
-    except (MemoryError, ValueError) as exc:  # too many points to hold
-        raise ValidationError(f"--r-grid {spec!r} cannot be built: {exc}") from None
+    # np.arange's own length, ceil((stop - start) / step), inf when it overflows
+    count = (stop + pad - start) / step
+    if count > _MAX_GRID_POINTS:
+        shown = math.ceil(count) if math.isfinite(count) else "too many"
+        raise ValidationError(f"--r-grid {spec!r} has {shown} points, "
+                              f"more than the limit of {_MAX_GRID_POINTS}")
+    return np.arange(start, stop + pad, step)
 
 
 def _cmd_sweep(args) -> dict:

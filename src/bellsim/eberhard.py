@@ -21,26 +21,35 @@ With a = axis_i and a' = axis_j, every coincidence probability is an
 entry of the one table T[i, j] = p12(axis_i, -axis_j): p12(a, b') = T,
 p12(a', b) = T.T, and p12(a, b), p12(a', b') are its diagonal as a
 column and as a row.  Every singles probability is a vector over the
-axis.  These broadcast through `quantum.ch_terms` to the same values,
-bit for bit, as evaluating `pair_probs` at every grid point.
+axis.  The forward model computes the click probabilities of (a, b),
+(a, b') and (a', b') from these; those of (a', b) are the transpose of
+(a, b'), since element [i, j] of (a', b) takes the operands of element
+[j, i] of (a, b') (arm A at axis_j, arm B at -axis_i and T[j, i]) in
+the same order, for asymmetric arms too.  So one square table of pair
+clicks per forward model, combined through `quantum.ch_from_clicks`,
+gives the same values, bit for bit, as evaluating `pair_probs` at every
+grid point.
 
-Each descent keeps three memos, for that descent only: the per-angle
+Each descent keeps four memos, for that descent only: the per-angle
 terms of every angle it visits (cos, sin and the singles probability,
 as Python floats), each angle's click terms at each arm it is visited
-on, and the click probabilities of every setting pair it computes,
-keyed by the pair's (x, y) angles.  A move changes one angle and so two
-of the four pairs, and a descent revisits its points, so most lookups
-are hits, and the computed pairs share their angles (about three pairs
-to an angle).  A miss evaluates the closed forms of `quantum` that
-`singles_prob`, `coincidence_prob` and `click_probabilities` evaluate:
-`_trig` and `_pure_singles` per angle, `_arm_clicks` per angle and arm,
-and `_pure_coincidence` and `_pair_clicks` per pair.  On Python floats
+on, the click probabilities of every setting pair it computes, keyed by
+the pair's (x, y) angles, and the value of every point it scores, keyed
+by the point's four angles.  A move changes one angle and so two of the
+four pairs, and a descent revisits its points (after an accepted +step
+move the -step trial goes back to the previous point), so a revisited
+point is not scored again, most pair lookups are hits, and the computed
+pairs share their angles (about three pairs to an angle).  A miss
+evaluates the closed forms of `quantum` that `singles_prob`,
+`coincidence_prob` and `click_probabilities` evaluate: `_trig` and
+`_pure_singles` per angle, `_arm_clicks` per angle and arm, and
+`_pure_coincidence` and `_pair_clicks` per pair.  On Python floats
 these make the same IEEE operations as on the numpy scalars of
 `pair_probs` (cos, sin and exp stay numpy's, and Python's `**` equals
 numpy's scalar one), and the pairs combine through
-`quantum.ch_from_clicks` as `ch_terms` does on the grid, so each value
-equals the unmemoized objective bit for bit.  The descent itself,
-`_refine`, steps the four angles as a list of Python floats.
+`quantum.ch_from_clicks` as on the grid, so each value equals the
+unmemoized objective bit for bit.  The descent itself, `_refine`,
+steps the four angles as a list of Python floats.
 
 The objective takes either forward model of `quantum.click_probabilities`:
 
@@ -171,8 +180,8 @@ def _descent_objective(state, det: DetectionModel, model: str, score, linear: bo
     """The f(x) of one `_refine` descent over a pure state, equal bit for
     bit to score at `pair_probs(state, *x)` as a float, with each angle's
     `quantum._trig` and `quantum._pure_singles`, each angle's
-    `quantum._arm_clicks` at each arm and each setting pair's clicks
-    memoized (module docstring).
+    `quantum._arm_clicks` at each arm, each setting pair's clicks and each
+    point's value memoized (module docstring).
 
     A miss looks the forward model up in `quantum`, as `pair_probs` does:
     the traced benchmark (perfbench/spans.py) wraps this module's imported
@@ -182,6 +191,7 @@ def _descent_objective(state, det: DetectionModel, model: str, score, linear: bo
     angle_memo = {}
     arm_memos = {"A": {}, "B": {}}
     memo = {}
+    point_memo = {}
 
     def angle(x):
         terms = angle_memo.get(x)
@@ -211,10 +221,15 @@ def _descent_objective(state, det: DetectionModel, model: str, score, linear: bo
         return clicks
 
     def f(angles):
-        a, a_prime, b, b_prime = angles
-        clicks, linear_clicks = zip(pair(a, b), pair(a, b_prime), pair(a_prime, b),
-                                    pair(a_prime, b_prime))
-        return float(score(quantum.ch_from_clicks(clicks), linear_clicks))
+        key = tuple(angles)
+        value = point_memo.get(key)
+        if value is None:
+            a, a_prime, b, b_prime = key
+            clicks, linear_clicks = zip(pair(a, b), pair(a, b_prime), pair(a_prime, b),
+                                        pair(a_prime, b_prime))
+            value = point_memo[key] = float(score(quantum.ch_from_clicks(clicks),
+                                                  linear_clicks))
+        return value
 
     return f
 
@@ -260,8 +275,12 @@ def _search(state, det: DetectionModel, model: str, score, linear: bool,
         if x0 is None:
             axis = _angle_axis()
             probs = _grid_probs(state, axis)
-            grid = score(ch_terms(*probs, det, model),
-                         [click_probabilities(*pair, det, "linear") for pair in zip(*probs)]
+            pairs = list(zip(*probs))
+            # the clicks of (a', b) at [i, j] are those of (a, b') at [j, i],
+            # operand for operand, so they are its transpose
+            ab, abp, apbp = (quantum.click_probabilities(*pairs[k], det, model) for k in (0, 1, 3))
+            grid = score(quantum.ch_from_clicks((ab, abp, tuple(map(np.transpose, abp)), apbp)),
+                         [click_probabilities(*pair, det, "linear") for pair in pairs]
                          if linear else None)
             top = np.fmax.reduce(grid, axis=None)  # NaN only if every value is
             if np.isnan(top):

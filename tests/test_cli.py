@@ -550,6 +550,26 @@ def test_unbuildable_grid_is_exit_2(grid, tmp_path, capsys):
     assert not (tmp_path / "manifest.json").exists()
 
 
+def test_over_fine_grid_is_exit_2_before_it_is_built(tmp_path, capsys, monkeypatch):
+    # 10^9 + 1 points would be an 8 GB array and 10^9 optimizations
+    def unbuilt(*args, **kwargs):
+        raise AssertionError("the grid was built")
+
+    monkeypatch.setattr(cli.np, "arange", unbuilt)
+    argv = ["sweep", "--eta", "0.75", "--r-grid", "0:1:1e-9", "--out", str(tmp_path), "--quiet"]
+    assert main(argv) == 2
+    assert capsys.readouterr().err == ("error: --r-grid '0:1:1e-9' has 1000000001 points, "
+                                       f"more than the limit of {cli._MAX_GRID_POINTS}\n")
+    assert not (tmp_path / "bprime_sweep.csv").exists()
+
+
+def test_grid_point_limit_is_inclusive():
+    limit = cli._MAX_GRID_POINTS
+    assert cli._parse_grid(f"1:{limit}:1").size == limit
+    with pytest.raises(bs.ValidationError, match=f"has {limit + 1} points"):
+        cli._parse_grid(f"1:{limit + 1}:1")
+
+
 NON_UTF8 = b"\xff\xfe0\n"
 
 

@@ -59,7 +59,8 @@ def search_grid(monkeypatch, args):
 
 
 @pytest.mark.parametrize("det_name", sorted(DETECTORS))
-@pytest.mark.parametrize("r", [0.04, 0.26, 0.61, 1.0])
+# r = 0 gives NaN grid values; 0.05 is the first point of the free-r grid
+@pytest.mark.parametrize("r", [0.0, 0.04, 0.05, 0.26, 0.61, 1.0])
 def test_table_grid_equals_meshgrid_bitwise(r, det_name, monkeypatch):
     axis = eberhard._angle_axis()
     aa, pp = np.meshgrid(axis, axis, indexing="ij")
@@ -112,6 +113,32 @@ def eta_star_search_args(monkeypatch, r, bg):
 SCORES = ([(objective, model, det_name) for objective in eberhard.OBJECTIVES
            for model in quantum.MODELS for det_name in sorted(DETECTORS)]
           + [("eta*", "linear", bg) for bg in (0.0, 1e-3)])
+
+
+@pytest.mark.parametrize("objective, model, det_name", SCORES)
+def test_grid_computes_one_pair_click_table_per_model(objective, model, det_name, monkeypatch):
+    """(a', b) is the transpose of (a, b'), so the grid's forward model
+    computes one square table; the significance proxy's linear clicks
+    add the linear model's two."""
+    if objective == "eta*":  # det_name is the background
+        args = eta_star_search_args(monkeypatch, 0.26, det_name)
+    else:
+        args = search_args(objective, bs.make_eberhard_state(0.26), DETECTORS[det_name], model)
+    square = (eberhard._angle_axis().size,) * 2
+    tables = collections.Counter()
+    pair_clicks = quantum._pair_clicks
+
+    def counted(arm_a, arm_b, p12, det, model, *rest):
+        tables[model] += np.shape(p12) == square  # not the diagonal's column or row
+        return pair_clicks(arm_a, arm_b, p12, det, model, *rest)
+
+    monkeypatch.setattr(quantum, "_pair_clicks", counted)
+    monkeypatch.setattr(eberhard, "_refine", lambda f, x0: (0.0, x0, False))
+    eberhard._search(*args)
+    expected = collections.Counter({model: 1})
+    if objective == "b-over-sigma":
+        expected["linear"] += 2
+    assert tables == expected
 
 
 @pytest.mark.parametrize("objective, model, det_name", SCORES)
@@ -205,6 +232,43 @@ def test_descent_computes_each_angle_once_without_array_clamps(objective, monkey
     assert collections.Counter(pair_calls) == {model: len(pairs) for model in models}
     quantum.click_probabilities(0.3, 0.4, 0.1, DETECTORS["asymmetric"], "compound")
     assert clamp_calls == []
+
+
+@pytest.mark.parametrize("r, exhausted", [(0.04, True), (0.26, False)])
+def test_descent_scores_each_distinct_point_once(r, exhausted, monkeypatch):
+    """Over one design-sweep descent the CH combination runs once per
+    distinct point, and the descent takes the path it takes over an
+    unmemoized objective."""
+    state = bs.make_eberhard_state(r)
+    args = search_args("b-prime", state, DETECTORS["symmetric"], "compound")
+    starts = []
+    with monkeypatch.context() as m:
+        m.setattr(eberhard, "_refine", lambda f, x0: starts.append(x0) or (f(x0), x0, False))
+        eberhard._search(*args)
+    score = args[3]
+
+    def oracle(x):
+        with np.errstate(invalid="ignore", divide="ignore"):
+            return float(score(quantum.ch_terms(*quantum.pair_probs(state, *x),
+                                                DETECTORS["symmetric"], "compound"), None))
+
+    expected = eberhard._refine(oracle, starts[0])
+
+    scored, points = [], []
+    ch_from_clicks = quantum.ch_from_clicks
+    monkeypatch.setattr(quantum, "ch_from_clicks", lambda c: scored.append(c) or ch_from_clicks(c))
+    f = eberhard._descent_objective(*args)
+
+    def recorded(x):
+        points.append(tuple(x))  # 0.0 and -0.0 are one point
+        return f(x)
+
+    best, x, ran_out = eberhard._refine(recorded, starts[0])
+    assert len(points) > len(set(points)) > 100
+    assert len(scored) == len(set(points))
+    assert (_bits(best), x.tobytes(), ran_out) == (_bits(expected[0]), expected[1].tobytes(),
+                                                   expected[2])
+    assert ran_out == exhausted
 
 
 def test_frozen_sweep_exhausts_only_its_two_smallest_r():
