@@ -92,8 +92,8 @@ class TimetagStream:
     meta: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        self.timestamps = _integer_array(self.timestamps, np.int64)
-        self.channels = _integer_array(self.channels, np.uint8)
+        self.timestamps = _integer_array(self.timestamps, "timestamps", np.int64)
+        self.channels = _integer_array(self.channels, "channels", np.uint8)
         if self.timestamps.shape != self.channels.shape or self.timestamps.ndim != 1:
             raise ValidationError("timestamps and channels must be 1-D and equal length")
         idx = _first_regression(self.timestamps)
@@ -127,14 +127,22 @@ class TimetagStream:
         yield self
 
 
-def _integer_array(values, dtype) -> np.ndarray:
-    """values as a dtype array; a ValidationError when the cast would change them."""
-    arr, info = np.asarray(values), np.iinfo(dtype)
-    if arr.dtype != dtype and arr.size and (arr.dtype.kind not in "iu" or not (
-            info.min <= int(arr.min()) and int(arr.max()) <= info.max)):
-        raise ValidationError("timestamps must be integers in the signed 64-bit range "
-                              "and channels in the unsigned 8-bit range")
-    return arr.astype(dtype, copy=False)
+def _integer_array(values, name: str, dtype=None) -> np.ndarray:
+    """values as an integer array, of dtype when one is given (else of
+    their own integer dtype, or int64); a ValidationError that names them
+    when the cast would change them.  Integers that need no cast are only
+    looked at for their dtype, so that a long array costs no pass."""
+    arr = np.asarray(values)
+    if arr.dtype.kind in "iu" and (dtype is None or arr.dtype == dtype):
+        return arr
+    info = np.iinfo(np.int64 if dtype is None else dtype)
+    whole = arr.dtype.kind in "iu" or (
+        arr.dtype.kind == "f" and bool(np.all(np.isfinite(arr) & (np.trunc(arr) == arr))))
+    if arr.size and not (whole and info.min <= int(arr.min()) and int(arr.max()) <= info.max):
+        sign = "signed" if info.min else "unsigned"
+        raise ValidationError(f"{name} must be integers" + (
+            "" if dtype is None else f" in the {sign} {info.bits}-bit range"))
+    return arr.astype(info.dtype, copy=False)
 
 
 def _records(timestamps: np.ndarray, channels: np.ndarray) -> TimetagStream:
@@ -310,7 +318,7 @@ def _setting_lines(settings) -> np.ndarray:
     """serialize_settings' bytes as an array, for a file to write through
     the buffer protocol: one little-endian word per line, or one newline
     byte for no trials."""
-    idx = np.asarray(settings)
+    idx = _integer_array(settings, "setting indices")
     if idx.size == 0:
         return np.frombuffer(b"\n", dtype=np.uint8)
     if _first_bad_setting(idx) < idx.size:
@@ -680,9 +688,7 @@ def windowed_counts(stream, policy: WindowPolicy, schedule) -> CountsTable:
     every trial, and then that an event window lies below half the median
     clock spacing.
     """
-    sched = np.asarray(schedule)
-    if sched.dtype.kind not in "iu":
-        sched = np.asarray(schedule, dtype=np.int64)
+    sched = _integer_array(schedule, "setting indices")
     if sched.ndim != 1:
         raise ValidationError(f"settings schedule must be 1-D, got shape {sched.shape}")
     if _first_bad_setting(sched) < sched.size:

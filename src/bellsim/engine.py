@@ -65,6 +65,7 @@ from .counting import (
     CountsTable,
     TimetagStream,
     _first_bad_setting,
+    _integer_array,
     read_settings,
     sort_records,
 )
@@ -445,11 +446,16 @@ def block_array(blocks: ArrayLike) -> np.ndarray:
     """Blocks as an (n, 5) int64 array, columns in blocks.csv order
     (_BLOCK_HEADER), from such an array or a sequence of 5-int rows."""
     try:
-        arr = np.asarray(blocks, dtype=np.int64)
+        arr = np.asarray(blocks)
+        if arr.dtype.kind not in "iu" and not isinstance(blocks, np.ndarray):
+            # rows of Python ints that int64 cannot hold make a float or
+            # object array; converted to int64, they raise OverflowError
+            np.asarray(blocks, dtype=np.int64)
     except OverflowError:
         raise ValidationError("block count outside the 64-bit integer range") from None
     except (TypeError, ValueError) as exc:
         raise ValidationError(f"blocks must be rows of 5 integers: {exc}") from None
+    arr = _integer_array(arr, "block counts", np.int64)
     if arr.shape == (0,):  # an empty sequence of rows
         arr = arr.reshape(0, 5)
     if arr.ndim != 2 or arr.shape[1] != 5:

@@ -46,6 +46,7 @@ from .counting import (
     CountsTable,
     TimetagStream,
     _first_bad_setting,
+    _integer_array,
     sort_records,
 )
 from .errors import ValidationError
@@ -182,7 +183,7 @@ def coincidence_time_stream(
         if offset < 0:
             raise ValidationError(f"schedule row {row} has negative offset {offset}: "
                                   "an emission would precede its trial's clock mark")
-    settings = np.asarray(settings_per_trial, dtype=np.int64)
+    settings = _integer_array(settings_per_trial, "setting indices").astype(np.int64, copy=False)
     if _first_bad_setting(settings) < settings.size:
         raise ValidationError("setting indices must be in 0..3")
     last_offset = max((offset for offset, _, _ in schedule), default=0)

@@ -27,16 +27,21 @@ The concrete extractor is binary Toeplitz hashing: output bit i is the
 parity of seed[i : i+n] (reversed) AND the raw bits, which makes the map
 linear over XOR and needs n + m - 1 seed bits for m output bits.  Those
 parities are the low bits of a correlation, which is computed by FFT on
-tiles of at most _TILE_BITS output bits and 2*_TILE_BITS - rows + 1 raw
-bits for a tile of `rows` output bits, so that a full tile's correlation
-fills an FFT of length 2*_TILE_BITS = 2^21.  A partial tile, one short
-of raw bits (the last for each band of output bits), takes the smallest
-2^i 3^j 5^k length that holds its width + rows - 1 correlation values:
-270 000 points, not 2^19, for 2^18 raw and 4364 output bits.  An n-bit
-input and m-bit output cost O((n + m) log(n + m)) at a working set
-bounded by the tile, whatever n and m are (Hayashi & Tsurumaru, IEEE TIT
-62, 2213 (2016)).  Every tile's correlation is checked to round cleanly
-to integers, so the output bits are exact or the call raises.
+tiles of at most _TILE_BITS output bits.  A tile of `rows` output bits
+takes a transform sized to its rows, min(2*_TILE_BITS,
+_fft_length(max(2^16, 4*rows))) points, and span = that length - rows + 1
+raw bits, so that a full tile's correlation fills its transform: 2^16
+points for up to 2^14 rows, 2^21 = 2*_TILE_BITS from 2^19 rows on.  A
+partial tile, one short of raw bits (the last for each band of output
+bits), takes the smallest 2^i 3^j 5^k length that holds its width +
+rows - 1 correlation values.  So 2^18 raw and 4364 output bits take four
+65 536-point transforms and one of 21 870 points.  An n-bit input and
+m-bit output cost O((n + m) log(n + m)), and the extractor holds one
+tile beyond its inputs, whatever n and m are (Hayashi & Tsurumaru, IEEE
+TIT 62, 2213 (2016)).  The inputs are checked to be 0/1 bits in place,
+by their dtype and one min/max test, not copied.  Every tile's
+correlation is checked to round cleanly to integers, so the output bits
+are exact or the call raises.
 """
 
 from __future__ import annotations
@@ -67,12 +72,18 @@ FINITE_SIZE_CAVEAT = (
 
 _BITS_MAGIC = b"BELLSIMX"
 
-# Output bits per FFT tile; a tile of `rows` output bits takes
-# 2 * _TILE_BITS - rows + 1 raw bits, so a full tile's FFT is 2^21 points
-# and that of a tile short of raw bits the smallest 2^i 3^j 5^k length
-# that holds its correlation.  A tile's correlation values are integers
-# up to 2^21, far inside float64's exact range.
+# Output bits per FFT tile; a tile of `rows` output bits takes a
+# transform of min(2 * _TILE_BITS, _fft_length(max(_MIN_FFT, 4 * rows)))
+# points and that length - rows + 1 raw bits, so that a full tile's
+# correlation fills its transform (see the module docstring).  A tile's
+# correlation values are integers up to 2^21, far inside float64's exact
+# range.
 _TILE_BITS = 1 << 20
+
+# Fewest points in a tile's transform, so that a short output does not
+# pay a transform call per few raw bits; at 4 * rows points or more, a
+# tile's raw span is at least three quarters of its transform.
+_MIN_FFT = 1 << 16
 
 # Largest distance from an integer that a correlation value may show
 # before its rounding, and so its parity, is no longer trusted.
@@ -113,8 +124,9 @@ def extractable_length(
     A negative resulting length is reported as 0 with a warning rather
     than an error, so sweeps over weak violations stay usable.
     """
-    if raw_entropy_bits < 0:
-        raise ValidationError("raw_entropy_bits must be >= 0")
+    if not (math.isfinite(raw_entropy_bits) and raw_entropy_bits >= 0):
+        raise ValidationError(
+            f"raw_entropy_bits must be finite and >= 0, got {raw_entropy_bits!r}")
     if policy == "sha-half":
         return int(raw_entropy_bits // 2), 0
     if policy not in POLICIES:
@@ -144,13 +156,14 @@ def extractable_length(
 
 
 def _as_bits(x, name: str) -> np.ndarray:
+    """x as a flat array of 0/1 bits, checked in place: a bool array is
+    viewed as uint8 and an integer array is kept, not copied."""
     arr = np.asarray(x)
     if arr.dtype == bool:
-        arr = arr.astype(np.uint8)
+        arr = arr.view(np.uint8)
     if not np.issubdtype(arr.dtype, np.integer):
         raise ValidationError(f"{name} must be an integer/bool bit array")
-    arr = arr.astype(np.uint8)
-    if arr.ndim != 1 or np.any(arr > 1):
+    if arr.ndim != 1 or (arr.size and (arr.min() < 0 or arr.max() > 1)):
         raise ValidationError(f"{name} must be a flat array of 0/1 bits")
     return arr
 
@@ -179,6 +192,9 @@ def hash_extract(raw_bits, seed_bits, out_len: int) -> np.ndarray:
     """
     raw = _as_bits(raw_bits, "raw_bits")
     seed = _as_bits(seed_bits, "seed_bits")
+    if isinstance(out_len, bool) or not isinstance(out_len, (int, np.integer)):
+        raise ValidationError(f"out_len must be an integer, got {out_len!r}")
+    out_len = int(out_len)
     if out_len < 0:
         raise ValidationError("out_len must be >= 0")
     if out_len == 0:
@@ -196,7 +212,7 @@ def hash_extract(raw_bits, seed_bits, out_len: int) -> np.ndarray:
     # share from the seed bits it touches
     for i0 in range(0, out_len, _TILE_BITS):
         rows = min(_TILE_BITS, out_len - i0)
-        span = 2 * _TILE_BITS - rows + 1
+        span = min(2 * _TILE_BITS, _fft_length(max(_MIN_FFT, 4 * rows))) - rows + 1
         for j0 in range(0, n, span):
             width = min(span, n - j0)
             s0 = i0 + n - j0 - width

@@ -45,3 +45,17 @@ def random_strategies(rng: np.random.Generator, count: int):
             weights[8 * flags[0] + 4 * flags[1] + 2 * flags[2] + flags[3]] += weight
         out.append(weights)
     return out
+
+
+def matmul_toeplitz(raw, seed, m):
+    """Dense construction: row i of the Toeplitz matrix, seed[i : i+n],
+    against the reversed input, as an int64 matrix product in row chunks."""
+    n = raw.size
+    rev = raw[::-1].astype(np.int64)
+    out = np.empty(m, dtype=np.uint8)
+    chunk = max(1, min(m, 8_388_608 // max(n, 1) + 1))
+    windows = np.lib.stride_tricks.sliding_window_view(seed[:n + m - 1], n)
+    for start in range(0, m, chunk):
+        stop = min(start + chunk, m)
+        out[start:stop] = (windows[start:stop].astype(np.int64) @ rev) & 1
+    return out

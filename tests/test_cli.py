@@ -19,6 +19,8 @@ import bellsim as bs
 from bellsim import cli, counting, engine
 from bellsim.cli import main
 
+from conftest import matmul_toeplitz
+
 
 @pytest.fixture()
 def config_path(tmp_path):
@@ -214,23 +216,46 @@ def test_dire_command(tmp_path, capsys):
     assert doc["seed_bits"] > 0
 
 
+def _dire_extract(tmp_path, counts, raw, seed):
+    """Exit code of dire --extract on the counts table and bit files."""
+    (tmp_path / "counts.json").write_text(counts.to_json())
+    (tmp_path / "raw.bin").write_bytes(raw)
+    (tmp_path / "seed.bin").write_bytes(seed)
+    return main(["dire", str(tmp_path / "counts.json"), "--seconds", "10800",
+                 "--extract", str(tmp_path / "raw.bin"), "--seed-file", str(tmp_path / "seed.bin"),
+                 "--out", str(tmp_path), "--quiet"])
+
+
+def _extracted(tmp_path, raw, seed):
+    """(extracted.bits, hash_extract of the bit files to the report's length)."""
+    report = json.loads((tmp_path / "dire_report.json").read_text())
+    raw_bits, seed_bits = bs.unpack_bits(raw), bs.unpack_bits(seed)
+    m = min(report["extractable_bits"], raw_bits.size)
+    return (bs.read_extracted_bits(str(tmp_path / "extracted.bits")),
+            bs.hash_extract(raw_bits, seed_bits, m), raw_bits, seed_bits, m)
+
+
 def test_dire_extraction_path(tmp_path, capsys):
-    counts = tmp_path / "counts.json"
-    counts.write_text(bs.reference_run_counts().to_json())
-    raw = tmp_path / "raw.bin"
-    raw.write_bytes(bytes(range(256)) * 8)  # 16384 raw bits
-    seed = tmp_path / "seed.bin"
+    counts = bs.reference_run_counts()
+    raw = bytes(range(256)) * 8  # 16384 raw bits
     # the Toeplitz construction needs 16384 + 4364 - 1 = 20747 seed bits
-    seed.write_bytes(b"\xa5" * 2000)  # 16000 bits: too short
-    assert main(["dire", str(counts), "--seconds", "10800",
-                 "--extract", str(raw), "--seed-file", str(seed),
-                 "--out", str(tmp_path), "--quiet"]) == 2
-    seed.write_bytes(b"\xa5" * 2600)  # 20800 bits: enough
-    assert main(["dire", str(counts), "--seconds", "10800",
-                 "--extract", str(raw), "--seed-file", str(seed),
-                 "--out", str(tmp_path), "--quiet"]) == 0
-    bits = bs.read_extracted_bits(str(tmp_path / "extracted.bits"))
-    assert bits.size > 0
+    assert _dire_extract(tmp_path, counts, raw, b"\xa5" * 2000) == 2  # 16000 bits: too short
+    seed = b"\xa5" * 2600  # 20800 bits: enough
+    assert _dire_extract(tmp_path, counts, raw, seed) == 0
+    bits, want, *_, m = _extracted(tmp_path, raw, seed)
+    assert m == 4364 and np.array_equal(bits, want)
+    # a tenth of the run certifies 438 bits, whose 65 536-point tiles take
+    # 65 099 raw bits each: three tiles, the last of 5 802 bits, and four
+    # tiles, the last of 44 711 bits, against the dense construction
+    tenth = bs.CountsTable(*(np.asarray(field) // 10 for field in (
+        counts.n_trials, counts.singles_a, counts.singles_b, counts.coincidences)))
+    rng = np.random.default_rng(59)
+    for raw_bytes in (17_000, 30_001):
+        raw, seed = rng.bytes(raw_bytes), rng.bytes(raw_bytes + 55)
+        assert _dire_extract(tmp_path, tenth, raw, seed) == 0
+        bits, want, raw_bits, seed_bits, m = _extracted(tmp_path, raw, seed)
+        assert m == 438 and np.array_equal(bits, want)
+        assert np.array_equal(bits, matmul_toeplitz(raw_bits, seed_bits, m))
 
 
 def test_exit_code_missing_file(tmp_path):

@@ -117,6 +117,43 @@ def test_stream_rejects_arrays_a_cast_would_change(timestamps, channels):
         bs.TimetagStream(timestamps, channels)
 
 
+@pytest.mark.parametrize("timestamps, channels, message", [
+    ([0, 2**63], [2, 0], "timestamps must be integers in the signed 64-bit range"),
+    ([0, 5], [2, 256], "channels must be integers in the unsigned 8-bit range"),
+    ([0, 5], [2, 0.5], "channels must be integers in the unsigned 8-bit range"),
+], ids=["timestamp-2^63", "channel-256", "channel-half"])
+def test_stream_messages_name_the_array_at_fault(timestamps, channels, message):
+    with pytest.raises(ValidationError, match=message):
+        bs.TimetagStream(timestamps, channels)
+
+
+_FOUR_TRIALS = ([0, 5, 10, 12], [2, 0, 2, 1])  # two trials, two detections
+
+
+@pytest.mark.parametrize("settings", [
+    [0.7, 1.2], np.array([0.0, 2.5]), [float("nan"), 1], [float("inf"), 1], ["0", "1"],
+], ids=["fractions", "half", "nan", "inf", "strings"])
+def test_non_integer_setting_indices_are_rejected(settings):
+    # each was truncated, or counted under settings it does not name
+    with pytest.raises(ValidationError, match="setting indices must be integers"):
+        bs.windowed_counts(bs.TimetagStream(*_FOUR_TRIALS), bs.WindowPolicy("clock"), settings)
+    with pytest.raises(ValidationError, match="setting indices must be integers"):
+        serialize_settings(settings)
+
+
+def test_whole_float_setting_indices_are_integers():
+    table = bs.windowed_counts(bs.TimetagStream(*_FOUR_TRIALS), bs.WindowPolicy("clock"),
+                               [0.0, 1.0])
+    assert table.n_trials.tolist() == [1, 1, 0, 0]
+    assert serialize_settings(np.array([0.0, 2.0])) == b"0\n2\n"
+
+
+@pytest.mark.parametrize("dtype", [np.uint8, np.int16, np.int64, np.uint64])
+def test_integer_settings_pass_the_rule_uncopied(dtype):
+    settings = np.zeros(10, dtype=dtype)
+    assert counting._integer_array(settings, "setting indices") is settings
+
+
 # ---------------------------------------------------------------------------
 # settings files
 

@@ -823,6 +823,33 @@ def test_blocks_to_counts_rejects_bad_records(record, message):
         bs.blocks_to_counts(blocks)
 
 
+@pytest.mark.parametrize("tally", [
+    bs.blocks_to_counts,
+    lambda blocks: bs.partition_values(blocks, k=1),
+    lambda blocks: bs.violations_by_partition(blocks, [1]),
+], ids=["counts", "partitions", "violations"])
+@pytest.mark.parametrize("record, message", [
+    ((0.5, 10.7, 1.9, 1, 1), "block counts must be integers"),
+    ((0, 10.5, 1, 1, 1), "block counts must be integers"),
+    ((0, float("nan"), 1, 1, 1), "rows of 5 integers: cannot convert float NaN"),
+], ids=["setting", "trials", "nan"])
+def test_non_integer_block_fields_are_rejected(tally, record, message):
+    # (0.5, 10.7, 1.9, 1, 1) was counted as 10 trials under setting pair 0
+    blocks = [(s, 10, 1, 1, 1) for s in range(4)] + [record]
+    with pytest.raises(ValidationError, match=message):
+        tally(blocks)
+    with pytest.raises(ValidationError, match="block counts must be integers"):
+        tally(np.array(blocks))
+
+
+def test_whole_float_and_narrow_integer_blocks_are_read_as_int64():
+    rows = [(s, 10, 1, 1, 1) for s in range(4)]
+    want = engine.block_array(rows)
+    for blocks in (np.array(rows, dtype=float), np.array(rows, dtype=np.uint8)):
+        got = engine.block_array(blocks)
+        assert got.dtype == np.int64 and np.array_equal(got, want)
+
+
 # three blocks of 2^63-1 trials per setting pair: each pair's int64 total
 # would wrap to 2^63-3
 _INT64_MAX_BLOCKS = np.array([(s, 2**63 - 1, 0, 0, 0) for s in range(4) for _ in range(3)])

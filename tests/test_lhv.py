@@ -159,6 +159,13 @@ def test_stream_reaches_the_last_64_bit_timestamp():
                                    first_trial=first_trial + 1)
 
 
+@pytest.mark.parametrize("settings", [[0.5, 3.9], np.array([1.0, 2.5])])
+def test_stream_rejects_non_integer_settings(settings):
+    # [0.5, 3.9] played settings [0, 3]
+    with pytest.raises(ValidationError, match="setting indices must be integers"):
+        bs.coincidence_time_stream(bs.coincidence_loophole_schedule(), settings, T_ns=1000)
+
+
 @pytest.mark.parametrize("offset", [-1, -2, -4])
 def test_negative_schedule_offset_is_rejected(offset):
     # an emission before its own trial's clock mark would be counted in the

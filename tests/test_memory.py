@@ -1,25 +1,29 @@
-"""The CLI's simulate and analyze steps run in memory that barely grows with the run.
+"""The CLI's simulate, analyze and extraction steps run in memory that barely grows with the run.
 
 Each step's peak traced allocation (tracemalloc, which numpy reports its
 arrays to) is taken at N and at 4N trials, with chunks small enough that
 both runs span many of them.  On the timetag path only the settings, one
 byte per trial, may grow with the run; in block mode only simulate's
 schedule and drift multipliers, 16 bytes per block, and analyze holds
-nothing per block.
+nothing per block.  The Toeplitz extractor holds one transform tile
+beyond its inputs, and dire --extract each input once, at one byte per bit.
 """
 
 import contextlib
 import io
 import tracemalloc
 
+import numpy as np
+
 import bellsim as bs
-from bellsim import counting, engine
+from bellsim import counting, engine, randomness
 from bellsim.cli import main
 
 TRIALS_PER_BLOCK = 1000
 N_BLOCKS = 50
 MAX_BYTES_PER_TRIAL = 3.0
 MAX_BYTES_PER_BLOCK = 32.0
+MAX_BYTES_PER_RAW_BIT = 2.5
 
 
 def _peaks(work, steps):
@@ -132,3 +136,44 @@ def test_block_analyze_peak_grows_by_at_most_32_bytes_per_block(tmp_path, monkey
     small = _block_analyze_peak(tmp_path / "n", 1024)
     large = _block_analyze_peak(tmp_path / "4n", 4 * 1024)
     assert (large - small) / (3 * 1024) <= MAX_BYTES_PER_BLOCK, f"peak {small} -> {large} bytes"
+
+
+def test_short_extraction_peak_is_one_small_tile():
+    # 4364 output bits take 2^16-point transforms however long the input,
+    # which is checked in place
+    rng = np.random.default_rng(61)
+    n, m = 2**22, 4364
+    raw = rng.integers(0, 2, n, dtype=np.uint8)
+    seed = rng.integers(0, 2, n + m - 1, dtype=np.uint8)
+    randomness.hash_extract(raw[:2**18], seed[:2**18 + m - 1], m)  # first-call allocations
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        randomness.hash_extract(raw, seed, m)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert peak <= 4 * 2**20, f"peak {peak / 2**20:.2f} MiB"
+
+
+def _extract_peak(work, raw_bits):
+    """Peak traced bytes of dire --extract of the reference run's 4364 bits
+    from raw_bits random raw bits."""
+    rng = np.random.default_rng(raw_bits)
+    work.mkdir()
+    (work / "counts.json").write_text(bs.reference_run_counts().to_json())
+    (work / "raw.bin").write_bytes(rng.bytes(raw_bits // 8))
+    (work / "seed.bin").write_bytes(rng.bytes(raw_bits // 8 + 4364 // 8 + 1))
+    return _peaks(work, [["dire", str(work / "counts.json"), "--seconds", "10800",
+                          "--extract", str(work / "raw.bin"),
+                          "--seed-file", str(work / "seed.bin")]])[0]
+
+
+def test_dire_extract_peak_grows_by_at_most_2_5_bytes_per_raw_bit(tmp_path):
+    # the raw and seed bits, one byte each per raw bit, and nothing else
+    # that grows with the input
+    _extract_peak(tmp_path / "warm-up", 2**18)
+    small = _extract_peak(tmp_path / "n", 2**20)
+    large = _extract_peak(tmp_path / "4n", 2**22)
+    assert (large - small) / (3 * 2**20) <= MAX_BYTES_PER_RAW_BIT, \
+        f"peak {small} -> {large} bytes"

@@ -12,6 +12,8 @@ import bellsim as bs
 from bellsim import randomness
 from bellsim.errors import NumericalError, ValidationError
 
+from conftest import matmul_toeplitz
+
 B_MAX = bs.B_QUANTUM_MAX
 
 
@@ -85,6 +87,13 @@ def test_sizing_validation():
         bs.extractable_length(100, "unknown-policy", epsilon=0.5, raw_string_bits=10)
 
 
+@pytest.mark.parametrize("raw", [float("nan"), float("inf"), -1.0])
+@pytest.mark.parametrize("policy", ["sha-half", "hash-extract"])
+def test_sizing_rejects_non_finite_or_negative_entropy(raw, policy):
+    with pytest.raises(ValidationError, match="raw_entropy_bits must be finite and >= 0"):
+        bs.extractable_length(raw, policy, epsilon=1e-6, raw_string_bits=4096)
+
+
 @given(raw=st.floats(0, 1e7), eps_exp=st.integers(1, 12))
 def test_extractable_never_exceeds_raw(raw, eps_exp):
     import warnings
@@ -111,20 +120,6 @@ def oracle_toeplitz(raw, seed, m):
             acc ^= int(seed[i + n - 1 - j]) & int(raw[j])
         out.append(acc)
     return np.array(out, dtype=np.uint8)
-
-
-def matmul_toeplitz(raw, seed, m):
-    """Dense construction: row i of the Toeplitz matrix, seed[i : i+n],
-    against the reversed input, as an int64 matrix product in row chunks."""
-    n = raw.size
-    rev = raw[::-1].astype(np.int64)
-    out = np.empty(m, dtype=np.uint8)
-    chunk = max(1, min(m, 8_388_608 // max(n, 1) + 1))
-    windows = np.lib.stride_tricks.sliding_window_view(seed[:n + m - 1], n)
-    for start in range(0, m, chunk):
-        stop = min(start + chunk, m)
-        out[start:stop] = (windows[start:stop].astype(np.int64) @ rev) & 1
-    return out
 
 
 FROZEN_RAW = "0001000011001101000110111110011100001010110111111100100011011101"
@@ -261,16 +256,35 @@ def _benchmark_shape():
     return (*_random_case(np.random.default_rng(43), 2**18, 4364), 4364)
 
 
-def test_benchmark_shape_takes_one_270000_point_transform(monkeypatch):
+def test_benchmark_shape_takes_four_65536_point_transforms_and_one_of_21870(monkeypatch):
+    # 4364 rows take 2^16-point transforms of 2^16 - 4363 raw bits each;
+    # the last 17 452 raw bits make a correlation of 21 815 values
     sizes = _fft_lengths(monkeypatch)
     raw, seed, m = _benchmark_shape()
-    bs.hash_extract(raw, seed, m)
-    assert sizes == [270_000]
+    assert np.array_equal(bs.hash_extract(raw, seed, m), matmul_toeplitz(raw, seed, m))
+    assert sizes == [65_536] * 4 + [21_870]
+
+
+@pytest.mark.parametrize("rows, length", [
+    (1, 2**16), (4364, 2**16), (2**14, 2**16), (2**14 + 1, 65_610),
+    (40_000, 160_000), (2**18, 2**20), (2**19 - 1, 2**21), (2**19, 2**21),
+    (TILE, 2**21),
+])
+def test_full_tile_transform_is_sized_to_its_rows(rows, length, monkeypatch):
+    # a full tile's correlation fills its transform:
+    # min(2^21, _fft_length(max(2^16, 4 rows))) points
+    sizes = _fft_lengths(monkeypatch)
+    span = length - rows + 1
+    raw = np.zeros(span + 1, dtype=np.uint8)
+    seed = np.zeros(span + rows, dtype=np.uint8)
+    bs.hash_extract(raw, seed, rows)
+    # and the last raw bit a partial tile of `rows` correlation values
+    assert sizes == [length, randomness._fft_length(rows)]
 
 
 def test_benchmark_shape_peak_memory():
-    # at most four transform-sized complex arrays, 2.2 MB each at 270 000
-    # points; at 524 288 points the peak was 10.5 MiB
+    # at most five 65 536-point complex arrays, 1 MiB each, beyond the
+    # inputs, which are checked in place
     raw, seed, m = _benchmark_shape()
     bs.hash_extract(raw, seed, m)  # first-call allocations
     tracemalloc.start()
@@ -280,7 +294,35 @@ def test_benchmark_shape_peak_memory():
         peak = tracemalloc.get_traced_memory()[1] - base
     finally:
         tracemalloc.stop()
-    assert peak <= 4 * (270_000 // 2 + 1) * 16, f"peak {peak / 2**20:.2f} MiB"
+    assert peak <= 5 * (65_536 // 2 + 1) * 16, f"peak {peak / 2**20:.2f} MiB"
+
+
+@pytest.mark.parametrize("dtype", [bool, np.uint8, np.int8, np.int64, np.uint64])
+def test_bit_arrays_are_checked_without_a_copy(dtype):
+    raw, seed = (a.astype(dtype) for a in _random_case(np.random.default_rng(47), 500, 60))
+    want = matmul_toeplitz(raw.astype(np.uint8), seed.astype(np.uint8), 60)
+    assert np.array_equal(bs.hash_extract(raw, seed, 60), want)
+    assert np.shares_memory(randomness._as_bits(raw, "raw_bits"), raw)
+
+
+@pytest.mark.parametrize("bits", [
+    np.array([0, 1, 2]), np.array([0, -1, 1]), np.array([0, 255], dtype=np.uint8),
+    np.array([[0, 1]]), np.array(1), np.array([0.0, 1.0]),
+], ids=["two", "minus-one", "uint8-255", "2-d", "0-d", "float"])
+def test_non_bits_are_rejected(bits):
+    with pytest.raises(ValidationError, match="raw_bits must be"):
+        bs.hash_extract(bits, np.ones(8, dtype=np.uint8), 1)
+
+
+@pytest.mark.parametrize("out_len", [2.5, 2.0, True, "2", None])
+def test_non_integer_output_length_is_rejected(out_len):
+    with pytest.raises(ValidationError, match="out_len must be an integer"):
+        bs.hash_extract(np.ones(8, dtype=np.uint8), np.ones(16, dtype=np.uint8), out_len)
+
+
+def test_numpy_integer_output_length_is_accepted():
+    raw, seed = _random_case(np.random.default_rng(53), 40, 9)
+    assert np.array_equal(bs.hash_extract(raw, seed, np.int64(9)), matmul_toeplitz(raw, seed, 9))
 
 
 def test_inexact_fft_raises(monkeypatch):
